@@ -19,11 +19,11 @@ from .fock import bigrade
 from .fusion import (
     apply_monomial,
     build_module,
-    build_submodule,
     character,
     character_recursive,
     check_relations,
     exact_sequence_check,
+    kernel_dimension,
     monomial_basis,
     top_wedge,
 )
@@ -44,6 +44,7 @@ from .types import (
     canonical_A,
     compositions,
     leq,
+    leq_by_vectors,
     poincare,
     poincare_recursive_single,
     type_of,
@@ -56,6 +57,7 @@ from .verlinde import (
     grassmannian_section_dims,
     grassmannian_weights,
     product_chain,
+    product_chain_right,
 )
 
 __all__ = ["CheckResult", "CRITERIA", "run_all", "weight_corpus"]
@@ -106,13 +108,12 @@ def criterion_1_dimensions(max_n: int | None = None) -> CheckResult:
         got = build_module(weights).dimension
         if got != expected:
             failures.append((weights, got, expected))
-    powers = all(
-        build_module((2,) * n).dimension == 2 ** n
-        for n in range(1, min(6, max_n) + 1 if max_n else 7)
-    )
+    n_ladder = min(6, max_n) if max_n else 6
+    powers = all(build_module((2,) * n).dimension == 2 ** n
+                 for n in range(1, n_ladder + 1))
     passed = not failures and powers and len(corpus) >= 60
     detail = (f"{len(corpus)} modules with product <= 256; "
-              f"2^n ladder n <= 6 {'ok' if powers else 'FAILED'}")
+              f"2^n ladder n <= {n_ladder} {'ok' if powers else 'FAILED'}")
     if failures:
         detail += f"; first failure {failures[0]}"
     return CheckResult(1, "dimension product formula", passed, detail)
@@ -168,27 +169,16 @@ def criterion_4_exact_sequences(max_n: int | None = None) -> CheckResult:
     problems = []
     pairs = 0
     for weights in corpus:
-        n = len(weights)
-        for index in range(1, n):
+        for index in range(1, len(weights)):
             pairs += 1
             res = exact_sequence_check(weights, index)
             if not res.holds:
                 problems.append(f"additivity fails at {weights}, i={index}")
                 continue
-            left, right = weights[index - 1], weights[index]
-            sub = build_submodule(weights, index)
-            # closed forms for the three boundary shapes of the kernel
-            if left == right:
-                expected = math.prod(sub.aprime)
-            elif index == 1:
-                expected = math.prod((right - left + 1,) + weights[2:])
-            elif index == n - 1:
-                expected = math.prod(weights[:n - 2]) * (right - left + 1)
-            else:
-                expected = None
-            if expected is not None and sub.dimension != expected:
-                problems.append(
-                    f"kernel at {weights}, i={index}: {sub.dimension} != {expected}")
+            expected = kernel_dimension(weights, index)
+            if expected is not None and res.dim_submodule != expected:
+                problems.append(f"kernel at {weights}, i={index}: "
+                                f"{res.dim_submodule} != {expected}")
     chars_checked = 0
     for weights in corpus:
         if character(weights) != character_recursive(weights):
@@ -249,13 +239,6 @@ def criterion_6_type_lattice(max_n: int | None = None) -> CheckResult:
         if any(leq(top, c) for c in comps if c != top) or \
            any(leq(c, bottom) for c in comps if c != bottom):
             problems.append(f"extremes not unique at n={n}")
-
-    def leq_by_vectors(lo: Composition, hi: Composition) -> bool:
-        # hi refines lo iff every adjacent equality in hi's canonical vector
-        # is also an equality in lo's canonical vector
-        av, bv = canonical_A(hi), canonical_A(lo)
-        return all(bv[i] == bv[i + 1]
-                   for i in range(len(av) - 1) if av[i] == av[i + 1])
 
     n_morph = min(6, max_n) if max_n else 6
     pairs = 0
@@ -364,11 +347,7 @@ def criterion_9_verlinde(max_n: int | None = None) -> CheckResult:
         if not classical_limit_check(bundle):
             problems.append(f"classical limit fails for {bundle}")
         level = bundle[-1] + 1
-        left = product_chain(level, bundle)
-        right = FusionRingElement.unit(level)
-        for b in reversed(bundle):
-            right = FusionRingElement.basis(level, min(b, level)) * right
-        if left != right:
+        if product_chain(level, bundle) != product_chain_right(level, bundle):
             problems.append(f"fold order changes the product for {bundle}")
         folds += 1
     qdim_err = 0.0
@@ -422,4 +401,6 @@ CRITERIA = (
 
 
 def run_all(max_n: int | None = None) -> list:
+    if max_n is not None and (not isinstance(max_n, int) or max_n < 1):
+        raise ValueError(f"max_n must be a positive integer, got {max_n!r}")
     return [criterion(max_n) for criterion in CRITERIA]

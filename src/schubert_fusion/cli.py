@@ -27,6 +27,7 @@ from .fusion import (
     character_recursive,
     check_relations,
     exact_sequence_check,
+    kernel_dimension,
 )
 from .schubert import (
     bundle_split,
@@ -48,17 +49,18 @@ from .types import (
     PoincarePolynomial,
     canonical_A,
     leq,
+    leq_by_vectors,
     poincare,
     poincare_recursive_single,
     type_of,
 )
 from .verlinde import (
-    FusionRingElement,
     character_stabilization,
     classical_limit_check,
     fuse,
     limit_multiplicities,
     product_chain,
+    product_chain_right,
 )
 
 __all__ = ["main"]
@@ -79,15 +81,15 @@ def _check(name: str, ok: bool, detail: str = "") -> dict:
     return {"name": name, "pass": bool(ok), "detail": detail}
 
 
-def _order_by_vectors(lo: Composition, hi: Composition) -> bool:
-    # hi refines lo iff every adjacent equality in hi's canonical weight
-    # vector is also an equality in lo's
-    av, bv = canonical_A(hi), canonical_A(lo)
-    return all(bv[i] == bv[i + 1]
-               for i in range(len(av) - 1) if av[i] == av[i + 1])
-
-
 _ORACLE_LIMIT = 512  # largest module a per-call cross-check will build
+
+
+def _module_oracle(name: str, weights, expected: int, detail: str) -> dict:
+    """Check a closed-form count against the built fusion module on
+    `weights`, or pass it as skipped when the module is too large."""
+    if math.prod(weights) > _ORACLE_LIMIT:
+        return _check(name, True, f"skipped, module larger than {_ORACLE_LIMIT}")
+    return _check(name, build_module(weights).dimension == expected, detail)
 
 
 # --- handlers: each returns (input dict, result, list of checks) -----------
@@ -129,16 +131,7 @@ def _cmd_relations(args):
 def _cmd_submodule(args):
     weights, index = args.A, args.i
     sub = build_submodule(weights, index)
-    n = len(weights)
-    left, right = weights[index - 1], weights[index]
-    if sub.case == "equal":
-        expected = math.prod(sub.aprime)
-    elif index == 1:
-        expected = math.prod((right - left + 1,) + weights[2:])
-    elif index == n - 1:
-        expected = math.prod(weights[:n - 2]) * (right - left + 1)
-    else:
-        expected = None
+    expected = kernel_dimension(weights, index)
     result = {"dimension": sub.dimension, "case": sub.case,
               "aprime": list(sub.aprime),
               "adoubleprime": list(sub.adoubleprime) if sub.adoubleprime else None}
@@ -212,7 +205,7 @@ def _cmd_morphism(args):
     source, target = Composition(args.C1), Composition(args.C2)
     exists = morphism_exists(source, target)
     checks = [_check("vector_formulation",
-                     exists == _order_by_vectors(target, source),
+                     exists == leq_by_vectors(target, source),
                      "agrees with the canonical-vector order")]
     return ({"C1": list(args.C1), "C2": list(args.C2)},
             {"exists": exists}, checks)
@@ -249,13 +242,8 @@ def _cmd_bundle_exists(args):
 def _cmd_sections(args):
     comp = Composition(args.C)
     dim = sections_dim(args.B, comp)
-    grown = tuple(b + 1 for b in args.B)
-    if math.prod(grown) <= _ORACLE_LIMIT:
-        checks = [_check("module_oracle", build_module(grown).dimension == dim,
-                         "matches the fusion module on weights b_i + 1")]
-    else:
-        checks = [_check("module_oracle", True,
-                         f"skipped, module larger than {_ORACLE_LIMIT}")]
+    checks = [_module_oracle("module_oracle", tuple(b + 1 for b in args.B), dim,
+                             "matches the fusion module on weights b_i + 1")]
     return {"B": list(args.B), "C": list(args.C)}, dim, checks
 
 
@@ -279,18 +267,14 @@ def _cmd_coordring(args):
     dims = coordinate_ring_dims(args.A, args.imax)
     checks = [_check("unit_stratum", dims[0] == 1, "degree 0 is the constants")]
     if args.imax >= 1:
-        if math.prod(args.A) <= _ORACLE_LIMIT:
-            checks.append(_check(
-                "module_dimension",
-                dims[1] == build_module(args.A).dimension,
-                "degree 1 stratum matches the fusion module"))
-        else:
-            checks.append(_check("module_dimension", True,
-                                 f"skipped, module larger than {_ORACLE_LIMIT}"))
+        checks.append(_module_oracle("module_dimension", args.A, dims[1],
+                                     "degree 1 stratum matches the fusion module"))
     return {"A": list(args.A), "imax": args.imax}, list(dims), checks
 
 
 def _cmd_flag_check(args):
+    if args.random < 0:
+        raise ValueError(f"--random must be nonnegative, got {args.random}")
     comp = Composition(args.C)
     chain = canonical_flag(comp)
     conditions = flag_conditions(chain, comp)
@@ -330,16 +314,13 @@ def _cmd_verlinde_fuse(args):
 def _cmd_verlinde_limit(args):
     decomp = limit_multiplicities(args.B)
     level = decomp.level
-    right = FusionRingElement.unit(level)
-    for b in reversed(args.B):
-        right = FusionRingElement.basis(level, b) * right
-    left = product_chain(level, args.B)
     result = {"level": level,
               "multiplicities": list(decomp.multiplicities),
               "boundary_coefficient": decomp.boundary_coefficient,
               "boundary_nonzero": decomp.boundary_nonzero}
     checks = [
-        _check("fold_independence", left == right,
+        _check("fold_independence",
+               product_chain(level, args.B) == product_chain_right(level, args.B),
                "left and right folds of the product agree"),
         _check("classical_limit", classical_limit_check(args.B),
                "high-level product has the tensor dimension"),

@@ -155,18 +155,11 @@ class WedgeState:
             return WedgeState(self.shapes, {})
         return WedgeState(self.shapes, {i: c * v for i, v in self.coeffs.items()})
 
-    def terms(self):
-        return self.coeffs.items()
-
     def __repr__(self):
         if not self.coeffs:
             return "WedgeState(0)"
         parts = [f"{c}*({format_index(i)})" for i, c in sorted(self.coeffs.items())]
         return "WedgeState(" + " + ".join(parts) + ")"
-
-
-def zero_state(shapes) -> WedgeState:
-    return WedgeState(tuple(shapes), {})
 
 
 def top_wedge(shapes) -> WedgeState:

@@ -27,6 +27,7 @@ from itertools import combinations_with_replacement
 
 from .fock import E, WedgeState, apply_current, bigrade, factor_groups, top_wedge
 from .linalg import SpanBasis
+from .types import weakly_increasing
 
 DEFAULT_DIMENSION_CAP = 100_000
 
@@ -35,25 +36,13 @@ class DimensionCapError(RuntimeError):
     """Raised when a span closure would exceed the configured dimension cap."""
 
 
-def _check_weights(weights, allow_empty=False):
-    weights = tuple(weights)
-    if not weights and not allow_empty:
-        raise ValueError("weight vector must be nonempty")
-    for a in weights:
-        if not isinstance(a, int) or a < 1:
-            raise ValueError(f"weights must be positive integers, got {a!r}")
-    if any(a > b for a, b in zip(weights, weights[1:])):
-        raise ValueError(f"weights must be weakly increasing, got {weights}")
-    return weights
-
-
 def factor_shapes(weights) -> tuple:
     """Wedge degrees of the tensor factors hosting the module for `weights`.
 
     Entry j (for j = 1 .. max(weights) - 1) counts the weights >= j + 1;
     zero counts are dropped.  Weights equal to 1 contribute no factor.
     """
-    weights = _check_weights(weights, allow_empty=True)
+    weights = weakly_increasing(weights, minimum=1, allow_empty=True)
     if not weights:
         return ()
     shapes = []
@@ -78,17 +67,6 @@ class FusionModule:
     @property
     def dimension(self) -> int:
         return self.basis.dimension
-
-    def weight_range(self) -> tuple:
-        weights = [w for w, _ in self.character]
-        return min(weights), max(weights)
-
-    def max_energy(self) -> int:
-        return max(t for _, t in self.character)
-
-    def highest_weight_vectors(self) -> int:
-        top = self.weight_range()[1]
-        return sum(m for (w, _), m in self.character.items() if w == top)
 
 
 def _close_under(seeds, operators, cap) -> SpanBasis:
@@ -144,7 +122,7 @@ def build_module(weights, cap=DEFAULT_DIMENSION_CAP) -> FusionModule:
     The result is cached per (weights, cap) and must be treated as read-only.
     The empty weight vector yields the one-dimensional trivial module.
     """
-    weights = _check_weights(weights, allow_empty=True)
+    weights = weakly_increasing(weights, minimum=1, allow_empty=True)
     # preflight on the expected size; the closure re-checks as it grows
     if math.prod(weights) > cap:
         raise DimensionCapError(
@@ -188,7 +166,7 @@ def character_recursive(weights, cap=DEFAULT_DIMENSION_CAP) -> dict:
     bottoms out in single-weight strings.  Far cheaper than build_module
     for long weight vectors, and an independent oracle for the builder.
     """
-    weights = _check_weights(weights, allow_empty=True)
+    weights = weakly_increasing(weights, minimum=1, allow_empty=True)
     if math.prod(weights) > cap:
         raise DimensionCapError(
             f"character of {weights} would exceed the cap of {cap}")
@@ -300,11 +278,17 @@ class SubmoduleS:
         return self.basis.dimension
 
 
-def build_submodule(weights, index: int, cap=DEFAULT_DIMENSION_CAP) -> SubmoduleS:
-    weights = _check_weights(weights)
+def _check_pair(weights, index) -> tuple:
+    weights = weakly_increasing(weights, minimum=1)
     n = len(weights)
     if not isinstance(index, int) or not 1 <= index <= n - 1:
         raise ValueError(f"index must lie in 1..{n - 1}, got {index!r}")
+    return weights
+
+
+def build_submodule(weights, index: int, cap=DEFAULT_DIMENSION_CAP) -> SubmoduleS:
+    weights = _check_pair(weights, index)
+    n = len(weights)
     if math.prod(weights) > cap:
         raise DimensionCapError(
             f"submodule inside {weights} would exceed the cap of {cap}")
@@ -339,13 +323,29 @@ def build_submodule(weights, index: int, cap=DEFAULT_DIMENSION_CAP) -> Submodule
     return SubmoduleS(weights, index, "general", aprime, adouble, basis)
 
 
+def kernel_dimension(weights, index: int) -> int | None:
+    """Closed-form dimension of the kernel submodule at `index`, if known.
+
+    Equal neighbours give the module on `aprime`; an unequal pair at either
+    end of the vector gives (a_{i+1} - a_i + 1) times the entries outside the
+    pair.  Returns None for an unequal interior pair, which has no closed
+    form here.
+    """
+    weights = _check_pair(weights, index)
+    n = len(weights)
+    left, right = weights[index - 1], weights[index]
+    if left == right:
+        return math.prod(weights[:index - 1] + weights[index + 1:])
+    if index == 1:
+        return math.prod((right - left + 1,) + weights[2:])
+    if index == n - 1:
+        return math.prod(weights[:n - 2]) * (right - left + 1)
+    return None
+
+
 def quotient_weights(weights, index: int) -> tuple:
     """Weights of the quotient in the short exact sequence at `index`."""
-    weights = _check_weights(weights)
-    n = len(weights)
-    if not 1 <= index <= n - 1:
-        raise ValueError(f"index must lie in 1..{n - 1}, got {index!r}")
-    entries = list(weights)
+    entries = list(_check_pair(weights, index))
     entries[index - 1] -= 1
     entries[index] += 1
     if entries[index - 1] <= 0:

@@ -16,33 +16,9 @@ All arithmetic is exact; no floats anywhere.
 from __future__ import annotations
 
 from collections import defaultdict
-
-try:
-    from gmpy2 import mpq as rational
-except ImportError:  # pragma: no cover - gmpy2 is an optional speedup
-    from fractions import Fraction as rational
+from fractions import Fraction as rational
 
 _ONE = rational(1)
-
-
-def scale_vector(vec: dict, c) -> dict:
-    if not c:
-        return {}
-    return {i: c * v for i, v in vec.items()}
-
-
-def add_scaled(target: dict, src: dict, c) -> dict:
-    """Return target + c * src as a fresh dict with no stored zeros."""
-    out = dict(target)
-    if not c:
-        return out
-    for i, v in src.items():
-        nv = out.get(i, 0) + c * v
-        if nv:
-            out[i] = nv
-        else:
-            out.pop(i, None)
-    return out
 
 
 class SpanBasis:

@@ -22,11 +22,10 @@ import random
 from dataclasses import dataclass
 
 from .linalg import SpanBasis, rational
-from .types import Composition, PoincarePolynomial, leq, poincare, type_of
-from .types import canonical_A
+from .types import Composition, leq, poincare, type_of, weakly_increasing
 
 __all__ = [
-    "SchubertLabel", "BundleSplit", "FlagChain", "GroupElement",
+    "BundleSplit", "FlagChain", "GroupElement",
     "isomorphic", "morphism_exists", "bundle_split", "line_bundle_exists",
     "curve_degrees", "sections_dim", "picard_rank", "coordinate_ring_dims",
     "canonical_flag", "flag_conditions", "flag_membership", "group_act",
@@ -34,44 +33,10 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SchubertLabel:
-    """A Schubert variety named by its type."""
-
-    composition: Composition
-
-    @property
-    def n(self) -> int:
-        return self.composition.n
-
-    @property
-    def s(self) -> int:
-        return self.composition.s
-
-    @property
-    def canonical_weights(self) -> tuple:
-        return canonical_A(self.composition)
-
-    def __str__(self):
-        return f"Sh{self.composition}"
-
-
-def _check_weight_vector(weights, minimum=1, name="weights"):
-    weights = tuple(weights)
-    if not weights:
-        raise ValueError(f"{name} must be nonempty")
-    for a in weights:
-        if not isinstance(a, int) or a < minimum:
-            raise ValueError(f"{name} entries must be integers >= {minimum}, got {a!r}")
-    if any(a > b for a, b in zip(weights, weights[1:])):
-        raise ValueError(f"{name} must be weakly increasing, got {weights}")
-    return weights
-
-
 def isomorphic(weights_a, weights_b) -> bool:
     """Varieties agree exactly when the weight vectors have the same type."""
-    weights_a = _check_weight_vector(weights_a, minimum=2)
-    weights_b = _check_weight_vector(weights_b, minimum=2)
+    weights_a = weakly_increasing(weights_a, minimum=2)
+    weights_b = weakly_increasing(weights_b, minimum=2)
     return type_of(weights_a) == type_of(weights_b)
 
 
@@ -110,25 +75,13 @@ def bundle_split(composition: Composition, cut: int) -> BundleSplit:
     return BundleSplit(fiber, base, identity)
 
 
-def _check_bundle(bundle):
-    bundle = tuple(bundle)
-    if not bundle:
-        raise ValueError("bundle weight vector must be nonempty")
-    for b in bundle:
-        if not isinstance(b, int):
-            raise ValueError(f"bundle weights must be integers, got {b!r}")
-    if any(x > y for x, y in zip(bundle, bundle[1:])):
-        raise ValueError(f"bundle weights must be weakly increasing, got {bundle}")
-    return bundle
-
-
 def line_bundle_exists(bundle, composition: Composition) -> bool:
     """The bundle with degree data `bundle` exists on the variety of the type.
 
     Existence is governed by the refinement order: the bundle's type must be
     dominated by the variety's type.
     """
-    bundle = _check_bundle(bundle)
+    bundle = weakly_increasing(bundle, minimum=0)
     if len(bundle) != composition.n:
         raise ValueError("bundle length must equal the type's n")
     return leq(type_of(bundle), composition)
@@ -139,7 +92,7 @@ def curve_degrees(bundle) -> tuple:
 
     Entry j (j = 0 .. n-1) is b_1 + ... + b_{n-j}.
     """
-    bundle = _check_bundle(bundle)
+    bundle = weakly_increasing(bundle, minimum=0)
     n = len(bundle)
     return tuple(sum(bundle[:n - j]) for j in range(n))
 
@@ -150,9 +103,7 @@ def sections_dim(bundle, composition: Composition) -> int:
     Equals the product of (b_i + 1); independent of which variety carries
     the bundle, as long as it exists there.
     """
-    bundle = _check_bundle(bundle)
-    if any(b < 0 for b in bundle):
-        raise ValueError("sections require nonnegative bundle weights")
+    bundle = weakly_increasing(bundle, minimum=0)
     if not line_bundle_exists(bundle, composition):
         raise ValueError(f"bundle {bundle} does not exist on type {composition}")
     return math.prod(b + 1 for b in bundle)
@@ -169,7 +120,7 @@ def coordinate_ring_dims(weights, i_max: int) -> tuple:
     The i-th graded piece is dual to the fusion module on
     (i(a_1 - 1) + 1, ..., i(a_n - 1) + 1), of dimension prod(i(a_j - 1) + 1).
     """
-    weights = _check_weight_vector(weights)
+    weights = weakly_increasing(weights, minimum=1)
     if not isinstance(i_max, int) or i_max < 0:
         raise ValueError("i_max must be a nonnegative integer")
     return tuple(

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import groupby
-from math import prod
 
 
 @dataclass(frozen=True)
@@ -55,13 +54,27 @@ def compositions(n: int):
         yield Composition(tuple(parts))
 
 
-def type_of(values) -> Composition:
-    """Run-length type of a weakly increasing integer vector."""
+def weakly_increasing(values, minimum=None, allow_empty=False) -> tuple:
+    """Validate a weakly increasing integer vector and return it as a tuple.
+
+    Entries must be integers, at least `minimum` when one is given; the empty
+    vector passes only with `allow_empty`.  Raises ValueError otherwise.
+    """
     values = tuple(values)
-    if not values:
-        raise ValueError("type of an empty vector is undefined")
+    if not values and not allow_empty:
+        raise ValueError("vector must be nonempty")
+    for a in values:
+        if not isinstance(a, int) or (minimum is not None and a < minimum):
+            bound = "" if minimum is None else f" >= {minimum}"
+            raise ValueError(f"entries must be integers{bound}, got {a!r}")
     if any(a > b for a, b in zip(values, values[1:])):
         raise ValueError(f"vector must be weakly increasing, got {values}")
+    return values
+
+
+def type_of(values) -> Composition:
+    """Run-length type of a weakly increasing integer vector."""
+    values = weakly_increasing(values)
     return Composition(tuple(sum(1 for _ in run) for _, run in groupby(values)))
 
 
@@ -80,6 +93,19 @@ def leq(lo: Composition, hi: Composition) -> bool:
         if acc != target:
             return False
     return True
+
+
+def leq_by_vectors(lo: Composition, hi: Composition) -> bool:
+    """The order `leq` read off the canonical weight vectors.
+
+    hi refines lo iff every adjacent equality in hi's canonical vector is
+    also an equality in lo's; an independent route to `leq`.
+    """
+    if lo.n != hi.n:
+        raise ValueError(f"compositions of different n: {lo} vs {hi}")
+    av, bv = canonical_A(hi), canonical_A(lo)
+    return all(bv[i] == bv[i + 1]
+               for i in range(len(av) - 1) if av[i] == av[i + 1])
 
 
 def canonical_A(comp: Composition) -> tuple:
@@ -169,6 +195,3 @@ def poincare_recursive_single(n: int) -> PoincarePolynomial:
     coeffs[n - 1] += 1
     return PoincarePolynomial(tuple(coeffs))
 
-
-def poincare_value_at_one(comp: Composition) -> int:
-    return prod(p + 1 for p in comp.parts)

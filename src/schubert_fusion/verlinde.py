@@ -25,6 +25,7 @@ import math
 from dataclasses import dataclass
 
 from .fusion import DEFAULT_DIMENSION_CAP, character_recursive
+from .types import weakly_increasing
 
 
 def _check_level(k: int) -> int:
@@ -127,16 +128,16 @@ def product_chain(k: int, weights) -> FusionRingElement:
     return out
 
 
-def _check_bundle_weights(bundle):
-    bundle = tuple(bundle)
-    if not bundle:
-        raise ValueError("bundle weight vector must be nonempty")
-    for b in bundle:
-        if not isinstance(b, int) or b < 0:
-            raise ValueError(f"bundle weights must be nonnegative integers, got {b!r}")
-    if any(x > y for x, y in zip(bundle, bundle[1:])):
-        raise ValueError(f"bundle weights must be weakly increasing, got {bundle}")
-    return bundle
+def product_chain_right(k: int, weights) -> FusionRingElement:
+    """Right fold [w_1] . ([w_2] . ( ... . [w_n])) of the fusion product.
+
+    Equal to `product_chain` by associativity; kept as the independent
+    second route to it.
+    """
+    out = FusionRingElement.unit(_check_level(k))
+    for w in reversed(list(weights)):
+        out = FusionRingElement.basis(k, w) * out
+    return out
 
 
 @dataclass(frozen=True)
@@ -156,7 +157,7 @@ class LimitDecomposition:
 
 
 def limit_multiplicities(bundle) -> LimitDecomposition:
-    bundle = _check_bundle_weights(bundle)
+    bundle = weakly_increasing(bundle, minimum=0)
     top = bundle[-1]
     level = top + 1
     product = product_chain(level, bundle)
@@ -167,7 +168,7 @@ def limit_multiplicities(bundle) -> LimitDecomposition:
 
 def classical_limit_check(bundle) -> bool:
     """At level >= sum(b_i) fusion reproduces the classical tensor count."""
-    bundle = _check_bundle_weights(bundle)
+    bundle = weakly_increasing(bundle, minimum=0)
     k = sum(bundle)
     product = product_chain(k, bundle)
     return product.classical_dimension() == math.prod(b + 1 for b in bundle)
@@ -175,7 +176,7 @@ def classical_limit_check(bundle) -> bool:
 
 def grassmannian_weights(bundle, steps: int) -> tuple:
     """Module weights (b_1+1, ..., b_n+1) extended by 2*steps copies of b_n+1."""
-    bundle = _check_bundle_weights(bundle)
+    bundle = weakly_increasing(bundle, minimum=0)
     if not isinstance(steps, int) or steps < 0:
         raise ValueError("steps must be a nonnegative integer")
     grown = tuple(b + 1 for b in bundle) + (bundle[-1] + 1,) * (2 * steps)
@@ -184,7 +185,7 @@ def grassmannian_weights(bundle, steps: int) -> tuple:
 
 def grassmannian_section_dims(bundle, steps: int) -> int:
     """Section dimension over the 2*steps-extended Schubert variety."""
-    bundle = _check_bundle_weights(bundle)
+    bundle = weakly_increasing(bundle, minimum=0)
     base = math.prod(b + 1 for b in bundle)
     return base * (bundle[-1] + 1) ** (2 * steps)
 
@@ -219,9 +220,10 @@ def character_stabilization(bundle, i_max: int, deg_max: int,
     Characters come from the peeling recursion, so long extensions stay
     cheap; the cap still bounds the total dimension handled.
     """
-    bundle = _check_bundle_weights(bundle)
-    if not isinstance(i_max, int) or i_max < 0:
-        raise ValueError("i_max must be a nonnegative integer")
+    bundle = weakly_increasing(bundle, minimum=0)
+    if not isinstance(i_max, int) or i_max < 1:
+        raise ValueError("i_max must be a positive integer: stabilization "
+                         "compares at least two tables")
     if not isinstance(deg_max, int) or deg_max < 0:
         raise ValueError("deg_max must be a nonnegative integer")
     tables = []

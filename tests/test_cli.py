@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from schubert_fusion import acceptance
 from schubert_fusion.cli import main
 
 
@@ -146,3 +147,29 @@ def test_selftest_trimmed(capsys):
     assert code == 0
     assert len(report["checks"]) == 10
     assert all(chk["pass"] for chk in report["checks"])
+    assert "2^n ladder n <= 2 ok" in report["result"][0]["detail"]
+
+
+@pytest.mark.parametrize("max_n", ["0", "-1"])
+def test_selftest_rejects_nonpositive_max_n(capsys, monkeypatch, max_n):
+    def must_not_run(max_n=None):
+        pytest.fail("the battery ran on an invalid --max-n")
+
+    monkeypatch.setattr(acceptance, "CRITERIA", (must_not_run,))
+    code, out, err = run(capsys, "selftest", "--max-n", max_n)
+    assert code == 2
+    assert not out
+    assert "invalid input" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("flag-check", "2,1", "--random", "-3"),  # no vacuous "0 elements" check
+    ("stabilize", "1", "0", "2"),  # one table has nothing to stabilize against
+    ("degrees", "--", "-1,0"),  # bundle weights are nonnegative
+    ("bundle-exists", "--", "-1,2", "1,1"),
+], ids=lambda argv: argv[0])
+def test_out_of_domain_input_exits_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert not out
+    assert "invalid input" in err

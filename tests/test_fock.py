@@ -8,11 +8,11 @@ from schubert_fusion.fock import (
     E,
     F,
     H,
+    WedgeState,
     apply_current,
     bigrade,
     top_wedge,
     wedge_state,
-    zero_state,
 )
 from schubert_fusion.linalg import rational
 
@@ -92,7 +92,7 @@ def test_h_preserves_weight():
 
 
 def random_state(rng, shapes):
-    out = zero_state(shapes)
+    out = WedgeState(shapes, {})
     for _ in range(3):
         factors = []
         ok = True

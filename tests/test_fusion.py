@@ -18,6 +18,7 @@ from schubert_fusion.fusion import (
     dimension,
     exact_sequence_check,
     factor_shapes,
+    kernel_dimension,
     monomial_basis,
     quotient_weights,
 )
@@ -142,6 +143,17 @@ def test_submodule_last_pair():
     # space over the module on the remaining entries
     sub = build_submodule((2, 2, 4), 2)
     assert sub.dimension == build_module((2,)).dimension * 3 == 6
+
+
+def test_kernel_dimension_closed_forms():
+    # boundary pairs, equal pairs, and no closed form for interior unequal ones
+    for weights, index in (((2, 3, 4), 1), ((2, 3, 4), 2), ((2, 2, 4), 1),
+                           ((2, 3, 3, 4), 2), ((3, 3), 1), ((2, 5), 1)):
+        expected = kernel_dimension(weights, index)
+        assert expected == build_submodule(weights, index).dimension
+    assert kernel_dimension((2, 3, 4, 5), 2) is None
+    with pytest.raises(ValueError):
+        kernel_dimension((2, 3), 2)
 
 
 def test_exact_sequences():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from schubert_fusion.linalg import SpanBasis, add_scaled, rational, scale_vector
+from schubert_fusion.linalg import SpanBasis, rational
 
 
 def dense_rank(rows, width):
@@ -76,12 +76,6 @@ def test_rows_stay_interreduced():
     for row in basis.row_vectors():
         foreign = [p for p in pivots if p in row and row[p] != 1]
         assert not foreign
-
-
-def test_helpers_drop_zeros():
-    assert scale_vector({1: rational(4)}, 0) == {}
-    summed = add_scaled({1: rational(1)}, {1: rational(1)}, rational(-1))
-    assert summed == {}
 
 
 @settings(max_examples=60, deadline=None)

@@ -85,6 +85,10 @@ def test_line_bundle_rejects_bad_input():
         line_bundle_exists((2, 1), comp(1, 1))  # not weakly increasing
     with pytest.raises(ValueError):
         line_bundle_exists((1, 1), comp(2, 1))  # length mismatch
+    with pytest.raises(ValueError):
+        line_bundle_exists((-1, 2), comp(1, 1))  # negative weight
+    with pytest.raises(ValueError):
+        curve_degrees((-1, 0))
 
 
 def test_curve_degrees_examples():

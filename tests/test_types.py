@@ -13,9 +13,11 @@ from schubert_fusion.types import (
     canonical_A,
     compositions,
     leq,
+    leq_by_vectors,
     poincare,
     poincare_recursive_single,
     type_of,
+    weakly_increasing,
 )
 
 
@@ -61,6 +63,24 @@ def test_leq_examples():
 def test_leq_needs_matching_n():
     with pytest.raises(ValueError):
         leq(comp(2), comp(1, 1, 1))
+    with pytest.raises(ValueError):
+        leq_by_vectors(comp(2), comp(1, 1, 1))
+
+
+def test_leq_by_vectors_agrees_with_leq():
+    for n in range(1, 6):
+        for a, b in itertools.product(compositions(n), repeat=2):
+            assert leq_by_vectors(a, b) == leq(a, b)
+
+
+def test_weakly_increasing_validator():
+    assert weakly_increasing([-2, 0, 0, 5]) == (-2, 0, 0, 5)
+    assert weakly_increasing((), allow_empty=True) == ()
+    assert weakly_increasing((2, 2), minimum=2) == (2, 2)
+    for bad, minimum in (((), None), ((3, 2), None), ((1, 2.5), None),
+                         ((0, 1), 1), ((-1, 0), 0)):
+        with pytest.raises(ValueError):
+            weakly_increasing(bad, minimum=minimum)
 
 
 def test_canonical_A_examples():

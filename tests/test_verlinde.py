@@ -130,6 +130,11 @@ def test_stabilization_report():
         assert table[0][max(table[0])] == 1
 
 
+def test_stabilization_needs_two_tables():
+    with pytest.raises(ValueError):
+        character_stabilization((1,), 0, 2)
+
+
 def test_stabilization_two_entry_bundles():
     report = character_stabilization((1, 1), 3, 2)
     assert report.stable_from == 1
