@@ -10,37 +10,26 @@ even when the section spaces have millions of dimensions.
 
 import argparse
 import sys
-from dataclasses import dataclass, field
 
+from schubert_fusion.fusion import DimensionCapError
 from schubert_fusion.verlinde import character_stabilization
 
 
-@dataclass
-class ReportConfig:
-    bundles: list = field(default_factory=lambda: [(1,), (1, 1), (1, 2)])
-    i_max: int = 4
-    deg_max: int = 3
-    cap: int = 10 ** 15  # recursion cost scales with strata, not dimension
-
-
-def print_report(config: ReportConfig) -> None:
-    for bundle in config.bundles:
-        report = character_stabilization(bundle, config.i_max, config.deg_max,
-                                         cap=config.cap)
-        print(f"bundle {bundle}:")
-        print(f"  section dims {report.dims}"
-              f"{' (closed form ok)' if report.dims_match else ' MISMATCH'}")
-        for i, table in enumerate(report.tables):
-            strata = "; ".join(
-                f"d={d}: " + " ".join(
-                    f"{mult}@{weight}" for weight, mult in sorted(stratum.items()))
-                for d, stratum in sorted(table.items()))
-            print(f"  i={i}: {strata}")
-        if report.stable_from is None:
-            print(f"  no stabilization up to i = {config.i_max}")
-        else:
-            print(f"  strata constant from i = {report.stable_from}")
-        print()
+def print_report(report) -> None:
+    print(f"bundle {report.bundle}:")
+    print(f"  section dims {report.dims}"
+          f"{' (closed form ok)' if report.dims_match else ' MISMATCH'}")
+    for i, table in enumerate(report.tables):
+        strata = "; ".join(
+            f"d={d}: " + " ".join(
+                f"{mult}@{weight}" for weight, mult in sorted(stratum.items()))
+            for d, stratum in sorted(table.items()))
+        print(f"  i={i}: {strata}")
+    if report.stable_from is None:
+        print(f"  no stabilization up to i = {len(report.tables) - 1}")
+    else:
+        print(f"  strata constant from i = {report.stable_from}")
+    print()
 
 
 def parse_bundle(text: str) -> tuple:
@@ -50,16 +39,25 @@ def parse_bundle(text: str) -> tuple:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("bundles", nargs="*", type=parse_bundle,
+                        default=[(1,), (1, 1), (1, 2)],
                         help="bundles as comma-separated weights, e.g. 1,2")
     parser.add_argument("--i-max", type=int, default=4)
     parser.add_argument("--deg-max", type=int, default=3)
-    parser.add_argument("--cap", type=int, default=ReportConfig.cap,
+    # recursion cost scales with strata, not dimension
+    parser.add_argument("--cap", type=int, default=10 ** 15,
                         help="bound on the section space dimension")
     args = parser.parse_args()
-    config = ReportConfig(i_max=args.i_max, deg_max=args.deg_max, cap=args.cap)
-    if args.bundles:
-        config.bundles = args.bundles
-    print_report(config)
+    try:
+        reports = [character_stabilization(bundle, args.i_max, args.deg_max,
+                                           cap=args.cap)
+                   for bundle in args.bundles]
+    except ValueError as exc:
+        parser.error(str(exc))
+    except DimensionCapError as exc:  # exit 3, as the CLI does for its caps
+        print(f"{parser.prog}: {exc}", file=sys.stderr)
+        return 3
+    for report in reports:
+        print_report(report)
     return 0
 
 

@@ -95,20 +95,30 @@ def weight_corpus(bound: int, max_len: int | None = None) -> list:
     return out
 
 
+def _trim(max_n: int | None, full: int | None = None) -> int | None:
+    """Upper end of a sweep: `full` (None if unbounded) lowered to `max_n`
+    when one is given.  A `max_n` below 1 raises ValueError."""
+    if max_n is None:
+        return full
+    if not isinstance(max_n, int) or max_n < 1:
+        raise ValueError(f"max_n must be a positive integer, got {max_n!r}")
+    return max_n if full is None else min(full, max_n)
+
+
 def _all_compositions(n_max: int):
     for n in range(1, n_max + 1):
         yield from compositions(n)
 
 
 def criterion_1_dimensions(max_n: int | None = None) -> CheckResult:
-    corpus = weight_corpus(256, max_n)
+    corpus = weight_corpus(256, _trim(max_n))
     failures = []
     for weights in corpus:
         expected = math.prod(weights)
         got = build_module(weights).dimension
         if got != expected:
             failures.append((weights, got, expected))
-    n_ladder = min(6, max_n) if max_n else 6
+    n_ladder = _trim(max_n, 6)
     powers = all(build_module((2,) * n).dimension == 2 ** n
                  for n in range(1, n_ladder + 1))
     passed = not failures and powers and len(corpus) >= 60
@@ -120,7 +130,7 @@ def criterion_1_dimensions(max_n: int | None = None) -> CheckResult:
 
 
 def criterion_2_relations(max_n: int | None = None) -> CheckResult:
-    n_top = min(4, max_n) if max_n else 4
+    n_top = _trim(max_n, 4)
     reports = [check_relations(n, 3) for n in range(1, n_top + 1)]
     bad = [r for r in reports if not r.ok]
     detail = f"series powers i <= 3 on truncations n <= {n_top}"
@@ -131,7 +141,7 @@ def criterion_2_relations(max_n: int | None = None) -> CheckResult:
 
 
 def criterion_3_monomial_basis(max_n: int | None = None) -> CheckResult:
-    n_top = min(6, max_n) if max_n else 6
+    n_top = _trim(max_n, 6)
     problems = []
     for n in range(1, n_top + 1):
         words = monomial_basis(n)
@@ -165,7 +175,7 @@ def criterion_3_monomial_basis(max_n: int | None = None) -> CheckResult:
 
 
 def criterion_4_exact_sequences(max_n: int | None = None) -> CheckResult:
-    corpus = [A for A in weight_corpus(128, max_n) if len(A) >= 2]
+    corpus = [A for A in weight_corpus(128, _trim(max_n)) if len(A) >= 2]
     problems = []
     pairs = 0
     for weights in corpus:
@@ -195,13 +205,13 @@ def criterion_4_exact_sequences(max_n: int | None = None) -> CheckResult:
 
 def criterion_5_poincare(max_n: int | None = None) -> CheckResult:
     problems = []
-    n_rec = min(12, max_n) if max_n else 12
+    n_rec = _trim(max_n, 12)
     if poincare_recursive_single(0).even_coeffs != (1,):
         problems.append("recursion has the wrong empty-variety value")
     for n in range(1, n_rec + 1):
         if poincare_recursive_single(n) != poincare(Composition((n,))):
             problems.append(f"recursion differs from closed form at n={n}")
-    n_split = min(8, max_n) if max_n else 8
+    n_split = _trim(max_n, 8)
     splits = 0
     for comp in _all_compositions(n_split):
         for cut in range(1, comp.s):
@@ -220,7 +230,7 @@ def criterion_5_poincare(max_n: int | None = None) -> CheckResult:
 
 def criterion_6_type_lattice(max_n: int | None = None) -> CheckResult:
     problems = []
-    n_order = min(7, max_n) if max_n else 7
+    n_order = _trim(max_n, 7)
     for n in range(1, n_order + 1):
         comps = list(compositions(n))
         for a in comps:
@@ -240,7 +250,7 @@ def criterion_6_type_lattice(max_n: int | None = None) -> CheckResult:
            any(leq(c, bottom) for c in comps if c != bottom):
             problems.append(f"extremes not unique at n={n}")
 
-    n_morph = min(6, max_n) if max_n else 6
+    n_morph = _trim(max_n, 6)
     pairs = 0
     for n in range(1, n_morph + 1):
         comps = list(compositions(n))
@@ -265,7 +275,7 @@ def criterion_6_type_lattice(max_n: int | None = None) -> CheckResult:
 
 def criterion_7_line_bundles(max_n: int | None = None) -> CheckResult:
     problems = []
-    n_mono = min(5, max_n) if max_n else 5
+    n_mono = _trim(max_n, 5)
     checked = 0
     for n in range(1, n_mono + 1):
         bundles = [b for b in itertools.combinations_with_replacement(range(4), n)]
@@ -279,7 +289,7 @@ def criterion_7_line_bundles(max_n: int | None = None) -> CheckResult:
                         if not line_bundle_exists(b, c2):
                             problems.append(f"monotonicity fails: {b} on {c2.parts}")
     oracle_checked = 0
-    for b_plus_one in weight_corpus(128, max_n):
+    for b_plus_one in weight_corpus(128, _trim(max_n)):
         bundle = tuple(x - 1 for x in b_plus_one)
         comp = type_of(bundle)
         expected = build_module(b_plus_one).dimension
@@ -300,13 +310,13 @@ def criterion_7_line_bundles(max_n: int | None = None) -> CheckResult:
 
 def criterion_8_flag_model(max_n: int | None = None) -> CheckResult:
     problems = []
-    n_canon = min(5, max_n) if max_n else 5
+    n_canon = _trim(max_n, 5)
     count = 0
     for comp in _all_compositions(n_canon):
         count += 1
         if not flag_membership(canonical_flag(comp), comp):
             problems.append(f"canonical chain rejected for {comp.parts}")
-    n_rand = min(4, max_n) if max_n else 4
+    n_rand = _trim(max_n, 4)
     comps = list(_all_compositions(n_rand))
     rng = random.Random(0)
     actions = 0
@@ -340,7 +350,7 @@ def criterion_9_verlinde(max_n: int | None = None) -> CheckResult:
     for k in range(1, 7):
         if fuse(k, k, k).coeffs != (1,) + (0,) * k:
             problems.append(f"boundary involution fails k={k}")
-    bundles = [tuple(x - 1 for x in w) for w in weight_corpus(64, max_n)]
+    bundles = [tuple(x - 1 for x in w) for w in weight_corpus(64, _trim(max_n))]
     bundles += [(0,), (0, 1), (0, 0, 2)]
     folds = 0
     for bundle in bundles:
@@ -368,6 +378,7 @@ def criterion_9_verlinde(max_n: int | None = None) -> CheckResult:
 
 
 def criterion_10_stabilization(max_n: int | None = None) -> CheckResult:
+    _trim(max_n)  # no sweep here to trim, but a bad max_n is still rejected
     problems = []
     details = []
     for bundle in [(1,), (1, 1), (1, 2)]:
@@ -401,6 +412,5 @@ CRITERIA = (
 
 
 def run_all(max_n: int | None = None) -> list:
-    if max_n is not None and (not isinstance(max_n, int) or max_n < 1):
-        raise ValueError(f"max_n must be a positive integer, got {max_n!r}")
+    _trim(max_n)  # reject a bad max_n before any criterion runs
     return [criterion(max_n) for criterion in CRITERIA]

@@ -24,6 +24,7 @@ from collections import Counter, deque
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations_with_replacement
+from types import MappingProxyType
 
 from .fock import E, WedgeState, apply_current, bigrade, factor_groups, top_wedge
 from .linalg import SpanBasis
@@ -53,20 +54,14 @@ def factor_shapes(weights) -> tuple:
     return tuple(shapes)
 
 
-@dataclass
+@dataclass(frozen=True)
 class FusionModule:
-    """A built fusion module: cyclic vector, span basis and bigraded character."""
+    """A built fusion module: cyclic vector, dimension and bigraded character."""
 
     weights: tuple
-    shapes: tuple
     cyclic: WedgeState
-    basis: SpanBasis
-    character: dict  # (h-weight, energy) -> multiplicity
-    energy_offset: int  # raw t-degree of the cyclic vector
-
-    @property
-    def dimension(self) -> int:
-        return self.basis.dimension
+    dimension: int
+    character: MappingProxyType  # read-only (h-weight, energy) -> multiplicity
 
 
 def _close_under(seeds, operators, cap) -> SpanBasis:
@@ -94,32 +89,29 @@ def _close_under(seeds, operators, cap) -> SpanBasis:
     return basis
 
 
-def _character_from_basis(basis, cyclic) -> tuple:
+def _character_from_basis(basis, cyclic) -> MappingProxyType:
     offset = bigrade(next(iter(cyclic.coeffs)))[1]
-    char = Counter()
-    for pivot in basis.pivots():
-        w, t = bigrade(pivot)
-        char[(w, t - offset)] += 1
-    return dict(char), offset
+    grades = (bigrade(pivot) for pivot in basis.pivots())
+    return MappingProxyType(dict(Counter((w, t - offset) for w, t in grades)))
 
 
 @lru_cache(maxsize=None)
 def _build_module_cached(weights, cap):
-    shapes = factor_shapes(weights)
-    cyclic = top_wedge(shapes)
+    cyclic = top_wedge(factor_shapes(weights))
     n = len(weights)
     operators = [
         (lambda s, j=j: apply_current(E, j, s)) for j in range(n)
     ]
     basis = _close_under([cyclic], operators, cap)
-    character, offset = _character_from_basis(basis, cyclic)
-    return FusionModule(weights, shapes, cyclic, basis, character, offset)
+    return FusionModule(weights, cyclic, basis.dimension,
+                        _character_from_basis(basis, cyclic))
 
 
 def build_module(weights, cap=DEFAULT_DIMENSION_CAP) -> FusionModule:
     """Close the cyclic vector under e_0 .. e_{n-1} and return the module.
 
-    The result is cached per (weights, cap) and must be treated as read-only.
+    The result is cached per (weights, cap) and shared by every caller, so
+    it is frozen and its character is read-only.
     The empty weight vector yields the one-dimensional trivial module.
     """
     weights = weakly_increasing(weights, minimum=1, allow_empty=True)
@@ -251,7 +243,7 @@ def apply_monomial(modes, state: WedgeState) -> WedgeState:
     return state
 
 
-@dataclass
+@dataclass(frozen=True)
 class SubmoduleS:
     """Kernel of the weight-shuffling surjection at a chosen adjacent pair.
 
@@ -271,11 +263,7 @@ class SubmoduleS:
     case: str  # "general" or "equal"
     aprime: tuple
     adoubleprime: tuple | None
-    basis: SpanBasis
-
-    @property
-    def dimension(self) -> int:
-        return self.basis.dimension
+    dimension: int
 
 
 def _check_pair(weights, index) -> tuple:
@@ -295,8 +283,8 @@ def build_submodule(weights, index: int, cap=DEFAULT_DIMENSION_CAP) -> Submodule
     left, right = weights[index - 1], weights[index]
     aprime = weights[:index - 1] + weights[index + 1:]
     if left == right:
-        module = build_module(aprime, cap)
-        return SubmoduleS(weights, index, "equal", aprime, None, module.basis)
+        return SubmoduleS(weights, index, "equal", aprime, None,
+                          build_module(aprime, cap).dimension)
     adouble = tuple(a - left + 1 for a in weights[index:])
     shapes = factor_shapes(weights)
     generator = top_wedge(shapes)
@@ -320,7 +308,7 @@ def build_submodule(weights, index: int, cap=DEFAULT_DIMENSION_CAP) -> Submodule
     operators.append(
         lambda s: apply_current(E, extra_mode, s, factors=high))
     basis = _close_under([generator], operators, cap)
-    return SubmoduleS(weights, index, "general", aprime, adouble, basis)
+    return SubmoduleS(weights, index, "general", aprime, adouble, basis.dimension)
 
 
 def kernel_dimension(weights, index: int) -> int | None:

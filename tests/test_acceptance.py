@@ -18,3 +18,12 @@ def test_criterion(criterion):
             f"{result.name}: {result.detail}")
     print(line)
     assert result.passed, line
+
+
+@pytest.mark.parametrize("max_n", [0, -1])
+@pytest.mark.parametrize(
+    "criterion", CRITERIA, ids=[fn.__name__ for fn in CRITERIA])
+def test_criterion_rejects_nonpositive_max_n(criterion, max_n):
+    # 0 used to run untrimmed or on an empty corpus, and -1 on empty sweeps
+    with pytest.raises(ValueError, match="max_n"):
+        criterion(max_n)

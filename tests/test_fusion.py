@@ -1,5 +1,7 @@
 """Fusion modules: dimensions, characters, relations, submodules."""
 
+import dataclasses
+import gc
 import math
 
 import pytest
@@ -143,6 +145,33 @@ def test_submodule_last_pair():
     # space over the module on the remaining entries
     sub = build_submodule((2, 2, 4), 2)
     assert sub.dimension == build_module((2,)).dimension * 3 == 6
+
+
+def _live_span_bases() -> int:
+    gc.collect()
+    return sum(1 for obj in gc.get_objects() if isinstance(obj, SpanBasis))
+
+
+def test_built_modules_keep_no_span_basis():
+    # a cap equal to the dimension gives cache keys no other test builds
+    before = _live_span_bases()
+    kept = [build_module(w, cap=math.prod(w)) for w in ((2, 5), (3, 3, 3))]
+    kept += [build_submodule((2, 5, 5), i, cap=50) for i in (1, 2)]
+    kept.append(build_submodule((3, 3, 4), 1, cap=36))
+    assert [m.dimension for m in kept] == [10, 27, 20, 2, 4]
+    assert _live_span_bases() == before
+
+
+def test_cached_results_are_read_only():
+    module = build_module((2, 3))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        module.dimension = 5
+    with pytest.raises(TypeError):
+        module.character[(-3, 0)] = 2
+    sub = build_submodule((2, 3), 1)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        sub.dimension = 3
+    assert build_module((2, 3)).character == character_recursive((2, 3))
 
 
 def test_kernel_dimension_closed_forms():
