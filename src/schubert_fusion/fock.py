@@ -124,7 +124,8 @@ class WedgeState:
     """Exact linear combination of orbit-sum basis indices.
 
     shapes fixes the per-factor truncations; coeffs maps indices (one block
-    id per block of equal truncations) to nonzero rational coefficients and
+    id per block of equal truncations) to nonzero exact coefficients (ints
+    in the span closure, whose rows come from the integer SpanBasis) and
     is treated as immutable.  The coefficient of an index is the coefficient
     of each individual arrangement it stands for.
     """

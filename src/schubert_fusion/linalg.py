@@ -1,24 +1,39 @@
-"""Exact sparse linear algebra over the rationals.
+"""Exact sparse linear algebra with fraction-free integer rows.
 
-Vectors are plain dicts mapping indices to nonzero rational coefficients.
-Indices may be any hashable, totally ordered values (nested int tuples in
-practice), so the same machinery spans wedge-monomial tuples and plain
-coordinate labels.  A SpanBasis maintains the span of the inserted vectors
-in reduced row-echelon form:
+Vectors are plain dicts mapping indices to nonzero coefficients, ints or
+`Fraction`s.  Indices may be any hashable, totally ordered values (nested
+int tuples in practice), so the same machinery spans wedge-monomial tuples
+and plain coordinate labels.  A SpanBasis maintains the span of the
+inserted vectors in reduced row-echelon form over the integers:
 
 * rows have pairwise distinct pivots (the smallest index in each support),
-* every pivot coefficient is exactly 1,
+* every row is a primitive int vector (gcd content 1) with a positive pivot,
 * no row is supported on another row's pivot.
 
-All arithmetic is exact; no floats anywhere.
+An input vector is scaled by the lcm of its denominators on entry, and
+elimination cross-multiplies (fraction-free, in the style of Bareiss), so
+all arithmetic after entry is on Python ints; no floats anywhere.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from fractions import Fraction as rational
+from fractions import Fraction as rational  # the flag model's scalar type
+from math import gcd, lcm
 
-_ONE = rational(1)
+
+def _cross_scale(target: dict, c: int, rp: int) -> int:
+    """Scale target by rp/g in place, g = gcd(c, rp), and return c/g.
+
+    Subtracting c/g times a row with pivot coefficient rp > 0 from the
+    scaled target then cancels the target's coefficient c at that pivot.
+    """
+    g = gcd(c, rp)
+    scale = rp // g
+    if scale != 1:
+        for q in target:
+            target[q] *= scale
+    return c // g
 
 
 class SpanBasis:
@@ -43,15 +58,21 @@ class SpanBasis:
         return [dict(self._rows[p]) for p in sorted(self._rows)]
 
     def reduce(self, vec: dict) -> dict:
-        """Residual of vec after elimination; empty iff vec lies in the span.
+        """A nonzero int multiple of vec's residual; empty iff vec lies in the span.
 
         Rows carry no foreign pivots, so a single pass over the initial
         support at pivot positions is a complete reduction.
         """
-        residual = {i: c for i, c in vec.items() if c}
+        den = lcm(*(c.denominator for c in vec.values()))
+        residual = {i: c.numerator * (den // c.denominator)
+                    for i, c in vec.items() if c}
         for p in sorted(i for i in residual if i in self._rows):
             c = residual.pop(p)
-            for q, rc in self._rows[p].items():
+            row = self._rows[p]
+            rp = row[p]
+            if rp != 1:
+                c = _cross_scale(residual, c, rp)
+            for q, rc in row.items():
                 if q == p:
                     continue
                 nv = residual.get(q, 0) - c * rc
@@ -71,21 +92,27 @@ class SpanBasis:
     def insert_reduced(self, vec: dict):
         """Add vec to the span; return a copy of the stored row, or None.
 
-        The returned row is the pivot-normalized residual: usually far
-        sparser than vec, with tame coefficients, which matters when the
-        caller feeds rows back into further computation.
+        The returned row is the primitive residual with a positive pivot:
+        usually far sparser than vec, with small int coefficients, which
+        matters when the caller feeds rows back into further computation.
         """
         residual = self.reduce(vec)
         if not residual:
             return None
         pivot = min(residual)
-        inv = _ONE / residual[pivot]
-        row = {q: c * inv for q, c in residual.items()}
+        content = gcd(*residual.values())
+        if residual[pivot] < 0:
+            content = -content
+        row = ({q: c // content for q, c in residual.items()}
+               if content != 1 else residual)
+        rp = row[pivot]
         # Eliminate the new pivot from every older row supported there.
         for other_pivot in list(self._columns.get(pivot, ())):
             other = self._rows[other_pivot]
             factor = other.pop(pivot)
             self._columns[pivot].discard(other_pivot)
+            if rp != 1:
+                factor = _cross_scale(other, factor, rp)
             for q, c in row.items():
                 if q == pivot:
                     continue
@@ -97,6 +124,11 @@ class SpanBasis:
                 elif q in other:
                     del other[q]
                     self._columns[q].discard(other_pivot)
+            if other[other_pivot] != 1:
+                content = gcd(*other.values())
+                if content != 1:
+                    for q in other:
+                        other[q] //= content
         self._rows[pivot] = row
         for q in row:
             self._columns[q].add(pivot)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from schubert_fusion.fock import F, apply_current
 from schubert_fusion.fusion import (
     DimensionCapError,
+    _build_module_cached,
     apply_monomial,
     build_module,
     build_submodule,
@@ -172,6 +173,27 @@ def test_cached_results_are_read_only():
     with pytest.raises(dataclasses.FrozenInstanceError):
         sub.dimension = 3
     assert build_module((2, 3)).character == character_recursive((2, 3))
+
+
+def test_closure_runs_on_ints(monkeypatch):
+    # the span closure feeds its stored rows back into the currents, so
+    # int rows keep every coefficient on the path an int, never a Fraction
+    seen = []
+    insert_reduced = SpanBasis.insert_reduced
+
+    def recording(self, vec):
+        row = insert_reduced(self, vec)
+        seen.append(vec)
+        if row is not None:
+            seen.append(row)
+        return row
+
+    monkeypatch.setattr(SpanBasis, "insert_reduced", recording)
+    _build_module_cached.cache_clear()
+    assert build_module((3, 4, 5)).dimension == 60
+    assert build_submodule((2, 3, 5), 1).dimension > 0
+    assert len(seen) > 60
+    assert all(type(c) is int for vec in seen for c in vec.values())
 
 
 def test_kernel_dimension_closed_forms():

@@ -1,5 +1,6 @@
 """SpanBasis against a dense Gaussian-elimination oracle."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -26,6 +27,16 @@ def dense_rank(rows, width):
                 matrix[r] = [a - factor * b for a, b in zip(matrix[r], matrix[rank])]
         rank += 1
     return rank
+
+
+def assert_integer_echelon(basis):
+    """Stored rows are primitive int vectors with positive pivots, interreduced."""
+    pivots = basis.pivots()
+    for pivot, row in zip(pivots, basis.row_vectors()):
+        assert all(type(c) is int and c for c in row.values())
+        assert min(row) == pivot and row[pivot] > 0
+        assert math.gcd(*row.values()) == 1
+        assert not [p for p in pivots if p in row and p != pivot]
 
 
 def test_empty_basis():
@@ -64,7 +75,7 @@ def test_insert_reduced_returns_stored_row():
     basis.insert({0: rational(1), 1: rational(1)})
     row = basis.insert_reduced({0: rational(2), 1: rational(2), 2: rational(6)})
     assert row is not None
-    assert row[min(row)] == 1  # pivot normalized
+    assert row[min(row)] > 0 and math.gcd(*row.values()) == 1  # primitive
     assert basis.insert_reduced(dict(row)) is None
 
 
@@ -73,8 +84,8 @@ def test_rows_stay_interreduced():
     basis.insert({0: rational(1), 1: rational(1)})
     basis.insert({0: rational(1), 1: rational(-1)})
     pivots = basis.pivots()
-    for row in basis.row_vectors():
-        foreign = [p for p in pivots if p in row and row[p] != 1]
+    for pivot, row in zip(pivots, basis.row_vectors()):
+        foreign = [p for p in pivots if p in row and p != pivot]
         assert not foreign
 
 
@@ -131,3 +142,46 @@ def test_mixed_index_kinds_order():
     basis = SpanBasis()
     basis.insert({(1, 0): rational(1), (0, 1): rational(1)})
     assert basis.pivots() == [(0, 1)]
+
+
+def check_inserts(rows, width):
+    sparse_rows = [{j: x for j, x in enumerate(row) if x} for row in rows]
+    basis = SpanBasis()
+    for vec in sparse_rows:
+        basis.insert(dict(vec))
+        assert_integer_echelon(basis)
+        assert basis.contains(vec)
+    assert basis.dimension == dense_rank(sparse_rows, width)
+
+
+fraction_entries = st.builds(Fraction, st.integers(min_value=-4, max_value=4),
+                             st.integers(min_value=1, max_value=4))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.lists(fraction_entries, min_size=5, max_size=5),
+                min_size=0, max_size=10))
+def test_fraction_rows_match_dense_rank(rows):
+    # the flag model's inputs: non-integer rationals enter the same path
+    check_inserts(rows, 5)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(
+    st.lists(st.sampled_from([-3, -2, 0, 2, 3]), min_size=4, max_size=4),
+    min_size=0, max_size=8))
+def test_non_unit_pivots_match_dense_rank(rows):
+    check_inserts(rows, 4)
+
+
+def test_non_unit_pivot_elimination():
+    basis = SpanBasis()
+    assert basis.insert_reduced({0: 2, 1: 3}) == {0: 2, 1: 3}
+    # the residual is a nonzero multiple of {1: -3/2}
+    residual = basis.reduce({0: 1})
+    assert list(residual) == [1] and type(residual[1]) is int
+    assert basis.insert_reduced({0: 3, 1: 1}) == {1: 1}
+    assert_integer_echelon(basis)
+    assert basis.row_vectors() == [{0: 1}, {1: 1}]
+    assert basis.insert_reduced({0: Fraction(-3, 4), 2: Fraction(1, 6)}) == {2: 1}
+    assert_integer_echelon(basis)
