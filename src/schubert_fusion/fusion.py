@@ -15,10 +15,18 @@ the basis is itself hit with each generator until nothing new appears.  All
 generated vectors are bigrade-homogeneous, and reduction against rows whose
 pivots share the bigrade keeps every stored row homogeneous, so the
 character can be read off the pivot monomials.
+
+The second route to the character, `character_recursive`, needs no span:
+it peels the short exact sequences 0 -> S -> M(A) -> M(A') -> 0 down to
+single-weight strings.  Each stratum's character is packed into one int, a
+fixed-width field per (h-weight, energy) of the top module, so a peel is a
+shift and an add; the strata are memoized per call and walked with an
+explicit stack, and nothing is kept between calls.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from collections import Counter, deque
 from dataclasses import dataclass
@@ -127,27 +135,90 @@ def character(weights, cap=DEFAULT_DIMENSION_CAP) -> dict:
     return dict(build_module(weights, cap).character)
 
 
-@lru_cache(maxsize=None)
-def _character_peeled(weights):
+def _character_peeled(weights) -> dict:
     # Peel the smallest weight: the span decomposes against the kernel of
     # the surjection that shuffles (a_1, a_2) to (a_1 - 1, a_2 + 1).  The
     # kernel is the module on (a_2 - a_1 + 1, rest) (or on `rest` alone for
     # equal neighbours), raised in energy by one deepest-mode application
-    # per factor below level a_1; its h-weights need no shift.
-    if not weights:
-        return {(0, 0): 1}
-    if len(weights) == 1:
-        m = weights[0]
-        return {(-m + 1 + 2 * k, 0): 1 for k in range(m)}
-    a1, a2, rest = weights[0], weights[1], weights[2:]
-    shapes = factor_shapes(weights)
-    energy_shift = sum(shapes[j] - 1 for j in range(a1 - 1))
-    quotient = tuple(sorted(a for a in (a1 - 1, a2 + 1) + rest if a > 1))
-    kernel = ((a2 - a1 + 1,) + rest) if a1 < a2 else rest
-    char = Counter(_character_peeled(quotient))
-    for (w, t), mult in _character_peeled(kernel).items():
-        char[(w, t + energy_shift)] += mult
-    return dict(char)
+    # per factor below level a_1; its h-weights need no shift.  a_1 is the
+    # smallest weight, so each of those a_1 - 1 factors holds every weight
+    # of the stratum and the shift is a_1 - 1 times (length - 1).
+    #
+    # Each stratum's character is one int (Kronecker substitution): with
+    # N = sum(a - 1) over `weights`, the multiplicity at (w, t) sits in
+    # field t * (N + 1) + (w + N) / 2, each field `field` bits wide.  The
+    # quotient keeps N, the kernel lowers it by 2 (a_1 - 1), and a
+    # stratum's h-weights share the parity of its own N and lie within
+    # -N .. N, so one layout serves every stratum and a peel is a shift
+    # by whole rows plus an add.  No carry crosses a field: coefficients
+    # are nonnegative, a stratum's multiplicities sum to the product of its
+    # weights, and neither the quotient ((a_1 - 1)(a_2 + 1) < a_1 a_2) nor
+    # the kernel has a larger product than its parent, so every field, sums
+    # included, stays at most prod(weights) < 2**field.
+    top = sum(a - 1 for a in weights)
+    field = 8 * -(-math.prod(weights).bit_length() // 8)  # whole bytes
+    row = (top + 1) * field
+    # Plan first: a depth-first walk on an explicit stack lists every
+    # stratum after its quotient and kernel.  Then pack in that order and
+    # drop each stratum once its last user is packed.
+    plan, order = {}, []
+    stack = [(weights, False)]
+    while stack:
+        cur, done = stack.pop()
+        if done:
+            order.append(cur)
+            continue
+        if cur in plan:
+            continue
+        if len(cur) <= 1:
+            plan[cur] = None
+            order.append(cur)
+            continue
+        a1, a2 = cur[0], cur[1]
+        rest = list(cur[2:])
+        kernel = ((a2 - a1 + 1,) + cur[2:]) if a1 < a2 else cur[2:]
+        bisect.insort(rest, a2 + 1)
+        quotient = ((a1 - 1,) if a1 > 2 else ()) + tuple(rest)
+        plan[cur] = (quotient, kernel, (a1 - 1) * (len(cur) - 1) * row)
+        stack += ((cur, True), (quotient, False), (kernel, False))
+    users = Counter(child for step in plan.values() if step
+                    for child in step[:2])
+    memo = {}
+    for cur in order:
+        step = plan[cur]
+        if step is None:  # a string of m weights; () is the string (1,)
+            m = cur[0] if cur else 1
+            ones = ((1 << (m * field)) - 1) // ((1 << field) - 1)
+            memo[cur] = ones << ((top - m + 1) // 2 * field)
+            continue
+        quotient, kernel, shift = step
+        memo[cur] = memo[quotient] + (memo[kernel] << shift)
+        for child in (quotient, kernel):
+            users[child] -= 1
+            if not users[child]:
+                del memo[child]
+    return _unpack(memo[weights], top, field)
+
+
+def _unpack(packed, top, field) -> dict:
+    # One to_bytes per call; whole zero rows and the zero ends of each row
+    # are skipped at C speed before any field is read.
+    size = field // 8
+    row = (top + 1) * size
+    rows = -(-packed.bit_length() // (8 * row))
+    data = packed.to_bytes(rows * row, "little")
+    char = {}
+    for t in range(rows):
+        chunk = data[t * row:(t + 1) * row]
+        end = len(chunk.rstrip(b"\0"))
+        if not end:
+            continue
+        start = (row - len(chunk.lstrip(b"\0"))) // size
+        for i in range(start, -(-end // size)):
+            mult = int.from_bytes(chunk[i * size:(i + 1) * size], "little")
+            if mult:
+                char[(2 * i - top, t)] = mult
+    return char
 
 
 def character_recursive(weights, cap=DEFAULT_DIMENSION_CAP) -> dict:
@@ -155,14 +226,19 @@ def character_recursive(weights, cap=DEFAULT_DIMENSION_CAP) -> dict:
 
     Splitting off the kernel of the adjacent-pair shuffle at the first
     position expresses the character through two smaller modules; iterating
-    bottoms out in single-weight strings.  Far cheaper than build_module
-    for long weight vectors, and an independent oracle for the builder.
+    bottoms out in single-weight strings.  Each stratum's character is
+    packed into one int, a field per (h-weight, energy) of the top module,
+    so a peel is one shift and one add; the strata are memoized per call
+    and walked with an explicit stack, so no state outlives the call and
+    long vectors do not hit the recursion limit.  Far cheaper than
+    build_module for long weight vectors, and an independent oracle for
+    the builder.
     """
     weights = weakly_increasing(weights, minimum=1, allow_empty=True)
     if math.prod(weights) > cap:
         raise DimensionCapError(
             f"character of {weights} would exceed the cap of {cap}")
-    return dict(_character_peeled(tuple(a for a in weights if a > 1)))
+    return _character_peeled(tuple(a for a in weights if a > 1))
 
 
 def dimension(weights, cap=DEFAULT_DIMENSION_CAP) -> int:

@@ -3,9 +3,12 @@
 import dataclasses
 import gc
 import math
+import sys
+from collections import Counter
+from functools import lru_cache
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from schubert_fusion.fock import F, apply_current
@@ -230,8 +233,40 @@ def test_character_recursion_matches_builder():
 
 def test_character_recursion_base_cases():
     assert character_recursive(()) == {(0, 0): 1}
+    assert character_recursive((1, 1, 1)) == {(0, 0): 1}
     assert character_recursive((5,)) == {(-4 + 2 * k, 0): 1 for k in range(5)}
     assert character_recursive((1, 1, 2)) == character_recursive((2,))
+    assert character_recursive((2, 2)) == {
+        (-2, 0): 1, (0, 0): 1, (2, 0): 1, (0, 1): 1}
+    assert character_recursive((3, 3)) == {
+        (-4, 0): 1, (-2, 0): 1, (0, 0): 1, (2, 0): 1, (4, 0): 1,
+        (-2, 1): 1, (0, 1): 1, (2, 1): 1, (0, 2): 1}
+    for m in range(1, 9):
+        assert character_recursive((m,)) == {
+            (-m + 1 + 2 * k, 0): 1 for k in range(m)}
+        # equal pair: peels to (m - 1, m + 1) and the empty kernel stratum
+        assert character_recursive((m, m)) == {
+            (w, t): 1 for t in range(m)
+            for w in range(-2 * (m - 1 - t), 2 * (m - 1 - t) + 1, 2)}
+
+
+def _stack_depth():
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    return depth
+
+
+def test_long_vectors_stay_within_recursion_limit():
+    # the peeling walk keeps its own stack, so Python's nesting depth does
+    # not grow with the length of the weight vector
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 50)
+    try:
+        char = character_recursive((2,) * 40, cap=10 ** 30)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert sum(char.values()) == 2 ** 40
 
 
 def test_character_embeds_when_last_entry_grows():
@@ -267,3 +302,79 @@ def test_recursion_agrees_with_span(weights):
 def test_additivity_random(weights, raw_index):
     index = 1 + raw_index % (len(weights) - 1)
     assert exact_sequence_check(weights, index).holds
+
+
+@lru_cache(maxsize=None)
+def _peeled_oracle(weights):
+    # The dict-based peeling recursion that character_recursive packed into
+    # ints, kept as the reference: one Counter merge per stratum.
+    if not weights:
+        return {(0, 0): 1}
+    if len(weights) == 1:
+        m = weights[0]
+        return {(-m + 1 + 2 * k, 0): 1 for k in range(m)}
+    a1, a2, rest = weights[0], weights[1], weights[2:]
+    shapes = factor_shapes(weights)
+    energy_shift = sum(shapes[j] - 1 for j in range(a1 - 1))
+    quotient = tuple(sorted(a for a in (a1 - 1, a2 + 1) + rest if a > 1))
+    kernel = ((a2 - a1 + 1,) + rest) if a1 < a2 else rest
+    char = Counter(_peeled_oracle(quotient))
+    for (w, t), mult in _peeled_oracle(kernel).items():
+        char[(w, t + energy_shift)] += mult
+    return dict(char)
+
+
+peel_vectors = st.one_of(
+    # 1s and equal neighbours, which reach the empty kernel stratum
+    st.lists(st.integers(min_value=1, max_value=6), max_size=8),
+    # long tails of 2s under a few larger weights, as in the benchmark
+    st.builds(lambda k, tail: [2] * k + tail,
+              st.integers(min_value=0, max_value=20),
+              st.lists(st.integers(min_value=3, max_value=30), max_size=2)),
+    # power-of-two products: the field width steps up at 2**8, 2**16, ...
+    st.builds(lambda i, j: [2] * i + [4] * j,
+              st.integers(min_value=0, max_value=24),
+              st.integers(min_value=0, max_value=6)),
+).map(lambda xs: tuple(sorted(xs)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(peel_vectors)
+@example((2,) * 13 + (28,))  # the benchmark's long vectors
+@example((3, 5, 17, 257))  # product 2**16 - 1: two-byte fields
+@example((2,) * 16)  # product 2**16: three-byte fields
+@example((2,) * 32)  # product 2**32: five-byte fields
+def test_packed_recursion_matches_dict_oracle(weights):
+    try:
+        expected = _peeled_oracle(tuple(a for a in weights if a > 1))
+    finally:
+        _peeled_oracle.cache_clear()
+    assert character_recursive(weights, cap=10 ** 60) == expected
+
+
+def _q_binomial_character(n):
+    # (2,) * n: k raisings at energy d are the partitions of d that fit in a
+    # k x (n - k) box, the coefficients of the q-binomial [n choose k]_q
+    rows = [[1]]
+    for m in range(1, n + 1):
+        grown = []
+        for k in range(m + 1):
+            keep = rows[k] if k < m else []
+            raise_ = rows[k - 1] if k else []
+            coeffs = [0] * max(len(keep), len(raise_) + m - k)
+            for d, c in enumerate(keep):
+                coeffs[d] += c
+            for d, c in enumerate(raise_):
+                coeffs[d + m - k] += c
+            grown.append(coeffs)
+        rows = grown
+    return {(2 * k - n, d): c for k, coeffs in enumerate(rows)
+            for d, c in enumerate(coeffs) if c}
+
+
+@pytest.mark.parametrize("n", [7, 8, 64])
+def test_recursion_of_twos_is_q_binomial(n):
+    # products 2**n around one-byte and eight-byte field widths, the
+    # last with multiplicities far past 2**32
+    char = character_recursive((2,) * n, cap=2 ** n)
+    assert char == _q_binomial_character(n)
