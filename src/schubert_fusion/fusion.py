@@ -10,10 +10,12 @@ under the raising currents e_0, ..., e_{n-1}.  Its dimension is the product
 of the entries of A, and the basis is bigraded by (h-weight, energy); the
 energy grading is normalized so the cyclic vector sits at 0.
 
-The closure is a breadth-first span computation: every vector admitted to
-the basis is itself hit with each generator until nothing new appears.  All
-generated vectors are bigrade-homogeneous, and reduction against rows whose
-pivots share the bigrade keeps every stored row homogeneous, so the
+The closure runs degree by degree.  The currents commute, so the sorted
+words e_{i_1} ... e_{i_k} (i_1 <= ... <= i_k) on the cyclic vector span the
+module: a row admitted to the basis from an image under e_i is hit only with
+the e_j for j >= i, one degree after another until a degree adds nothing.
+All generated vectors are bigrade-homogeneous, and reduction against rows
+whose pivots share the bigrade keeps every stored row homogeneous, so the
 character can be read off the pivot monomials.
 
 The second route to the character, `character_recursive`, needs no span:
@@ -28,7 +30,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations_with_replacement
@@ -72,28 +74,40 @@ class FusionModule:
     character: MappingProxyType  # read-only (h-weight, energy) -> multiplicity
 
 
-def _close_under(seeds, operators, cap) -> SpanBasis:
+def _close_under(seed, operators, cap) -> SpanBasis:
     # Work with the reduced rows, not the raw operator images: words in the
     # generators have term counts and coefficients that grow with the word
     # length, while the residuals stay no bigger than their grade stratum.
+    #
+    # Degree-ordered closure.  It relies on two preconditions: the operators
+    # commute pairwise, and the seed is bigrade-homogeneous.  Commuting
+    # operators span the module with the sorted words op_{i_1} ... op_{i_k}
+    # (i_1 <= ... <= i_k) on the seed.  A layer holds the rows accepted from
+    # images of the layer before, in the order of the operator that made
+    # them; its first ends[j] rows (those born from operators 0 .. j) span
+    # its sorted words whose largest index is at most j, so operator j
+    # needs only them.  Every image lies one h-weight step above its layer,
+    # so its reduction touches no row of another layer.
     basis = SpanBasis()
-    queue = deque()
-    for seed in seeds:
-        row = basis.insert_reduced(seed.coeffs) if seed.coeffs else None
-        if row is not None:
-            queue.append(WedgeState(seed.shapes, row))
-    while queue:
-        state = queue.popleft()
-        for op in operators:
-            image = op(state)
-            if not image.coeffs:
-                continue
-            row = basis.insert_reduced(image.coeffs)
-            if row is not None:
-                if basis.dimension > cap:
-                    raise DimensionCapError(
-                        f"span dimension exceeded the cap of {cap}")
-                queue.append(WedgeState(image.shapes, row))
+    if not seed.coeffs:
+        return basis
+    layer = [WedgeState(seed.shapes, basis.insert_reduced(seed.coeffs))]
+    ends = [1] * len(operators)
+    while layer:
+        born, born_ends = [], []
+        for op, end in zip(operators, ends):
+            for state in layer[:end]:
+                image = op(state)
+                if not image.coeffs:
+                    continue
+                row = basis.insert_reduced(image.coeffs)
+                if row is not None:
+                    if basis.dimension > cap:
+                        raise DimensionCapError(
+                            f"span dimension exceeded the cap of {cap}")
+                    born.append(WedgeState(image.shapes, row))
+            born_ends.append(len(born))
+        layer, ends = born, born_ends
     return basis
 
 
@@ -110,7 +124,7 @@ def _build_module_cached(weights, cap):
     operators = [
         (lambda s, j=j: apply_current(E, j, s)) for j in range(n)
     ]
-    basis = _close_under([cyclic], operators, cap)
+    basis = _close_under(cyclic, operators, cap)
     return FusionModule(weights, cyclic, basis.dimension,
                         _character_from_basis(basis, cyclic))
 
@@ -383,7 +397,7 @@ def build_submodule(weights, index: int, cap=DEFAULT_DIMENSION_CAP) -> Submodule
     extra_mode = n - index - 1
     operators.append(
         lambda s: apply_current(E, extra_mode, s, factors=high))
-    basis = _close_under([generator], operators, cap)
+    basis = _close_under(generator, operators, cap)
     return SubmoduleS(weights, index, "general", aprime, adouble, basis.dimension)
 
 

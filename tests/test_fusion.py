@@ -4,14 +4,16 @@ import dataclasses
 import gc
 import math
 import sys
-from collections import Counter
+from collections import Counter, deque
+from contextlib import contextmanager
 from functools import lru_cache
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from schubert_fusion.fock import F, apply_current
+from schubert_fusion import fusion
+from schubert_fusion.fock import F, WedgeState, apply_current
 from schubert_fusion.fusion import (
     DimensionCapError,
     _build_module_cached,
@@ -197,6 +199,97 @@ def test_closure_runs_on_ints(monkeypatch):
     assert build_submodule((2, 3, 5), 1).dimension > 0
     assert len(seen) > 60
     assert all(type(c) is int for vec in seen for c in vec.values())
+
+
+def _fifo_closure_oracle(seeds, operators, cap) -> SpanBasis:
+    # The breadth-first closure that the degree-ordered one replaced, kept
+    # as the reference: every accepted row is hit with every operator.
+    basis = SpanBasis()
+    queue = deque()
+    for seed in seeds:
+        row = basis.insert_reduced(seed.coeffs) if seed.coeffs else None
+        if row is not None:
+            queue.append(WedgeState(seed.shapes, row))
+    while queue:
+        state = queue.popleft()
+        for op in operators:
+            image = op(state)
+            if not image.coeffs:
+                continue
+            row = basis.insert_reduced(image.coeffs)
+            if row is not None:
+                if basis.dimension > cap:
+                    raise DimensionCapError(
+                        f"span dimension exceeded the cap of {cap}")
+                queue.append(WedgeState(image.shapes, row))
+    return basis
+
+
+@contextmanager
+def _closed_by_fifo_oracle():
+    # routes build_module and build_submodule through the oracle closure;
+    # call _build_module_cached.__wrapped__ under it, so no oracle result
+    # lands in the module cache
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fusion, "_close_under",
+                   lambda seed, operators, cap:
+                   _fifo_closure_oracle([seed], operators, cap))
+        yield
+
+
+oracle_vectors = st.lists(
+    st.integers(min_value=1, max_value=7), min_size=1, max_size=6
+).map(lambda xs: tuple(sorted(xs))).filter(lambda a: math.prod(a) <= 150)
+
+
+@settings(max_examples=30, deadline=None)
+@given(oracle_vectors)
+@example((2, 3, 4, 5))
+@example((2,) * 7)
+@example((1, 3, 7, 7))
+def test_degree_ordered_closure_matches_fifo_oracle(weights):
+    # a module's character is read off the pivots of its closure's basis
+    cap = math.prod(weights)
+    module = _build_module_cached.__wrapped__(weights, cap)
+    with _closed_by_fifo_oracle():
+        expected = _build_module_cached.__wrapped__(weights, cap)
+    assert module.dimension == expected.dimension == cap
+    assert module.character == expected.character
+
+
+@pytest.mark.parametrize("weights", [
+    (2, 3, 4), (3, 4, 5), (2, 2, 3, 4), (2, 3, 4, 5), (2, 3, 5, 6)])
+def test_submodules_match_fifo_oracle(weights):
+    # unequal interior pairs such as ((2, 3, 4, 5), 2) have no closed-form
+    # kernel dimension: this oracle and the exact sequence check them
+    for index in range(1, len(weights)):
+        sub = build_submodule(weights, index)
+        with _closed_by_fifo_oracle():
+            expected = build_submodule(weights, index)
+        assert sub == expected
+        quotient = math.prod(quotient_weights(weights, index))
+        assert sub.dimension + quotient == math.prod(weights)
+
+
+def test_closure_skips_unsorted_words(monkeypatch):
+    # a row born from e_i meets only e_j with j >= i, so the closure makes
+    # fewer than (number of operators) x dimension applications
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return apply_current(*args, **kwargs)
+
+    monkeypatch.setattr(fusion, "apply_current", counting)
+    _build_module_cached.cache_clear()
+    for weights in ((3, 4, 5), (2,) * 8):
+        calls.clear()
+        dim = build_module(weights).dimension
+        assert 1 < len(calls) < len(weights) * dim
+    calls.clear()
+    dim = build_submodule((2, 3, 5), 1).dimension
+    # the three currents and the extra one on the high factors
+    assert 1 < len(calls) < 4 * dim
 
 
 def test_kernel_dimension_closed_forms():
