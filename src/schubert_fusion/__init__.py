@@ -4,8 +4,10 @@ The package realizes fusion modules of the sl2 current algebra inside
 finite wedge models, computes type decompositions and Poincare polynomials
 of the associated Schubert varieties, evaluates the line-bundle calculus on
 them, and decomposes large-weight limits in the level-k Verlinde algebra.
-All core arithmetic is exact: span closures run fraction-free on Python
-ints, and `Fraction` appears only at the flag model's inputs.  The command
+All core arithmetic is exact: span closures and the flag model run
+fraction-free on Python ints, and `Fraction` appears only in the group
+parameters and a group element's entries, which the group action clears of
+denominators once per element.  The command
 line front end reports results and internal cross-checks as JSON.
 """
 

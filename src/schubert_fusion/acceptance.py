@@ -4,9 +4,9 @@ Each criterion is a self-contained exhaustive or seeded check returning a
 CheckResult; run_all executes them in order.  Scales are chosen so the whole
 battery finishes in a couple of minutes; max_n trims the larger sweeps for a
 quicker smoke run.  Everything is exact: integer elimination in the span
-closures, `Fraction` only at the flag model's inputs, and floats only in
-the quantum-dimension check inside criterion 9, which is numerical by
-nature and carries its own tolerance.
+closures and the flag model, `Fraction` only in the group parameters, and
+floats only in the quantum-dimension check inside criterion 9, which is
+numerical by nature and carries its own tolerance.
 """
 
 from __future__ import annotations

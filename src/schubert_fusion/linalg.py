@@ -1,9 +1,11 @@
 """Exact sparse linear algebra with fraction-free integer rows.
 
 Vectors are plain dicts mapping indices to nonzero coefficients, ints or
-`Fraction`s.  Indices may be any hashable, totally ordered values (nested
-int tuples in practice), so the same machinery spans wedge-monomial tuples
-and plain coordinate labels.  A SpanBasis maintains the span of the
+`Fraction`s; every caller in the package passes ints (the closure's wedge
+rows, the flag model's unit vectors and its integer-cleared translates).
+Indices may be any hashable, totally ordered values (nested int tuples in
+practice), so the same machinery spans wedge-monomial tuples and plain
+coordinate labels.  A SpanBasis maintains the span of the
 inserted vectors in reduced row-echelon form over the integers:
 
 * rows have pairwise distinct pivots (the smallest index in each support),
@@ -18,7 +20,7 @@ all arithmetic after entry is on Python ints; no floats anywhere.
 from __future__ import annotations
 
 from collections import defaultdict
-from fractions import Fraction as rational  # the flag model's scalar type
+from fractions import Fraction as rational  # the group parameters' scalar type
 from math import gcd, lcm
 
 

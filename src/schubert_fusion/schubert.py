@@ -13,6 +13,11 @@ basis v_0 .. v_{n-1}, u_0 .. u_{n-1} (coordinates 0 .. n-1 and n .. 2n-1).
 A chain W_1 >= ... >= W_s belongs to the variety of its composition when it
 is t-stable with the prescribed codimension profile and each step absorbs
 the matching power of t.
+
+The flag model's arithmetic runs on Python ints: chains are spanned by int
+rows, and `Fraction` appears only in the group parameters z and in the
+entries of a `GroupElement`, which `group_act` clears of denominators once
+per element.
 """
 
 from __future__ import annotations
@@ -67,6 +72,8 @@ def bundle_split(composition: Composition, cut: int) -> BundleSplit:
     Poincare polynomial, which is checked exactly.
     """
     parts = composition.parts
+    if len(parts) == 1:
+        raise ValueError("a one-part composition has no fibration to split")
     if not isinstance(cut, int) or not 1 <= cut <= len(parts) - 1:
         raise ValueError(f"cut must lie in 1..{len(parts) - 1}, got {cut!r}")
     fiber = Composition(parts[:cut])
@@ -133,7 +140,7 @@ def coordinate_ring_dims(weights, i_max: int) -> tuple:
 
 
 def _unit_vector(coord):
-    return {coord: rational(1)}
+    return {coord: 1}
 
 
 def _shift_vector(vec, power, n):
@@ -246,13 +253,14 @@ def flag_membership(chain: FlagChain, composition: Composition) -> bool:
 
 def _poly_mul(p, q, n):
     out = [0] * n
+    q_terms = [(j, b) for j, b in enumerate(q) if b]
     for i, a in enumerate(p):
         if not a:
             continue
-        for j, b in enumerate(q):
+        for j, b in q_terms:
             if i + j >= n:
                 break
-            out[i + j] = out[i + j] + a * b
+            out[i + j] += a * b
     return tuple(out)
 
 
@@ -301,23 +309,34 @@ class GroupElement:
 
     def apply(self, vec, n):
         """Image of a coordinate vector over v_0..v_{n-1}, u_0..u_{n-1}."""
-        out = {}
-        for coord, val in vec.items():
-            if coord < n:
-                mode, pairs = coord, ((0, self.vv), (n, self.uv))
+        return _image(vec, n, _column_terms(self.vv, self.uv),
+                      _column_terms(self.vu, self.uu))
+
+
+def _column_terms(v_part, u_part):
+    """Nonzero (base, k, coeff) of one column: v-component first, then u."""
+    return ([(0, k, c) for k, c in enumerate(v_part) if c]
+            + [(len(v_part), k, c) for k, c in enumerate(u_part) if c])
+
+
+def _image(vec, n, v_terms, u_terms):
+    """Apply the matrix whose columns are `v_terms` and `u_terms` to vec."""
+    out = {}
+    for coord, val in vec.items():
+        if coord < n:
+            mode, terms = coord, v_terms
+        else:
+            mode, terms = coord - n, u_terms
+        for base, k, coeff in terms:
+            if mode + k >= n:
+                continue
+            target = base + mode + k
+            acc = out.get(target, 0) + val * coeff
+            if acc:
+                out[target] = acc
             else:
-                mode, pairs = coord - n, ((0, self.vu), (n, self.uu))
-            for base, poly in pairs:
-                for k, coeff in enumerate(poly):
-                    if not coeff or mode + k >= n:
-                        continue
-                    target = base + mode + k
-                    acc = out.get(target, 0) + val * coeff
-                    if acc:
-                        out[target] = acc
-                    else:
-                        out.pop(target, None)
-        return out
+                out.pop(target, None)
+    return out
 
 
 def identity_element(n: int) -> GroupElement:
@@ -358,15 +377,29 @@ def random_group_element(n: int, rng: random.Random, length: int = 4) -> GroupEl
 
 
 def group_act(element: GroupElement, chain: FlagChain) -> FlagChain:
-    """Transform every subspace of the chain by the group element."""
+    """Transform every subspace of the chain by the group element.
+
+    The element's entries are cleared of denominators once per call: with D
+    the lcm of their denominators, the int matrix D g maps every subspace
+    onto the same span as g, and the chain's rows are ints, so every image
+    is an int vector.  Each subspace stores its unique primitive reduced
+    rows, so the result is the same as acting by g itself.
+    """
     n = chain.truncation
     if element.truncation != n:
         raise ValueError("group element truncation must match the chain")
+    entries = (element.vv, element.vu, element.uv, element.uu)
+    den = math.lcm(*(c.denominator for poly in entries for c in poly))
+    vv, vu, uv, uu = (
+        tuple(c.numerator * (den // c.denominator) for c in poly)
+        for poly in entries
+    )
+    v_terms, u_terms = _column_terms(vv, uv), _column_terms(vu, uu)
     new_spaces = []
     for space in chain.subspaces:
         basis = SpanBasis()
         for row in space.row_vectors():
-            image = element.apply(row, n)
+            image = _image(row, n, v_terms, u_terms)
             if image:
                 basis.insert(image)
         new_spaces.append(basis)

@@ -173,3 +173,11 @@ def test_out_of_domain_input_exits_2(capsys, argv):
     assert code == 2
     assert not out
     assert "invalid input" in err
+
+
+def test_bundle_split_of_one_part_composition_exits_2(capsys):
+    code, out, err = run(capsys, "bundle-split", "2", "1")
+    assert code == 2
+    assert not out
+    assert "a one-part composition has no fibration to split" in err
+    assert "1..0" not in err
