@@ -18,7 +18,6 @@ from .fusion import (
     character,
     character_recursive,
     check_relations,
-    dimension,
     exact_sequence_check,
     factor_shapes,
     monomial_basis,
@@ -63,7 +62,6 @@ __all__ = [
     "character",
     "character_recursive",
     "check_relations",
-    "dimension",
     "exact_sequence_check",
     "factor_shapes",
     "monomial_basis",

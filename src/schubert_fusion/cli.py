@@ -92,7 +92,7 @@ def _module_oracle(name: str, weights, expected: int, detail: str) -> dict:
     return _check(name, build_module(weights).dimension == expected, detail)
 
 
-# --- handlers: each returns (input dict, result, list of checks) -----------
+# --- handlers: each returns (result, list of checks) -----------------------
 
 def _cmd_dim(args):
     weights = args.A
@@ -100,7 +100,7 @@ def _cmd_dim(args):
     expected = math.prod(weights)
     checks = [_check("product_formula", dim == expected,
                      f"product of weights is {expected}")]
-    return {"A": list(weights)}, dim, checks
+    return dim, checks
 
 
 def _cmd_char(args):
@@ -115,7 +115,7 @@ def _cmd_char(args):
         _check("peeling_recursion", char == character_recursive(weights),
                "matches the span-free recursion"),
     ]
-    return {"A": list(weights)}, {"entries": entries, "dimension": total}, checks
+    return {"entries": entries, "dimension": total}, checks
 
 
 def _cmd_relations(args):
@@ -125,7 +125,7 @@ def _cmd_relations(args):
               for c in report.checks]
     checks = [_check("series_vanishing", report.ok,
                      f"powers 2..{args.i} on truncation {args.n}")]
-    return {"n": args.n, "i": args.i}, result, checks
+    return result, checks
 
 
 def _cmd_submodule(args):
@@ -142,7 +142,7 @@ def _cmd_submodule(args):
         checks = [_check("proper_submodule",
                          0 < sub.dimension < math.prod(weights),
                          "strictly between 0 and the parent dimension")]
-    return {"A": list(weights), "i": index}, result, checks
+    return result, checks
 
 
 def _cmd_exactseq(args):
@@ -153,15 +153,14 @@ def _cmd_exactseq(args):
               "parent_dim": res.dim_module}
     checks = [_check("dimension_additivity", res.holds,
                      f"{res.dim_submodule} + {res.dim_quotient} vs {res.dim_module}")]
-    return {"A": list(args.A), "i": args.i}, result, checks
+    return result, checks
 
 
 def _cmd_type(args):
     comp = type_of(args.A)
     checks = [_check("canonical_roundtrip", type_of(canonical_A(comp)) == comp,
                      "type survives the canonical weight vector")]
-    return ({"A": list(args.A)},
-            {"parts": list(comp.parts), "n": comp.n, "s": comp.s}, checks)
+    return {"parts": list(comp.parts), "n": comp.n, "s": comp.s}, checks
 
 
 def _cmd_order(args):
@@ -170,7 +169,7 @@ def _cmd_order(args):
     result = {"leq": lo_hi, "geq": hi_lo, "comparable": lo_hi or hi_lo}
     checks = [_check("antisymmetry", not (lo_hi and hi_lo and c1 != c2),
                      "both directions only for equal compositions")]
-    return {"C1": list(args.C1), "C2": list(args.C2)}, result, checks
+    return result, checks
 
 
 def _cmd_poincare(args):
@@ -188,7 +187,7 @@ def _cmd_poincare(args):
                          poly.evaluate(1) == math.prod(i + 1 for i in comp.parts),
                          f"value at q=1 is {poly.evaluate(1)}")]
     result = {"coefficients": list(poly.even_coeffs), "degree": poly.degree}
-    return {"C": list(args.C), "recursive": bool(args.recursive)}, result, checks
+    return result, checks
 
 
 def _cmd_isom(args):
@@ -198,7 +197,7 @@ def _cmd_isom(args):
         and picard_rank(type_of(args.A)) == picard_rank(type_of(args.B)))
     checks = [_check("invariants_consistent", invariants_agree or not iso,
                      "isomorphic varieties share Poincare data and Picard rank")]
-    return ({"A": list(args.A), "B": list(args.B)}, {"isomorphic": iso}, checks)
+    return {"isomorphic": iso}, checks
 
 
 def _cmd_morphism(args):
@@ -207,8 +206,7 @@ def _cmd_morphism(args):
     checks = [_check("vector_formulation",
                      exists == leq_by_vectors(target, source),
                      "agrees with the canonical-vector order")]
-    return ({"C1": list(args.C1), "C2": list(args.C2)},
-            {"exists": exists}, checks)
+    return {"exists": exists}, checks
 
 
 def _cmd_bundle_split(args):
@@ -223,7 +221,7 @@ def _cmd_bundle_split(args):
     }
     checks = [_check("factorization", split.identity_holds,
                      "total polynomial is the product of the factors")]
-    return {"C": list(args.C), "t": args.t}, result, checks
+    return result, checks
 
 
 def _cmd_bundle_exists(args):
@@ -236,7 +234,7 @@ def _cmd_bundle_exists(args):
         start += part
     checks = [_check("blockwise_constant", exists == blocks_ok,
                      "existence means the bundle is constant on each block")]
-    return ({"B": list(args.B), "C": list(args.C)}, {"exists": exists}, checks)
+    return {"exists": exists}, checks
 
 
 def _cmd_sections(args):
@@ -244,7 +242,7 @@ def _cmd_sections(args):
     dim = sections_dim(args.B, comp)
     checks = [_module_oracle("module_oracle", tuple(b + 1 for b in args.B), dim,
                              "matches the fusion module on weights b_i + 1")]
-    return {"B": list(args.B), "C": list(args.C)}, dim, checks
+    return dim, checks
 
 
 def _cmd_degrees(args):
@@ -252,7 +250,7 @@ def _cmd_degrees(args):
     ok = all(x >= y for x, y in zip(degs, degs[1:])) and degs[-1] >= 0
     checks = [_check("weakly_decreasing", ok,
                      "partial sums of a nonnegative vector")]
-    return {"B": list(args.B)}, list(degs), checks
+    return list(degs), checks
 
 
 def _cmd_picard(args):
@@ -260,7 +258,7 @@ def _cmd_picard(args):
     rank = picard_rank(comp)
     checks = [_check("bounded", 1 <= rank <= comp.n,
                      "rank between 1 and n")]
-    return {"C": list(args.C)}, rank, checks
+    return rank, checks
 
 
 def _cmd_coordring(args):
@@ -269,7 +267,7 @@ def _cmd_coordring(args):
     if args.imax >= 1:
         checks.append(_module_oracle("module_dimension", args.A, dims[1],
                                      "degree 1 stratum matches the fusion module"))
-    return {"A": list(args.A), "imax": args.imax}, list(dims), checks
+    return list(dims), checks
 
 
 def _cmd_flag_check(args):
@@ -292,8 +290,7 @@ def _cmd_flag_check(args):
                              f"{tested} elements at seed {args.seed}"))
     result = {"dimensions": list(chain.dimensions()),
               "conditions": dict(conditions)}
-    return ({"C": list(args.C), "random": args.random, "seed": args.seed},
-            result, checks)
+    return result, checks
 
 
 def _cmd_verlinde_fuse(args):
@@ -308,7 +305,7 @@ def _cmd_verlinde_fuse(args):
                f"total dimension {classical} vs tensor product {bound}"),
     ]
     result = {"coefficients": list(elt.coeffs), "support": list(elt.support())}
-    return {"k": k, "a": a, "b": b}, result, checks
+    return result, checks
 
 
 def _cmd_verlinde_limit(args):
@@ -325,7 +322,7 @@ def _cmd_verlinde_limit(args):
         _check("classical_limit", classical_limit_check(args.B),
                "high-level product has the tensor dimension"),
     ]
-    return {"B": list(args.B)}, result, checks
+    return result, checks
 
 
 def _cmd_stabilize(args):
@@ -344,8 +341,7 @@ def _cmd_stabilize(args):
         _check("stabilized", report.stable_from is not None,
                f"top strata constant from i = {report.stable_from}"),
     ]
-    return ({"B": list(args.B), "imax": args.imax, "degmax": args.degmax},
-            result, checks)
+    return result, checks
 
 
 def _cmd_selftest(args):
@@ -354,7 +350,7 @@ def _cmd_selftest(args):
                "detail": r.detail} for r in results]
     checks = [_check(f"criterion_{r.number}", r.passed, r.name)
               for r in results]
-    return {"max_n": args.max_n}, result, checks
+    return result, checks
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -497,14 +493,18 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        input_dict, result, checks = args.handler(args)
+        result, checks = args.handler(args)
     except DimensionCapError as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return 2
-    report = {"command": args.command, "input": input_dict,
+    # the input echo is every subcommand argument, in declaration order
+    echo = {key: list(value) if isinstance(value, tuple) else value
+            for key, value in vars(args).items()
+            if key not in ("format", "command", "handler")}
+    report = {"command": args.command, "input": echo,
               "result": result, "checks": checks}
     if args.format == "json":
         print(json.dumps(report))

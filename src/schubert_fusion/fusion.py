@@ -44,7 +44,11 @@ DEFAULT_DIMENSION_CAP = 100_000
 
 
 class DimensionCapError(RuntimeError):
-    """Raised when a span closure would exceed the configured dimension cap."""
+    """Raised when a computation would exceed its dimension cap.
+
+    Span closures check DEFAULT_DIMENSION_CAP, read at call time; the
+    peeling recursion checks the cap its caller passes.
+    """
 
 
 def factor_shapes(weights) -> tuple:
@@ -74,7 +78,7 @@ class FusionModule:
     character: MappingProxyType  # read-only (h-weight, energy) -> multiplicity
 
 
-def _close_under(seed, operators, cap) -> SpanBasis:
+def _close_under(seed, operators) -> SpanBasis:
     # Work with the reduced rows, not the raw operator images: words in the
     # generators have term counts and coefficients that grow with the word
     # length, while the residuals stay no bigger than their grade stratum.
@@ -102,9 +106,9 @@ def _close_under(seed, operators, cap) -> SpanBasis:
                     continue
                 row = basis.insert_reduced(image.coeffs)
                 if row is not None:
-                    if basis.dimension > cap:
-                        raise DimensionCapError(
-                            f"span dimension exceeded the cap of {cap}")
+                    if basis.dimension > DEFAULT_DIMENSION_CAP:
+                        raise DimensionCapError("span dimension exceeded the "
+                                                f"cap of {DEFAULT_DIMENSION_CAP}")
                     born.append(WedgeState(image.shapes, row))
             born_ends.append(len(born))
         layer, ends = born, born_ends
@@ -118,35 +122,35 @@ def _character_from_basis(basis, cyclic) -> MappingProxyType:
 
 
 @lru_cache(maxsize=None)
-def _build_module_cached(weights, cap):
+def _build_module_cached(weights):
     cyclic = top_wedge(factor_shapes(weights))
     n = len(weights)
     operators = [
         (lambda s, j=j: apply_current(E, j, s)) for j in range(n)
     ]
-    basis = _close_under(cyclic, operators, cap)
+    basis = _close_under(cyclic, operators)
     return FusionModule(weights, cyclic, basis.dimension,
                         _character_from_basis(basis, cyclic))
 
 
-def build_module(weights, cap=DEFAULT_DIMENSION_CAP) -> FusionModule:
+def build_module(weights) -> FusionModule:
     """Close the cyclic vector under e_0 .. e_{n-1} and return the module.
 
-    The result is cached per (weights, cap) and shared by every caller, so
-    it is frozen and its character is read-only.
+    The result is cached per weights and shared by every caller, so it is
+    frozen and its character is read-only.
     The empty weight vector yields the one-dimensional trivial module.
     """
     weights = weakly_increasing(weights, minimum=1, allow_empty=True)
     # preflight on the expected size; the closure re-checks as it grows
-    if math.prod(weights) > cap:
-        raise DimensionCapError(
-            f"module on {weights} would exceed the cap of {cap}")
-    return _build_module_cached(weights, cap)
+    if math.prod(weights) > DEFAULT_DIMENSION_CAP:
+        raise DimensionCapError(f"module on {weights} would exceed the cap "
+                                f"of {DEFAULT_DIMENSION_CAP}")
+    return _build_module_cached(weights)
 
 
-def character(weights, cap=DEFAULT_DIMENSION_CAP) -> dict:
+def character(weights) -> dict:
     """Bigraded character {(h-weight, energy): multiplicity}."""
-    return dict(build_module(weights, cap).character)
+    return dict(build_module(weights).character)
 
 
 def _character_peeled(weights) -> dict:
@@ -255,10 +259,6 @@ def character_recursive(weights, cap=DEFAULT_DIMENSION_CAP) -> dict:
     return _character_peeled(tuple(a for a in weights if a > 1))
 
 
-def dimension(weights, cap=DEFAULT_DIMENSION_CAP) -> int:
-    return build_module(weights, cap).dimension
-
-
 @dataclass(frozen=True)
 class RelationCheck:
     power: int
@@ -359,22 +359,24 @@ class SubmoduleS:
 def _check_pair(weights, index) -> tuple:
     weights = weakly_increasing(weights, minimum=1)
     n = len(weights)
+    if n == 1:
+        raise ValueError("a one-entry vector has no adjacent pair")
     if not isinstance(index, int) or not 1 <= index <= n - 1:
         raise ValueError(f"index must lie in 1..{n - 1}, got {index!r}")
     return weights
 
 
-def build_submodule(weights, index: int, cap=DEFAULT_DIMENSION_CAP) -> SubmoduleS:
+def build_submodule(weights, index: int) -> SubmoduleS:
     weights = _check_pair(weights, index)
     n = len(weights)
-    if math.prod(weights) > cap:
-        raise DimensionCapError(
-            f"submodule inside {weights} would exceed the cap of {cap}")
+    if math.prod(weights) > DEFAULT_DIMENSION_CAP:
+        raise DimensionCapError(f"submodule inside {weights} would exceed "
+                                f"the cap of {DEFAULT_DIMENSION_CAP}")
     left, right = weights[index - 1], weights[index]
     aprime = weights[:index - 1] + weights[index + 1:]
     if left == right:
         return SubmoduleS(weights, index, "equal", aprime, None,
-                          build_module(aprime, cap).dimension)
+                          build_module(aprime).dimension)
     adouble = tuple(a - left + 1 for a in weights[index:])
     shapes = factor_shapes(weights)
     generator = top_wedge(shapes)
@@ -397,7 +399,7 @@ def build_submodule(weights, index: int, cap=DEFAULT_DIMENSION_CAP) -> Submodule
     extra_mode = n - index - 1
     operators.append(
         lambda s: apply_current(E, extra_mode, s, factors=high))
-    basis = _close_under(generator, operators, cap)
+    basis = _close_under(generator, operators)
     return SubmoduleS(weights, index, "general", aprime, adouble, basis.dimension)
 
 
@@ -442,14 +444,14 @@ class ExactSequenceResult:
     holds: bool
 
 
-def exact_sequence_check(weights, index: int, cap=DEFAULT_DIMENSION_CAP) -> ExactSequenceResult:
+def exact_sequence_check(weights, index: int) -> ExactSequenceResult:
     """Check dim(submodule) + dim(quotient) = dim(module) at `index`.
 
     The quotient dimension is the product of its entries; the other two are
     computed by span closures.
     """
-    sub = build_submodule(weights, index, cap)
-    module = build_module(weights, cap)
+    sub = build_submodule(weights, index)
+    module = build_module(weights)
     quotient = quotient_weights(weights, index)
     dim_quotient = math.prod(quotient)
     holds = sub.dimension + dim_quotient == module.dimension

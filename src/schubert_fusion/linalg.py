@@ -1,8 +1,8 @@
 """Exact sparse linear algebra with fraction-free integer rows.
 
-Vectors are plain dicts mapping indices to nonzero coefficients, ints or
-`Fraction`s; every caller in the package passes ints (the closure's wedge
-rows, the flag model's unit vectors and its integer-cleared translates).
+Vectors are plain dicts mapping indices to nonzero int coefficients (the
+closure's wedge rows, the flag model's unit vectors and its integer-cleared
+translates).
 Indices may be any hashable, totally ordered values (nested int tuples in
 practice), so the same machinery spans wedge-monomial tuples and plain
 coordinate labels.  A SpanBasis maintains the span of the
@@ -12,16 +12,15 @@ inserted vectors in reduced row-echelon form over the integers:
 * every row is a primitive int vector (gcd content 1) with a positive pivot,
 * no row is supported on another row's pivot.
 
-An input vector is scaled by the lcm of its denominators on entry, and
-elimination cross-multiplies (fraction-free, in the style of Bareiss), so
-all arithmetic after entry is on Python ints; no floats anywhere.
+Elimination cross-multiplies (fraction-free, in the style of Bareiss), so
+all arithmetic is on Python ints; no fractions or floats anywhere.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from fractions import Fraction as rational  # the group parameters' scalar type
-from math import gcd, lcm
+from math import gcd
 
 
 def _cross_scale(target: dict, c: int, rp: int) -> int:
@@ -60,14 +59,12 @@ class SpanBasis:
         return [dict(self._rows[p]) for p in sorted(self._rows)]
 
     def reduce(self, vec: dict) -> dict:
-        """A nonzero int multiple of vec's residual; empty iff vec lies in the span.
+        """A nonzero multiple of int vector vec's residual; empty iff in the span.
 
         Rows carry no foreign pivots, so a single pass over the initial
         support at pivot positions is a complete reduction.
         """
-        den = lcm(*(c.denominator for c in vec.values()))
-        residual = {i: c.numerator * (den // c.denominator)
-                    for i, c in vec.items() if c}
+        residual = dict(vec)
         for p in sorted(i for i in residual if i in self._rows):
             c = residual.pop(p)
             row = self._rows[p]

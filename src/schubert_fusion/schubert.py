@@ -307,11 +307,6 @@ class GroupElement:
             _poly_add(_poly_mul(self.uv, other.vu, n), _poly_mul(self.uu, other.uu, n)),
         )
 
-    def apply(self, vec, n):
-        """Image of a coordinate vector over v_0..v_{n-1}, u_0..u_{n-1}."""
-        return _image(vec, n, _column_terms(self.vv, self.uv),
-                      _column_terms(self.vu, self.uu))
-
 
 def _column_terms(v_part, u_part):
     """Nonzero (base, k, coeff) of one column: v-component first, then u."""

@@ -121,6 +121,14 @@ def test_submodule_needs_valid_index(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("command", ["submodule", "exactseq"])
+def test_one_entry_vector_exits_2(capsys, command):
+    code, out, err = run(capsys, command, "2", "1")
+    assert code == 2
+    assert not out
+    assert "a one-entry vector has no adjacent pair" in err
+
+
 def test_flag_check_deterministic(capsys):
     first = run(capsys, "flag-check", "2,1", "--random", "15", "--seed", "9")
     second = run(capsys, "flag-check", "2,1", "--random", "15", "--seed", "9")

@@ -23,7 +23,6 @@ from schubert_fusion.fusion import (
     character,
     character_recursive,
     check_relations,
-    dimension,
     exact_sequence_check,
     factor_shapes,
     kernel_dimension,
@@ -48,7 +47,7 @@ def test_dimension_examples():
     assert build_module((2, 2, 2)).dimension == 8
     assert build_module((2, 3)).dimension == 6
     assert build_module(()).dimension == 1
-    assert dimension((2, 3, 4)) == 24
+    assert build_module((2, 3, 4)).dimension == 24
 
 
 def test_single_entry_module_is_sl2():
@@ -91,11 +90,15 @@ def test_weights_must_be_monotone():
         build_module((2, 0))
 
 
-def test_dimension_cap():
-    with pytest.raises(DimensionCapError):
-        build_module((2, 2, 2), cap=4)
+def test_dimension_cap(monkeypatch):
     with pytest.raises(DimensionCapError):
         build_module((7,) * 7)
+    monkeypatch.setattr(fusion, "DEFAULT_DIMENSION_CAP", 4)
+    with pytest.raises(DimensionCapError):
+        build_module((2, 2, 2))
+    # past the preflight, the closure's own guard reads the constant too
+    with pytest.raises(DimensionCapError, match="cap of 4"):
+        _build_module_cached.__wrapped__((2, 2, 2))
 
 
 def test_relations_small():
@@ -159,11 +162,12 @@ def _live_span_bases() -> int:
 
 
 def test_built_modules_keep_no_span_basis():
-    # a cap equal to the dimension gives cache keys no other test builds
+    # an empty module cache makes every build below run its closure
+    _build_module_cached.cache_clear()
     before = _live_span_bases()
-    kept = [build_module(w, cap=math.prod(w)) for w in ((2, 5), (3, 3, 3))]
-    kept += [build_submodule((2, 5, 5), i, cap=50) for i in (1, 2)]
-    kept.append(build_submodule((3, 3, 4), 1, cap=36))
+    kept = [build_module(w) for w in ((2, 5), (3, 3, 3))]
+    kept += [build_submodule((2, 5, 5), i) for i in (1, 2)]
+    kept.append(build_submodule((3, 3, 4), 1))
     assert [m.dimension for m in kept] == [10, 27, 20, 2, 4]
     assert _live_span_bases() == before
 
@@ -201,7 +205,7 @@ def test_closure_runs_on_ints(monkeypatch):
     assert all(type(c) is int for vec in seen for c in vec.values())
 
 
-def _fifo_closure_oracle(seeds, operators, cap) -> SpanBasis:
+def _fifo_closure_oracle(seeds, operators) -> SpanBasis:
     # The breadth-first closure that the degree-ordered one replaced, kept
     # as the reference: every accepted row is hit with every operator.
     basis = SpanBasis()
@@ -218,9 +222,6 @@ def _fifo_closure_oracle(seeds, operators, cap) -> SpanBasis:
                 continue
             row = basis.insert_reduced(image.coeffs)
             if row is not None:
-                if basis.dimension > cap:
-                    raise DimensionCapError(
-                        f"span dimension exceeded the cap of {cap}")
                 queue.append(WedgeState(image.shapes, row))
     return basis
 
@@ -232,8 +233,7 @@ def _closed_by_fifo_oracle():
     # lands in the module cache
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(fusion, "_close_under",
-                   lambda seed, operators, cap:
-                   _fifo_closure_oracle([seed], operators, cap))
+                   lambda seed, operators: _fifo_closure_oracle([seed], operators))
         yield
 
 
@@ -249,11 +249,10 @@ oracle_vectors = st.lists(
 @example((1, 3, 7, 7))
 def test_degree_ordered_closure_matches_fifo_oracle(weights):
     # a module's character is read off the pivots of its closure's basis
-    cap = math.prod(weights)
-    module = _build_module_cached.__wrapped__(weights, cap)
+    module = _build_module_cached.__wrapped__(weights)
     with _closed_by_fifo_oracle():
-        expected = _build_module_cached.__wrapped__(weights, cap)
-    assert module.dimension == expected.dimension == cap
+        expected = _build_module_cached.__wrapped__(weights)
+    assert module.dimension == expected.dimension == math.prod(weights)
     assert module.character == expected.character
 
 
@@ -301,6 +300,13 @@ def test_kernel_dimension_closed_forms():
     assert kernel_dimension((2, 3, 4, 5), 2) is None
     with pytest.raises(ValueError):
         kernel_dimension((2, 3), 2)
+
+
+@pytest.mark.parametrize("call", [build_submodule, kernel_dimension,
+                                  quotient_weights, exact_sequence_check])
+def test_one_entry_vector_has_no_pair(call):
+    with pytest.raises(ValueError, match="a one-entry vector has no adjacent pair"):
+        call((2,), 1)
 
 
 def test_exact_sequences():

@@ -1,6 +1,7 @@
 """Variety-level predicates, the flag model, and the group action."""
 
 import itertools
+import math
 import random
 
 import pytest
@@ -180,7 +181,7 @@ def test_wrong_codimension_chain_fails():
     n = 3
     full = SpanBasis()
     for i in range(2 * n):
-        full.insert({i: rational(1)})
+        full.insert({i: 1})
     chain = FlagChain(n, (full,))
     conds = flag_conditions(chain, comp(n))
     assert not conds["profile"]
@@ -191,7 +192,7 @@ def test_u_span_chain_is_member():
     n = 3
     u_span = SpanBasis()
     for i in range(n, 2 * n):
-        u_span.insert({i: rational(1)})
+        u_span.insert({i: 1})
     assert flag_membership(FlagChain(n, (u_span,)), comp(n))
 
 
@@ -243,8 +244,9 @@ def test_raising_lowering_do_not_commute():
 
 
 # The Fraction-based group action that the integer one replaced, kept as
-# the reference: every row and every entry stays a Fraction, and the
-# product multiplies the zero coefficients of the right factor too.
+# the reference: every image is computed in Fractions and scaled by the lcm
+# of its own denominators to enter the int-only SpanBasis (the same span),
+# and the product multiplies the zero coefficients of the right factor too.
 def _fraction_poly_mul_oracle(p, q, n):
     out = [0] * n
     for i, a in enumerate(p):
@@ -292,7 +294,8 @@ def _fraction_group_act_oracle(element, chain):
                         else:
                             image.pop(target, None)
             if image:
-                basis.insert(image)
+                den = math.lcm(*(c.denominator for c in image.values()))
+                basis.insert({i: int(c * den) for i, c in image.items()})
         new_spaces.append(basis)
     return FlagChain(n, tuple(new_spaces))
 
