@@ -36,7 +36,7 @@ from functools import lru_cache
 from itertools import combinations_with_replacement
 from types import MappingProxyType
 
-from .fock import E, WedgeState, apply_current, bigrade, factor_groups, top_wedge
+from .fock import WedgeState, apply_current, bigrade, factor_groups, top_wedge
 from .linalg import SpanBasis
 from .types import weakly_increasing
 
@@ -70,10 +70,13 @@ def factor_shapes(weights) -> tuple:
 
 @dataclass(frozen=True)
 class FusionModule:
-    """A built fusion module: cyclic vector, dimension and bigraded character."""
+    """A built fusion module: its dimension and bigraded character.
+
+    The energy grading of the character is normalized so the cyclic vector
+    sits at 0; the span itself is not kept.
+    """
 
     weights: tuple
-    cyclic: WedgeState
     dimension: int
     character: MappingProxyType  # read-only (h-weight, energy) -> multiplicity
 
@@ -126,10 +129,10 @@ def _build_module_cached(weights):
     cyclic = top_wedge(factor_shapes(weights))
     n = len(weights)
     operators = [
-        (lambda s, j=j: apply_current(E, j, s)) for j in range(n)
+        (lambda s, j=j: apply_current(j, s)) for j in range(n)
     ]
     basis = _close_under(cyclic, operators)
-    return FusionModule(weights, cyclic, basis.dimension,
+    return FusionModule(weights, basis.dimension,
                         _character_from_basis(basis, cyclic))
 
 
@@ -297,7 +300,7 @@ def check_relations(truncation: int, max_power: int) -> RelationReport:
         out = {}
         for deg, state in series.items():
             for k in range(n):
-                image = apply_current(E, n - 1 - k, state)
+                image = apply_current(n - 1 - k, state)
                 if image.coeffs:
                     key = deg + k
                     out[key] = out[key] + image if key in out else image
@@ -329,7 +332,7 @@ def monomial_basis(truncation: int) -> list:
 
 def apply_monomial(modes, state: WedgeState) -> WedgeState:
     for j in modes:
-        state = apply_current(E, j, state)
+        state = apply_current(j, state)
     return state
 
 
@@ -383,22 +386,24 @@ def build_submodule(weights, index: int) -> SubmoduleS:
     # Factors at levels 1 .. a_i - 1 (positions below a_i - 1) get their
     # extremal charge lowered by two.  Levels below a_i all count at least
     # n - i + 1 weights while level a_i counts exactly n - i, so the split
-    # never cuts through a block of equal truncations.
+    # never cuts through a block of equal truncations; the blocks at levels
+    # >= a_i are the high ones.
     pos = 0
-    for m, count in factor_groups(shapes):
+    high = []
+    for g, (m, count) in enumerate(factor_groups(shapes)):
         if pos < left - 1:
             assert pos + count <= left - 1, "level split cut a block of equal factors"
             for _ in range(count):
-                generator = apply_current(
-                    E, m - 1, generator, factors=range(pos, pos + count))
+                generator = apply_current(m - 1, generator, blocks=(g,))
+        else:
+            high.append(g)
         pos += count
-    high = tuple(pos for pos in range(len(shapes)) if pos >= left - 1)
     operators = [
-        (lambda s, j=j: apply_current(E, j, s)) for j in range(n)
+        (lambda s, j=j: apply_current(j, s)) for j in range(n)
     ]
     extra_mode = n - index - 1
     operators.append(
-        lambda s: apply_current(E, extra_mode, s, factors=high))
+        lambda s: apply_current(extra_mode, s, blocks=high))
     basis = _close_under(generator, operators)
     return SubmoduleS(weights, index, "general", aprime, adouble, basis.dimension)
 

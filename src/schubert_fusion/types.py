@@ -181,17 +181,15 @@ def poincare_recursive_single(n: int) -> PoincarePolynomial:
 
     P(n) = q^{2n} + q^{2n-2} + P(n-2), with P(0) = 1 and P(1) = 1 + q^2:
     each recursion step adds one open cell of dimension n and one of
-    dimension n - 1 over the boundary copy two steps down.
+    dimension n - 1 over the boundary copy two steps down.  The steps run
+    upward from the base of n's parity, so long inputs need no deep stack.
     """
     if not isinstance(n, int) or n < 0:
         raise ValueError("n must be a nonnegative integer")
-    if n == 0:
-        return PoincarePolynomial((1,))
-    if n == 1:
-        return PoincarePolynomial((1, 1))
-    prev = poincare_recursive_single(n - 2)
-    coeffs = list(prev.even_coeffs) + [0] * (n + 1 - len(prev.even_coeffs))
-    coeffs[n] += 1
-    coeffs[n - 1] += 1
+    coeffs = [1] * (n % 2 + 1)  # P(0) or P(1)
+    for k in range(n % 2 + 2, n + 1, 2):
+        coeffs += [0, 0]
+        coeffs[k] += 1
+        coeffs[k - 1] += 1
     return PoincarePolynomial(tuple(coeffs))
 

@@ -48,6 +48,13 @@ def test_poincare_recursive_flag(capsys):
     assert report["checks"][0]["pass"]
 
 
+def test_poincare_recursive_long_part(capsys):
+    code, report, _ = run_json(capsys, "poincare", "3000", "--recursive")
+    assert code == 0
+    assert report["checks"][0]["pass"]
+    assert report["result"]["coefficients"] == [1] * 3001
+
+
 def test_order_example(capsys):
     code, report, _ = run_json(capsys, "order", "2,1", "1,2")
     assert code == 0

@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from schubert_fusion import fusion
-from schubert_fusion.fock import F, WedgeState, apply_current
+from schubert_fusion.fock import WedgeState, apply_current
 from schubert_fusion.fusion import (
     DimensionCapError,
     _build_module_cached,
@@ -75,12 +75,6 @@ def test_lowest_weight_stratum_is_cyclic():
         low = -sum(a - 1 for a in weights)
         assert char[(low, 0)] == 1
         assert all(w > low for (w, t) in char if (w, t) != (low, 0))
-
-
-def test_f_annihilates_cyclic_vector():
-    module = build_module((2, 2, 3))
-    for j in range(4):
-        assert apply_current(F, j, module.cyclic).is_zero()
 
 
 def test_weights_must_be_monotone():

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -114,6 +115,20 @@ def test_recursion_matches_closed_form():
     for n in range(13):
         expected = (1,) * (n + 1)
         assert poincare_recursive_single(n).even_coeffs == expected
+
+
+def test_long_recursion_stays_within_recursion_limit():
+    # the steps run upward from the parity base, not down a call stack
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 50)
+    try:
+        poly = poincare_recursive_single(3000)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert poly == poincare(comp(3000))
 
 
 def test_polynomial_arithmetic():
