@@ -157,7 +157,7 @@ def criterion_3_monomial_basis(max_n: int | None = None) -> CheckResult:
             if not image.coeffs:
                 problems.append(f"n={n}: word {word} annihilates the top wedge")
                 break
-            grades = {bigrade(idx) for idx in image.coeffs}
+            grades = {bigrade(idx, 1) for idx in image.coeffs}  # one block
             if grades != {next(iter(grades))} or next(iter(grades))[0] != -n + 2 * len(word):
                 problems.append(f"n={n}: word {word} has wrong weight")
                 break

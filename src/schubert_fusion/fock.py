@@ -23,9 +23,13 @@ identical small factors.  The canonical particle order puts every v before
 every u, each kind sorted by mode, so top wedges are sorted and sign-free;
 permuting whole tensor factors never introduces signs.
 
-Block contents recur across states constantly, so they are interned: a state
-index is a tuple of small integer block ids, and the single-current images
-of each block are memoized per id.
+Block contents recur across states constantly, so they are interned, and a
+state index is one Python int: block g's id sits in a fixed-width field
+(`_FIELD_BITS` bits), block 0 in the most significant field.  Every index
+of one state has the same number of fields, so comparing two indices as
+ints is comparing their block-id tuples lexicographically.  A current
+rewrites one field with a shift and an add, and the single-current images
+of each block are memoized per (id, mode).
 """
 
 from __future__ import annotations
@@ -37,24 +41,26 @@ from functools import lru_cache
 V = 0  # particle kind v_i, h-weight -1
 U = 1  # particle kind u_i, h-weight +1
 
+_FIELD_BITS = 32    # width of one block-id field in a packed index
+
 _BLOCK_IDS = {}     # sorted monomial tuple -> id
 _BLOCKS = []        # id -> sorted monomial tuple
 _BLOCK_GRADES = []  # id -> (h-weight, t-degree) of the block
-_MOVES = {}         # (id, mode) -> tuple of (image id, multiplier)
+_MOVES = {}         # (mode << _FIELD_BITS) | id -> tuple of (image id, multiplier)
 
 
-def _intern_block(block) -> int:
+def _intern_block(block, grade) -> int:
+    """The id of a block, given its (h-weight, t-degree) for a new entry."""
     bid = _BLOCK_IDS.get(block)
     if bid is None:
         bid = len(_BLOCKS)
+        if bid >> _FIELD_BITS:
+            # a wider id would spill into the next field and alias an index
+            raise OverflowError(f"more than 2**{_FIELD_BITS} interned blocks; "
+                                "block ids no longer fit their index field")
         _BLOCK_IDS[block] = bid
         _BLOCKS.append(block)
-        weight = tdeg = 0
-        for mono in block:
-            for kind, mode in mono:
-                weight += 1 if kind == U else -1
-                tdeg += mode
-        _BLOCK_GRADES.append((weight, tdeg))
+        _BLOCK_GRADES.append(grade)
     return bid
 
 
@@ -70,11 +76,26 @@ def factor_groups(shapes) -> tuple:
     return tuple((m, c) for m, c in groups)
 
 
-def bigrade(index) -> tuple:
-    """(h-weight, total t-degree) of a basis index, summed over all factors."""
+def pack_index(bids) -> int:
+    """The packed index of a sequence of block ids, block 0 most significant."""
+    index = 0
+    for bid in bids:
+        index = (index << _FIELD_BITS) | bid
+    return index
+
+
+def block_ids(index, count) -> tuple:
+    """The `count` block ids packed in an index, block 0 first."""
+    mask = (1 << _FIELD_BITS) - 1
+    return tuple((index >> (_FIELD_BITS * (count - 1 - g))) & mask
+                 for g in range(count))
+
+
+def bigrade(index, count) -> tuple:
+    """(h-weight, total t-degree) of a basis index of `count` blocks."""
     weight = 0
     tdeg = 0
-    for bid in index:
+    for bid in block_ids(index, count):
         w, t = _BLOCK_GRADES[bid]
         weight += w
         tdeg += t
@@ -85,11 +106,13 @@ def bigrade(index) -> tuple:
 class WedgeState:
     """Exact linear combination of orbit-sum basis indices.
 
-    shapes fixes the per-factor truncations; coeffs maps indices (one block
-    id per block of equal truncations) to nonzero exact coefficients (ints
-    in the span closure, whose rows come from the integer SpanBasis) and
-    is treated as immutable.  The coefficient of an index is the coefficient
-    of each individual arrangement it stands for.
+    shapes fixes the per-factor truncations; coeffs maps indices to nonzero
+    exact coefficients (ints in the span closure, whose rows come from the
+    integer SpanBasis) and is treated as immutable.  An index is one int of
+    fixed-width block-id fields, one per block of equal truncations in
+    `factor_groups(shapes)`, block 0 most significant, so its int order is
+    the lexicographic order of its block-id tuple.  The coefficient of an
+    index is the coefficient of each individual arrangement it stands for.
     """
 
     shapes: tuple
@@ -114,8 +137,9 @@ def top_wedge(shapes) -> WedgeState:
     for m in shapes:
         if not isinstance(m, int) or m < 1:
             raise ValueError(f"factor truncation must be a positive integer, got {m!r}")
-    index = tuple(
-        _intern_block((tuple((V, i) for i in range(m)),) * count)
+    index = pack_index(
+        _intern_block((tuple((V, i) for i in range(m)),) * count,
+                      (-m * count, count * m * (m - 1) // 2))
         for m, count in factor_groups(shapes)
     )
     return WedgeState(shapes, {index: 1})
@@ -124,16 +148,17 @@ def top_wedge(shapes) -> WedgeState:
 def _block_moves(bid, mode):
     """Images of one interned block under e_mode, with integer multipliers.
 
+    Computes and memoizes the entry of `_MOVES`; `apply_current` reads the
+    table itself and calls this only on a miss.
+
     Replacing one factor monomial gamma by gamma' collects the arrangements
     of the new multiset; the multiplier carries the wedge sign and the
     multiplicity of gamma' in the new multiset (the number of slots the move
     could have landed in).
     """
-    key = (bid, mode)
-    cached = _MOVES.get(key)
-    if cached is not None:
-        return cached
     block = _BLOCKS[bid]
+    weight, tdeg = _BLOCK_GRADES[bid]
+    grade = (weight + 2, tdeg + mode)  # one v_i became u_{i+mode}
     limit = len(block[0])  # wedge degree equals the truncation
     acc = {}
     prev = None
@@ -168,10 +193,10 @@ def _block_moves(bid, mode):
             while k < len(rest_block) and rest_block[k] == new_mono:
                 mult += 1
                 k += 1
-            nbid = _intern_block(new_block)
+            nbid = _intern_block(new_block, grade)
             acc[nbid] = acc.get(nbid, 0) + c * mult
     moves = tuple((b, c) for b, c in acc.items() if c)
-    _MOVES[key] = moves
+    _MOVES[(mode << _FIELD_BITS) | bid] = moves
     return moves
 
 
@@ -187,17 +212,27 @@ def apply_current(mode: int, state: WedgeState, blocks=None) -> WedgeState:
     if not isinstance(mode, int) or mode < 0:
         raise ValueError("current mode must be a nonnegative integer")
     groups = factor_groups(state.shapes)
+    last = len(groups) - 1
     scope = range(len(groups)) if blocks is None else blocks
+    bits = _FIELD_BITS
+    mask = (1 << bits) - 1
+    key = mode << bits
+    moves_of = _MOVES
     out = {}
-    for idx, coeff in state.coeffs.items():
-        for g in scope:
-            if mode >= groups[g][0]:
-                continue  # every shift lands at or past the truncation
-            head = idx[:g]
-            tail = idx[g + 1:]
-            for nbid, mul in _block_moves(idx[g], mode):
-                new_idx = head + (nbid,) + tail
-                acc = out.get(new_idx, 0) + coeff * mul
+    get = out.get
+    for g in scope:
+        if mode >= groups[g][0]:
+            continue  # every shift lands at or past the truncation
+        shift = bits * (last - g)
+        for idx, coeff in state.coeffs.items():
+            bid = (idx >> shift) & mask
+            moves = moves_of.get(key | bid)
+            if moves is None:
+                moves = _block_moves(bid, mode)
+            rest = idx - (bid << shift)
+            for nbid, mul in moves:
+                new_idx = rest + (nbid << shift)
+                acc = get(new_idx, 0) + coeff * mul
                 if acc:
                     out[new_idx] = acc
                 else:

@@ -46,8 +46,8 @@ DEFAULT_DIMENSION_CAP = 100_000
 class DimensionCapError(RuntimeError):
     """Raised when a computation would exceed its dimension cap.
 
-    Span closures check DEFAULT_DIMENSION_CAP, read at call time; the
-    peeling recursion checks the cap its caller passes.
+    Span closures and the relation series check DEFAULT_DIMENSION_CAP, read
+    at call time; the peeling recursion checks the cap its caller passes.
     """
 
 
@@ -119,8 +119,9 @@ def _close_under(seed, operators) -> SpanBasis:
 
 
 def _character_from_basis(basis, cyclic) -> MappingProxyType:
-    offset = bigrade(next(iter(cyclic.coeffs)))[1]
-    grades = (bigrade(pivot) for pivot in basis.pivots())
+    count = len(factor_groups(cyclic.shapes))
+    offset = bigrade(next(iter(cyclic.coeffs)), count)[1]
+    grades = (bigrade(pivot, count) for pivot in basis.pivots())
     return MappingProxyType(dict(Counter((w, t - offset) for w, t in grades)))
 
 
@@ -287,7 +288,8 @@ def check_relations(truncation: int, max_power: int) -> RelationReport:
     The generating series e(z) = e_{n-1} + z e_{n-2} + ... + z^{n-1} e_0 is
     raised to the i-th power on the top wedge of shape (n,); the coefficient
     of z^k must vanish for every k < n (i - 1), i.e. the i-th power is
-    divisible by z^{n (i - 1)}.
+    divisible by z^{n (i - 1)}.  Raises DimensionCapError once the current
+    images have produced more than DEFAULT_DIMENSION_CAP terms in all.
     """
     n = truncation
     if not isinstance(n, int) or n < 1:
@@ -296,11 +298,17 @@ def check_relations(truncation: int, max_power: int) -> RelationReport:
         raise ValueError("max power must be at least 1")
     series = {0: top_wedge((n,))}
     checks = []
+    produced = 0  # terms of every image so far: the work done, bounded by the cap
     for i in range(1, max_power + 1):
         out = {}
         for deg, state in series.items():
             for k in range(n):
                 image = apply_current(n - 1 - k, state)
+                produced += len(image.coeffs)
+                if produced > DEFAULT_DIMENSION_CAP:
+                    raise DimensionCapError(
+                        f"relation series on truncation {n} produced more "
+                        f"than the cap of {DEFAULT_DIMENSION_CAP} terms")
                 if image.coeffs:
                     key = deg + k
                     out[key] = out[key] + image if key in out else image

@@ -3,10 +3,10 @@
 Vectors are plain dicts mapping indices to nonzero int coefficients (the
 closure's wedge rows, the flag model's unit vectors and its integer-cleared
 translates).
-Indices may be any hashable, totally ordered values (nested int tuples in
-practice), so the same machinery spans wedge-monomial tuples and plain
-coordinate labels.  A SpanBasis maintains the span of the
-inserted vectors in reduced row-echelon form over the integers:
+Indices may be any hashable, totally ordered values; in practice they are
+ints (the closure's packed wedge indices, one int per orbit-sum monomial,
+and the flag model's coordinate labels).  A SpanBasis maintains the span
+of the inserted vectors in reduced row-echelon form over the integers:
 
 * rows have pairwise distinct pivots (the smallest index in each support),
 * every row is a primitive int vector (gcd content 1) with a positive pivot,

@@ -1,11 +1,18 @@
 """CLI contract: JSON schema, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import schubert_fusion
 from schubert_fusion import acceptance
 from schubert_fusion.cli import main
+
+SRC = Path(schubert_fusion.__file__).resolve().parents[1]
 
 
 def run(capsys, *argv):
@@ -121,6 +128,19 @@ def test_resource_cap_exits_3(capsys):
     assert code == 3
     assert not out
     assert "resource cap" in err
+
+
+@pytest.mark.parametrize("argv", [("1000", "1"), ("20", "4")])
+def test_long_relation_series_exits_3(argv):
+    # in a fresh process, so its intern tables die with it
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-m", "schubert_fusion.cli", "relations", *argv],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 3
+    assert not proc.stdout
+    assert "resource cap" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_submodule_needs_valid_index(capsys):

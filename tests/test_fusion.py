@@ -4,6 +4,7 @@ import dataclasses
 import gc
 import math
 import sys
+import time
 from collections import Counter, deque
 from contextlib import contextmanager
 from functools import lru_cache
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from schubert_fusion import fusion
+from schubert_fusion import fock, fusion
 from schubert_fusion.fock import WedgeState, apply_current
 from schubert_fusion.fusion import (
     DimensionCapError,
@@ -99,6 +100,32 @@ def test_relations_small():
     assert check_relations(1, 2).ok
     assert check_relations(2, 2).ok
     assert check_relations(3, 3).ok
+
+
+def test_relations_stop_at_the_span_cap(monkeypatch):
+    # ran past a minute uncapped; with 100 000 terms in all it stops within
+    # seconds.  Fresh intern tables keep its blocks out of the rest of the
+    # session.  The default cap on `relations 1000 1`, whose blocks hold
+    # 1000 particles each, runs in a fresh process in test_cli.
+    for table in ("_BLOCKS", "_BLOCK_GRADES"):
+        monkeypatch.setattr(fock, table, [])
+    for table in ("_BLOCK_IDS", "_MOVES"):
+        monkeypatch.setattr(fock, table, {})
+    start = time.perf_counter()
+    with pytest.raises(DimensionCapError, match="cap of 100000 terms"):
+        check_relations(20, 4)
+    assert time.perf_counter() - start < 60
+
+
+def test_relations_read_the_cap_at_call_time(monkeypatch):
+    assert check_relations(4, 3).ok
+    monkeypatch.setattr(fusion, "DEFAULT_DIMENSION_CAP", 10)
+    with pytest.raises(DimensionCapError, match="cap of 10 terms"):
+        check_relations(4, 3)
+    # a long truncation trips the count within its first power
+    monkeypatch.setattr(fusion, "DEFAULT_DIMENSION_CAP", 1000)
+    with pytest.raises(DimensionCapError, match="truncation 1000"):
+        check_relations(1000, 1)
 
 
 def test_relations_report_shape():
