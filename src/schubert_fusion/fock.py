@@ -207,13 +207,17 @@ def apply_current(mode: int, state: WedgeState, blocks=None) -> WedgeState:
     vanish.  `blocks` restricts the diagonal action to the given blocks of
     equal truncations, as indices into `factor_groups(state.shapes)` (used
     for operators acting on one tensor block only); by default the current
-    acts on every block.
+    acts on every block.  A block index outside 0 .. len(groups) - 1
+    raises ValueError.
     """
     if not isinstance(mode, int) or mode < 0:
         raise ValueError("current mode must be a nonnegative integer")
     groups = factor_groups(state.shapes)
     last = len(groups) - 1
-    scope = range(len(groups)) if blocks is None else blocks
+    scope = range(len(groups)) if blocks is None else tuple(blocks)
+    for g in scope:
+        if not 0 <= g <= last:
+            raise ValueError(f"block index {g!r} is outside 0..{last}")
     bits = _FIELD_BITS
     mask = (1 << bits) - 1
     key = mode << bits

@@ -46,8 +46,8 @@ DEFAULT_DIMENSION_CAP = 100_000
 class DimensionCapError(RuntimeError):
     """Raised when a computation would exceed its dimension cap.
 
-    Span closures and the relation series check DEFAULT_DIMENSION_CAP, read
-    at call time; the peeling recursion checks the cap its caller passes.
+    Span closures and the relation series (counting particles) check
+    DEFAULT_DIMENSION_CAP at call time; peeling checks its caller's cap.
     """
 
 
@@ -288,8 +288,8 @@ def check_relations(truncation: int, max_power: int) -> RelationReport:
     The generating series e(z) = e_{n-1} + z e_{n-2} + ... + z^{n-1} e_0 is
     raised to the i-th power on the top wedge of shape (n,); the coefficient
     of z^k must vanish for every k < n (i - 1), i.e. the i-th power is
-    divisible by z^{n (i - 1)}.  Raises DimensionCapError once the current
-    images have produced more than DEFAULT_DIMENSION_CAP terms in all.
+    divisible by z^{n (i - 1)}.  Raises DimensionCapError once the images
+    have carried more than DEFAULT_DIMENSION_CAP particles (terms times n).
     """
     n = truncation
     if not isinstance(n, int) or n < 1:
@@ -298,17 +298,17 @@ def check_relations(truncation: int, max_power: int) -> RelationReport:
         raise ValueError("max power must be at least 1")
     series = {0: top_wedge((n,))}
     checks = []
-    produced = 0  # terms of every image so far: the work done, bounded by the cap
+    produced = 0  # particles of every image so far: the work done, bounded by the cap
     for i in range(1, max_power + 1):
         out = {}
         for deg, state in series.items():
             for k in range(n):
                 image = apply_current(n - 1 - k, state)
-                produced += len(image.coeffs)
+                produced += n * len(image.coeffs)
                 if produced > DEFAULT_DIMENSION_CAP:
                     raise DimensionCapError(
                         f"relation series on truncation {n} produced more "
-                        f"than the cap of {DEFAULT_DIMENSION_CAP} terms")
+                        f"than the cap of {DEFAULT_DIMENSION_CAP} particles")
                 if image.coeffs:
                     key = deg + k
                     out[key] = out[key] + image if key in out else image

@@ -6,20 +6,21 @@ translates).
 Indices may be any hashable, totally ordered values; in practice they are
 ints (the closure's packed wedge indices, one int per orbit-sum monomial,
 and the flag model's coordinate labels).  A SpanBasis maintains the span
-of the inserted vectors in reduced row-echelon form over the integers:
+of the inserted vectors in row-echelon form over the integers:
 
 * rows have pairwise distinct pivots (the smallest index in each support),
-* every row is a primitive int vector (gcd content 1) with a positive pivot,
-* no row is supported on another row's pivot.
+* every row is a primitive int vector (gcd content 1) with a positive pivot.
 
-Elimination cross-multiplies (fraction-free, in the style of Bareiss), so
-all arithmetic is on Python ints; no fractions or floats anywhere.
+A row may be supported on the pivots of rows inserted after it; it is never
+rewritten once stored.  Elimination cross-multiplies (fraction-free, in the
+style of Bareiss), so all arithmetic is on Python ints; no fractions or
+floats anywhere.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from fractions import Fraction as rational  # the group parameters' scalar type
+from heapq import heapify, heappop, heappush
 from math import gcd
 
 
@@ -40,11 +41,10 @@ def _cross_scale(target: dict, c: int, rp: int) -> int:
 class SpanBasis:
     """Incrementally maintained span with exact membership tests."""
 
-    __slots__ = ("_rows", "_columns")
+    __slots__ = ("_rows",)
 
     def __init__(self):
         self._rows = {}  # pivot index -> row dict
-        self._columns = defaultdict(set)  # index -> pivots of rows supported there
 
     @property
     def dimension(self) -> int:
@@ -61,24 +61,37 @@ class SpanBasis:
     def reduce(self, vec: dict) -> dict:
         """A nonzero multiple of int vector vec's residual; empty iff in the span.
 
-        Rows carry no foreign pivots, so a single pass over the initial
-        support at pivot positions is a complete reduction.
+        Pivots are cleared in increasing order from a min-heap: subtracting
+        the row of pivot p adds only indices above p.  A pivot whose entry
+        has cancelled by the time it is popped is skipped.
         """
         residual = dict(vec)
-        for p in sorted(i for i in residual if i in self._rows):
-            c = residual.pop(p)
-            row = self._rows[p]
+        rows = self._rows
+        pending = [i for i in residual if i in rows]
+        heapify(pending)
+        while pending:
+            p = heappop(pending)
+            c = residual.pop(p, 0)
+            if not c:
+                continue
+            row = rows[p]
             rp = row[p]
             if rp != 1:
                 c = _cross_scale(residual, c, rp)
             for q, rc in row.items():
                 if q == p:
                     continue
-                nv = residual.get(q, 0) - c * rc
-                if nv:
-                    residual[q] = nv
+                old = residual.get(q)
+                if old is None:
+                    residual[q] = -c * rc
+                    if q in rows:
+                        heappush(pending, q)
                 else:
-                    residual.pop(q, None)
+                    nv = old - c * rc
+                    if nv:
+                        residual[q] = nv
+                    else:
+                        del residual[q]
         return residual
 
     def contains(self, vec: dict) -> bool:
@@ -91,9 +104,12 @@ class SpanBasis:
     def insert_reduced(self, vec: dict):
         """Add vec to the span; return a copy of the stored row, or None.
 
-        The returned row is the primitive residual with a positive pivot:
-        usually far sparser than vec, with small int coefficients, which
-        matters when the caller feeds rows back into further computation.
+        The row is the primitive residual with a positive pivot.  Any two
+        full reductions of vec are proportional (a combination cancelling
+        vec lies in the span and vanishes at every pivot), so the row
+        depends on vec and the span only.  It is usually far sparser than
+        vec, with small int coefficients, which matters when the caller
+        feeds rows back into further computation.
         """
         residual = self.reduce(vec)
         if not residual:
@@ -104,33 +120,7 @@ class SpanBasis:
             content = -content
         row = ({q: c // content for q, c in residual.items()}
                if content != 1 else residual)
-        rp = row[pivot]
-        # Eliminate the new pivot from every older row supported there.
-        for other_pivot in list(self._columns.get(pivot, ())):
-            other = self._rows[other_pivot]
-            factor = other.pop(pivot)
-            self._columns[pivot].discard(other_pivot)
-            if rp != 1:
-                factor = _cross_scale(other, factor, rp)
-            for q, c in row.items():
-                if q == pivot:
-                    continue
-                nv = other.get(q, 0) - factor * c
-                if nv:
-                    if q not in other:
-                        self._columns[q].add(other_pivot)
-                    other[q] = nv
-                elif q in other:
-                    del other[q]
-                    self._columns[q].discard(other_pivot)
-            if other[other_pivot] != 1:
-                content = gcd(*other.values())
-                if content != 1:
-                    for q in other:
-                        other[q] //= content
         self._rows[pivot] = row
-        for q in row:
-            self._columns[q].add(pivot)
         return dict(row)
 
     def __repr__(self):

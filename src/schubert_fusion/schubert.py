@@ -377,8 +377,9 @@ def group_act(element: GroupElement, chain: FlagChain) -> FlagChain:
     The element's entries are cleared of denominators once per call: with D
     the lcm of their denominators, the int matrix D g maps every subspace
     onto the same span as g, and the chain's rows are ints, so every image
-    is an int vector.  Each subspace stores its unique primitive reduced
-    rows, so the result is the same as acting by g itself.
+    is an int vector.  A subspace's rows follow the vectors inserted into it
+    and their order, up to scale; those are the same for g and D g, so the
+    result is the same as acting by g itself.
     """
     n = chain.truncation
     if element.truncation != n:

@@ -114,6 +114,17 @@ def test_block_scopes_add_up_to_the_whole_current():
                 assert apply_current(j, state, blocks=blocks).coeffs == whole.coeffs
 
 
+@pytest.mark.parametrize("bad", [-1, 2, 5])
+def test_block_index_out_of_range_raises(bad):
+    # top_wedge((3, 2)) has two blocks; -1 would shift past the top field
+    state = top_wedge((3, 2))
+    assert len(factor_groups(state.shapes)) == 2
+    with pytest.raises(ValueError, match="block index"):
+        apply_current(0, state, blocks=(bad,))
+    with pytest.raises(ValueError, match="block index"):
+        apply_current(0, state, blocks=(0, bad))
+
+
 def test_single_factor_nilpotence():
     m = 3
     state = top_wedge((m,))

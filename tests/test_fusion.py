@@ -112,7 +112,7 @@ def test_relations_stop_at_the_span_cap(monkeypatch):
     for table in ("_BLOCK_IDS", "_MOVES"):
         monkeypatch.setattr(fock, table, {})
     start = time.perf_counter()
-    with pytest.raises(DimensionCapError, match="cap of 100000 terms"):
+    with pytest.raises(DimensionCapError, match="cap of 100000 particles"):
         check_relations(20, 4)
     assert time.perf_counter() - start < 60
 
@@ -120,7 +120,7 @@ def test_relations_stop_at_the_span_cap(monkeypatch):
 def test_relations_read_the_cap_at_call_time(monkeypatch):
     assert check_relations(4, 3).ok
     monkeypatch.setattr(fusion, "DEFAULT_DIMENSION_CAP", 10)
-    with pytest.raises(DimensionCapError, match="cap of 10 terms"):
+    with pytest.raises(DimensionCapError, match="cap of 10 particles"):
         check_relations(4, 3)
     # a long truncation trips the count within its first power
     monkeypatch.setattr(fusion, "DEFAULT_DIMENSION_CAP", 1000)

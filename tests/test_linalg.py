@@ -7,7 +7,67 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from schubert_fusion.linalg import SpanBasis
+from schubert_fusion.linalg import SpanBasis, _cross_scale
+
+
+class _RrefOracle:
+    """Reduced row-echelon SpanBasis: every new pivot is cleared from the
+    older rows, so no row is supported on another row's pivot."""
+
+    def __init__(self):
+        self._rows = {}  # pivot index -> row dict
+
+    @property
+    def dimension(self):
+        return len(self._rows)
+
+    def pivots(self):
+        return sorted(self._rows)
+
+    def row_vectors(self):
+        return [dict(self._rows[p]) for p in sorted(self._rows)]
+
+    def reduce(self, vec):
+        residual = dict(vec)
+        for p in sorted(i for i in residual if i in self._rows):
+            c = residual.pop(p)
+            row = self._rows[p]
+            c = _cross_scale(residual, c, row[p])
+            for q, rc in row.items():
+                if q != p:
+                    nv = residual.get(q, 0) - c * rc
+                    if nv:
+                        residual[q] = nv
+                    else:
+                        residual.pop(q, None)
+        return residual
+
+    def insert_reduced(self, vec):
+        residual = self.reduce(vec)
+        if not residual:
+            return None
+        pivot = min(residual)
+        content = math.gcd(*residual.values())
+        if residual[pivot] < 0:
+            content = -content
+        row = {q: c // content for q, c in residual.items()}
+        for other in self._rows.values():
+            factor = other.pop(pivot, 0)
+            if not factor:
+                continue
+            factor = _cross_scale(other, factor, row[pivot])
+            for q, c in row.items():
+                if q != pivot:
+                    nv = other.get(q, 0) - factor * c
+                    if nv:
+                        other[q] = nv
+                    else:
+                        other.pop(q, None)
+            content = math.gcd(*other.values())
+            for q in other:
+                other[q] //= content
+        self._rows[pivot] = row
+        return dict(row)
 
 
 def dense_rank(rows, width):
@@ -30,13 +90,12 @@ def dense_rank(rows, width):
 
 
 def assert_integer_echelon(basis):
-    """Stored rows are primitive int vectors with positive pivots, interreduced."""
+    """Stored rows are primitive int vectors with positive, distinct pivots."""
     pivots = basis.pivots()
     for pivot, row in zip(pivots, basis.row_vectors()):
         assert all(type(c) is int and c for c in row.values())
         assert min(row) == pivot and row[pivot] > 0
         assert math.gcd(*row.values()) == 1
-        assert not [p for p in pivots if p in row and p != pivot]
 
 
 def test_empty_basis():
@@ -79,14 +138,37 @@ def test_insert_reduced_returns_stored_row():
     assert basis.insert_reduced(dict(row)) is None
 
 
-def test_rows_stay_interreduced():
+def test_reduce_clears_fill_in_pivots():
+    # subtracting the row of pivot 0 brings in index 1, itself a pivot
     basis = SpanBasis()
     basis.insert({0: 1, 1: 1})
-    basis.insert({0: 1, 1: -1})
-    pivots = basis.pivots()
-    for pivot, row in zip(pivots, basis.row_vectors()):
-        foreign = [p for p in pivots if p in row and p != pivot]
-        assert not foreign
+    basis.insert({1: 1})
+    assert basis.row_vectors() == [{0: 1, 1: 1}, {1: 1}]
+    assert basis.contains({0: 1})
+    assert basis.reduce({0: 1}) == {}
+
+
+int_row_lists = st.lists(
+    st.dictionaries(st.integers(min_value=0, max_value=7),
+                    st.integers(min_value=-5, max_value=5).filter(bool),
+                    max_size=6),
+    max_size=12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(int_row_lists, st.lists(st.integers(min_value=-5, max_value=5),
+                               min_size=8, max_size=8))
+def test_insert_reduced_matches_rref_oracle(rows, probe):
+    basis, oracle = SpanBasis(), _RrefOracle()
+    for vec in rows:
+        assert basis.insert_reduced(dict(vec)) == oracle.insert_reduced(dict(vec))
+        assert basis.pivots() == oracle.pivots()
+        assert basis.dimension == oracle.dimension
+    pivots = oracle.pivots()
+    for pivot, row in zip(pivots, oracle.row_vectors()):
+        assert not [p for p in pivots if p in row and p != pivot]
+    vec = {j: x for j, x in enumerate(probe) if x}
+    assert basis.contains(vec) == (not oracle.reduce(vec))
 
 
 @settings(max_examples=60, deadline=None)
@@ -170,6 +252,6 @@ def test_non_unit_pivot_elimination():
     assert list(residual) == [1] and type(residual[1]) is int
     assert basis.insert_reduced({0: 3, 1: 1}) == {1: 1}
     assert_integer_echelon(basis)
-    assert basis.row_vectors() == [{0: 1}, {1: 1}]
+    assert basis.row_vectors() == [{0: 2, 1: 3}, {1: 1}]
     assert basis.insert_reduced({0: -9, 2: 2}) == {2: 1}
     assert_integer_echelon(basis)
