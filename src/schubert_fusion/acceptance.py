@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .fock import bigrade
 from .fusion import (
@@ -64,12 +64,10 @@ from .verlinde import (
 __all__ = ["CheckResult", "CRITERIA", "run_all", "weight_corpus"]
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    number: int
-    name: str
-    passed: bool
-    detail: str
+class CheckResult(namedtuple("CheckResult", "number name passed detail")):
+    """Outcome of criterion `number`: its name, pass flag and a detail line."""
+
+    __slots__ = ()
 
 
 def weight_corpus(bound: int, max_len: int | None = None) -> list:

@@ -35,7 +35,7 @@ of each block are memoized per (id, mode).
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 V = 0  # particle kind v_i, h-weight -1
@@ -102,8 +102,7 @@ def bigrade(index, count) -> tuple:
     return weight, tdeg
 
 
-@dataclass(frozen=True)
-class WedgeState:
+class WedgeState(namedtuple("WedgeState", "shapes coeffs")):
     """Exact linear combination of orbit-sum basis indices.
 
     shapes fixes the per-factor truncations; coeffs maps indices to nonzero
@@ -115,8 +114,7 @@ class WedgeState:
     index is the coefficient of each individual arrangement it stands for.
     """
 
-    shapes: tuple
-    coeffs: dict
+    __slots__ = ()
 
     def __add__(self, other: "WedgeState") -> "WedgeState":
         if self.shapes != other.shapes:

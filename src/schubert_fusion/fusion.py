@@ -30,8 +30,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from functools import lru_cache
 from itertools import combinations_with_replacement
 from types import MappingProxyType
@@ -41,13 +40,15 @@ from .linalg import SpanBasis
 from .types import weakly_increasing
 
 DEFAULT_DIMENSION_CAP = 100_000
+RELATION_PARTICLE_CAP = 1_000_000
 
 
 class DimensionCapError(RuntimeError):
     """Raised when a computation would exceed its dimension cap.
 
-    Span closures and the relation series (counting particles) check
-    DEFAULT_DIMENSION_CAP at call time; peeling checks its caller's cap.
+    Span closures check DEFAULT_DIMENSION_CAP and the relation series checks
+    RELATION_PARTICLE_CAP (counting particles), both at call time; peeling
+    checks its caller's cap.
     """
 
 
@@ -68,17 +69,15 @@ def factor_shapes(weights) -> tuple:
     return tuple(shapes)
 
 
-@dataclass(frozen=True)
-class FusionModule:
+class FusionModule(namedtuple("FusionModule", "weights dimension character")):
     """A built fusion module: its dimension and bigraded character.
 
+    `character` is a read-only mapping (h-weight, energy) -> multiplicity.
     The energy grading of the character is normalized so the cyclic vector
     sits at 0; the span itself is not kept.
     """
 
-    weights: tuple
-    dimension: int
-    character: MappingProxyType  # read-only (h-weight, energy) -> multiplicity
+    __slots__ = ()
 
 
 def _close_under(seed, operators) -> SpanBasis:
@@ -141,7 +140,7 @@ def build_module(weights) -> FusionModule:
     """Close the cyclic vector under e_0 .. e_{n-1} and return the module.
 
     The result is cached per weights and shared by every caller, so it is
-    frozen and its character is read-only.
+    an immutable tuple record and its character is read-only.
     The empty weight vector yields the one-dimensional trivial module.
     """
     weights = weakly_increasing(weights, minimum=1, allow_empty=True)
@@ -263,19 +262,23 @@ def character_recursive(weights, cap=DEFAULT_DIMENSION_CAP) -> dict:
     return _character_peeled(tuple(a for a in weights if a > 1))
 
 
-@dataclass(frozen=True)
-class RelationCheck:
-    power: int
-    required_vanishing: int  # coefficients of z^k for k < this must vanish
-    ok: bool
-    first_violation: int | None
+class RelationCheck(namedtuple(
+        "RelationCheck", "power required_vanishing ok first_violation")):
+    """The i-th power of the current series on one top wedge.
+
+    The coefficients of z^k for k < `required_vanishing` must vanish; `ok`
+    says they do, and `first_violation` is the least k whose coefficient
+    does not (None when `ok`).
+    """
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class RelationReport:
-    truncation: int
-    max_power: int
-    checks: tuple
+class RelationReport(namedtuple("RelationReport",
+                                "truncation max_power checks")):
+    """One RelationCheck per power 1 .. max_power, in `checks`."""
+
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
@@ -289,7 +292,7 @@ def check_relations(truncation: int, max_power: int) -> RelationReport:
     raised to the i-th power on the top wedge of shape (n,); the coefficient
     of z^k must vanish for every k < n (i - 1), i.e. the i-th power is
     divisible by z^{n (i - 1)}.  Raises DimensionCapError once the images
-    have carried more than DEFAULT_DIMENSION_CAP particles (terms times n).
+    have carried more than RELATION_PARTICLE_CAP particles (terms times n).
     """
     n = truncation
     if not isinstance(n, int) or n < 1:
@@ -305,10 +308,10 @@ def check_relations(truncation: int, max_power: int) -> RelationReport:
             for k in range(n):
                 image = apply_current(n - 1 - k, state)
                 produced += n * len(image.coeffs)
-                if produced > DEFAULT_DIMENSION_CAP:
+                if produced > RELATION_PARTICLE_CAP:
                     raise DimensionCapError(
                         f"relation series on truncation {n} produced more "
-                        f"than the cap of {DEFAULT_DIMENSION_CAP} particles")
+                        f"than the cap of {RELATION_PARTICLE_CAP} particles")
                 if image.coeffs:
                     key = deg + k
                     out[key] = out[key] + image if key in out else image
@@ -344,8 +347,8 @@ def apply_monomial(modes, state: WedgeState) -> WedgeState:
     return state
 
 
-@dataclass(frozen=True)
-class SubmoduleS:
+class SubmoduleS(namedtuple(
+        "SubmoduleS", "parent index case aprime adoubleprime dimension")):
     """Kernel of the weight-shuffling surjection at a chosen adjacent pair.
 
     For neighbours a_i < a_{i+1} the submodule is generated inside the
@@ -357,14 +360,10 @@ class SubmoduleS:
     `adoubleprime` of the tensor-product description, whose first block
     `aprime` (entries i, i+1 removed) names the abstract submodule.  For
     equal neighbours the submodule is the fusion module on `aprime`.
+    `case` is "general" or "equal"; `adoubleprime` is None in the equal case.
     """
 
-    parent: tuple
-    index: int
-    case: str  # "general" or "equal"
-    aprime: tuple
-    adoubleprime: tuple | None
-    dimension: int
+    __slots__ = ()
 
 
 def _check_pair(weights, index) -> tuple:
@@ -446,15 +445,15 @@ def quotient_weights(weights, index: int) -> tuple:
     return tuple(sorted(entries))
 
 
-@dataclass(frozen=True)
-class ExactSequenceResult:
-    weights: tuple
-    index: int
-    quotient: tuple
-    dim_module: int
-    dim_submodule: int
-    dim_quotient: int
-    holds: bool
+class ExactSequenceResult(namedtuple(
+        "ExactSequenceResult", "weights index quotient dim_module "
+        "dim_submodule dim_quotient holds")):
+    """Dimensions in the sequence 0 -> S -> M(A) -> M(A') -> 0 at `index`.
+
+    `quotient` is A'; `holds` says dim_submodule + dim_quotient == dim_module.
+    """
+
+    __slots__ = ()
 
 
 def exact_sequence_check(weights, index: int) -> ExactSequenceResult:

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .linalg import SpanBasis, rational
 from .types import Composition, leq, poincare, type_of, weakly_increasing
@@ -56,13 +56,14 @@ def morphism_exists(source: Composition, target: Composition) -> bool:
     return leq(target, source)
 
 
-@dataclass(frozen=True)
-class BundleSplit:
-    """Fibration of a Schubert variety over a smaller one."""
+class BundleSplit(namedtuple("BundleSplit", "fiber base identity_holds")):
+    """Fibration of a Schubert variety over a smaller one.
 
-    fiber: Composition
-    base: Composition
-    identity_holds: bool  # Poincare polynomial factors as fiber * base
+    `fiber` and `base` are Compositions; `identity_holds` says the Poincare
+    polynomial factors as fiber * base.
+    """
+
+    __slots__ = ()
 
 
 def bundle_split(composition: Composition, cut: int) -> BundleSplit:
@@ -154,12 +155,13 @@ def _shift_vector(vec, power, n):
     return out
 
 
-@dataclass(frozen=True)
-class FlagChain:
-    """Nested chain of subspaces of C^2 (x) C[t]/t^n, largest first."""
+class FlagChain(namedtuple("FlagChain", "truncation subspaces")):
+    """Nested chain of subspaces of C^2 (x) C[t]/t^n, largest first.
 
-    truncation: int
-    subspaces: tuple  # of SpanBasis
+    `subspaces` is a tuple of SpanBasis.
+    """
+
+    __slots__ = ()
 
     def dimensions(self) -> tuple:
         return tuple(w.dimension for w in self.subspaces)
@@ -268,32 +270,28 @@ def _poly_add(p, q):
     return tuple(a + b for a, b in zip(p, q))
 
 
-@dataclass(frozen=True)
-class GroupElement:
+class GroupElement(namedtuple("GroupElement", "truncation vv vu uv uu")):
     """2x2 matrix over Q[t]/t^n with determinant 1, acting on the flag space.
 
     Rows are (vv, vu) and (uv, uu): the image of a pure v-vector has
     v-component vv and u-component uv, matching e.v = u for the raising
-    generator.
+    generator.  Each entry is a tuple of n coefficients of 1, t, ..., t^{n-1}.
     """
 
-    truncation: int
-    vv: tuple
-    vu: tuple
-    uv: tuple
-    uu: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        n = self.truncation
-        for entry in (self.vv, self.vu, self.uv, self.uu):
+    def __new__(cls, truncation, vv, vu, uv, uu):
+        n = truncation
+        vv, vu, uv, uu = tuple(vv), tuple(vu), tuple(uv), tuple(uu)
+        for entry in (vv, vu, uv, uu):
             if len(entry) != n:
                 raise ValueError("matrix entries must be length-n coefficient tuples")
         det = tuple(
-            a - b for a, b in zip(
-                _poly_mul(self.vv, self.uu, n), _poly_mul(self.vu, self.uv, n))
+            a - b for a, b in zip(_poly_mul(vv, uu, n), _poly_mul(vu, uv, n))
         )
         if det != (1,) + (0,) * (n - 1):
             raise ValueError("group element must have determinant 1")
+        return super().__new__(cls, n, vv, vu, uv, uu)
 
     def __matmul__(self, other: "GroupElement") -> "GroupElement":
         if self.truncation != other.truncation:

@@ -9,21 +9,23 @@ the unique minimal one is {n}.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import groupby
 
 
-@dataclass(frozen=True)
-class Composition:
-    parts: tuple
+class Composition(namedtuple("Composition", "parts")):
+    """A composition of n: `parts` is the tuple of its positive block sizes."""
 
-    def __post_init__(self):
-        if not self.parts:
+    __slots__ = ()
+
+    def __new__(cls, parts):
+        parts = tuple(parts)
+        if not parts:
             raise ValueError("composition must have at least one part")
-        for p in self.parts:
+        for p in parts:
             if not isinstance(p, int) or p < 1:
                 raise ValueError(f"parts must be positive integers, got {p!r}")
-        object.__setattr__(self, "parts", tuple(self.parts))
+        return super().__new__(cls, parts)
 
     @property
     def n(self) -> int:
@@ -116,21 +118,21 @@ def canonical_A(comp: Composition) -> tuple:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class PoincarePolynomial:
+class PoincarePolynomial(namedtuple("PoincarePolynomial", "even_coeffs")):
     """Polynomial in q with support on even powers; coeff j is the q^{2j} term."""
 
-    even_coeffs: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.even_coeffs:
+    def __new__(cls, even_coeffs):
+        even_coeffs = tuple(even_coeffs)
+        if not even_coeffs:
             raise ValueError("a polynomial needs at least the constant term")
-        for c in self.even_coeffs:
+        for c in even_coeffs:
             if not isinstance(c, int) or c < 0:
                 raise ValueError("coefficients must be nonnegative integers")
-        if len(self.even_coeffs) > 1 and self.even_coeffs[-1] == 0:
+        if len(even_coeffs) > 1 and even_coeffs[-1] == 0:
             raise ValueError("trailing zero coefficients are not canonical")
-        object.__setattr__(self, "even_coeffs", tuple(self.even_coeffs))
+        return super().__new__(cls, even_coeffs)
 
     @property
     def degree(self) -> int:

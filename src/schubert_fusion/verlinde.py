@@ -22,7 +22,7 @@ combination observed to stabilize.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .fusion import DEFAULT_DIMENSION_CAP, character_recursive
 from .types import weakly_increasing
@@ -40,19 +40,23 @@ def _check_weight(k: int, a: int) -> int:
     return a
 
 
-@dataclass(frozen=True)
-class FusionRingElement:
-    """Element of the level-k fusion ring in the basis [0] .. [k]."""
+class FusionRingElement(namedtuple("FusionRingElement", "level coeffs")):
+    """Element of the level-k fusion ring in the basis [0] .. [k].
 
-    level: int
-    coeffs: tuple  # length level + 1, nonnegative integers
+    `coeffs` holds level + 1 nonnegative integers, the coefficient of [c]
+    at position c.
+    """
 
-    def __post_init__(self):
-        _check_level(self.level)
-        if len(self.coeffs) != self.level + 1:
+    __slots__ = ()
+
+    def __new__(cls, level, coeffs):
+        _check_level(level)
+        coeffs = tuple(coeffs)
+        if len(coeffs) != level + 1:
             raise ValueError("coefficient vector must have length level + 1")
-        if any(not isinstance(c, int) or c < 0 for c in self.coeffs):
+        if any(not isinstance(c, int) or c < 0 for c in coeffs):
             raise ValueError("coefficients must be nonnegative integers")
+        return super().__new__(cls, level, coeffs)
 
     @staticmethod
     def basis(level: int, a: int) -> "FusionRingElement":
@@ -140,8 +144,9 @@ def product_chain_right(k: int, weights) -> FusionRingElement:
     return out
 
 
-@dataclass(frozen=True)
-class LimitDecomposition:
+class LimitDecomposition(namedtuple(
+        "LimitDecomposition", "bundle level multiplicities "
+        "boundary_coefficient boundary_nonzero")):
     """Multiplicities of the level-(b_n+1) product [b_1] ... [b_n].
 
     `multiplicities[j]` is the coefficient of [j] for j = 0 .. b_n; the
@@ -149,11 +154,7 @@ class LimitDecomposition:
     carried separately with `boundary_nonzero` set when it appears.
     """
 
-    bundle: tuple
-    level: int
-    multiplicities: tuple
-    boundary_coefficient: int
-    boundary_nonzero: bool
+    __slots__ = ()
 
 
 def limit_multiplicities(bundle) -> LimitDecomposition:
@@ -190,8 +191,9 @@ def grassmannian_section_dims(bundle, steps: int) -> int:
     return base * (bundle[-1] + 1) ** (2 * steps)
 
 
-@dataclass(frozen=True)
-class StabilizationReport:
+class StabilizationReport(namedtuple(
+        "StabilizationReport", "bundle deg_max tables dims expected_dims "
+        "stable_from")):
     """Top-anchored character strata along the growing Schubert chain.
 
     `tables[i]` maps each co-energy d <= deg_max (distance below the module's
@@ -201,12 +203,7 @@ class StabilizationReport:
     the closed-form section count.
     """
 
-    bundle: tuple
-    deg_max: int
-    tables: tuple
-    dims: tuple
-    expected_dims: tuple
-    stable_from: int | None
+    __slots__ = ()
 
     @property
     def dims_match(self) -> bool:

@@ -143,6 +143,19 @@ def test_long_relation_series_exits_3(argv):
     assert "Traceback" not in proc.stderr
 
 
+def test_cli_import_skips_dataclasses():
+    # importing dataclasses pulls in inspect, ast and dis, and its decorator
+    # builds each class with exec: together most of a CLI call's import
+    # time, so the result records are namedtuples
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    code = ("import sys, schubert_fusion.cli; "
+            "print('dataclasses' in sys.modules or 'inspect' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_submodule_needs_valid_index(capsys):
     code, _, err = run(capsys, "submodule", "2,3", "5")
     assert code == 2

@@ -48,6 +48,23 @@ def test_composition_validation():
         Composition(())
 
 
+def test_records_validate_the_tuple_they_keep():
+    # a one-shot iterable is converted before it is checked, so the check
+    # sees the parts that are kept
+    parts = Composition(p for p in (1, 2))
+    assert parts == Composition((1, 2))
+    assert parts.n == 3
+    with pytest.raises(ValueError, match="at least one part"):
+        Composition(p for p in ())
+    with pytest.raises(ValueError, match="positive integers"):
+        Composition(p for p in (1, 0))
+    poly = PoincarePolynomial(c for c in (1, 2))
+    assert poly.even_coeffs == (1, 2)
+    assert poly.degree == 2
+    with pytest.raises(ValueError, match="not canonical"):
+        PoincarePolynomial(c for c in (1, 0))
+
+
 def test_compositions_count():
     # compositions of n are in bijection with subsets of the n-1 gaps
     for n in range(1, 8):
