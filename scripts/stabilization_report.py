@@ -5,7 +5,9 @@ For each requested bundle the chain appends 2i copies of the top weight;
 the report shows, per extension step i, the co-energy strata of the section
 space character down to a chosen depth, plus where the strata stop changing.
 The characters come from the peeling recursion, so deep extensions are cheap
-even when the section spaces have millions of dimensions.
+even when the section spaces have millions of dimensions: each bundle's
+chain is peeled in one pass whose steps share their strata, and only the
+top rows of each step's character are read.
 """
 
 import argparse

@@ -22,8 +22,10 @@ The second route to the character, `character_recursive`, needs no span:
 it peels the short exact sequences 0 -> S -> M(A) -> M(A') -> 0 down to
 single-weight strings.  Each stratum's character is packed into one int, a
 fixed-width field per (h-weight, energy) of the top module, so a peel is a
-shift and an add; the strata are memoized per call and walked with an
-explicit stack, and nothing is kept between calls.
+shift and an add; the strata are walked with an explicit stack, and
+nothing is kept between calls.  One call can peel several targets, the
+steps of a stabilization chain: they share one memo, dropping each stratum
+after its last user, and one packed layout, sized by the largest target.
 """
 
 from __future__ import annotations
@@ -156,7 +158,7 @@ def character(weights) -> dict:
     return dict(build_module(weights).character)
 
 
-def _character_peeled(weights) -> dict:
+def _peel_packed(targets) -> tuple:
     # Peel the smallest weight: the span decomposes against the kernel of
     # the surjection that shuffles (a_1, a_2) to (a_1 - 1, a_2 + 1).  The
     # kernel is the module on (a_2 - a_1 + 1, rest) (or on `rest` alone for
@@ -166,24 +168,32 @@ def _character_peeled(weights) -> dict:
     # of the stratum and the shift is a_1 - 1 times (length - 1).
     #
     # Each stratum's character is one int (Kronecker substitution): with
-    # N = sum(a - 1) over `weights`, the multiplicity at (w, t) sits in
-    # field t * (N + 1) + (w + N) / 2, each field `field` bits wide.  The
-    # quotient keeps N, the kernel lowers it by 2 (a_1 - 1), and a
-    # stratum's h-weights share the parity of its own N and lie within
-    # -N .. N, so one layout serves every stratum and a peel is a shift
-    # by whole rows plus an add.  No carry crosses a field: coefficients
-    # are nonnegative, a stratum's multiplicities sum to the product of its
-    # weights, and neither the quotient ((a_1 - 1)(a_2 + 1) < a_1 a_2) nor
-    # the kernel has a larger product than its parent, so every field, sums
-    # included, stays at most prod(weights) < 2**field.
-    top = sum(a - 1 for a in weights)
-    field = 8 * -(-math.prod(weights).bit_length() // 8)  # whole bytes
+    # N = max sum(a - 1) over the targets, the multiplicity at (w, t) sits
+    # in field t * (N + 1) + (w + N) / 2, each field `field` bits wide.  The
+    # quotient keeps sum(a - 1), the kernel lowers it by 2 (a_1 - 1), and a
+    # stratum's h-weights share the parity of its own sum and lie within
+    # -N .. N, so one layout serves every stratum of every target that
+    # shares the parity of N, and a peel is a shift by whole rows plus an
+    # add.  (A Schubert chain qualifies: each step adds 2 top to the sum.)
+    # No carry crosses a field: coefficients are nonnegative, a stratum's
+    # multiplicities sum to the product of its weights, and neither the
+    # quotient ((a_1 - 1)(a_2 + 1) < a_1 a_2) nor the kernel has a larger
+    # product than its parent, so every field, sums included, stays at
+    # most the largest target product < 2**field.
+    targets = [tuple(a for a in t if a > 1) for t in targets]
+    sums = [sum(a - 1 for a in t) for t in targets]
+    top = max(sums)
+    if any((top - s) % 2 for s in sums):
+        raise ValueError("peeled targets must share the parity of sum(a - 1)")
+    largest = max(math.prod(t) for t in targets)
+    field = 8 * -(-largest.bit_length() // 8)  # whole bytes
     row = (top + 1) * field
     # Plan first: a depth-first walk on an explicit stack lists every
     # stratum after its quotient and kernel.  Then pack in that order and
-    # drop each stratum once its last user is packed.
+    # drop each stratum once its last user is packed; the targets are kept
+    # for the caller.
     plan, order = {}, []
-    stack = [(weights, False)]
+    stack = [(t, False) for t in reversed(targets)]
     while stack:
         cur, done = stack.pop()
         if done:
@@ -204,6 +214,7 @@ def _character_peeled(weights) -> dict:
         stack += ((cur, True), (quotient, False), (kernel, False))
     users = Counter(child for step in plan.values() if step
                     for child in step[:2])
+    users.update(targets)
     memo = {}
     for cur in order:
         step = plan[cur]
@@ -218,7 +229,7 @@ def _character_peeled(weights) -> dict:
             users[child] -= 1
             if not users[child]:
                 del memo[child]
-    return _unpack(memo[weights], top, field)
+    return [memo[t] for t in targets], top, field
 
 
 def _unpack(packed, top, field) -> dict:
@@ -242,6 +253,14 @@ def _unpack(packed, top, field) -> dict:
     return char
 
 
+def _capped(weights, cap) -> tuple:
+    weights = weakly_increasing(weights, minimum=1, allow_empty=True)
+    if math.prod(weights) > cap:
+        raise DimensionCapError(
+            f"character of {weights} would exceed the cap of {cap}")
+    return weights
+
+
 def character_recursive(weights, cap=DEFAULT_DIMENSION_CAP) -> dict:
     """Bigraded character by peeling, without any span computation.
 
@@ -255,11 +274,33 @@ def character_recursive(weights, cap=DEFAULT_DIMENSION_CAP) -> dict:
     build_module for long weight vectors, and an independent oracle for
     the builder.
     """
-    weights = weakly_increasing(weights, minimum=1, allow_empty=True)
-    if math.prod(weights) > cap:
-        raise DimensionCapError(
-            f"character of {weights} would exceed the cap of {cap}")
-    return _character_peeled(tuple(a for a in weights if a > 1))
+    (packed,), top, field = _peel_packed([_capped(weights, cap)])
+    return _unpack(packed, top, field)
+
+
+def _top_strata(chain, depth, cap) -> list:
+    """(strata, total) for each weight vector of `chain`, peeled together.
+
+    `strata` maps each co-energy d <= depth (the distance below the
+    vector's top energy) to {h-weight: multiplicity}, d descending and
+    h-weights ascending; `total` is the sum of all its multiplicities.
+    Every vector is checked against `cap` before any peeling, and all must
+    share the parity of sum(a - 1), as the steps of a Schubert chain do.
+    """
+    packs, top, field = _peel_packed([_capped(w, cap) for w in chain])
+    row = (top + 1) * field
+    ones = (1 << field) - 1
+    out = []
+    for packed in packs:
+        high = (packed.bit_length() - 1) // row
+        low = max(high - depth, 0)
+        strata = {}
+        for (w, t), mult in _unpack(packed >> (low * row), top, field).items():
+            strata.setdefault(high - low - t, {})[w] = mult
+        # 2**field is 1 modulo `ones`, so the residue is the sum of the
+        # fields; that sum lies in 1 .. ones, and a residue 0 means `ones`
+        out.append((strata, packed % ones or ones))
+    return out
 
 
 class RelationCheck(namedtuple(

@@ -27,7 +27,8 @@ import random
 from collections import namedtuple
 
 from .linalg import SpanBasis, rational
-from .types import Composition, leq, poincare, type_of, weakly_increasing
+from .types import (Composition, _Validated, leq, poincare, type_of,
+                    weakly_increasing)
 
 __all__ = [
     "BundleSplit", "FlagChain", "GroupElement",
@@ -270,7 +271,8 @@ def _poly_add(p, q):
     return tuple(a + b for a, b in zip(p, q))
 
 
-class GroupElement(namedtuple("GroupElement", "truncation vv vu uv uu")):
+class GroupElement(_Validated,
+                   namedtuple("GroupElement", "truncation vv vu uv uu")):
     """2x2 matrix over Q[t]/t^n with determinant 1, acting on the flag space.
 
     Rows are (vv, vu) and (uv, uu): the image of a pure v-vector has

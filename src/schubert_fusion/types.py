@@ -13,7 +13,21 @@ from collections import namedtuple
 from itertools import groupby
 
 
-class Composition(namedtuple("Composition", "parts")):
+class _Validated:
+    """Base of the records whose __new__ validates its fields.
+
+    namedtuple's `_make`, which `_replace` calls, builds the tuple without
+    __new__; routing it through the constructor keeps the checks.
+    """
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
+class Composition(_Validated, namedtuple("Composition", "parts")):
     """A composition of n: `parts` is the tuple of its positive block sizes."""
 
     __slots__ = ()
@@ -118,7 +132,8 @@ def canonical_A(comp: Composition) -> tuple:
     return tuple(out)
 
 
-class PoincarePolynomial(namedtuple("PoincarePolynomial", "even_coeffs")):
+class PoincarePolynomial(_Validated,
+                         namedtuple("PoincarePolynomial", "even_coeffs")):
     """Polynomial in q with support on even powers; coeff j is the q^{2j} term."""
 
     __slots__ = ()

@@ -503,3 +503,31 @@ def test_recursion_of_twos_is_q_binomial(n):
     # last with multiplicities far past 2**32
     char = character_recursive((2,) * n, cap=2 ** n)
     assert char == _q_binomial_character(n)
+
+
+def test_chain_peeling_matches_one_target_peeling():
+    # one layout for the chain, sized by its last step: every step's full
+    # character reads back as its own peeling gives it
+    chain = [(2, 3) + (3,) * (2 * i) for i in range(4)]
+    packs, top, field = fusion._peel_packed(chain)
+    assert top == 3 + 2 * 6 and field == 16  # 6 * 3**6 needs 13 bits
+    assert [fusion._unpack(p, top, field) for p in packs] == \
+        [character_recursive(w, cap=10 ** 9) for w in chain]
+
+
+def test_chain_total_at_the_modular_edge():
+    # 3 * 5 * 17 = 255 = 2**8 - 1 fills the one-byte field, so the packed
+    # int is 0 modulo 255; 3 * 5 = 15 shares the layout and the parity
+    chain = [(3, 5), (3, 5, 17)]
+    steps = fusion._top_strata(chain, 0, cap=255)
+    assert [total for _, total in steps] == [15, 255]
+    for (strata, _), weights in zip(steps, chain):
+        char = character_recursive(weights, cap=255)
+        high = max(t for _, t in char)
+        assert strata == {0: {w: m for (w, t), m in char.items() if t == high}}
+
+
+def test_chain_peeling_rejects_mixed_parities():
+    # sum(a - 1) is 1 for (2,) and 2 for (2, 2): no one layout holds both
+    with pytest.raises(ValueError, match="parity"):
+        fusion._peel_packed([(2,), (2, 2)])

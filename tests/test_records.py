@@ -90,3 +90,30 @@ def test_validated_records_keep_tuples():
     assert hash(g) == hash(schubert.identity_element(2))
     with pytest.raises(ValueError, match="determinant 1"):
         schubert.GroupElement(2, iter((1, 0)), (0, 0), (0, 0), [2, 0])
+
+
+@pytest.mark.parametrize("build", [
+    lambda: Composition((1,))._replace(parts=()),
+    lambda: Composition._make([[0]]),
+    lambda: types.PoincarePolynomial((1,))._replace(even_coeffs=(1, 0)),
+    lambda: types.PoincarePolynomial._make([[]]),
+    lambda: schubert.identity_element(2)._replace(vv=(2, 0)),
+    lambda: schubert.GroupElement._make((1, (1,), (0,), (0,), (2,))),
+    lambda: verlinde.FusionRingElement(1, (1, 0))._replace(level=2),
+    lambda: verlinde.FusionRingElement._make((1, (1, -1))),
+], ids=["Composition._replace", "Composition._make",
+        "PoincarePolynomial._replace", "PoincarePolynomial._make",
+        "GroupElement._replace", "GroupElement._make",
+        "FusionRingElement._replace", "FusionRingElement._make"])
+def test_make_and_replace_validate(build):
+    # namedtuple's _make (which _replace calls) skips __new__ unless the
+    # record routes it through its checks
+    with pytest.raises(ValueError):
+        build()
+
+
+def test_make_and_replace_keep_tuples():
+    made = Composition._make([[1, 2]])
+    assert made == Composition((1, 2)) and made.parts == (1, 2)
+    replaced = Composition((1,))._replace(parts=[3])
+    assert type(replaced) is Composition and replaced.parts == (3,)

@@ -2,11 +2,15 @@
 
 import math
 import random
+from itertools import combinations_with_replacement
 
 import pytest
 
+from schubert_fusion import fusion
+from schubert_fusion.fusion import DimensionCapError, character_recursive
 from schubert_fusion.verlinde import (
     FusionRingElement,
+    StabilizationReport,
     character_stabilization,
     classical_limit_check,
     fuse,
@@ -142,6 +146,70 @@ def test_stabilization_two_entry_bundles():
     assert report.stable_from == 2
     assert report.dims == (6, 54, 486, 4374)
     assert report.tables[2] == report.tables[3]
+
+
+def _stabilization_oracle(bundle, i_max, deg_max, chars):
+    # The step-by-step loop that character_stabilization replaced, kept as
+    # the reference: chars[i] is the full character of step i from its own
+    # character_recursive call, filtered here to the top deg_max + 1
+    # energies.
+    tables, dims = [], []
+    for char in chars[:i_max + 1]:
+        top_energy = max(t for _, t in char)
+        table = {}
+        for (w, t), mult in char.items():
+            d = top_energy - t
+            if d <= deg_max:
+                stratum = table.setdefault(d, {})
+                stratum[w] = stratum.get(w, 0) + mult
+        tables.append(table)
+        dims.append(sum(char.values()))
+    stable_from = None
+    for i in range(i_max, 0, -1):
+        if tables[i] != tables[i - 1]:
+            break
+        stable_from = i - 1
+    expected = tuple(grassmannian_section_dims(bundle, i)
+                     for i in range(i_max + 1))
+    return StabilizationReport(bundle, deg_max, tuple(tables), tuple(dims),
+                               expected, stable_from)
+
+
+@pytest.mark.parametrize("top", range(5))
+def test_stabilization_matches_step_by_step_oracle(top):
+    cap = 10 ** 40
+    for length in (1, 2, 3):
+        for head in combinations_with_replacement(range(top + 1), length - 1):
+            bundle = head + (top,)
+            chars = [character_recursive(grassmannian_weights(bundle, i), cap)
+                     for i in range(7)]
+            for i_max in (1, 3, 6):
+                for deg_max in (0, 1, 3):
+                    report = character_stabilization(bundle, i_max, deg_max,
+                                                     cap)
+                    expected = _stabilization_oracle(bundle, i_max, deg_max,
+                                                     chars)
+                    assert report.tables == expected.tables
+                    assert report.dims == expected.dims
+                    assert report.expected_dims == expected.expected_dims
+                    assert report.stable_from == expected.stable_from
+                    # the same insertion order: d descending, h-weight
+                    # ascending
+                    assert repr(report) == repr(expected)
+
+
+def test_stabilization_cap_names_the_first_step_over_it(monkeypatch):
+    # 12 * 9**3 = 8748 fits under the cap and 12 * 9**4 does not
+    first = grassmannian_weights((1, 1, 2), 4)
+
+    def no_peeling(targets):
+        raise AssertionError("peeled before the cap check")
+
+    monkeypatch.setattr(fusion, "_peel_packed", no_peeling)
+    with pytest.raises(DimensionCapError) as info:
+        character_stabilization((1, 1, 2), 6, 3, cap=10 ** 4)
+    assert str(info.value) == \
+        f"character of {first} would exceed the cap of 10000"
 
 
 @pytest.mark.quarantined_numerics
