@@ -25,7 +25,8 @@ fixed-width field per (h-weight, energy) of the top module, so a peel is a
 shift and an add; the strata are walked with an explicit stack, and
 nothing is kept between calls.  One call can peel several targets, the
 steps of a stabilization chain: they share one memo, dropping each stratum
-after its last user, and one packed layout, sized by the largest target.
+after its last user, and one packed layout, sized by the largest target;
+each target is read out as soon as it is packed.
 """
 
 from __future__ import annotations
@@ -158,7 +159,13 @@ def character(weights) -> dict:
     return dict(build_module(weights).character)
 
 
-def _peel_packed(targets) -> tuple:
+def _peel_packed(targets, read) -> list:
+    """read(packed, top, field) for each target, in order.
+
+    Each target is read out as soon as it is packed and its packed int is
+    dropped once no later stratum uses it, so a long chain never holds all
+    its steps at once.
+    """
     # Peel the smallest weight: the span decomposes against the kernel of
     # the surjection that shuffles (a_1, a_2) to (a_1 - 1, a_2 + 1).  The
     # kernel is the module on (a_2 - a_1 + 1, rest) (or on `rest` alone for
@@ -189,47 +196,57 @@ def _peel_packed(targets) -> tuple:
     field = 8 * -(-largest.bit_length() // 8)  # whole bytes
     row = (top + 1) * field
     # Plan first: a depth-first walk on an explicit stack lists every
-    # stratum after its quotient and kernel.  Then pack in that order and
-    # drop each stratum once its last user is packed; the targets are kept
-    # for the caller.
-    plan, order = {}, []
-    stack = [(t, False) for t in reversed(targets)]
-    while stack:
-        cur, done = stack.pop()
-        if done:
-            order.append(cur)
-            continue
-        if cur in plan:
-            continue
-        if len(cur) <= 1:
-            plan[cur] = None
-            order.append(cur)
-            continue
-        a1, a2 = cur[0], cur[1]
-        rest = list(cur[2:])
-        kernel = ((a2 - a1 + 1,) + cur[2:]) if a1 < a2 else cur[2:]
-        bisect.insort(rest, a2 + 1)
-        quotient = ((a1 - 1,) if a1 > 2 else ()) + tuple(rest)
-        plan[cur] = (quotient, kernel, (a1 - 1) * (len(cur) - 1) * row)
-        stack += ((cur, True), (quotient, False), (kernel, False))
+    # stratum after its quotient and kernel, target by target, and `ends`
+    # marks where each target's new strata end.  Then pack in that order,
+    # read each target out as soon as its strata are packed, and drop each
+    # stratum once its last user (a later stratum, or the read-out of a
+    # target) is done.
+    plan, order, ends = {}, [], []
+    for target in targets:
+        stack = [(target, False)]
+        while stack:
+            cur, done = stack.pop()
+            if done:
+                order.append(cur)
+                continue
+            if cur in plan:
+                continue
+            if len(cur) <= 1:
+                plan[cur] = None
+                order.append(cur)
+                continue
+            a1, a2 = cur[0], cur[1]
+            rest = list(cur[2:])
+            kernel = ((a2 - a1 + 1,) + cur[2:]) if a1 < a2 else cur[2:]
+            bisect.insort(rest, a2 + 1)
+            quotient = ((a1 - 1,) if a1 > 2 else ()) + tuple(rest)
+            plan[cur] = (quotient, kernel, (a1 - 1) * (len(cur) - 1) * row)
+            stack += ((cur, True), (quotient, False), (kernel, False))
+        ends.append(len(order))
     users = Counter(child for step in plan.values() if step
                     for child in step[:2])
     users.update(targets)
-    memo = {}
-    for cur in order:
-        step = plan[cur]
-        if step is None:  # a string of m weights; () is the string (1,)
-            m = cur[0] if cur else 1
-            ones = ((1 << (m * field)) - 1) // ((1 << field) - 1)
-            memo[cur] = ones << ((top - m + 1) // 2 * field)
-            continue
-        quotient, kernel, shift = step
-        memo[cur] = memo[quotient] + (memo[kernel] << shift)
-        for child in (quotient, kernel):
-            users[child] -= 1
-            if not users[child]:
-                del memo[child]
-    return [memo[t] for t in targets], top, field
+    memo, reads, start = {}, [], 0
+    for target, end in zip(targets, ends):
+        for cur in order[start:end]:
+            step = plan[cur]
+            if step is None:  # a string of m weights; () is the string (1,)
+                m = cur[0] if cur else 1
+                ones = ((1 << (m * field)) - 1) // ((1 << field) - 1)
+                memo[cur] = ones << ((top - m + 1) // 2 * field)
+                continue
+            quotient, kernel, shift = step
+            memo[cur] = memo[quotient] + (memo[kernel] << shift)
+            for child in (quotient, kernel):
+                users[child] -= 1
+                if not users[child]:
+                    del memo[child]
+        start = end
+        reads.append(read(memo[target], top, field))
+        users[target] -= 1
+        if not users[target]:
+            del memo[target]
+    return reads
 
 
 def _unpack(packed, top, field) -> dict:
@@ -274,8 +291,8 @@ def character_recursive(weights, cap=DEFAULT_DIMENSION_CAP) -> dict:
     build_module for long weight vectors, and an independent oracle for
     the builder.
     """
-    (packed,), top, field = _peel_packed([_capped(weights, cap)])
-    return _unpack(packed, top, field)
+    (char,) = _peel_packed([_capped(weights, cap)], _unpack)
+    return char
 
 
 def _top_strata(chain, depth, cap) -> list:
@@ -287,11 +304,9 @@ def _top_strata(chain, depth, cap) -> list:
     Every vector is checked against `cap` before any peeling, and all must
     share the parity of sum(a - 1), as the steps of a Schubert chain do.
     """
-    packs, top, field = _peel_packed([_capped(w, cap) for w in chain])
-    row = (top + 1) * field
-    ones = (1 << field) - 1
-    out = []
-    for packed in packs:
+    def read(packed, top, field):
+        row = (top + 1) * field
+        ones = (1 << field) - 1
         high = (packed.bit_length() - 1) // row
         low = max(high - depth, 0)
         strata = {}
@@ -299,8 +314,9 @@ def _top_strata(chain, depth, cap) -> list:
             strata.setdefault(high - low - t, {})[w] = mult
         # 2**field is 1 modulo `ones`, so the residue is the sum of the
         # fields; that sum lies in 1 .. ones, and a residue 0 means `ones`
-        out.append((strata, packed % ones or ones))
-    return out
+        return strata, packed % ones or ones
+
+    return _peel_packed([_capped(w, cap) for w in chain], read)
 
 
 class RelationCheck(namedtuple(

@@ -16,8 +16,11 @@ the matching power of t.
 
 The flag model's arithmetic runs on Python ints: chains are spanned by int
 rows, and `Fraction` appears only in the group parameters z and in the
-entries of a `GroupElement`, which `group_act` clears of denominators once
-per element.
+entries of a `GroupElement`.  `_cleared` is the one place that clears those
+entries of denominators: `GroupElement` checks its determinant on the
+cleared ints and `group_act` acts by them.  `random_group_element` never
+forms a `Fraction` product: it runs column operations on int numerators
+over one common denominator and builds a single `GroupElement` at the end.
 """
 
 from __future__ import annotations
@@ -271,13 +274,30 @@ def _poly_add(p, q):
     return tuple(a + b for a, b in zip(p, q))
 
 
+def _cleared(polys) -> tuple:
+    """(D, int polys): D the lcm of the denominators, each poly times D.
+
+    The one place where rational entries become ints; an entry that is not
+    an int or a `Fraction` raises TypeError.
+    """
+    try:
+        den = math.lcm(*(c.denominator for poly in polys for c in poly))
+    except AttributeError:
+        raise TypeError("group element entries must be ints or Fractions") from None
+    return den, tuple(
+        tuple(c.numerator * (den // c.denominator) for c in poly) for poly in polys
+    )
+
+
 class GroupElement(_Validated,
                    namedtuple("GroupElement", "truncation vv vu uv uu")):
     """2x2 matrix over Q[t]/t^n with determinant 1, acting on the flag space.
 
     Rows are (vv, vu) and (uv, uu): the image of a pure v-vector has
     v-component vv and u-component uv, matching e.v = u for the raising
-    generator.  Each entry is a tuple of n coefficients of 1, t, ..., t^{n-1}.
+    generator.  Each entry is a tuple of n rational coefficients (ints or
+    `Fraction`s) of 1, t, ..., t^{n-1}.  The determinant is checked on ints:
+    with D the common denominator from `_cleared`, det(D g) must be D^2.
     """
 
     __slots__ = ()
@@ -288,10 +308,11 @@ class GroupElement(_Validated,
         for entry in (vv, vu, uv, uu):
             if len(entry) != n:
                 raise ValueError("matrix entries must be length-n coefficient tuples")
+        den, (ivv, ivu, iuv, iuu) = _cleared((vv, vu, uv, uu))
         det = tuple(
-            a - b for a, b in zip(_poly_mul(vv, uu, n), _poly_mul(vu, uv, n))
+            a - b for a, b in zip(_poly_mul(ivv, iuu, n), _poly_mul(ivu, iuv, n))
         )
-        if det != (1,) + (0,) * (n - 1):
+        if det != (den * den,) + (0,) * (n - 1):
             raise ValueError("group element must have determinant 1")
         return super().__new__(cls, n, vv, vu, uv, uu)
 
@@ -361,35 +382,53 @@ def exp_lowering(n: int, mode: int, z) -> GroupElement:
 
 
 def random_group_element(n: int, rng: random.Random, length: int = 4) -> GroupElement:
-    """Product of `length` random one-parameter elements with rational z."""
-    g = identity_element(n)
+    """Product of `length` random one-parameter elements exp(z x t^mode).
+
+    Each factor draws z = p/q with p in -6..6 and q in 1..4, then the mode,
+    then lowering or raising with even odds; the same draws, multiplied
+    left to right, give the same element as folding `@` over `exp_lowering`
+    and `exp_raising` from the identity.  The product is built on int
+    numerators over one common denominator D: right-multiplying by a factor
+    is a column operation, which scales every entry by q and adds p t^mode
+    times one column into the other (the v column into the u column for
+    lowering, the u column into the v column for raising).  Only the result
+    is turned into `Fraction`s and validated.
+    """
+    # columns: (vv, uv) is the image of v, (vu, uu) the image of u
+    v_col = ([1] + [0] * (n - 1), [0] * n)
+    u_col = ([0] * n, [1] + [0] * (n - 1))
+    den = 1
     for _ in range(length):
-        z = rational(rng.randint(-6, 6), rng.randint(1, 4))
+        p, q = rng.randint(-6, 6), rng.randint(1, 4)
         mode = rng.randrange(n)
-        factor = exp_lowering(n, mode, z) if rng.random() < 0.5 else exp_raising(n, mode, z)
-        g = g @ factor
-    return g
+        source, target = (v_col, u_col) if rng.random() < 0.5 else (u_col, v_col)
+        # over the new denominator D q: dst -> q dst + p t^mode src and
+        # src -> q src, for the v and the u component of both columns
+        den *= q
+        for src, dst in zip(source, target):
+            shifted = [0] * mode + src[:n - mode]
+            dst[:] = [q * a + p * b for a, b in zip(dst, shifted)]
+            src[:] = [q * a for a in src]
+    (vv, uv), (vu, uu) = v_col, u_col
+    return GroupElement(n, *(tuple(rational(c, den) for c in poly)
+                             for poly in (vv, vu, uv, uu)))
 
 
 def group_act(element: GroupElement, chain: FlagChain) -> FlagChain:
     """Transform every subspace of the chain by the group element.
 
-    The element's entries are cleared of denominators once per call: with D
-    the lcm of their denominators, the int matrix D g maps every subspace
-    onto the same span as g, and the chain's rows are ints, so every image
-    is an int vector.  A subspace's rows follow the vectors inserted into it
-    and their order, up to scale; those are the same for g and D g, so the
-    result is the same as acting by g itself.
+    The element's entries are cleared of denominators once per call by
+    `_cleared`: with D their common denominator, the int matrix D g maps
+    every subspace onto the same span as g, and the chain's rows are ints,
+    so every image is an int vector.  A subspace's rows follow the vectors
+    inserted into it and their order, up to scale; those are the same for
+    g and D g, so the result is the same as acting by g itself.
     """
     n = chain.truncation
     if element.truncation != n:
         raise ValueError("group element truncation must match the chain")
-    entries = (element.vv, element.vu, element.uv, element.uu)
-    den = math.lcm(*(c.denominator for poly in entries for c in poly))
-    vv, vu, uv, uu = (
-        tuple(c.numerator * (den // c.denominator) for c in poly)
-        for poly in entries
-    )
+    _, (vv, vu, uv, uu) = _cleared(
+        (element.vv, element.vu, element.uv, element.uu))
     v_terms, u_terms = _column_terms(vv, uv), _column_terms(vu, uu)
     new_spaces = []
     for space in chain.subspaces:

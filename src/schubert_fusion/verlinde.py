@@ -218,10 +218,11 @@ def character_stabilization(bundle, i_max: int, deg_max: int,
     Characters come from the peeling recursion, so long extensions stay
     cheap: the whole chain is peeled at once, its steps sharing one memo of
     strata, and only each step's top deg_max + 1 energy rows and its total
-    are read out.  For bundle (0, 0, 1) to i_max 15 the steps hold 3037
-    strata, 582 of them distinct; to i_max 40 the chain takes 1.0 s and
-    (1,) to i_max 60 takes 9.6 s with a 1.3 GB peak (6.6 s and 86 s when
-    each step was peeled alone; 2-vCPU VM, Python 3.11.7).  The cap bounds
+    are read out, each step as soon as it is peeled.  For bundle (0, 0, 1)
+    to i_max 15 the steps hold 3037 strata, 582 of them distinct; to i_max
+    40 the chain takes 1.0 s and (1,) to i_max 60 takes 10-13 s with a
+    1.2 GB peak (6.6 s and 86 s when each step was peeled alone; 2-vCPU VM,
+    Python 3.11.7).  The cap bounds
     every step's dimension and is checked for all steps before any peeling.
     """
     bundle = weakly_increasing(bundle, minimum=0)

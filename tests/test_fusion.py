@@ -509,10 +509,20 @@ def test_chain_peeling_matches_one_target_peeling():
     # one layout for the chain, sized by its last step: every step's full
     # character reads back as its own peeling gives it
     chain = [(2, 3) + (3,) * (2 * i) for i in range(4)]
-    packs, top, field = fusion._peel_packed(chain)
-    assert top == 3 + 2 * 6 and field == 16  # 6 * 3**6 needs 13 bits
-    assert [fusion._unpack(p, top, field) for p in packs] == \
+    reads = fusion._peel_packed(
+        chain, lambda p, top, field: (fusion._unpack(p, top, field), top, field))
+    # 6 * 3**6 needs 13 bits
+    assert {(top, field) for _, top, field in reads} == {(3 + 2 * 6, 16)}
+    assert [char for char, _, _ in reads] == \
         [character_recursive(w, cap=10 ** 9) for w in chain]
+
+
+def test_chain_peeling_reads_repeated_and_nested_targets():
+    # (2, 4) is the quotient of (3, 3), so it is packed inside the first
+    # target's strata; it and the repeated (3, 3) must still be read out
+    chain = [(3, 3), (2, 4), (3, 3)]
+    chars = fusion._peel_packed(chain, fusion._unpack)
+    assert chars == [character_recursive(w) for w in chain]
 
 
 def test_chain_total_at_the_modular_edge():
@@ -530,4 +540,4 @@ def test_chain_total_at_the_modular_edge():
 def test_chain_peeling_rejects_mixed_parities():
     # sum(a - 1) is 1 for (2,) and 2 for (2, 2): no one layout holds both
     with pytest.raises(ValueError, match="parity"):
-        fusion._peel_packed([(2,), (2, 2)])
+        fusion._peel_packed([(2,), (2, 2)], fusion._unpack)

@@ -216,6 +216,43 @@ def test_group_element_validation():
     n = 2
     with pytest.raises(ValueError):
         GroupElement(n, (rational(2), 0), (0, 0), (0, 0), (rational(1), 0))
+    # det = 1 + t/2: the cleared determinant is 4 + 2t, not D^2 = 4
+    with pytest.raises(ValueError, match="determinant 1"):
+        GroupElement(n, (1, rational(1, 2)), (0, 0), (0, 0), (1, 0))
+    g = GroupElement(n, (2, 0), (0, 0), (0, 0), (rational(1, 2), 0))
+    assert g @ GroupElement(n, (rational(1, 2), 0), (0, 0), (0, 0), (2, 0)) \
+        == identity_element(n)
+    with pytest.raises(TypeError, match="ints or Fractions"):
+        GroupElement(n, (1.0, 0), (0, 0), (0, 0), (1, 0))
+
+
+# The product that random_group_element's column operations replaced,
+# kept as the reference: the same draws, folded with `@` from the identity.
+def _random_group_element_oracle(n, rng, length=4):
+    g = identity_element(n)
+    for _ in range(length):
+        z = rational(rng.randint(-6, 6), rng.randint(1, 4))
+        mode = rng.randrange(n)
+        factor = exp_lowering(n, mode, z) if rng.random() < 0.5 else exp_raising(n, mode, z)
+        g = g @ factor
+    return g
+
+
+def test_random_group_element_matches_product_oracle():
+    for n in range(1, 9):
+        flags = [canonical_flag(c) for c in compositions(n)]
+        for length in range(7):
+            for seed in range(5):
+                rng, oracle_rng = random.Random(seed), random.Random(seed)
+                g = random_group_element(n, rng, length)
+                expected = _random_group_element_oracle(n, oracle_rng, length)
+                assert g == expected and hash(g) == hash(expected)
+                # the same draws, in the same order
+                assert rng.getstate() == oracle_rng.getstate()
+                if length == 4:  # the length every caller uses
+                    for flag in flags:
+                        _assert_same_rows(group_act(g, flag),
+                                          group_act(expected, flag))
 
 
 def test_group_products_are_unimodular():

@@ -202,7 +202,7 @@ def test_stabilization_cap_names_the_first_step_over_it(monkeypatch):
     # 12 * 9**3 = 8748 fits under the cap and 12 * 9**4 does not
     first = grassmannian_weights((1, 1, 2), 4)
 
-    def no_peeling(targets):
+    def no_peeling(targets, read):
         raise AssertionError("peeled before the cap check")
 
     monkeypatch.setattr(fusion, "_peel_packed", no_peeling)
