@@ -16,7 +16,6 @@ import math
 import random
 from collections import namedtuple
 
-from .fock import bigrade
 from .fusion import (
     apply_monomial,
     build_module,
@@ -155,7 +154,7 @@ def criterion_3_monomial_basis(max_n: int | None = None) -> CheckResult:
             if not image.coeffs:
                 problems.append(f"n={n}: word {word} annihilates the top wedge")
                 break
-            grades = {bigrade(idx, 1) for idx in image.coeffs}  # one block
+            grades = {top.model.bigrade(idx) for idx in image.coeffs}
             if grades != {next(iter(grades))} or next(iter(grades))[0] != -n + 2 * len(word):
                 problems.append(f"n={n}: word {word} has wrong weight")
                 break

@@ -12,59 +12,58 @@ truncation.  It acts as a derivation on each wedge factor and diagonally
 across tensor factors.  The raising currents are the only operators the
 package applies: every module is the span of a cyclic vector under them.
 
+A factor monomial of truncation m is a 2m-bit int: bit i stands for v_i and
+bit m + i for u_i, so it has m bits set.  The canonical particle order puts
+every v before every u, each kind sorted by mode, which is the order of the
+bits; top wedges are sorted and sign-free.  e_j acts on v_i when bit i is
+set, i + j < m and bit m + i + j is clear, by one XOR, and its sign is the
+parity of the bits set strictly between the two positions.
+
 Equal-truncation factors are interchangeable, and every vector this package
 ever builds (cyclic vectors and their images under currents acting on whole
 blocks of equal factors) is invariant under permuting them.  States are
 therefore stored in the orbit-sum basis: per block of equal truncations, an
-index records the sorted multiset of factor monomials and stands for the sum
-of all distinct arrangements of those monomials over the block's tensor
-slots.  This keeps supports polynomial even when a module has a long tail of
-identical small factors.  The canonical particle order puts every v before
-every u, each kind sorted by mode, so top wedges are sorted and sign-free;
-permuting whole tensor factors never introduces signs.
+index records the sorted multiset of factor monomials (a block: a sorted
+tuple of masks) and stands for the sum of all distinct arrangements of
+those monomials over the block's tensor slots.  This keeps supports
+polynomial even when a module has a long tail of identical small factors.
+Permuting whole tensor factors never introduces signs.
 
-Block contents recur across states constantly, so they are interned, and a
-state index is one Python int: block g's id sits in a fixed-width field
-(`_FIELD_BITS` bits), block 0 in the most significant field.  Every index
-of one state has the same number of fields, so comparing two indices as
-ints is comparing their block-id tuples lexicographically.  A current
-rewrites one field with a shift and an add, and the single-current images
-of each block are memoized per (id, mode).
+Block contents recur across states constantly, so a `WedgeModel` interns
+them, and a state index is one Python int: block g's id sits in a
+fixed-width field, block 0 in the most significant field.  Every index of
+one state has the same number of fields, so comparing two indices as ints
+is comparing their block-id tuples lexicographically.  The single-current
+images of each block are memoized per mode as (id difference, multiplier)
+pairs, so a current rewrites one field with one shift and one add.
+
+A model belongs to one closure: `top_wedge` creates it, every state derived
+from that top wedge carries it, and it is freed with the last of them, so
+no table is shared across the process.  It interns at most
+WEDGE_BLOCK_BUDGET blocks, read when the model is created, and an id field
+is (budget - 1).bit_length() bits wide: 18 bits for the default 2**18.
+Interning past the budget raises DimensionCapError.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from collections import namedtuple
-from functools import lru_cache
 
-V = 0  # particle kind v_i, h-weight -1
-U = 1  # particle kind u_i, h-weight +1
-
-_FIELD_BITS = 32    # width of one block-id field in a packed index
-
-_BLOCK_IDS = {}     # sorted monomial tuple -> id
-_BLOCKS = []        # id -> sorted monomial tuple
-_BLOCK_GRADES = []  # id -> (h-weight, t-degree) of the block
-_MOVES = {}         # (mode << _FIELD_BITS) | id -> tuple of (image id, multiplier)
+WEDGE_BLOCK_BUDGET = 2 ** 18
 
 
-def _intern_block(block, grade) -> int:
-    """The id of a block, given its (h-weight, t-degree) for a new entry."""
-    bid = _BLOCK_IDS.get(block)
-    if bid is None:
-        bid = len(_BLOCKS)
-        if bid >> _FIELD_BITS:
-            # a wider id would spill into the next field and alias an index
-            raise OverflowError(f"more than 2**{_FIELD_BITS} interned blocks; "
-                                "block ids no longer fit their index field")
-        _BLOCK_IDS[block] = bid
-        _BLOCKS.append(block)
-        _BLOCK_GRADES.append(grade)
-    return bid
+class DimensionCapError(RuntimeError):
+    """Raised when a computation would exceed one of its budgets.
+
+    Three budgets, each read at call time: span closures check
+    `fusion.DEFAULT_DIMENSION_CAP` (their dimension), the relation series
+    checks `fusion.RELATION_PARTICLE_CAP` (the particles it carries), and a
+    wedge model checks WEDGE_BLOCK_BUDGET (the blocks it interns).  Peeling
+    checks its caller's cap.
+    """
 
 
-@lru_cache(maxsize=None)
 def factor_groups(shapes) -> tuple:
     """Runs of equal adjacent truncations, as (truncation, count) pairs."""
     groups = []
@@ -76,49 +75,127 @@ def factor_groups(shapes) -> tuple:
     return tuple((m, c) for m, c in groups)
 
 
-def pack_index(bids) -> int:
-    """The packed index of a sequence of block ids, block 0 most significant."""
-    index = 0
-    for bid in bids:
-        index = (index << _FIELD_BITS) | bid
-    return index
+class WedgeModel:
+    """The interned blocks and memoized moves of one wedge model.
+
+    `blocks[id]` is a block (a sorted tuple of monomial masks), and
+    `grades[id]` its (h-weight, t-degree); `moves[mode]` maps a block id to
+    the tuple of (image id - id, multiplier) pairs of its image under
+    e_mode.  `bits` is the width of one id field of a packed index.
+    """
+
+    __slots__ = ("shapes", "groups", "budget", "bits", "blocks", "grades",
+                 "moves", "_ids", "__weakref__")
+
+    def __init__(self, shapes):
+        self.shapes = shapes
+        self.groups = factor_groups(shapes)
+        self.budget = WEDGE_BLOCK_BUDGET
+        self.bits = (self.budget - 1).bit_length()
+        self.blocks = []
+        self.grades = []
+        self.moves = [{} for _ in range(max(shapes, default=0))]
+        self._ids = {}
+
+    def intern(self, block, grade) -> int:
+        """The id of a block, given its (h-weight, t-degree) for a new entry."""
+        bid = self._ids.get(block)
+        if bid is None:
+            bid = len(self.blocks)
+            if bid >= self.budget:
+                raise DimensionCapError(
+                    f"wedge model on {self.shapes} interned more than the "
+                    f"budget of {self.budget} blocks")
+            self._ids[block] = bid
+            self.blocks.append(block)
+            self.grades.append(grade)
+        return bid
+
+    def pack_index(self, bids) -> int:
+        """The packed index of a sequence of block ids, block 0 most significant."""
+        bits = self.bits
+        index = 0
+        for bid in bids:
+            index = (index << bits) | bid
+        return index
+
+    def block_ids(self, index) -> tuple:
+        """The block ids packed in an index, block 0 first."""
+        bits = self.bits
+        mask = (1 << bits) - 1
+        last = len(self.groups) - 1
+        return tuple((index >> (bits * (last - g))) & mask
+                     for g in range(last + 1))
+
+    def bigrade(self, index) -> tuple:
+        """(h-weight, total t-degree) of a basis index."""
+        weight = 0
+        tdeg = 0
+        for bid in self.block_ids(index):
+            w, t = self.grades[bid]
+            weight += w
+            tdeg += t
+        return weight, tdeg
+
+    def _block_moves(self, bid, mode) -> tuple:
+        """Images of one interned block under e_mode, with integer multipliers.
+
+        Computes and memoizes the entry of `moves[mode]`; `apply_current`
+        reads the table itself and calls this only on a miss.
+
+        Replacing one factor monomial gamma by gamma' collects the
+        arrangements of the new multiset; the multiplier carries the wedge
+        sign and the multiplicity of gamma' in the new multiset (the number
+        of slots the move could have landed in).
+        """
+        block = self.blocks[bid]
+        weight, tdeg = self.grades[bid]
+        grade = (weight + 2, tdeg + mode)  # one v_i became u_{i+mode}
+        m = block[0].bit_count()  # wedge degree equals the truncation
+        sources = (1 << (m - mode)) - 1  # v_i with i + mode < m
+        acc = {}
+        prev = None
+        for slot, mono in enumerate(block):
+            if mono == prev:
+                continue  # same source monomial, already processed
+            prev = mono
+            rest_block = block[:slot] + block[slot + 1:]
+            free = mono & sources
+            while free:
+                low = free & -free
+                free ^= low
+                target = low << (m + mode)  # u_{i+mode}
+                if mono & target:
+                    continue  # repeated particle
+                new_mono = mono ^ low ^ target
+                c = -1 if (mono & (target - (low << 1))).bit_count() & 1 else 1
+                r = bisect_left(rest_block, new_mono)
+                new_block = rest_block[:r] + (new_mono,) + rest_block[r:]
+                mult = rest_block.count(new_mono) + 1
+                nbid = self.intern(new_block, grade)
+                acc[nbid] = acc.get(nbid, 0) + c * mult
+        moves = tuple((b - bid, c) for b, c in acc.items() if c)
+        self.moves[mode][bid] = moves
+        return moves
 
 
-def block_ids(index, count) -> tuple:
-    """The `count` block ids packed in an index, block 0 first."""
-    mask = (1 << _FIELD_BITS) - 1
-    return tuple((index >> (_FIELD_BITS * (count - 1 - g))) & mask
-                 for g in range(count))
+class WedgeState(namedtuple("WedgeState", "model coeffs")):
+    """Exact linear combination of orbit-sum basis indices of one model.
 
-
-def bigrade(index, count) -> tuple:
-    """(h-weight, total t-degree) of a basis index of `count` blocks."""
-    weight = 0
-    tdeg = 0
-    for bid in block_ids(index, count):
-        w, t = _BLOCK_GRADES[bid]
-        weight += w
-        tdeg += t
-    return weight, tdeg
-
-
-class WedgeState(namedtuple("WedgeState", "shapes coeffs")):
-    """Exact linear combination of orbit-sum basis indices.
-
-    shapes fixes the per-factor truncations; coeffs maps indices to nonzero
-    exact coefficients (ints in the span closure, whose rows come from the
-    integer SpanBasis) and is treated as immutable.  An index is one int of
-    fixed-width block-id fields, one per block of equal truncations in
-    `factor_groups(shapes)`, block 0 most significant, so its int order is
-    the lexicographic order of its block-id tuple.  The coefficient of an
-    index is the coefficient of each individual arrangement it stands for.
+    coeffs maps indices to nonzero exact coefficients (ints in the span
+    closure, whose rows come from the integer SpanBasis) and is treated as
+    immutable.  An index is one int of `model.bits`-wide block-id fields,
+    one per block of equal truncations in `model.groups`, block 0 most
+    significant, so its int order is the lexicographic order of its
+    block-id tuple.  The coefficient of an index is the coefficient of each
+    individual arrangement it stands for.
     """
 
     __slots__ = ()
 
     def __add__(self, other: "WedgeState") -> "WedgeState":
-        if self.shapes != other.shapes:
-            raise ValueError("cannot add states over different factor shapes")
+        if self.model is not other.model:
+            raise ValueError("cannot add states of different wedge models")
         out = dict(self.coeffs)
         for idx, c in other.coeffs.items():
             nv = out.get(idx, 0) + c
@@ -126,76 +203,25 @@ class WedgeState(namedtuple("WedgeState", "shapes coeffs")):
                 out[idx] = nv
             else:
                 del out[idx]
-        return WedgeState(self.shapes, out)
+        return WedgeState(self.model, out)
 
 
 def top_wedge(shapes) -> WedgeState:
-    """Cyclic vector: product over factors of v_0 ^ v_1 ^ ... ^ v_{m-1}."""
+    """Cyclic vector: product over factors of v_0 ^ v_1 ^ ... ^ v_{m-1}.
+
+    Creates the wedge model that every state derived from it shares.
+    """
     shapes = tuple(shapes)
     for m in shapes:
         if not isinstance(m, int) or m < 1:
             raise ValueError(f"factor truncation must be a positive integer, got {m!r}")
-    index = pack_index(
-        _intern_block((tuple((V, i) for i in range(m)),) * count,
-                      (-m * count, count * m * (m - 1) // 2))
-        for m, count in factor_groups(shapes)
+    model = WedgeModel(shapes)
+    index = model.pack_index(
+        model.intern(((1 << m) - 1,) * count,
+                     (-m * count, count * m * (m - 1) // 2))
+        for m, count in model.groups
     )
-    return WedgeState(shapes, {index: 1})
-
-
-def _block_moves(bid, mode):
-    """Images of one interned block under e_mode, with integer multipliers.
-
-    Computes and memoizes the entry of `_MOVES`; `apply_current` reads the
-    table itself and calls this only on a miss.
-
-    Replacing one factor monomial gamma by gamma' collects the arrangements
-    of the new multiset; the multiplier carries the wedge sign and the
-    multiplicity of gamma' in the new multiset (the number of slots the move
-    could have landed in).
-    """
-    block = _BLOCKS[bid]
-    weight, tdeg = _BLOCK_GRADES[bid]
-    grade = (weight + 2, tdeg + mode)  # one v_i became u_{i+mode}
-    limit = len(block[0])  # wedge degree equals the truncation
-    acc = {}
-    prev = None
-    for slot in range(len(block)):
-        mono = block[slot]
-        if mono == prev:
-            continue  # same source monomial, already processed
-        prev = mono
-        rest_block = block[:slot] + block[slot + 1:]
-        for pos in range(limit):
-            pkind, i = mono[pos]
-            if pkind != V:
-                break  # sources exhausted: V's precede all U's
-            shifted = i + mode
-            if shifted >= limit:
-                break  # V modes ascend, later ones shift out too
-            newp = (U, shifted)
-            rest = mono[:pos] + mono[pos + 1:]
-            q = bisect_left(rest, newp)
-            if q < len(rest) and rest[q] == newp:
-                continue  # repeated particle
-            c = -1 if (q - pos) % 2 else 1
-            new_mono = rest[:q] + (newp,) + rest[q:]
-            r = bisect_left(rest_block, new_mono)
-            new_block = rest_block[:r] + (new_mono,) + rest_block[r:]
-            mult = 1
-            k = r - 1
-            while k >= 0 and rest_block[k] == new_mono:
-                mult += 1
-                k -= 1
-            k = r
-            while k < len(rest_block) and rest_block[k] == new_mono:
-                mult += 1
-                k += 1
-            nbid = _intern_block(new_block, grade)
-            acc[nbid] = acc.get(nbid, 0) + c * mult
-    moves = tuple((b, c) for b, c in acc.items() if c)
-    _MOVES[(mode << _FIELD_BITS) | bid] = moves
-    return moves
+    return WedgeState(model, {index: 1})
 
 
 def apply_current(mode: int, state: WedgeState, blocks=None) -> WedgeState:
@@ -203,40 +229,39 @@ def apply_current(mode: int, state: WedgeState, blocks=None) -> WedgeState:
 
     e_mode sends v_i to u_{i+mode}; shifts reaching the factor truncation
     vanish.  `blocks` restricts the diagonal action to the given blocks of
-    equal truncations, as indices into `factor_groups(state.shapes)` (used
-    for operators acting on one tensor block only); by default the current
+    equal truncations, as indices into `state.model.groups` (used for
+    operators acting on one tensor block only); by default the current
     acts on every block.  A block index outside 0 .. len(groups) - 1
     raises ValueError.
     """
     if not isinstance(mode, int) or mode < 0:
         raise ValueError("current mode must be a nonnegative integer")
-    groups = factor_groups(state.shapes)
+    model = state.model
+    groups = model.groups
     last = len(groups) - 1
     scope = range(len(groups)) if blocks is None else tuple(blocks)
     for g in scope:
         if not 0 <= g <= last:
             raise ValueError(f"block index {g!r} is outside 0..{last}")
-    bits = _FIELD_BITS
+    bits = model.bits
     mask = (1 << bits) - 1
-    key = mode << bits
-    moves_of = _MOVES
     out = {}
     get = out.get
     for g in scope:
         if mode >= groups[g][0]:
             continue  # every shift lands at or past the truncation
+        moves_of = model.moves[mode]
         shift = bits * (last - g)
         for idx, coeff in state.coeffs.items():
             bid = (idx >> shift) & mask
-            moves = moves_of.get(key | bid)
+            moves = moves_of.get(bid)
             if moves is None:
-                moves = _block_moves(bid, mode)
-            rest = idx - (bid << shift)
-            for nbid, mul in moves:
-                new_idx = rest + (nbid << shift)
+                moves = model._block_moves(bid, mode)
+            for delta, mul in moves:
+                new_idx = idx + (delta << shift)
                 acc = get(new_idx, 0) + coeff * mul
                 if acc:
                     out[new_idx] = acc
                 else:
                     del out[new_idx]
-    return WedgeState(state.shapes, out)
+    return WedgeState(model, out)

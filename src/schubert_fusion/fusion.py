@@ -38,21 +38,13 @@ from functools import lru_cache
 from itertools import combinations_with_replacement
 from types import MappingProxyType
 
-from .fock import WedgeState, apply_current, bigrade, factor_groups, top_wedge
+# DimensionCapError lives in `fock`, which raises it too; it is re-exported here
+from .fock import DimensionCapError, WedgeState, apply_current, top_wedge
 from .linalg import SpanBasis
 from .types import weakly_increasing
 
 DEFAULT_DIMENSION_CAP = 100_000
 RELATION_PARTICLE_CAP = 1_000_000
-
-
-class DimensionCapError(RuntimeError):
-    """Raised when a computation would exceed its dimension cap.
-
-    Span closures check DEFAULT_DIMENSION_CAP and the relation series checks
-    RELATION_PARTICLE_CAP (counting particles), both at call time; peeling
-    checks its caller's cap.
-    """
 
 
 def factor_shapes(weights) -> tuple:
@@ -100,7 +92,7 @@ def _close_under(seed, operators) -> SpanBasis:
     basis = SpanBasis()
     if not seed.coeffs:
         return basis
-    layer = [WedgeState(seed.shapes, basis.insert_reduced(seed.coeffs))]
+    layer = [WedgeState(seed.model, basis.insert_reduced(seed.coeffs))]
     ends = [1] * len(operators)
     while layer:
         born, born_ends = [], []
@@ -114,16 +106,16 @@ def _close_under(seed, operators) -> SpanBasis:
                     if basis.dimension > DEFAULT_DIMENSION_CAP:
                         raise DimensionCapError("span dimension exceeded the "
                                                 f"cap of {DEFAULT_DIMENSION_CAP}")
-                    born.append(WedgeState(image.shapes, row))
+                    born.append(WedgeState(image.model, row))
             born_ends.append(len(born))
         layer, ends = born, born_ends
     return basis
 
 
 def _character_from_basis(basis, cyclic) -> MappingProxyType:
-    count = len(factor_groups(cyclic.shapes))
-    offset = bigrade(next(iter(cyclic.coeffs)), count)[1]
-    grades = (bigrade(pivot, count) for pivot in basis.pivots())
+    bigrade = cyclic.model.bigrade
+    offset = bigrade(next(iter(cyclic.coeffs)))[1]
+    grades = (bigrade(pivot) for pivot in basis.pivots())
     return MappingProxyType(dict(Counter((w, t - offset) for w, t in grades)))
 
 
@@ -454,7 +446,7 @@ def build_submodule(weights, index: int) -> SubmoduleS:
     # >= a_i are the high ones.
     pos = 0
     high = []
-    for g, (m, count) in enumerate(factor_groups(shapes)):
+    for g, (m, count) in enumerate(generator.model.groups):
         if pos < left - 1:
             assert pos + count <= left - 1, "level split cut a block of equal factors"
             for _ in range(count):

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
+from types import MappingProxyType
 
 from .fusion import DEFAULT_DIMENSION_CAP, _top_strata
 from .types import _Validated, weakly_increasing
@@ -192,19 +193,32 @@ def grassmannian_section_dims(bundle, steps: int) -> int:
     return base * (bundle[-1] + 1) ** (2 * steps)
 
 
-class StabilizationReport(namedtuple(
+class StabilizationReport(_Validated, namedtuple(
         "StabilizationReport", "bundle deg_max tables dims expected_dims "
         "stable_from")):
     """Top-anchored character strata along the growing Schubert chain.
 
     `tables[i]` maps each co-energy d <= deg_max (distance below the module's
-    maximal energy) to a {h-weight: multiplicity} dict for the i-th module.
-    `stable_from` is the least i with tables[i] == tables[i+1] == ... (None
-    when the last two tables still differ); `dims` and `expected_dims` track
-    the closed-form section count.
+    maximal energy) to a {h-weight: multiplicity} mapping for the i-th
+    module.  `stable_from` is the least i with tables[i] == tables[i+1] ==
+    ... (None when the last two tables still differ); `dims` and
+    `expected_dims` track the closed-form section count.
+
+    `tables` is a tuple of read-only mappings of read-only mappings, as
+    `FusionModule.character` is, so a report cannot be changed in place;
+    like `FusionModule`, a report is not hashable.
     """
 
     __slots__ = ()
+
+    def __new__(cls, bundle, deg_max, tables, dims, expected_dims,
+                stable_from):
+        tables = tuple(
+            MappingProxyType({d: MappingProxyType(dict(stratum))
+                              for d, stratum in table.items()})
+            for table in tables)
+        return super().__new__(cls, bundle, deg_max, tables, dims,
+                               expected_dims, stable_from)
 
     @property
     def dims_match(self) -> bool:

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -132,7 +133,7 @@ def test_resource_cap_exits_3(capsys):
 
 @pytest.mark.parametrize("argv", [("1000", "1"), ("20", "4")])
 def test_long_relation_series_exits_3(argv):
-    # in a fresh process, so its intern tables die with it
+    # in a fresh process, as a user runs it
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run(
         [sys.executable, "-m", "schubert_fusion.cli", "relations", *argv],
@@ -141,6 +142,34 @@ def test_long_relation_series_exits_3(argv):
     assert not proc.stdout
     assert "resource cap" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+# Runs the CLI and prints its own peak RSS (ru_maxrss, KiB on Linux) last.
+_RSS_CHILD = """\
+import resource, sys
+from schubert_fusion.cli import main
+code = main(sys.argv[1:])
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize("weights", ["6,6,6,6", "3,3,3,3,3,3,3"])
+def test_over_budget_module_exits_3(weights):
+    # both are far below the dimension cap (1296 and 2187) and ran for
+    # 85-103 s in 1.4-1.5 GB before the wedge model had a block budget
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-c", _RSS_CHILD, "dim", weights],
+                          capture_output=True, text=True, env=env, timeout=60)
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 3
+    assert not proc.stdout
+    message, rss_kib = proc.stderr.splitlines()
+    assert message.startswith("resource cap: wedge model on")
+    assert "budget of 262144 blocks" in message
+    assert elapsed < 30
+    assert int(rss_kib) < 600 * 1024
 
 
 def test_cli_import_skips_dataclasses():

@@ -1,19 +1,17 @@
 """Wedge model sanity: signs, gradings, packed indices, and the current action."""
 
+import math
 import random
-from itertools import permutations, product
+from itertools import combinations, combinations_with_replacement, permutations, product
 
 import pytest
 
 from schubert_fusion import fock
 from schubert_fusion.fock import (
+    DimensionCapError,
     WedgeState,
-    _intern_block,
     apply_current,
-    bigrade,
-    block_ids,
     factor_groups,
-    pack_index,
     top_wedge,
 )
 
@@ -25,24 +23,29 @@ def only_term(state):
     return index, coeff
 
 
+def grade_of(state):
+    """The bigrade of a one-term state."""
+    return state.model.bigrade(only_term(state)[0])
+
+
 def test_top_wedge_single_particle():
     state = top_wedge((1,))
     index, coeff = only_term(state)
     assert coeff == 1
-    assert bigrade(index, 1) == (-1, 0)
+    assert state.model.bigrade(index) == (-1, 0)
 
 
 def test_top_wedge_shapes():
-    assert bigrade(only_term(top_wedge((2,)))[0], 1) == (-2, 1)
-    assert bigrade(only_term(top_wedge((3, 1)))[0], 2) == (-4, 3)
-    assert bigrade(only_term(top_wedge((2, 2, 1)))[0], 2) == (-5, 2)
+    assert grade_of(top_wedge((2,))) == (-2, 1)
+    assert grade_of(top_wedge((3, 1))) == (-4, 3)
+    assert grade_of(top_wedge((2, 2, 1))) == (-5, 2)
 
 
 def test_e0_on_single_v():
     state = apply_current(0, top_wedge((1,)))
     index, coeff = only_term(state)
     assert coeff == 1
-    assert bigrade(index, 1) == (1, 0)
+    assert state.model.bigrade(index) == (1, 0)
 
 
 def test_e1_on_two_wedge_and_nilpotence():
@@ -50,7 +53,7 @@ def test_e1_on_two_wedge_and_nilpotence():
     once = apply_current(1, top)
     index, coeff = only_term(once)
     # u_1 ^ v_1 reorders to -(v_1 ^ u_1)
-    assert bigrade(index, 1) == (0, 2)
+    assert once.model.bigrade(index) == (0, 2)
     assert coeff == -1
     assert not apply_current(1, once).coeffs
 
@@ -63,7 +66,8 @@ def test_mode_past_truncation_dies():
 def test_e_raises_weight_by_two():
     state = apply_current(0, top_wedge((3, 2)))
     for index in state.coeffs:
-        assert bigrade(index, 2) == (-3, 4)  # +2 weight, +0 energy over (-5, 4)
+        # +2 weight, +0 energy over (-5, 4)
+        assert state.model.bigrade(index) == (-3, 4)
 
 
 def particle_grade(monos):
@@ -72,19 +76,49 @@ def particle_grade(monos):
             sum(i for mono in monos for _, i in mono))
 
 
+# Masks and particle tuples: bit i of a truncation-m monomial is v_i and bit
+# m + i is u_i; the tuple lists the particles, every v before every u.
+
+def to_mask(mono):
+    m = len(mono)
+    return sum(1 << (i if kind == V else m + i) for kind, i in mono)
+
+
+def to_particles(mask):
+    m = mask.bit_count()
+    return (tuple((V, i) for i in range(m) if mask >> i & 1)
+            + tuple((U, i) for i in range(m) if mask >> (m + i) & 1))
+
+
+def test_mask_helpers_round_trip():
+    assert to_mask(((V, 0), (V, 1))) == 0b0011
+    assert to_mask(((V, 1), (U, 0))) == 0b0110
+    assert to_particles(0b1001) == ((V, 0), (U, 1))
+    for m in range(1, 5):
+        particles = [(V, i) for i in range(m)] + [(U, i) for i in range(m)]
+        for mono in combinations(particles, m):
+            assert to_particles(to_mask(mono)) == mono
+
+
+def intern_particles(model, monos) -> int:
+    """Intern a block given as particle tuples, one per factor."""
+    block = tuple(sorted(to_mask(mono) for mono in monos))
+    return model.intern(block, particle_grade(monos))
+
+
 def random_state(rng, shapes, terms=3):
     # canonical orbit-sum terms with random monomials: each factor's m
     # particles sorted (every v before every u), each block's monomials
     # sorted, so the state need not be reachable from a top wedge
-    out = WedgeState(shapes, {})
+    model = top_wedge(shapes).model
+    out = WedgeState(model, {})
     for _ in range(terms):
         bids = []
-        for m, count in factor_groups(shapes):
+        for m, count in model.groups:
             particles = [(V, i) for i in range(m)] + [(U, i) for i in range(m)]
-            block = tuple(sorted(tuple(sorted(rng.sample(particles, m)))
-                                 for _ in range(count)))
-            bids.append(_intern_block(block, particle_grade(block)))
-        out = out + WedgeState(shapes, {pack_index(bids): rng.randint(1, 5)})
+            monos = [tuple(sorted(rng.sample(particles, m))) for _ in range(count)]
+            bids.append(intern_particles(model, monos))
+        out = out + WedgeState(model, {model.pack_index(bids): rng.randint(1, 5)})
     return out
 
 
@@ -107,7 +141,7 @@ def test_block_scopes_add_up_to_the_whole_current():
             state = random_state(rng, shapes)
             for j in range(max(shapes) + 1):
                 whole = apply_current(j, state)
-                total = WedgeState(shapes, {})
+                total = WedgeState(state.model, {})
                 for g in blocks:
                     total = total + apply_current(j, state, blocks=(g,))
                 assert total.coeffs == whole.coeffs
@@ -118,7 +152,7 @@ def test_block_scopes_add_up_to_the_whole_current():
 def test_block_index_out_of_range_raises(bad):
     # top_wedge((3, 2)) has two blocks; -1 would shift past the top field
     state = top_wedge((3, 2))
-    assert len(factor_groups(state.shapes)) == 2
+    assert len(state.model.groups) == 2
     with pytest.raises(ValueError, match="block index"):
         apply_current(0, state, blocks=(bad,))
     with pytest.raises(ValueError, match="block index"):
@@ -141,14 +175,15 @@ def test_zero_factor_shapes_rejected():
 # An independent model of the same action: explicit particle tuples, one per
 # tensor factor, with every arrangement of an orbit sum spelled out, and
 # wedge signs found by sorting.  It shares no code with `fock` beyond reading
-# the block contents an index names.
+# the block contents an index names, decoded from masks to particle tuples.
 
 def explicit(state):
     """Expand orbit sums into {tuple of per-factor particle tuples: coeff}."""
-    count = len(factor_groups(state.shapes))
+    model = state.model
     out = {}
     for index, coeff in state.coeffs.items():
-        blocks = [fock._BLOCKS[b] for b in block_ids(index, count)]
+        blocks = [tuple(to_particles(mask) for mask in model.blocks[b])
+                  for b in model.block_ids(index)]
         for parts in product(*(set(permutations(block)) for block in blocks)):
             word = tuple(mono for part in parts for mono in part)
             assert word not in out
@@ -195,21 +230,50 @@ def block_factors(shapes, g):
 @pytest.mark.parametrize("shapes", [(3,), (2, 1), (4, 2), (3, 3, 1), (2, 2, 1, 1)])
 def test_current_matches_explicit_particle_model(shapes):
     rng = random.Random(str(shapes))
-    count = len(factor_groups(shapes))
     for _ in range(4):
         state = random_state(rng, shapes, terms=4)
+        model = state.model
         vec = explicit(state)
         for mode in range(max(shapes) + 1):
             image = apply_current(mode, state)
             assert (explicit(image)
                     == oracle_current(mode, shapes, vec, range(len(shapes))))
             for index in image.coeffs:  # grades carried through the moves
-                word = next(iter(explicit(WedgeState(shapes, {index: 1}))))
-                assert bigrade(index, count) == particle_grade(word)
-            for g in range(len(factor_groups(shapes))):
+                word = next(iter(explicit(WedgeState(model, {index: 1}))))
+                assert model.bigrade(index) == particle_grade(word)
+            for g in range(len(model.groups)):
                 assert (explicit(apply_current(mode, state, blocks=(g,)))
                         == oracle_current(mode, shapes, vec,
                                           block_factors(shapes, g)))
+
+
+def every_block(m, count):
+    """Every block of `count` factors of truncation m, as particle tuples."""
+    particles = [(V, i) for i in range(m)] + [(U, i) for i in range(m)]
+    return combinations_with_replacement(combinations(particles, m), count)
+
+
+@pytest.mark.parametrize("shapes", [(1,), (2,), (3,), (4,), (5,),
+                                    (1, 1), (2, 2), (3, 3)])
+def test_block_moves_match_the_particle_oracle(shapes):
+    # every one-factor block of truncation <= 5 and every two-factor block
+    # of truncation <= 3, under every mode below the truncation: the masks'
+    # XOR moves, popcount signs and multiplicities against sorted particles
+    m, count = shapes[0], len(shapes)
+    model = top_wedge(shapes).model
+    seen = 0
+    for monos in every_block(m, count):
+        state = WedgeState(model, {intern_particles(model, monos): 1})
+        vec = explicit(state)
+        for mode in range(m):
+            image = apply_current(mode, state)
+            assert explicit(image) == oracle_current(mode, shapes, vec,
+                                                     range(count))
+            for index in image.coeffs:
+                word = next(iter(explicit(WedgeState(model, {index: 1}))))
+                assert model.bigrade(index) == particle_grade(word)
+        seen += 1
+    assert seen == math.comb(math.comb(2 * m, m) + count - 1, count)
 
 
 def test_explicit_model_signs():
@@ -222,29 +286,50 @@ def test_explicit_model_signs():
 def test_index_order_is_block_tuple_order():
     rng = random.Random(5)
     shapes = (3, 3, 1)
-    count = len(factor_groups(shapes))
-    indices = list(random_state(rng, shapes, terms=40).coeffs)
-    top = (1 << fock._FIELD_BITS) - 1
+    state = random_state(rng, shapes, terms=40)
+    model = state.model
+    indices = list(state.coeffs)
+    top = (1 << model.bits) - 1
     for _ in range(200):  # ids across the whole field, edges included
         bids = [rng.choice((0, 1, top - 1, top, rng.randrange(top + 1)))
-                for _ in range(count)]
-        index = pack_index(bids)
-        assert block_ids(index, count) == tuple(bids)
+                for _ in model.groups]
+        index = model.pack_index(bids)
+        assert model.block_ids(index) == tuple(bids)
         indices.append(index)
     assert (sorted(indices)
-            == sorted(indices, key=lambda idx: block_ids(idx, count)))
+            == sorted(indices, key=lambda idx: model.block_ids(idx)))
 
 
 def test_block_id_past_its_field_is_refused(monkeypatch):
-    # a fresh table with 2-bit fields holds ids 0..3 and refuses a fifth block
-    monkeypatch.setattr(fock, "_FIELD_BITS", 2)
-    for table in ("_BLOCKS", "_BLOCK_GRADES"):
-        monkeypatch.setattr(fock, table, [])
-    for table in ("_BLOCK_IDS", "_MOVES"):
-        monkeypatch.setattr(fock, table, {})
+    # a budget of 4 blocks gives 2-bit fields: the model holds ids 0..3 and
+    # refuses a fifth block
+    monkeypatch.setattr(fock, "WEDGE_BLOCK_BUDGET", 4)
     state = top_wedge((3,))
+    model = state.model
+    assert (model.budget, model.bits) == (4, 2)
     state = apply_current(0, state)  # u_0, u_1, u_2 each replace one v
-    assert len(fock._BLOCKS) == 4
-    with pytest.raises(OverflowError, match="no longer fit"):
+    assert len(model.blocks) == 4
+    with pytest.raises(DimensionCapError, match="budget of 4 blocks"):
         apply_current(0, state)
-    assert len(fock._BLOCKS) == len(fock._BLOCK_GRADES) == len(fock._BLOCK_IDS) == 4
+    assert len(model.blocks) == len(model.grades) == 4
+
+
+def test_default_budget_gives_18_bit_fields():
+    model = top_wedge((2,)).model
+    assert model.budget == fock.WEDGE_BLOCK_BUDGET == 2 ** 18
+    assert model.bits == 18
+
+
+def test_top_wedges_make_distinct_models():
+    first, second = top_wedge((3, 2)), top_wedge((3, 2))
+    assert first.model is not second.model
+    assert first.coeffs == second.coeffs
+    assert (first + first).coeffs == {only_term(first)[0]: 2}
+    with pytest.raises(ValueError, match="different wedge models"):
+        first + second
+    # images keep their model, and the two models share no table
+    image = apply_current(0, first)
+    assert image.model is first.model
+    assert len(first.model.blocks) > len(second.model.blocks) == 2  # the top blocks
+    with pytest.raises(ValueError, match="different wedge models"):
+        image + apply_current(0, second)

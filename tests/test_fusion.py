@@ -4,6 +4,7 @@ import gc
 import math
 import sys
 import time
+import weakref
 from collections import Counter, deque
 from contextlib import contextmanager
 from functools import lru_cache
@@ -95,6 +96,38 @@ def test_dimension_cap(monkeypatch):
         _build_module_cached.__wrapped__((2, 2, 2))
 
 
+def test_block_budget_is_read_at_call_time(monkeypatch):
+    # (2, 3, 4) interns 21 blocks: within a budget of 32, past one of 16;
+    # the kernel at the first pair of (2, 4, 4) interns 18
+    monkeypatch.setattr(fock, "WEDGE_BLOCK_BUDGET", 32)
+    assert _build_module_cached.__wrapped__((2, 3, 4)).dimension == 24
+    monkeypatch.setattr(fock, "WEDGE_BLOCK_BUDGET", 16)
+    _build_module_cached.cache_clear()
+    with pytest.raises(DimensionCapError, match="budget of 16 blocks"):
+        build_module((2, 3, 4))
+    with pytest.raises(DimensionCapError, match="budget of 16 blocks"):
+        build_submodule((2, 4, 4), 1)
+
+
+def test_closures_drop_their_wedge_models(monkeypatch):
+    # FusionModule and SubmoduleS keep results only: each closure's model
+    # (its interned blocks and moves) is freed when the closure returns
+    refs = []
+
+    def recording(shapes):
+        state = fock.top_wedge(shapes)
+        refs.append(weakref.ref(state.model))
+        return state
+
+    monkeypatch.setattr(fusion, "top_wedge", recording)
+    _build_module_cached.cache_clear()
+    assert build_module((2, 3, 4)).dimension == 24
+    assert build_submodule((2, 3, 5), 1).dimension > 0
+    assert check_relations(3, 2).ok
+    assert len(refs) == 3
+    assert all(ref() is None for ref in refs)
+
+
 def test_relations_small():
     assert check_relations(1, 2).ok
     assert check_relations(2, 2).ok
@@ -107,15 +140,11 @@ def test_relations_within_the_particle_cap():
     assert check_relations(10, 4).ok
 
 
-def test_relations_stop_at_the_span_cap(monkeypatch):
+def test_relations_stop_at_the_span_cap():
     # ran past a minute uncapped; with a million particles in all it stops
-    # within seconds.  Fresh intern tables keep its blocks out of the rest
-    # of the session.  The default cap on `relations 1000 1`, whose blocks
-    # hold 1000 particles each, runs in a fresh process in test_cli.
-    for table in ("_BLOCKS", "_BLOCK_GRADES"):
-        monkeypatch.setattr(fock, table, [])
-    for table in ("_BLOCK_IDS", "_MOVES"):
-        monkeypatch.setattr(fock, table, {})
+    # within seconds.  Its blocks die with its wedge model.  The default cap
+    # on `relations 1000 1`, whose blocks hold 1000 particles each, runs in
+    # a fresh process in test_cli.
     start = time.perf_counter()
     with pytest.raises(DimensionCapError, match="cap of 1000000 particles"):
         check_relations(20, 4)
@@ -239,7 +268,7 @@ def _fifo_closure_oracle(seeds, operators) -> SpanBasis:
     for seed in seeds:
         row = basis.insert_reduced(seed.coeffs) if seed.coeffs else None
         if row is not None:
-            queue.append(WedgeState(seed.shapes, row))
+            queue.append(WedgeState(seed.model, row))
     while queue:
         state = queue.popleft()
         for op in operators:
@@ -248,7 +277,7 @@ def _fifo_closure_oracle(seeds, operators) -> SpanBasis:
                 continue
             row = basis.insert_reduced(image.coeffs)
             if row is not None:
-                queue.append(WedgeState(image.shapes, row))
+                queue.append(WedgeState(image.model, row))
     return basis
 
 

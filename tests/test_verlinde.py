@@ -134,6 +134,23 @@ def test_stabilization_report():
         assert table[0][max(table[0])] == 1
 
 
+def test_stabilization_tables_are_read_only():
+    report = character_stabilization((1,), 2, 1)
+    assert report.tables[0][0] == {-1: 1, 1: 1}
+    with pytest.raises(TypeError):
+        report.tables[0][0][1] = 99
+    with pytest.raises(TypeError):
+        report.tables[0][0] = {}
+    assert report.tables[0][0] == {-1: 1, 1: 1}
+    # _replace goes through __new__ and freezes new tables too
+    replaced = report._replace(tables=({0: {1: 2}},))
+    with pytest.raises(TypeError):
+        replaced.tables[0][0][1] = 99
+    # like FusionModule, a report is not hashable
+    with pytest.raises(TypeError):
+        hash(report)
+
+
 def test_stabilization_needs_two_tables():
     with pytest.raises(ValueError):
         character_stabilization((1,), 0, 2)
