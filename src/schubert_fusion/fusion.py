@@ -340,27 +340,32 @@ def check_relations(truncation: int, max_power: int) -> RelationReport:
     The generating series e(z) = e_{n-1} + z e_{n-2} + ... + z^{n-1} e_0 is
     raised to the i-th power on the top wedge of shape (n,); the coefficient
     of z^k must vanish for every k < n (i - 1), i.e. the i-th power is
-    divisible by z^{n (i - 1)}.  Raises DimensionCapError once the images
-    have carried more than RELATION_PARTICLE_CAP particles (terms times n).
+    divisible by z^{n (i - 1)}.  Raises DimensionCapError once more than
+    RELATION_PARTICLE_CAP particles are charged: n for each power, also
+    after the series has vanished, and n for each term of every image.
     """
     n = truncation
     if not isinstance(n, int) or n < 1:
         raise ValueError("truncation must be a positive integer")
     if max_power < 1:
         raise ValueError("max power must be at least 1")
+    cap = RELATION_PARTICLE_CAP
+    over_cap = (f"relation series on truncation {n} produced more "
+                f"than the cap of {cap} particles")
     series = {0: top_wedge((n,))}
     checks = []
-    produced = 0  # particles of every image so far: the work done, bounded by the cap
+    produced = 0  # particles charged so far: the work done, bounded by the cap
     for i in range(1, max_power + 1):
+        produced += n  # the power's RelationCheck
+        if produced > cap:
+            raise DimensionCapError(over_cap)
         out = {}
         for deg, state in series.items():
             for k in range(n):
                 image = apply_current(n - 1 - k, state)
                 produced += n * len(image.coeffs)
-                if produced > RELATION_PARTICLE_CAP:
-                    raise DimensionCapError(
-                        f"relation series on truncation {n} produced more "
-                        f"than the cap of {RELATION_PARTICLE_CAP} particles")
+                if produced > cap:
+                    raise DimensionCapError(over_cap)
                 if image.coeffs:
                     key = deg + k
                     out[key] = out[key] + image if key in out else image

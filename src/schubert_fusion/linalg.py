@@ -1,8 +1,7 @@
 """Exact sparse linear algebra with fraction-free integer rows.
 
 Vectors are plain dicts mapping indices to nonzero int coefficients (the
-closure's wedge rows, the flag model's unit vectors and its integer-cleared
-translates).
+closure's wedge rows, the flag model's unit vectors and its translates).
 Indices may be any hashable, totally ordered values; in practice they are
 ints (the closure's packed wedge indices, one int per orbit-sum monomial,
 and the flag model's coordinate labels).  A SpanBasis maintains the span
@@ -19,7 +18,9 @@ floats anywhere.
 
 from __future__ import annotations
 
-from fractions import Fraction as rational  # the group parameters' scalar type
+# No module of the package uses `rational`: it stays while perfbench/worker.py
+# --probe reads `rational.__module__` as the name of the arithmetic backend.
+from fractions import Fraction as rational
 from heapq import heapify, heappop, heappush
 from math import gcd
 

@@ -15,12 +15,9 @@ is t-stable with the prescribed codimension profile and each step absorbs
 the matching power of t.
 
 The flag model's arithmetic runs on Python ints: chains are spanned by int
-rows, and `Fraction` appears only in the group parameters z and in the
-entries of a `GroupElement`.  `_cleared` is the one place that clears those
-entries of denominators: `GroupElement` checks its determinant on the
-cleared ints and `group_act` acts by them.  `random_group_element` never
-forms a `Fraction` product: it runs column operations on int numerators
-over one common denominator and builds a single `GroupElement` at the end.
+rows, and a `GroupElement` stores int numerators over one common
+denominator, the form that `group_act` acts by and that
+`random_group_element` builds by column operations.
 """
 
 from __future__ import annotations
@@ -29,7 +26,7 @@ import math
 import random
 from collections import namedtuple
 
-from .linalg import SpanBasis, rational
+from .linalg import SpanBasis
 from .types import (Composition, _Validated, leq, poincare, type_of,
                     weakly_increasing)
 
@@ -274,54 +271,46 @@ def _poly_add(p, q):
     return tuple(a + b for a, b in zip(p, q))
 
 
-def _cleared(polys) -> tuple:
-    """(D, int polys): D the lcm of the denominators, each poly times D.
-
-    The one place where rational entries become ints; an entry that is not
-    an int or a `Fraction` raises TypeError.
-    """
-    try:
-        den = math.lcm(*(c.denominator for poly in polys for c in poly))
-    except AttributeError:
-        raise TypeError("group element entries must be ints or Fractions") from None
-    return den, tuple(
-        tuple(c.numerator * (den // c.denominator) for c in poly) for poly in polys
-    )
-
-
 class GroupElement(_Validated,
-                   namedtuple("GroupElement", "truncation vv vu uv uu")):
+                   namedtuple("GroupElement", "truncation den vv vu uv uu")):
     """2x2 matrix over Q[t]/t^n with determinant 1, acting on the flag space.
 
     Rows are (vv, vu) and (uv, uu): the image of a pure v-vector has
     v-component vv and u-component uv, matching e.v = u for the raising
-    generator.  Each entry is a tuple of n rational coefficients (ints or
-    `Fraction`s) of 1, t, ..., t^{n-1}.  The determinant is checked on ints:
-    with D the common denominator from `_cleared`, det(D g) must be D^2.
+    generator.  Each entry is a tuple of n int coefficients of 1, t, ...,
+    t^{n-1}, the numerators over the common denominator `den` > 0.  The
+    record is kept in lowest terms, so equal elements are equal records,
+    and the determinant is checked on ints: det(den g) must be den^2.
     """
 
     __slots__ = ()
 
-    def __new__(cls, truncation, vv, vu, uv, uu):
+    def __new__(cls, truncation, den, vv, vu, uv, uu):
         n = truncation
-        vv, vu, uv, uu = tuple(vv), tuple(vu), tuple(uv), tuple(uu)
-        for entry in (vv, vu, uv, uu):
+        entries = tuple(tuple(entry) for entry in (vv, vu, uv, uu))
+        for entry in entries:
             if len(entry) != n:
                 raise ValueError("matrix entries must be length-n coefficient tuples")
-        den, (ivv, ivu, iuv, iuu) = _cleared((vv, vu, uv, uu))
+            if not all(isinstance(c, int) for c in entry):
+                raise TypeError("group element entries must be ints")
+        if not isinstance(den, int) or den < 1:
+            raise ValueError(f"den must be a positive integer, got {den!r}")
+        common = math.gcd(den, *(c for entry in entries for c in entry))
+        den = den // common
+        vv, vu, uv, uu = (tuple(c // common for c in entry) for entry in entries)
         det = tuple(
-            a - b for a, b in zip(_poly_mul(ivv, iuu, n), _poly_mul(ivu, iuv, n))
+            a - b for a, b in zip(_poly_mul(vv, uu, n), _poly_mul(vu, uv, n))
         )
         if det != (den * den,) + (0,) * (n - 1):
             raise ValueError("group element must have determinant 1")
-        return super().__new__(cls, n, vv, vu, uv, uu)
+        return super().__new__(cls, n, den, vv, vu, uv, uu)
 
     def __matmul__(self, other: "GroupElement") -> "GroupElement":
         if self.truncation != other.truncation:
             raise ValueError("cannot compose elements over different truncations")
         n = self.truncation
         return GroupElement(
-            n,
+            n, self.den * other.den,
             _poly_add(_poly_mul(self.vv, other.vv, n), _poly_mul(self.vu, other.uv, n)),
             _poly_add(_poly_mul(self.vv, other.vu, n), _poly_mul(self.vu, other.uu, n)),
             _poly_add(_poly_mul(self.uv, other.vv, n), _poly_mul(self.uu, other.uv, n)),
@@ -358,19 +347,27 @@ def _image(vec, n, v_terms, u_terms):
 def identity_element(n: int) -> GroupElement:
     one = (1,) + (0,) * (n - 1)
     zero = (0,) * n
-    return GroupElement(n, one, zero, zero, one)
+    return GroupElement(n, 1, one, zero, zero, one)
 
 
 def _one_param(n, mode, z, lowering):
-    """exp(z x t^mode) for the nilpotent raising or lowering generator."""
+    """exp(z x t^mode) for the nilpotent raising or lowering generator.
+
+    z is read as z.numerator / z.denominator, so it is an int or a
+    quotient of ints; a float has neither and raises TypeError.
+    """
     if not 0 <= mode < n:
         raise ValueError(f"mode must lie in 0..{n - 1}")
-    one = (1,) + (0,) * (n - 1)
+    try:
+        p, q = z.numerator, z.denominator
+    except AttributeError:
+        raise TypeError(f"z must be an int or a quotient of ints, got {z!r}") from None
+    one = (q,) + (0,) * (n - 1)
     zero = (0,) * n
-    ztm = tuple(z if k == mode else 0 for k in range(n))
+    ztm = tuple(p if k == mode else 0 for k in range(n))
     if lowering:
-        return GroupElement(n, one, ztm, zero, one)
-    return GroupElement(n, one, zero, ztm, one)
+        return GroupElement(n, q, one, ztm, zero, one)
+    return GroupElement(n, q, one, zero, ztm, one)
 
 
 def exp_raising(n: int, mode: int, z) -> GroupElement:
@@ -388,11 +385,11 @@ def random_group_element(n: int, rng: random.Random, length: int = 4) -> GroupEl
     then lowering or raising with even odds; the same draws, multiplied
     left to right, give the same element as folding `@` over `exp_lowering`
     and `exp_raising` from the identity.  The product is built on int
-    numerators over one common denominator D: right-multiplying by a factor
+    numerators over one common denominator den: right-multiplying by a factor
     is a column operation, which scales every entry by q and adds p t^mode
     times one column into the other (the v column into the u column for
     lowering, the u column into the v column for raising).  Only the result
-    is turned into `Fraction`s and validated.
+    is validated and reduced to lowest terms.
     """
     # columns: (vv, uv) is the image of v, (vu, uu) the image of u
     v_col = ([1] + [0] * (n - 1), [0] * n)
@@ -402,7 +399,7 @@ def random_group_element(n: int, rng: random.Random, length: int = 4) -> GroupEl
         p, q = rng.randint(-6, 6), rng.randint(1, 4)
         mode = rng.randrange(n)
         source, target = (v_col, u_col) if rng.random() < 0.5 else (u_col, v_col)
-        # over the new denominator D q: dst -> q dst + p t^mode src and
+        # over the new denominator den q: dst -> q dst + p t^mode src and
         # src -> q src, for the v and the u component of both columns
         den *= q
         for src, dst in zip(source, target):
@@ -410,26 +407,23 @@ def random_group_element(n: int, rng: random.Random, length: int = 4) -> GroupEl
             dst[:] = [q * a + p * b for a, b in zip(dst, shifted)]
             src[:] = [q * a for a in src]
     (vv, uv), (vu, uu) = v_col, u_col
-    return GroupElement(n, *(tuple(rational(c, den) for c in poly)
-                             for poly in (vv, vu, uv, uu)))
+    return GroupElement(n, den, vv, vu, uv, uu)
 
 
 def group_act(element: GroupElement, chain: FlagChain) -> FlagChain:
     """Transform every subspace of the chain by the group element.
 
-    The element's entries are cleared of denominators once per call by
-    `_cleared`: with D their common denominator, the int matrix D g maps
+    It acts by the element's int numerators, the matrix den g: that maps
     every subspace onto the same span as g, and the chain's rows are ints,
     so every image is an int vector.  A subspace's rows follow the vectors
     inserted into it and their order, up to scale; those are the same for
-    g and D g, so the result is the same as acting by g itself.
+    g and den g, so the result is the same as acting by g itself.
     """
     n = chain.truncation
     if element.truncation != n:
         raise ValueError("group element truncation must match the chain")
-    _, (vv, vu, uv, uu) = _cleared(
-        (element.vv, element.vu, element.uv, element.uu))
-    v_terms, u_terms = _column_terms(vv, uv), _column_terms(vu, uu)
+    v_terms = _column_terms(element.vv, element.uv)
+    u_terms = _column_terms(element.vu, element.uu)
     new_spaces = []
     for space in chain.subspaces:
         basis = SpanBasis()

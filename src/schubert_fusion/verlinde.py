@@ -236,8 +236,9 @@ def character_stabilization(bundle, i_max: int, deg_max: int,
     to i_max 15 the steps hold 3037 strata, 582 of them distinct; to i_max
     40 the chain takes 1.0 s and (1,) to i_max 60 takes 10-13 s with a
     1.2 GB peak (6.6 s and 86 s when each step was peeled alone; 2-vCPU VM,
-    Python 3.11.7).  The cap bounds
-    every step's dimension and is checked for all steps before any peeling.
+    Python 3.11.7).  The cap bounds every step's dimension and is checked
+    for all steps before any peeling; the steps are built one at a time, so
+    the first step over it raises before any later one is built.
     """
     bundle = weakly_increasing(bundle, minimum=0)
     if not isinstance(i_max, int) or i_max < 1:
@@ -245,7 +246,7 @@ def character_stabilization(bundle, i_max: int, deg_max: int,
                          "compares at least two tables")
     if not isinstance(deg_max, int) or deg_max < 0:
         raise ValueError("deg_max must be a nonnegative integer")
-    chain = [grassmannian_weights(bundle, i) for i in range(i_max + 1)]
+    chain = (grassmannian_weights(bundle, i) for i in range(i_max + 1))
     tables, dims = zip(*_top_strata(chain, deg_max, cap))
     stable_from = None
     for i in range(i_max, 0, -1):

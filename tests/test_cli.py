@@ -172,6 +172,28 @@ def test_over_budget_module_exits_3(weights):
     assert int(rss_kib) < 600 * 1024
 
 
+@pytest.mark.parametrize("argv, seconds, mib", [
+    # each power past the vanishing one still costs a RelationCheck: this
+    # ran for 16 s to a 1.5 GB peak before every power was charged
+    (("relations", "1", "3000000"), 15, 400),
+    # the chain is built step by step, so the first step over the cap
+    # stops it before the later, ever longer steps are built
+    (("stabilize", "1", "100000", "3"), 10, 200),
+], ids=["relations", "stabilize"])
+def test_long_input_exits_3(argv, seconds, mib):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-c", _RSS_CHILD, *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 3
+    assert not proc.stdout
+    message, rss_kib = proc.stderr.splitlines()
+    assert message.startswith("resource cap: ")
+    assert elapsed < seconds
+    assert int(rss_kib) < mib * 1024
+
+
 def test_cli_import_skips_dataclasses():
     # importing dataclasses pulls in inspect, ast and dis, and its decorator
     # builds each class with exec: together most of a CLI call's import

@@ -160,6 +160,12 @@ def test_relations_read_the_cap_at_call_time(monkeypatch):
     monkeypatch.setattr(fusion, "RELATION_PARTICLE_CAP", 1000)
     with pytest.raises(DimensionCapError, match="truncation 1000"):
         check_relations(1000, 1)
+    # every power costs n particles, also once e(z)^i has vanished: on
+    # truncation 1 the first power charges 1 + 1 and every later one 1
+    monkeypatch.setattr(fusion, "RELATION_PARTICLE_CAP", 5)
+    assert check_relations(1, 4).ok
+    with pytest.raises(DimensionCapError, match="cap of 5 particles"):
+        check_relations(1, 5)
 
 
 def test_relations_report_shape():

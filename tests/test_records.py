@@ -85,11 +85,11 @@ def test_validated_records_keep_tuples():
     with pytest.raises(ValueError, match="length level"):
         verlinde.FusionRingElement(1, iter((1,)))
     one, zero = iter((1, 0)), iter((0, 0))
-    g = schubert.GroupElement(2, one, zero, [0, 0], [1, 0])
+    g = schubert.GroupElement(2, 1, one, zero, [0, 0], [1, 0])
     assert g == schubert.identity_element(2)
     assert hash(g) == hash(schubert.identity_element(2))
     with pytest.raises(ValueError, match="determinant 1"):
-        schubert.GroupElement(2, iter((1, 0)), (0, 0), (0, 0), [2, 0])
+        schubert.GroupElement(2, 1, iter((1, 0)), (0, 0), (0, 0), [2, 0])
 
 
 @pytest.mark.parametrize("build", [
@@ -98,7 +98,7 @@ def test_validated_records_keep_tuples():
     lambda: types.PoincarePolynomial((1,))._replace(even_coeffs=(1, 0)),
     lambda: types.PoincarePolynomial._make([[]]),
     lambda: schubert.identity_element(2)._replace(vv=(2, 0)),
-    lambda: schubert.GroupElement._make((1, (1,), (0,), (0,), (2,))),
+    lambda: schubert.GroupElement._make((1, 1, (1,), (0,), (0,), (2,))),
     lambda: verlinde.FusionRingElement(1, (1, 0))._replace(level=2),
     lambda: verlinde.FusionRingElement._make((1, (1, -1))),
 ], ids=["Composition._replace", "Composition._make",

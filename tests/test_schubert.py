@@ -3,10 +3,10 @@
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
-from schubert_fusion.linalg import rational
 from schubert_fusion.schubert import (
     FlagChain,
     GroupElement,
@@ -205,7 +205,7 @@ def test_identity_action_fixes_chain():
 
 def test_exp_raising_moves_within_variety():
     n = 3
-    g = exp_raising(n, 0, rational(1, 2))
+    g = exp_raising(n, 0, Fraction(1, 2))
     chain = group_act(g, canonical_flag(comp(n)))
     assert flag_membership(chain, comp(n))
     # W_1 becomes span(v_i + z u_i): no longer coordinate-pivoted on v only
@@ -215,15 +215,35 @@ def test_exp_raising_moves_within_variety():
 def test_group_element_validation():
     n = 2
     with pytest.raises(ValueError):
-        GroupElement(n, (rational(2), 0), (0, 0), (0, 0), (rational(1), 0))
-    # det = 1 + t/2: the cleared determinant is 4 + 2t, not D^2 = 4
+        GroupElement(n, 1, (2, 0), (0, 0), (0, 0), (1, 0))
+    # det = 1 + t/2: over den 2 the determinant of den g is 4 + 2t, not 4
     with pytest.raises(ValueError, match="determinant 1"):
-        GroupElement(n, (1, rational(1, 2)), (0, 0), (0, 0), (1, 0))
-    g = GroupElement(n, (2, 0), (0, 0), (0, 0), (rational(1, 2), 0))
-    assert g @ GroupElement(n, (rational(1, 2), 0), (0, 0), (0, 0), (2, 0)) \
+        GroupElement(n, 2, (2, 1), (0, 0), (0, 0), (2, 0))
+    # the diagonal entries 2 and 1/2
+    g = GroupElement(n, 2, (4, 0), (0, 0), (0, 0), (1, 0))
+    assert g @ GroupElement(n, 2, (1, 0), (0, 0), (0, 0), (4, 0)) \
         == identity_element(n)
-    with pytest.raises(TypeError, match="ints or Fractions"):
-        GroupElement(n, (1.0, 0), (0, 0), (0, 0), (1, 0))
+    with pytest.raises(TypeError, match="must be ints"):
+        GroupElement(n, 1, (1.0, 0), (0, 0), (0, 0), (1, 0))
+    with pytest.raises(TypeError, match="must be ints"):
+        GroupElement(n, 1, (Fraction(1), 0), (0, 0), (0, 0), (1, 0))
+    with pytest.raises(TypeError, match="z must be an int"):
+        exp_raising(n, 0, 0.5)
+
+
+def test_group_element_is_kept_in_lowest_terms():
+    g = GroupElement(2, 2, (2, 0), (0, 0), (0, 0), (2, 0))
+    assert g == identity_element(2) and hash(g) == hash(identity_element(2))
+    assert g.den == 1 and g.vv == (1, 0)
+    half = exp_raising(2, 1, Fraction(1, 2))
+    assert (half @ half).den == 1 and half @ half == exp_raising(2, 1, 1)
+    for den in (0, -1, 1.0):
+        with pytest.raises(ValueError, match="den must be a positive integer"):
+            GroupElement(2, den, (1, 0), (0, 0), (0, 0), (1, 0))
+    g = random_group_element(8, random.Random(0))
+    entries = [c for entry in (g.vv, g.vu, g.uv, g.uu) for c in entry]
+    assert type(g.den) is int and all(type(c) is int for c in entries)
+    assert math.gcd(g.den, *entries) == 1
 
 
 # The product that random_group_element's column operations replaced,
@@ -231,7 +251,7 @@ def test_group_element_validation():
 def _random_group_element_oracle(n, rng, length=4):
     g = identity_element(n)
     for _ in range(length):
-        z = rational(rng.randint(-6, 6), rng.randint(1, 4))
+        z = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
         mode = rng.randrange(n)
         factor = exp_lowering(n, mode, z) if rng.random() < 0.5 else exp_raising(n, mode, z)
         g = g @ factor
@@ -275,8 +295,8 @@ def test_random_group_action_preserves_membership():
 
 def test_raising_lowering_do_not_commute():
     n = 2
-    g = exp_raising(n, 0, rational(1))
-    h = exp_lowering(n, 0, rational(1))
+    g = exp_raising(n, 0, Fraction(1))
+    h = exp_lowering(n, 0, Fraction(1))
     assert (g @ h).vv != (h @ g).vv
 
 
@@ -296,30 +316,39 @@ def _fraction_poly_mul_oracle(p, q, n):
     return tuple(out)
 
 
+def _fractions(element):
+    """The entries of the element itself: numerators over its den."""
+    return tuple(tuple(Fraction(c, element.den) for c in entry)
+                 for entry in (element.vv, element.vu, element.uv, element.uu))
+
+
 def _fraction_product_oracle(g, h):
     n = g.truncation
+    g_vv, g_vu, g_uv, g_uu = _fractions(g)
+    h_vv, h_vu, h_uv, h_uu = _fractions(h)
 
     def entry(a, b, c, d):
         return tuple(x + y for x, y in zip(_fraction_poly_mul_oracle(a, b, n),
                                            _fraction_poly_mul_oracle(c, d, n)))
 
-    return (entry(g.vv, h.vv, g.vu, h.uv), entry(g.vv, h.vu, g.vu, h.uu),
-            entry(g.uv, h.vv, g.uu, h.uv), entry(g.uv, h.vu, g.uu, h.uu))
+    return (entry(g_vv, h_vv, g_vu, h_uv), entry(g_vv, h_vu, g_vu, h_uu),
+            entry(g_uv, h_vv, g_uu, h_uv), entry(g_uv, h_vu, g_uu, h_uu))
 
 
 def _fraction_group_act_oracle(element, chain):
     n = chain.truncation
+    vv, vu, uv, uu = _fractions(element)
     new_spaces = []
     for space in chain.subspaces:
         basis = SpanBasis()
         for row in space.row_vectors():
             image = {}
             for coord, val in row.items():
-                val = rational(val)
+                val = Fraction(val)
                 if coord < n:
-                    mode, pairs = coord, ((0, element.vv), (n, element.uv))
+                    mode, pairs = coord, ((0, vv), (n, uv))
                 else:
-                    mode, pairs = coord - n, ((0, element.vu), (n, element.uu))
+                    mode, pairs = coord - n, ((0, vu), (n, uu))
                 for base, poly in pairs:
                     for k, coeff in enumerate(poly):
                         if not coeff or mode + k >= n:
@@ -354,7 +383,7 @@ def test_group_act_matches_fraction_oracle_on_random_elements():
                                   _fraction_group_act_oracle(g, flag))
 
 
-@pytest.mark.parametrize("z", [rational(1, 2), rational(-3, 4), rational(0)],
+@pytest.mark.parametrize("z", [Fraction(1, 2), Fraction(-3, 4), Fraction(0)],
                          ids=str)
 def test_group_act_matches_fraction_oracle_on_one_parameter_elements(z):
     # lowering fixes a canonical flag (it holds every v), so act on a
@@ -378,12 +407,12 @@ def test_group_product_matches_fraction_oracle():
             g = random_group_element(n, rng)
             h = random_group_element(n, rng)
             gh = g @ h
-            assert (gh.vv, gh.vu, gh.uv, gh.uu) == _fraction_product_oracle(g, h)
+            assert _fractions(gh) == _fraction_product_oracle(g, h)
 
 
 def test_flag_model_runs_on_ints(monkeypatch):
     # the flag model hands SpanBasis int vectors only: unit vectors, their
-    # t-shifts, and the images of int rows under the cleared matrix D g
+    # t-shifts, and the images of int rows under the int matrix den g
     seen = []
     insert, contains = SpanBasis.insert, SpanBasis.contains
 

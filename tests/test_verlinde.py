@@ -6,7 +6,7 @@ from itertools import combinations_with_replacement
 
 import pytest
 
-from schubert_fusion import fusion
+from schubert_fusion import fusion, verlinde
 from schubert_fusion.fusion import DimensionCapError, character_recursive
 from schubert_fusion.verlinde import (
     FusionRingElement,
@@ -222,11 +222,19 @@ def test_stabilization_cap_names_the_first_step_over_it(monkeypatch):
     def no_peeling(targets, read):
         raise AssertionError("peeled before the cap check")
 
+    def recording_weights(bundle, steps):
+        built.append(steps)
+        return grassmannian_weights(bundle, steps)
+
+    built = []
     monkeypatch.setattr(fusion, "_peel_packed", no_peeling)
+    monkeypatch.setattr(verlinde, "grassmannian_weights", recording_weights)
     with pytest.raises(DimensionCapError) as info:
         character_stabilization((1, 1, 2), 6, 3, cap=10 ** 4)
     assert str(info.value) == \
         f"character of {first} would exceed the cap of 10000"
+    # the steps after the first one over the cap are never built
+    assert built == [0, 1, 2, 3, 4]
 
 
 @pytest.mark.quarantined_numerics
