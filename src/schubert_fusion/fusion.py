@@ -26,7 +26,8 @@ shift and an add; the strata are walked with an explicit stack, and
 nothing is kept between calls.  One call can peel several targets, the
 steps of a stabilization chain: they share one memo, dropping each stratum
 after its last user, and one packed layout, sized by the largest target;
-each target is read out as soon as it is packed.
+each target is read out as soon as it is packed.  A caller that reads only
+the top energy rows of each target has only those rows packed.
 """
 
 from __future__ import annotations
@@ -151,12 +152,16 @@ def character(weights) -> dict:
     return dict(build_module(weights).character)
 
 
-def _peel_packed(targets, read) -> list:
+def _peel_packed(targets, read, depth=None) -> list:
     """read(packed, top, field) for each target, in order.
 
     Each target is read out as soon as it is packed and its packed int is
     dropped once no later stratum uses it, so a long chain never holds all
-    its steps at once.
+    its steps at once.  With a `depth`, only the energy rows top - depth ..
+    top of each target are packed (top its highest energy, the range
+    clipped at 0): `packed` holds them from its lowest row up, and read is
+    called as read(packed, top, field, total), `total` the sum of all the
+    target's multiplicities.
     """
     # Peel the smallest weight: the span decomposes against the kernel of
     # the surjection that shuffles (a_1, a_2) to (a_1 - 1, a_2 + 1).  The
@@ -188,24 +193,31 @@ def _peel_packed(targets, read) -> list:
     field = 8 * -(-largest.bit_length() // 8)  # whole bytes
     row = (top + 1) * field
     # Plan first: a depth-first walk on an explicit stack lists every
-    # stratum after its quotient and kernel, target by target, and `ends`
-    # marks where each target's new strata end.  Then pack in that order,
-    # read each target out as soon as its strata are packed, and drop each
-    # stratum once its last user (a later stratum, or the read-out of a
-    # target) is done.
-    plan, order, ends = {}, [], []
+    # stratum after its quotient and kernel, target by target, each
+    # target's new strata in a batch of their own.  Then pack in that
+    # order, read each target out as soon as its strata are packed, and
+    # drop each stratum once its last user (a later stratum, or the
+    # read-out of a target) is done.  With a depth, `_windows` first turns
+    # the plan into one over windows, strata packed only from a floor up,
+    # and the same loop packs those.  Cutting off the rows below a floor
+    # is exact, since no field carries into the next.  A stratum that its
+    # users ask for two floors is packed once at each, so every step stays
+    # one shift and one add with no shift down, and a full read runs the
+    # same loop with no pass of its own.  A window's fields do not sum to
+    # its stratum's total, so the totals are summed alongside as ints.
+    plan, batches = {}, []
     for target in targets:
-        stack = [(target, False)]
+        batch, stack = [], [(target, False)]
         while stack:
             cur, done = stack.pop()
             if done:
-                order.append(cur)
+                batch.append(cur)
                 continue
             if cur in plan:
                 continue
             if len(cur) <= 1:
                 plan[cur] = None
-                order.append(cur)
+                batch.append(cur)
                 continue
             a1, a2 = cur[0], cur[1]
             rest = list(cur[2:])
@@ -214,13 +226,22 @@ def _peel_packed(targets, read) -> list:
             quotient = ((a1 - 1,) if a1 > 2 else ()) + tuple(rest)
             plan[cur] = (quotient, kernel, (a1 - 1) * (len(cur) - 1) * row)
             stack += ((cur, True), (quotient, False), (kernel, False))
-        ends.append(len(order))
+        batches.append(batch)
+    if depth is None:
+        keys, extras = targets, [()] * len(targets)
+    else:
+        plan, batches, keys, extras = _windows(plan, batches, targets,
+                                               depth * row)
     users = Counter(child for step in plan.values() if step
                     for child in step[:2])
-    users.update(targets)
-    memo, reads, start = {}, [], 0
-    for target, end in zip(targets, ends):
-        for cur in order[start:end]:
+    users.update(keys)
+    # None stands for a child that adds no row above its user's floor: it
+    # packs to 0, and with no count of users to start from its count only
+    # falls below 0, so it is never deleted
+    del users[None]
+    memo, reads = {None: 0}, []
+    for key, batch, extra in zip(keys, batches, extras):
+        for cur in batch:
             step = plan[cur]
             if step is None:  # a string of m weights; () is the string (1,)
                 m = cur[0] if cur else 1
@@ -233,12 +254,73 @@ def _peel_packed(targets, read) -> list:
                 users[child] -= 1
                 if not users[child]:
                     del memo[child]
-        start = end
-        reads.append(read(memo[target], top, field))
-        users[target] -= 1
-        if not users[target]:
-            del memo[target]
+        reads.append(read(memo[key], top, field, *extra))
+        users[key] -= 1
+        if not users[key]:
+            del memo[key]
     return reads
+
+
+def _windows(plan, batches, targets, span):
+    """Steps and batches that pack only the energy rows within `span` of
+    each target's top, each target's key and its total as a 1-tuple.
+
+    A window is a stratum packed from a floor up, keyed (stratum, floor);
+    a string keeps its own key, since its one row lies at floor 0.  A
+    target asks for its rows from top - span up (at least from 0), and a
+    window asks its quotient for the same floor and its kernel for that
+    floor less the kernel's shift (at least 0), then shifts the kernel's
+    window up by what is left of the shift.  A child whose top lies below
+    the floor it would be asked adds nothing there and stands as None; a
+    stratum asked nothing is not packed at all.  Spans, tops, floors and
+    shifts are all counted in bits.
+    """
+    # Multiplicities are nonnegative, so a stratum's top energy is exactly
+    # the higher of its quotient's and its shifted kernel's, and its total
+    # the sum of theirs.
+    tops, totals = {}, {}
+    for batch in batches:
+        for cur in batch:
+            step = plan[cur]
+            if step is None:
+                tops[cur], totals[cur] = 0, (cur[0] if cur else 1)
+                continue
+            quotient, kernel, shift = step
+            tops[cur] = max(tops[quotient], tops[kernel] + shift)
+            totals[cur] = totals[quotient] + totals[kernel]
+
+    def key(cur, floor):
+        return cur if plan[cur] is None else (cur, floor)
+
+    # Users come after their children in the batches, so a reverse pass
+    # meets every stratum after all its users have asked for their floors.
+    floors = {target: {max(tops[target] - span, 0)} for target in targets}
+    steps = {}
+    for batch in reversed(batches):
+        for cur in reversed(batch):
+            if cur not in floors:
+                continue
+            if plan[cur] is None:
+                steps[cur] = None
+                continue
+            quotient, kernel, shift = plan[cur]
+            for floor in floors[cur]:
+                below = max(floor - shift, 0)
+                q = k = None
+                if tops[quotient] >= floor:
+                    floors.setdefault(quotient, set()).add(floor)
+                    q = key(quotient, floor)
+                if tops[kernel] >= below:
+                    floors.setdefault(kernel, set()).add(below)
+                    k = key(kernel, below)
+                steps[cur, floor] = (q, k, below + shift - floor)
+    # a window goes in its stratum's batch, which comes before any target
+    # that reads it
+    batches = [[key(cur, floor) for cur in batch if cur in floors
+                for floor in floors[cur]] for batch in batches]
+    return (steps, batches,
+            [key(t, max(tops[t] - span, 0)) for t in targets],
+            [(totals[t],) for t in targets])
 
 
 def _unpack(packed, top, field) -> dict:
@@ -293,22 +375,19 @@ def _top_strata(chain, depth, cap) -> list:
     `strata` maps each co-energy d <= depth (the distance below the
     vector's top energy) to {h-weight: multiplicity}, d descending and
     h-weights ascending; `total` is the sum of all its multiplicities.
-    Every vector is checked against `cap` before any peeling, and all must
-    share the parity of sum(a - 1), as the steps of a Schubert chain do.
+    Only the top depth + 1 energy rows of each vector are packed, and the
+    total is summed alongside the peeling, stratum by stratum.  Every
+    vector is checked against `cap` before any peeling, and all must share
+    the parity of sum(a - 1), as the steps of a Schubert chain do.
     """
-    def read(packed, top, field):
-        row = (top + 1) * field
-        ones = (1 << field) - 1
-        high = (packed.bit_length() - 1) // row
-        low = max(high - depth, 0)
+    def read(window, top, field, total):
+        high = (window.bit_length() - 1) // ((top + 1) * field)
         strata = {}
-        for (w, t), mult in _unpack(packed >> (low * row), top, field).items():
-            strata.setdefault(high - low - t, {})[w] = mult
-        # 2**field is 1 modulo `ones`, so the residue is the sum of the
-        # fields; that sum lies in 1 .. ones, and a residue 0 means `ones`
-        return strata, packed % ones or ones
+        for (w, t), mult in _unpack(window, top, field).items():
+            strata.setdefault(high - t, {})[w] = mult
+        return strata, total
 
-    return _peel_packed([_capped(w, cap) for w in chain], read)
+    return _peel_packed([_capped(w, cap) for w in chain], read, depth)
 
 
 class RelationCheck(namedtuple(
@@ -347,8 +426,8 @@ def check_relations(truncation: int, max_power: int) -> RelationReport:
     n = truncation
     if not isinstance(n, int) or n < 1:
         raise ValueError("truncation must be a positive integer")
-    if max_power < 1:
-        raise ValueError("max power must be at least 1")
+    if not isinstance(max_power, int) or max_power < 1:
+        raise ValueError("max power must be a positive integer")
     cap = RELATION_PARTICLE_CAP
     over_cap = (f"relation series on truncation {n} produced more "
                 f"than the cap of {cap} particles")

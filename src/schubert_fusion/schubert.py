@@ -356,8 +356,9 @@ def _one_param(n, mode, z, lowering):
     z is read as z.numerator / z.denominator, so it is an int or a
     quotient of ints; a float has neither and raises TypeError.
     """
-    if not 0 <= mode < n:
-        raise ValueError(f"mode must lie in 0..{n - 1}")
+    if not isinstance(mode, int) or not 0 <= mode < n:
+        raise ValueError(
+            f"mode must be an integer in 0..{n - 1}, got {mode!r}")
     try:
         p, q = z.numerator, z.denominator
     except AttributeError:

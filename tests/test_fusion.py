@@ -168,6 +168,12 @@ def test_relations_read_the_cap_at_call_time(monkeypatch):
         check_relations(1, 5)
 
 
+def test_relations_need_an_int_power():
+    for power in (2.5, 2.0, "2", None, 0):
+        with pytest.raises(ValueError, match="max power must be a positive"):
+            check_relations(2, power)
+
+
 def test_relations_report_shape():
     report = check_relations(2, 3)
     assert report.ok
@@ -570,6 +576,74 @@ def test_chain_total_at_the_modular_edge():
         char = character_recursive(weights, cap=255)
         high = max(t for _, t in char)
         assert strata == {0: {w: m for (w, t), m in char.items() if t == high}}
+
+
+def _top_rows(weights, depth):
+    # The reference read-out: the full character of one call of
+    # character_recursive, filtered to its top depth + 1 energies, d
+    # descending and h-weights ascending, and its sum
+    char = character_recursive(weights, cap=10 ** 60)
+    high = max(t for _, t in char)
+    strata = {}
+    for (w, t), mult in sorted(char.items(), key=lambda e: e[0][::-1]):
+        if high - t <= depth:
+            strata.setdefault(high - t, {})[w] = mult
+    return strata, sum(char.values())
+
+
+def _assert_windows_read(chain, depth):
+    steps = fusion._top_strata(chain, depth, cap=10 ** 60)
+    expected = [_top_rows(w, depth) for w in chain]
+    assert steps == expected
+    assert repr(steps) == repr(expected)  # the same insertion order
+
+
+def test_window_past_the_top_reads_every_row():
+    # each step's top energy (1, 2, 4 and 5) is at most the depth, so every
+    # floor clamps at 0 and the window holds the whole character
+    chain = [(2, 2), (3, 3), (2, 2, 2, 2), (2, 2, 3, 3)]
+    for depth in (5, 40):
+        _assert_windows_read(chain, depth)
+    steps = fusion._top_strata(chain, 5, cap=10 ** 60)
+    for (strata, _), weights in zip(steps, chain):
+        assert sum(sum(s.values()) for s in strata.values()) == \
+            math.prod(weights)
+
+
+def test_top_row_window_skips_kernel_subtrees(monkeypatch):
+    # at depth 0 most strata of a Schubert chain lie wholly below the
+    # floor asked of them and are never packed; the top rows still match
+    windows = fusion._windows
+    counts = []
+
+    def counting(plan, batches, targets, span):
+        out = windows(plan, batches, targets, span)
+        counts.append((sum(map(len, batches)), sum(map(len, out[1]))))
+        return out
+
+    monkeypatch.setattr(fusion, "_windows", counting)
+    chain = [(2, 2) + (2,) * (2 * i) for i in range(8)]
+    _assert_windows_read(chain, 0)
+    ((planned, packed),) = counts
+    assert packed < planned // 2
+
+
+@pytest.mark.parametrize("depth", [2, 3])
+def test_window_of_a_stratum_asked_two_floors(depth):
+    # on the chain of bundle (2,) some strata are asked for two floors by
+    # their users (3 strata at depth 2, 6 at depth 3): each is packed once
+    # per floor, and a kernel packed from a floor above 0 is shifted up by
+    # only what is left of its energy shift
+    _assert_windows_read([(3,) * (2 * i + 1) for i in range(5)], depth)
+
+
+@pytest.mark.parametrize("depth", [0, 1, 5])
+def test_windows_of_repeated_and_nested_targets(depth):
+    # (2, 4) is the quotient of (3, 3) and a target of its own: at depth 1
+    # the first target asks it for its top row and its own read for both
+    # rows, so it is packed at both floors; at depth 5 one window serves
+    # both.  The repeated (3, 3) is read out again.
+    _assert_windows_read([(3, 3), (2, 4), (3, 3)], depth)
 
 
 def test_chain_peeling_rejects_mixed_parities():

@@ -293,6 +293,15 @@ def test_random_group_action_preserves_membership():
             assert flag_membership(group_act(g, canonical_flag(c)), c)
 
 
+@pytest.mark.parametrize("exp", [exp_raising, exp_lowering])
+def test_one_parameter_elements_need_an_int_mode(exp):
+    # a float mode matched no coefficient and gave the identity
+    for mode in (1.5, 1.0, "1", None, -1, 3):
+        with pytest.raises(ValueError, match="mode must be an integer"):
+            exp(3, mode, 1)
+    assert exp(3, 2, 1) != identity_element(3)
+
+
 def test_raising_lowering_do_not_commute():
     n = 2
     g = exp_raising(n, 0, Fraction(1))

@@ -1,11 +1,17 @@
 """Level-k fusion ring and the large-weight limit bookkeeping."""
 
 import math
+import os
 import random
+import subprocess
+import sys
+import time
 from itertools import combinations_with_replacement
+from pathlib import Path
 
 import pytest
 
+import schubert_fusion
 from schubert_fusion import fusion, verlinde
 from schubert_fusion.fusion import DimensionCapError, character_recursive
 from schubert_fusion.verlinde import (
@@ -213,6 +219,31 @@ def test_stabilization_matches_step_by_step_oracle(top):
                     # the same insertion order: d descending, h-weight
                     # ascending
                     assert repr(report) == repr(expected)
+
+
+_LONG_CHAIN_CHILD = """\
+import resource
+from schubert_fusion.verlinde import character_stabilization
+report = character_stabilization((1,), 60, 3, cap=10 ** 40)
+print(report.stable_from, report.dims_match,
+      resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+def test_long_chain_packs_only_its_top_rows():
+    # packing every row of every step took 10-13 s at a 1.2 GB peak;
+    # packing the top four energy rows of each takes a fraction of a second
+    src = Path(schubert_fusion.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-c", _LONG_CHAIN_CHILD],
+                          capture_output=True, text=True, env=env, timeout=60)
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 0, proc.stderr
+    stable_from, dims_match, rss_kib = proc.stdout.split()
+    assert (stable_from, dims_match) == ("3", "True")
+    assert elapsed < 10
+    assert int(rss_kib) < 200 * 1024
 
 
 def test_stabilization_cap_names_the_first_step_over_it(monkeypatch):
