@@ -18,11 +18,20 @@ floats anywhere.
 
 from __future__ import annotations
 
-# No module of the package uses `rational`: it stays while perfbench/worker.py
-# --probe reads `rational.__module__` as the name of the arithmetic backend.
-from fractions import Fraction as rational
 from heapq import heapify, heappop, heappush
 from math import gcd
+
+
+def __getattr__(name):
+    """Resolve `rational` on first use, so importing the package skips `fractions`.
+
+    No module of the package uses `rational`: it stays while perfbench/worker.py
+    --probe reads `rational.__module__` as the name of the arithmetic backend.
+    """
+    if name == "rational":
+        from fractions import Fraction
+        return Fraction
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _cross_scale(target: dict, c: int, rp: int) -> int:
@@ -96,7 +105,46 @@ class SpanBasis:
         return residual
 
     def contains(self, vec: dict) -> bool:
-        return not self.reduce(vec)
+        """True iff int vector vec lies in the span; vec is not changed.
+
+        A stored row's support starts at its pivot, so a member's smallest
+        index is always a pivot.  Each step clears the smallest index left
+        in the residual by its row, which adds only larger indices; once
+        that index is not a pivot, no row can cancel it and the answer is
+        False without finishing the reduction.  A scan by `min` suits the
+        flag model's vectors of at most 2n coordinates.
+        """
+        residual = dict(vec)
+        rows = self._rows
+        while residual:
+            p = min(residual)
+            row = rows.get(p)
+            if row is None:
+                return False
+            c = residual.pop(p)
+            rp = row[p]
+            if rp != 1:
+                c = _cross_scale(residual, c, rp)
+            for q, rc in row.items():
+                if q == p:
+                    continue
+                nv = residual.get(q, 0) - c * rc
+                if nv:
+                    residual[q] = nv
+                else:
+                    del residual[q]
+        return True
+
+    def copy(self) -> "SpanBasis":
+        """A new basis with the same span and the same rows.
+
+        The pivot -> row map is copied and the rows are shared, which is
+        safe because a stored row is never rewritten: inserting into either
+        basis leaves the other's rows and dimension unchanged.
+        """
+        twin = SpanBasis()
+        twin._rows = dict(self._rows)
+        return twin
 
     def insert(self, vec: dict) -> bool:
         """Add vec to the span; True iff the dimension grew."""

@@ -172,21 +172,24 @@ def canonical_flag(composition: Composition) -> FlagChain:
     """The distinguished point: W_alpha = <all v_i; u_j for j >= tail sum>.
 
     The alpha-th subspace keeps the u-modes at or above the sum of the last
-    alpha parts; the final one is the pure v-span.
+    alpha parts; the final one is the pure v-span.  The thresholds grow
+    with alpha, so the chain is built from the smallest subspace up: each
+    larger one extends a copy of the next smaller one by its extra u-modes,
+    and every unit vector is inserted once.
     """
     n = composition.n
-    parts = composition.parts
-    subspaces = []
-    threshold = 0
-    for alpha in range(1, composition.s + 1):
-        threshold += parts[composition.s - alpha]  # add i_{s-alpha+1}
-        basis = SpanBasis()
-        for m in range(n):
-            basis.insert(_unit_vector(m))
-        for j in range(threshold, n):
+    basis = SpanBasis()
+    for m in range(n):
+        basis.insert(_unit_vector(m))
+    subspaces = [basis]
+    threshold = n
+    for part in composition.parts[:-1]:  # W_s first, then W_{s-1}, ..., W_1
+        basis = basis.copy()
+        for j in range(threshold - part, threshold):
             basis.insert(_unit_vector(n + j))
+        threshold -= part
         subspaces.append(basis)
-    return FlagChain(n, tuple(subspaces))
+    return FlagChain(n, tuple(reversed(subspaces)))
 
 
 def _contains_all(space: SpanBasis, vectors) -> bool:
@@ -390,8 +393,13 @@ def random_group_element(n: int, rng: random.Random, length: int = 4) -> GroupEl
     is a column operation, which scales every entry by q and adds p t^mode
     times one column into the other (the v column into the u column for
     lowering, the u column into the v column for raising).  Only the result
-    is validated and reduced to lowest terms.
+    is validated and reduced to lowest terms.  `n` must be a positive int
+    and `length` a nonnegative int (bools are refused for both).
     """
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+        raise ValueError(f"n must be a positive integer, got {n!r}")
+    if not isinstance(length, int) or isinstance(length, bool) or length < 0:
+        raise ValueError(f"length must be a nonnegative integer, got {length!r}")
     # columns: (vv, uv) is the image of v, (vu, uu) the image of u
     v_col = ([1] + [0] * (n - 1), [0] * n)
     u_col = ([0] * n, [1] + [0] * (n - 1))
@@ -411,6 +419,16 @@ def random_group_element(n: int, rng: random.Random, length: int = 4) -> GroupEl
     return GroupElement(n, den, vv, vu, uv, uu)
 
 
+def _shared_prefix(rows_a, rows_b) -> int:
+    """Length of the longest common prefix of two row lists."""
+    k = 0
+    for a, b in zip(rows_a, rows_b):
+        if a != b:
+            break
+        k += 1
+    return k
+
+
 def group_act(element: GroupElement, chain: FlagChain) -> FlagChain:
     """Transform every subspace of the chain by the group element.
 
@@ -419,18 +437,38 @@ def group_act(element: GroupElement, chain: FlagChain) -> FlagChain:
     so every image is an int vector.  A subspace's rows follow the vectors
     inserted into it and their order, up to scale; those are the same for
     g and den g, so the result is the same as acting by g itself.
+
+    Each subspace inserts the images of its rows in pivot order, as if into
+    an empty basis, and the work shared between subspaces is done once:
+    each distinct row's image is computed once per call, and when the next
+    subspace's rows begin with the same rows as the current one's (the n
+    v-rows of a canonical chain), it starts from a copy of the basis taken
+    after that prefix.  A prefix shorter than the one the current subspace
+    started from was never held alone, so that subspace starts empty.
     """
     n = chain.truncation
     if element.truncation != n:
         raise ValueError("group element truncation must match the chain")
     v_terms = _column_terms(element.vv, element.uv)
     u_terms = _column_terms(element.vu, element.uu)
+    images = {}
+    sources = [space.row_vectors() for space in chain.subspaces]
+    # shares[i]: how many rows subspace i + 1 shares with subspace i at the front
+    shares = [_shared_prefix(a, b) for a, b in zip(sources, sources[1:])] + [-1]
     new_spaces = []
-    for space in chain.subspaces:
-        basis = SpanBasis()
-        for row in space.row_vectors():
-            image = _image(row, n, v_terms, u_terms)
+    start, basis = 0, SpanBasis()  # rows already inserted into basis
+    for rows, shared in zip(sources, shares):
+        handoff = basis.copy() if shared == start else None
+        for k in range(start, len(rows)):
+            row = rows[k]
+            key = frozenset(row.items())
+            image = images.get(key)
+            if image is None:
+                image = images[key] = _image(row, n, v_terms, u_terms)
             if image:
                 basis.insert(image)
+            if k + 1 == shared:
+                handoff = basis.copy()
         new_spaces.append(basis)
+        start, basis = (shared, handoff) if handoff is not None else (0, SpanBasis())
     return FlagChain(n, tuple(new_spaces))

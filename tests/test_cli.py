@@ -207,6 +207,21 @@ def test_cli_import_skips_dataclasses():
     assert proc.stdout.strip() == "False"
 
 
+def test_cli_import_skips_fractions():
+    # no module of the package computes with Fraction, so `fractions` (and
+    # the decimal and numbers modules it pulls in) load only when
+    # linalg.rational is first read
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    code = ("import sys, schubert_fusion.cli; "
+            "print(sorted({'fractions', 'decimal', 'numbers'} & set(sys.modules))); "
+            "from schubert_fusion import linalg; import fractions; "
+            "print(linalg.rational is fractions.Fraction)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n")[:2] == ["[]", "True"]
+
+
 def test_submodule_needs_valid_index(capsys):
     code, _, err = run(capsys, "submodule", "2,3", "5")
     assert code == 2

@@ -98,6 +98,12 @@ def assert_integer_echelon(basis):
         assert math.gcd(*row.values()) == 1
 
 
+def test_unknown_module_attribute_is_an_attribute_error():
+    from schubert_fusion import linalg
+    with pytest.raises(AttributeError, match="no_such_name"):
+        linalg.no_such_name
+
+
 def test_empty_basis():
     basis = SpanBasis()
     assert basis.dimension == 0
@@ -255,3 +261,117 @@ def test_non_unit_pivot_elimination():
     assert basis.row_vectors() == [{0: 2, 1: 3}, {1: 1}]
     assert basis.insert_reduced({0: -9, 2: 2}) == {2: 1}
     assert_integer_echelon(basis)
+
+
+def test_copy_is_independent_both_ways():
+    basis = SpanBasis()
+    basis.insert({0: 2, 3: 1})
+    basis.insert({1: 1, 2: -1})
+    twin = basis.copy()
+    assert twin.row_vectors() == basis.row_vectors()
+    assert twin.pivots() == basis.pivots() == [0, 1]
+    rows = basis.row_vectors()
+    assert twin.insert({2: 1})
+    assert basis.row_vectors() == rows and basis.dimension == 2
+    assert not basis.contains({2: 1}) and twin.contains({2: 1})
+    twin_rows = twin.row_vectors()
+    assert basis.insert({3: 5, 4: 1})
+    assert twin.row_vectors() == twin_rows and twin.dimension == 3
+    assert not twin.contains({3: 5, 4: 1}) and basis.contains({3: 5, 4: 1})
+    assert basis.copy().row_vectors() == basis.row_vectors()
+    assert SpanBasis().copy().dimension == 0
+
+
+def _combination(rows, coeffs):
+    vec = {}
+    for row, c in zip(rows, coeffs):
+        for q, x in row.items():
+            nv = vec.get(q, 0) + c * x
+            if nv:
+                vec[q] = nv
+            else:
+                vec.pop(q, None)
+    return vec
+
+
+def _assert_contains_matches_reduce(basis, vec):
+    before = dict(vec)
+    assert basis.contains(vec) == (not basis.reduce(vec))
+    assert vec == before  # neither call changes its argument
+
+
+def test_contains_stops_at_a_non_pivot_below_later_pivots():
+    basis = SpanBasis()
+    for vec in ({0: 1, 1: 2}, {3: 1, 4: 1}, {5: 2, 6: -1}):
+        basis.insert(vec)
+    # index 2 is no pivot and lies below the pivots 3 and 5
+    for vec in ({2: 1, 3: 1, 5: 1}, {0: 1, 1: 2, 2: -4, 5: 2, 6: -1},
+                {1: 3, 3: 1, 4: 1}):
+        assert not basis.contains(vec)
+        _assert_contains_matches_reduce(basis, vec)
+
+
+def test_contains_when_the_first_non_pivot_cancels():
+    # index 1 is the smallest non-pivot of vec, and clearing pivot 0 cancels
+    # it: a test that exits on the first non-pivot it saw would answer False
+    basis = SpanBasis()
+    basis.insert({0: 1, 1: 1})
+    basis.insert({2: 1})
+    assert basis.contains({0: 1, 1: 1, 2: 1})
+    assert not basis.contains({0: 1, 1: 1, 2: 1, 3: 1})
+    # the same with a non-unit pivot, so the residual is cross-scaled first
+    basis = SpanBasis()
+    basis.insert({0: 2, 1: 3, 4: 1})
+    basis.insert({3: 1})
+    assert basis.contains({0: 4, 1: 6, 3: -7, 4: 2})
+    assert not basis.contains({0: 4, 1: 5, 3: -7, 4: 2})
+    for vec in ({0: 4, 1: 6, 3: -7, 4: 2}, {0: 1, 1: 1}, {1: 3, 4: 1}):
+        _assert_contains_matches_reduce(basis, vec)
+
+
+@settings(max_examples=150, deadline=None)
+@given(int_row_lists,
+       st.lists(st.integers(min_value=-3, max_value=3), max_size=12),
+       st.integers(min_value=0, max_value=7),
+       st.integers(min_value=-2, max_value=2))
+def test_contains_matches_reduce_on_combinations(rows, coeffs, extra, value):
+    # combinations of the stored rows lie in the span, and every non-pivot
+    # entry in their support cancels at some step of the reduction; adding
+    # one more entry, often at a non-pivot below later pivots, may leave it
+    basis = SpanBasis()
+    for vec in rows:
+        basis.insert(dict(vec))
+    member = _combination(basis.row_vectors(), coeffs)
+    assert basis.contains(member)
+    _assert_contains_matches_reduce(basis, member)
+    probe = dict(member)
+    if value:
+        probe[extra] = probe.get(extra, 0) + value
+        if not probe[extra]:
+            del probe[extra]
+    _assert_contains_matches_reduce(basis, probe)
+
+
+def test_contains_matches_reduce_on_long_vectors():
+    import random
+    rng = random.Random(13)
+    width = 400
+    for _ in range(6):
+        basis = SpanBasis()
+        for _ in range(60):
+            basis.insert({rng.randrange(width): rng.randint(-4, 4) or 1
+                          for _ in range(rng.randint(1, 30))})
+        rows = basis.row_vectors()
+        pivots = set(basis.pivots())
+        for _ in range(10):
+            member = _combination(rows, [rng.randint(-3, 3) for _ in rows])
+            assert len(member) >= 200
+            assert basis.contains(member)
+            _assert_contains_matches_reduce(basis, member)
+            m = rng.choice([i for i in range(width) if i not in pivots])
+            probe = dict(member)
+            probe[m] = probe.get(m, 0) + 1 or 1
+            assert not basis.contains(probe)
+            _assert_contains_matches_reduce(basis, probe)
+            noise = {i: rng.randint(1, 5) for i in rng.sample(range(width), 250)}
+            _assert_contains_matches_reduce(basis, noise)

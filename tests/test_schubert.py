@@ -26,6 +26,7 @@ from schubert_fusion.schubert import (
     picard_rank,
     random_group_element,
     sections_dim,
+    _shared_prefix,
 )
 from schubert_fusion.linalg import SpanBasis
 from schubert_fusion.types import Composition, canonical_A, compositions, leq
@@ -171,6 +172,33 @@ def test_canonical_flags_are_members():
             assert flag_membership(canonical_flag(c), c)
 
 
+def _chain_of(n, vector_lists):
+    """A chain whose subspaces are spanned by the given int vectors, in order."""
+    subspaces = []
+    for vectors in vector_lists:
+        basis = SpanBasis()
+        for vec in vectors:
+            basis.insert(vec)
+        subspaces.append(basis)
+    return FlagChain(n, tuple(subspaces))
+
+
+def test_canonical_flag_matches_one_insert_per_unit_vector():
+    for n in range(1, 7):
+        for c in compositions(n):
+            vector_lists = []
+            threshold = 0
+            for part in reversed(c.parts):
+                threshold += part
+                vector_lists.append([{m: 1} for m in range(n)]
+                                    + [{n + j: 1} for j in range(threshold, n)])
+            expected = _chain_of(n, vector_lists)
+            chain = canonical_flag(c)
+            _assert_same_rows(chain, expected)
+            for space, oracle in zip(chain.subspaces, expected.subspaces):
+                assert space.pivots() == oracle.pivots()
+
+
 def test_flag_conditions_names():
     conds = flag_conditions(canonical_flag(comp(2, 1)), comp(2, 1))
     assert conds == {"profile": True, "nested": True,
@@ -273,6 +301,20 @@ def test_random_group_element_matches_product_oracle():
                     for flag in flags:
                         _assert_same_rows(group_act(g, flag),
                                           group_act(expected, flag))
+
+
+@pytest.mark.parametrize("n, length, name", [
+    (3, -1, "length"),   # was the identity
+    (3, 2.5, "length"),  # was a TypeError from range
+    (3, True, "length"),
+    (0, 4, "n"),         # was "empty range for randrange()"
+    (-2, 4, "n"),
+    (True, 4, "n"),      # was an element of truncation True
+    (2.0, 4, "n"),
+])
+def test_random_group_element_validates_its_arguments(n, length, name):
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        random_group_element(n, random.Random(0), length)
 
 
 def test_group_products_are_unimodular():
@@ -407,6 +449,63 @@ def test_group_act_matches_fraction_oracle_on_one_parameter_elements(z):
                     for chain in (flag, moved):
                         _assert_same_rows(group_act(g, chain),
                                           _fraction_group_act_oracle(g, chain))
+
+
+def _random_vectors(rng, coords, count):
+    """`count` int vectors on 1 to 3 of `coords`, with entries in -3..3."""
+    vectors = []
+    for _ in range(count):
+        support = rng.sample(coords, rng.randint(1, min(3, len(coords))))
+        vectors.append({c: rng.randint(-3, 3) or 1 for c in support})
+    return vectors
+
+
+def _non_canonical_chains(n, rng):
+    """Chains that share row prefixes in every way group_act must handle."""
+    v_coords, u_coords = list(range(n)), list(range(n, 2 * n))
+    low = _random_vectors(rng, v_coords, n - 1)  # pivots below every u-row's
+    high = [_random_vectors(rng, u_coords, rng.randint(1, n)) for _ in range(3)]
+    other = _random_vectors(rng, v_coords + u_coords, n)
+    return {
+        # a shared prefix of v-rows, then different u-rows
+        "prefix": [low + high[0], low + high[1], low + high[2]],
+        # nothing in common
+        "disjoint": [high[0], other, high[1]],
+        # a repeated subspace, and a prefix after it
+        "repeat": [low + high[0], low + high[0], low],
+        # not nested as a flag is: each subspace holds the one before it
+        "growing": [low[:1], low, low + high[0]],
+        # a long prefix, then a shorter one than the subspace started from
+        "shrinking": [low + high[0], low + high[0][:1] + high[1], low[:1] + other],
+    }
+
+
+def _prefixes(chain):
+    rows = [space.row_vectors() for space in chain.subspaces]
+    return [_shared_prefix(x, y) for x, y in zip(rows, rows[1:])]
+
+
+def test_group_act_matches_fraction_oracle_on_non_canonical_chains():
+    rng = random.Random(17)
+    seen = set()
+    for n in range(2, 6):
+        for _ in range(4):
+            for kind, vector_lists in _non_canonical_chains(n, rng).items():
+                chain = _chain_of(n, vector_lists)
+                prefixes = _prefixes(chain)
+                if kind == "disjoint":
+                    assert prefixes == [0, 0]
+                elif kind == "shrinking" and prefixes[0] > prefixes[1]:
+                    seen.add(kind)
+                elif kind != "shrinking" and all(prefixes):
+                    seen.add(kind)
+                elements = [random_group_element(n, rng) for _ in range(3)]
+                elements += [exp_raising(n, rng.randrange(n), Fraction(-1, 2)),
+                             exp_lowering(n, rng.randrange(n), Fraction(3, 4))]
+                for g in elements:
+                    _assert_same_rows(group_act(g, chain),
+                                      _fraction_group_act_oracle(g, chain))
+    assert seen == {"prefix", "repeat", "growing", "shrinking"}
 
 
 def test_group_product_matches_fraction_oracle():
