@@ -27,7 +27,9 @@ nothing is kept between calls.  One call can peel several targets, the
 steps of a stabilization chain: they share one memo, dropping each stratum
 after its last user, and one packed layout, sized by the largest target;
 each target is read out as soon as it is packed.  A caller that reads only
-the top energy rows of each target has only those rows packed.
+the top energy rows of each target has only those rows packed: every
+stratum it needs is packed once, in a window anchored at its own top
+energy and as wide as its widest user keeps.
 """
 
 from __future__ import annotations
@@ -153,15 +155,15 @@ def character(weights) -> dict:
 
 
 def _peel_packed(targets, read, depth=None) -> list:
-    """read(packed, top, field) for each target, in order.
+    """read(packed, top, field, total) for each target, in order.
 
     Each target is read out as soon as it is packed and its packed int is
     dropped once no later stratum uses it, so a long chain never holds all
-    its steps at once.  With a `depth`, only the energy rows top - depth ..
-    top of each target are packed (top its highest energy, the range
-    clipped at 0): `packed` holds them from its lowest row up, and read is
-    called as read(packed, top, field, total), `total` the sum of all the
-    target's multiplicities.
+    its steps at once.  With no `depth`, `packed` is the target's whole
+    character, row t its energy t, and `total` is None.  With a `depth`,
+    `packed` holds only the target's top depth + 1 energy rows, row d its
+    co-energy d (the distance below its highest energy), and `total` is the
+    sum of all its multiplicities.
     """
     # Peel the smallest weight: the span decomposes against the kernel of
     # the surjection that shuffles (a_1, a_2) to (a_1 - 1, a_2 + 1).  The
@@ -194,17 +196,14 @@ def _peel_packed(targets, read, depth=None) -> list:
     row = (top + 1) * field
     # Plan first: a depth-first walk on an explicit stack lists every
     # stratum after its quotient and kernel, target by target, each
-    # target's new strata in a batch of their own.  Then pack in that
-    # order, read each target out as soon as its strata are packed, and
-    # drop each stratum once its last user (a later stratum, or the
-    # read-out of a target) is done.  With a depth, `_windows` first turns
-    # the plan into one over windows, strata packed only from a floor up,
-    # and the same loop packs those.  Cutting off the rows below a floor
-    # is exact, since no field carries into the next.  A stratum that its
-    # users ask for two floors is packed once at each, so every step stays
-    # one shift and one add with no shift down, and a full read runs the
-    # same loop with no pass of its own.  A window's fields do not sum to
-    # its stratum's total, so the totals are summed alongside as ints.
+    # target's new strata in a batch of their own.  A step is (quotient,
+    # kernel, quotient gap, kernel gap): the rows each child is shifted up
+    # by before the two are added, here (0, the kernel's energy shift).
+    # Then pack in that order, read each target out as soon as its strata
+    # are packed, and drop each stratum once its last user (a later
+    # stratum, or the read-out of a target) is done.  With a depth,
+    # `_top_windows` first rewrites the plan for windows anchored at each
+    # stratum's top, and the same loop packs those.
     plan, batches = {}, []
     for target in targets:
         batch, stack = [], [(target, False)]
@@ -224,23 +223,22 @@ def _peel_packed(targets, read, depth=None) -> list:
             kernel = ((a2 - a1 + 1,) + cur[2:]) if a1 < a2 else cur[2:]
             bisect.insort(rest, a2 + 1)
             quotient = ((a1 - 1,) if a1 > 2 else ()) + tuple(rest)
-            plan[cur] = (quotient, kernel, (a1 - 1) * (len(cur) - 1) * row)
+            plan[cur] = (quotient, kernel, 0, (a1 - 1) * (len(cur) - 1))
             stack += ((cur, True), (quotient, False), (kernel, False))
         batches.append(batch)
-    if depth is None:
-        keys, extras = targets, [()] * len(targets)
-    else:
-        plan, batches, keys, extras = _windows(plan, batches, targets,
-                                               depth * row)
+    widths, totals = {}, [None] * len(targets)
+    if depth is not None:
+        plan, batches, widths, totals = _top_windows(plan, batches, targets,
+                                                     depth)
     users = Counter(child for step in plan.values() if step
                     for child in step[:2])
-    users.update(keys)
-    # None stands for a child that adds no row above its user's floor: it
-    # packs to 0, and with no count of users to start from its count only
-    # falls below 0, so it is never deleted
+    users.update(targets)
+    # None stands for a child that adds no row its user keeps: it packs to
+    # 0, and with no count of users to start from its count only falls
+    # below 0, so it is never deleted
     del users[None]
     memo, reads = {None: 0}, []
-    for key, batch, extra in zip(keys, batches, extras):
+    for target, batch, total in zip(targets, batches, totals):
         for cur in batch:
             step = plan[cur]
             if step is None:  # a string of m weights; () is the string (1,)
@@ -248,32 +246,34 @@ def _peel_packed(targets, read, depth=None) -> list:
                 ones = ((1 << (m * field)) - 1) // ((1 << field) - 1)
                 memo[cur] = ones << ((top - m + 1) // 2 * field)
                 continue
-            quotient, kernel, shift = step
-            memo[cur] = memo[quotient] + (memo[kernel] << shift)
-            for child in (quotient, kernel):
+            q, k, gq, gk = step
+            packed = (memo[q] << gq * row) + (memo[k] << gk * row)
+            # a window keeps its own width: above it a narrower child's
+            # share may be missing, and cutting those rows off is exact,
+            # since no field carries into the next
+            memo[cur] = (packed & ((1 << widths[cur] * row) - 1) if widths
+                         else packed)
+            for child in (q, k):
                 users[child] -= 1
                 if not users[child]:
                     del memo[child]
-        reads.append(read(memo[key], top, field, *extra))
-        users[key] -= 1
-        if not users[key]:
-            del memo[key]
+        reads.append(read(memo[target], top, field, total))
+        users[target] -= 1
+        if not users[target]:
+            del memo[target]
     return reads
 
 
-def _windows(plan, batches, targets, span):
-    """Steps and batches that pack only the energy rows within `span` of
-    each target's top, each target's key and its total as a 1-tuple.
+def _top_windows(plan, batches, targets, depth):
+    """Steps, batches, widths and totals that pack the top depth + 1
+    energy rows of each target.
 
-    A window is a stratum packed from a floor up, keyed (stratum, floor);
-    a string keeps its own key, since its one row lies at floor 0.  A
-    target asks for its rows from top - span up (at least from 0), and a
-    window asks its quotient for the same floor and its kernel for that
-    floor less the kernel's shift (at least 0), then shifts the kernel's
-    window up by what is left of the shift.  A child whose top lies below
-    the floor it would be asked adds nothing there and stands as None; a
-    stratum asked nothing is not packed at all.  Spans, tops, floors and
-    shifts are all counted in bits.
+    Every window is anchored at its stratum's own top energy: row d holds
+    co-energy d.  A step's gaps become each child's distance in rows below
+    its user's top, and a stratum is packed once, `widths[stratum]` rows
+    wide, the most any of its users keeps of it.  A child that adds no row
+    its user keeps stands as None, and a stratum no user keeps is not
+    packed at all.
     """
     # Multiplicities are nonnegative, so a stratum's top energy is exactly
     # the higher of its quotient's and its shifted kernel's, and its total
@@ -285,45 +285,41 @@ def _windows(plan, batches, targets, span):
             if step is None:
                 tops[cur], totals[cur] = 0, (cur[0] if cur else 1)
                 continue
-            quotient, kernel, shift = step
-            tops[cur] = max(tops[quotient], tops[kernel] + shift)
+            quotient, kernel, gq, gk = step
+            tops[cur] = max(tops[quotient] + gq, tops[kernel] + gk)
             totals[cur] = totals[quotient] + totals[kernel]
-
-    def key(cur, floor):
-        return cur if plan[cur] is None else (cur, floor)
-
     # Users come after their children in the batches, so a reverse pass
-    # meets every stratum after all its users have asked for their floors.
-    floors = {target: {max(tops[target] - span, 0)} for target in targets}
+    # meets every stratum after all its users have widened it.  A user w
+    # rows wide keeps the rows of a child g rows below its top up to w - g.
+    widths = dict.fromkeys(targets, depth + 1)
+
+    def keep(child, rows):
+        if rows <= 0:
+            return None
+        widths[child] = max(widths.get(child, 0), rows)
+        return child
+
     steps = {}
     for batch in reversed(batches):
         for cur in reversed(batch):
-            if cur not in floors:
+            if cur not in widths:
                 continue
-            if plan[cur] is None:
-                steps[cur] = None
-                continue
-            quotient, kernel, shift = plan[cur]
-            for floor in floors[cur]:
-                below = max(floor - shift, 0)
-                q = k = None
-                if tops[quotient] >= floor:
-                    floors.setdefault(quotient, set()).add(floor)
-                    q = key(quotient, floor)
-                if tops[kernel] >= below:
-                    floors.setdefault(kernel, set()).add(below)
-                    k = key(kernel, below)
-                steps[cur, floor] = (q, k, below + shift - floor)
+            step = plan[cur]
+            if step is not None:
+                quotient, kernel, gq, gk = step
+                gq = tops[cur] - tops[quotient] - gq
+                gk = tops[cur] - tops[kernel] - gk
+                step = (keep(quotient, widths[cur] - gq),
+                        keep(kernel, widths[cur] - gk), gq, gk)
+            steps[cur] = step
     # a window goes in its stratum's batch, which comes before any target
     # that reads it
-    batches = [[key(cur, floor) for cur in batch if cur in floors
-                for floor in floors[cur]] for batch in batches]
-    return (steps, batches,
-            [key(t, max(tops[t] - span, 0)) for t in targets],
-            [(totals[t],) for t in targets])
+    batches = [[cur for cur in batch if cur in widths] for batch in batches]
+    return steps, batches, widths, [totals[t] for t in targets]
 
 
-def _unpack(packed, top, field) -> dict:
+def _unpack(packed, top, field, total=None) -> dict:
+    # A read of `_peel_packed`; a full character has no use for a total.
     # One to_bytes per call; whole zero rows and the zero ends of each row
     # are skipped at C speed before any field is read.
     size = field // 8
@@ -381,11 +377,10 @@ def _top_strata(chain, depth, cap) -> list:
     the parity of sum(a - 1), as the steps of a Schubert chain do.
     """
     def read(window, top, field, total):
-        high = (window.bit_length() - 1) // ((top + 1) * field)
         strata = {}
-        for (w, t), mult in _unpack(window, top, field).items():
-            strata.setdefault(high - t, {})[w] = mult
-        return strata, total
+        for (w, d), mult in _unpack(window, top, field).items():
+            strata.setdefault(d, {})[w] = mult
+        return dict(reversed(strata.items())), total
 
     return _peel_packed([_capped(w, cap) for w in chain], read, depth)
 

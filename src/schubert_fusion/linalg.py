@@ -65,8 +65,12 @@ class SpanBasis:
         return sorted(self._rows)
 
     def row_vectors(self) -> list:
-        """Copies of the stored rows, ordered by pivot."""
-        return [dict(self._rows[p]) for p in sorted(self._rows)]
+        """The stored rows themselves, ordered by pivot; read-only.
+
+        No row is copied: a stored row is never rewritten, so the list
+        stays valid as the basis grows, and a caller must not change a row.
+        """
+        return [self._rows[p] for p in sorted(self._rows)]
 
     def reduce(self, vec: dict) -> dict:
         """A nonzero multiple of int vector vec's residual; empty iff in the span.

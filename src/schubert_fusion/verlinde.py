@@ -25,13 +25,23 @@ import math
 from collections import namedtuple
 from types import MappingProxyType
 
-from .fusion import DEFAULT_DIMENSION_CAP, _top_strata
+from . import fusion
+from .fusion import DEFAULT_DIMENSION_CAP, DimensionCapError, _top_strata
 from .types import _Validated, weakly_increasing
 
 
 def _check_level(k: int) -> int:
+    """k itself, once it is a level whose k + 1 coefficients fit the cap.
+
+    Every path that builds a coefficient vector checks its level here, so
+    `fusion.DEFAULT_DIMENSION_CAP`, read at call time, bounds them all.
+    """
     if not isinstance(k, int) or k < 0:
         raise ValueError(f"level must be a nonnegative integer, got {k!r}")
+    cap = fusion.DEFAULT_DIMENSION_CAP
+    if k + 1 > cap:
+        raise DimensionCapError(f"level {k} would exceed the cap of {cap}: "
+                                f"its ring has {k + 1} classes")
     return k
 
 
@@ -46,7 +56,8 @@ class FusionRingElement(_Validated,
     """Element of the level-k fusion ring in the basis [0] .. [k].
 
     `coeffs` holds level + 1 nonnegative integers, the coefficient of [c]
-    at position c.
+    at position c; a level whose level + 1 passes
+    `fusion.DEFAULT_DIMENSION_CAP` raises DimensionCapError.
     """
 
     __slots__ = ()
@@ -234,9 +245,11 @@ def character_stabilization(bundle, i_max: int, deg_max: int,
     strata, and only each step's top deg_max + 1 energy rows are packed and
     read out, each step as soon as it is peeled, with its total summed
     alongside.  For bundle (0, 0, 1) to i_max 15 the steps hold 3037
-    strata, 582 of them distinct, and at deg_max 3 only 23 windows of
-    them are packed.  To i_max 40 that chain takes 0.04 s at a 17 MB peak,
-    and (1,) to i_max 60 takes 0.1 s at 23 MB (0.8-1.0 s at 159 MB and
+    strata, 582 of them distinct, and at deg_max 3 only 21 of them are
+    packed, each once, in a window anchored at its own top energy (23
+    windows when a stratum was packed once for each floor asked of it).
+    To i_max 40 that chain takes 0.04 s at a 17 MB peak, and (1,) to
+    i_max 60 takes 0.1 s at 23 MB (0.8-1.0 s at 159 MB and
     11.4 s at 1170 MB when every row was packed; one fresh process each,
     2-vCPU VM, Python 3.11.7).  The cap bounds every step's dimension and
     is checked for all steps before any peeling; the steps are built one at

@@ -179,7 +179,13 @@ def test_over_budget_module_exits_3(weights):
     # the chain is built step by step, so the first step over the cap
     # stops it before the later, ever longer steps are built
     (("stabilize", "1", "100000", "3"), 10, 200),
-], ids=["relations", "stabilize"])
+    # a level-k ring holds k + 1 coefficients: this ran into a MemoryError
+    # traceback and exit 1 under a 1 GB address-space limit before the
+    # level was checked against the dimension cap
+    (("verlinde-fuse", "300000000", "0", "0"), 10, 200),
+    # the bundle's level is 3 000 001; this took 6.7 s and 174 MB
+    (("verlinde-limit", "0,3000000"), 10, 200),
+], ids=["relations", "stabilize", "verlinde-fuse", "verlinde-limit"])
 def test_long_input_exits_3(argv, seconds, mib):
     env = dict(os.environ, PYTHONPATH=str(SRC))
     start = time.perf_counter()

@@ -551,10 +551,12 @@ def test_chain_peeling_matches_one_target_peeling():
     # character reads back as its own peeling gives it
     chain = [(2, 3) + (3,) * (2 * i) for i in range(4)]
     reads = fusion._peel_packed(
-        chain, lambda p, top, field: (fusion._unpack(p, top, field), top, field))
-    # 6 * 3**6 needs 13 bits
-    assert {(top, field) for _, top, field in reads} == {(3 + 2 * 6, 16)}
-    assert [char for char, _, _ in reads] == \
+        chain, lambda p, top, field, total:
+        (fusion._unpack(p, top, field), top, field, total))
+    # 6 * 3**6 needs 13 bits, and a full read carries no total
+    assert {(top, field, total) for _, top, field, total in reads} == \
+        {(3 + 2 * 6, 16, None)}
+    assert [char for char, _, _, _ in reads] == \
         [character_recursive(w, cap=10 ** 9) for w in chain]
 
 
@@ -610,39 +612,59 @@ def test_window_past_the_top_reads_every_row():
             math.prod(weights)
 
 
-def test_top_row_window_skips_kernel_subtrees(monkeypatch):
-    # at depth 0 most strata of a Schubert chain lie wholly below the
-    # floor asked of them and are never packed; the top rows still match
-    windows = fusion._windows
-    counts = []
+def _packed_windows(monkeypatch):
+    # the strata each `_top_windows` call leaves to be packed, call by call,
+    # with the number of strata planned: the packing loop packs exactly the
+    # strata of the batches it returns
+    windows = fusion._top_windows
+    calls = []
 
-    def counting(plan, batches, targets, span):
-        out = windows(plan, batches, targets, span)
-        counts.append((sum(map(len, batches)), sum(map(len, out[1]))))
+    def counting(plan, batches, targets, depth):
+        out = windows(plan, batches, targets, depth)
+        calls.append((sum(map(len, batches)), [s for b in out[1] for s in b]))
         return out
 
-    monkeypatch.setattr(fusion, "_windows", counting)
+    monkeypatch.setattr(fusion, "_top_windows", counting)
+    return calls
+
+
+def test_top_row_window_skips_kernel_subtrees(monkeypatch):
+    # at depth 0 most strata of a Schubert chain lie wholly below the top
+    # row their users keep and are never packed; the top rows still match
+    calls = _packed_windows(monkeypatch)
     chain = [(2, 2) + (2,) * (2 * i) for i in range(8)]
     _assert_windows_read(chain, 0)
-    ((planned, packed),) = counts
-    assert packed < planned // 2
+    ((planned, packed),) = calls
+    assert len(packed) < planned // 2
+
+
+def test_no_stratum_is_packed_twice(monkeypatch):
+    # on the chain of bundle (2,) at depth 3, six strata are asked for more
+    # than one width by their users; each is packed once, as wide as its
+    # widest user keeps, so 18 strata make 18 windows (26 when a stratum
+    # was packed once for each floor asked of it)
+    calls = _packed_windows(monkeypatch)
+    _assert_windows_read([(3,) * (2 * i + 1) for i in range(5)], 3)
+    ((planned, packed),) = calls
+    assert len(packed) == len(set(packed)) == 18
+    assert planned == 127
 
 
 @pytest.mark.parametrize("depth", [2, 3])
 def test_window_of_a_stratum_asked_two_floors(depth):
-    # on the chain of bundle (2,) some strata are asked for two floors by
-    # their users (3 strata at depth 2, 6 at depth 3): each is packed once
-    # per floor, and a kernel packed from a floor above 0 is shifted up by
-    # only what is left of its energy shift
+    # on the chain of bundle (2,) some strata are asked for more than one
+    # width by their users (2 strata at depth 2, 6 at depth 3): each is
+    # packed once at the widest, and a narrower user masks off the rows
+    # above its own width
     _assert_windows_read([(3,) * (2 * i + 1) for i in range(5)], depth)
 
 
 @pytest.mark.parametrize("depth", [0, 1, 5])
 def test_windows_of_repeated_and_nested_targets(depth):
-    # (2, 4) is the quotient of (3, 3) and a target of its own: at depth 1
-    # the first target asks it for its top row and its own read for both
-    # rows, so it is packed at both floors; at depth 5 one window serves
-    # both.  The repeated (3, 3) is read out again.
+    # (2, 4) is the quotient of (3, 3) and a target of its own: at depths
+    # 1 and 5 the first target and its own read ask it for different
+    # widths, and it is packed once, at the wider.  The repeated (3, 3) is
+    # read out again.
     _assert_windows_read([(3, 3), (2, 4), (3, 3)], depth)
 
 

@@ -46,6 +46,34 @@ def test_fuse_validates_weights():
         fuse(-1, 0, 0)
 
 
+def test_level_past_the_dimension_cap(monkeypatch):
+    # a level-k element holds k + 1 coefficients, so every path that builds
+    # one checks k + 1 against fusion.DEFAULT_DIMENSION_CAP, read at call time
+    monkeypatch.setattr(fusion, "DEFAULT_DIMENSION_CAP", 6)
+    assert fuse(5, 2, 3) == elt(5, 0, 1, 0, 1, 0, 1)
+    assert limit_multiplicities((0, 4)).level == 5
+    assert classical_limit_check((2, 3))
+    over_cap = [
+        lambda: fuse(6, 0, 0),
+        lambda: elt(6, *[0] * 7),
+        lambda: FusionRingElement.basis(6, 0),
+        lambda: FusionRingElement.unit(6),
+        lambda: product_chain(6, []),
+        lambda: product_chain(6, [1, 2]),
+        lambda: verlinde.product_chain_right(6, [1, 2]),
+        lambda: limit_multiplicities((0, 5)),  # level 6
+        lambda: classical_limit_check((3, 3)),  # level 6
+    ]
+    for call in over_cap:
+        with pytest.raises(DimensionCapError, match="cap of 6"):
+            call()
+    # one line names the level, the cap and the class count
+    with pytest.raises(DimensionCapError,
+                       match="^level 6 would exceed the cap of 6: its ring "
+                             "has 7 classes$"):
+        fuse(6, 0, 0)
+
+
 def test_top_weight_is_involution():
     for k in range(1, 7):
         assert fuse(k, k, k) == FusionRingElement.unit(k)
