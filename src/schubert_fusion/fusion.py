@@ -13,10 +13,19 @@ energy grading is normalized so the cyclic vector sits at 0.
 The closure runs degree by degree.  The currents commute, so the sorted
 words e_{i_1} ... e_{i_k} (i_1 <= ... <= i_k) on the cyclic vector span the
 module: a row admitted to the basis from an image under e_i is hit only with
-the e_j for j >= i, one degree after another until a degree adds nothing.
-All generated vectors are bigrade-homogeneous, and reduction against rows
-whose pivots share the bigrade keeps every stored row homogeneous, so the
-character can be read off the pivot monomials.
+the e_j for j >= i, one degree after another.  All generated vectors are
+bigrade-homogeneous, and reduction against rows whose pivots share the
+bigrade keeps every stored row homogeneous, so the character can be read
+off the pivot monomials.
+
+The closure stops at h-weight 0 and the rest of the character is read off
+by sl2 symmetry.  The cyclic vector holds only v-particles, so f (x) t^j
+kills it, and so does h (x) t^j for j >= 1, which moves some v_i onto an
+occupied v_{i+j} or past the truncation.  By PBW its span under the e_j is
+then a g[t]-submodule, and each of its energy pieces is a finite-dimensional
+sl2-module, whose character is symmetric under h -> -h.  Degree k of the
+closure sits at h-weight -N + 2k, N = sum(a - 1), so degrees 0 .. N // 2
+hold every row of weight <= 0; each weight w < 0 is mirrored to -w.
 
 The second route to the character, `character_recursive`, needs no span:
 it peels the short exact sequences 0 -> S -> M(A) -> M(A') -> 0 down to
@@ -78,7 +87,7 @@ class FusionModule(namedtuple("FusionModule", "weights dimension character")):
     __slots__ = ()
 
 
-def _close_under(seed, operators) -> SpanBasis:
+def _close_under(seed, operators, layers=None) -> SpanBasis:
     # Work with the reduced rows, not the raw operator images: words in the
     # generators have term counts and coefficients that grow with the word
     # length, while the residuals stay no bigger than their grade stratum.
@@ -92,12 +101,19 @@ def _close_under(seed, operators) -> SpanBasis:
     # its sorted words whose largest index is at most j, so operator j
     # needs only them.  Every image lies one h-weight step above its layer,
     # so its reduction touches no row of another layer.
+    #
+    # With `layers`, the closure stops after that many layers past the seed,
+    # before any operator meets the last of them; `build_module` stops at
+    # the middle h-weight, the rest being fixed by sl2 symmetry (see the
+    # module docstring).  With None it runs until a layer adds nothing.
     basis = SpanBasis()
     if not seed.coeffs:
         return basis
     layer = [WedgeState(seed.model, basis.insert_reduced(seed.coeffs))]
     ends = [1] * len(operators)
-    while layer:
+    depth = 0
+    while layer and depth != layers:
+        depth += 1
         born, born_ends = [], []
         for op, end in zip(operators, ends):
             for state in layer[:end]:
@@ -115,11 +131,11 @@ def _close_under(seed, operators) -> SpanBasis:
     return basis
 
 
-def _character_from_basis(basis, cyclic) -> MappingProxyType:
+def _character_from_basis(basis, cyclic) -> dict:
     bigrade = cyclic.model.bigrade
     offset = bigrade(next(iter(cyclic.coeffs)))[1]
     grades = (bigrade(pivot) for pivot in basis.pivots())
-    return MappingProxyType(dict(Counter((w, t - offset) for w, t in grades)))
+    return dict(Counter((w, t - offset) for w, t in grades))
 
 
 @lru_cache(maxsize=None)
@@ -129,13 +145,23 @@ def _build_module_cached(weights):
     operators = [
         (lambda s, j=j: apply_current(j, s)) for j in range(n)
     ]
-    basis = _close_under(cyclic, operators)
-    return FusionModule(weights, basis.dimension,
-                        _character_from_basis(basis, cyclic))
+    # layer k sits at h-weight -N + 2k: the first N // 2 layers past the
+    # cyclic vector reach every row of weight <= 0, and the others mirror them
+    basis = _close_under(cyclic, operators, (sum(weights) - n) // 2)
+    char = _character_from_basis(basis, cyclic)
+    char.update({(-w, t): m for (w, t), m in char.items() if w < 0})
+    dimension = sum(char.values())
+    if dimension > DEFAULT_DIMENSION_CAP:
+        raise DimensionCapError("span dimension exceeded the "
+                                f"cap of {DEFAULT_DIMENSION_CAP}")
+    return FusionModule(weights, dimension, MappingProxyType(char))
 
 
 def build_module(weights) -> FusionModule:
     """Close the cyclic vector under e_0 .. e_{n-1} and return the module.
+
+    The span is closed up to h-weight 0 and the character's positive
+    weights are read off by sl2 symmetry.
 
     The result is cached per weights and shared by every caller, so it is
     an immutable tuple record and its character is read-only.

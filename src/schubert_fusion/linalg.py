@@ -155,14 +155,15 @@ class SpanBasis:
         return self.insert_reduced(vec) is not None
 
     def insert_reduced(self, vec: dict):
-        """Add vec to the span; return a copy of the stored row, or None.
+        """Add vec to the span; return the stored row itself, or None.
 
-        The row is the primitive residual with a positive pivot.  Any two
-        full reductions of vec are proportional (a combination cancelling
-        vec lies in the span and vanishes at every pivot), so the row
-        depends on vec and the span only.  It is usually far sparser than
-        vec, with small int coefficients, which matters when the caller
-        feeds rows back into further computation.
+        The row is read-only: it is never rewritten, and a caller must not
+        change it either.  It is the primitive residual with a positive
+        pivot.  Any two full reductions of vec are proportional (a
+        combination cancelling vec lies in the span and vanishes at every
+        pivot), so the row depends on vec and the span only.  It is
+        usually far sparser than vec, with small int coefficients, which
+        matters when the caller feeds rows back into further computation.
         """
         residual = self.reduce(vec)
         if not residual:
@@ -174,7 +175,7 @@ class SpanBasis:
         row = ({q: c // content for q, c in residual.items()}
                if content != 1 else residual)
         self._rows[pivot] = row
-        return dict(row)
+        return row
 
     def __repr__(self):
         return f"SpanBasis(dimension={self.dimension})"

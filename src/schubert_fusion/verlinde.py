@@ -134,27 +134,53 @@ def fuse(k: int, a: int, b: int) -> FusionRingElement:
     return FusionRingElement(k, tuple(coeffs))
 
 
-def product_chain(k: int, weights) -> FusionRingElement:
-    """Left fold of the fusion product over a list of basis weights."""
-    weights = list(weights)
-    if not weights:
-        return FusionRingElement.unit(_check_level(k))
-    out = FusionRingElement.basis(k, weights[0])
+def _fold(k: int, weights) -> FusionRingElement:
+    """[w_1] . [w_2] . ... . [w_n] at level k, multiplied left to right.
+
+    The running product is a sparse {class: coefficient} map, so a step
+    costs only its coefficient updates: at most the product's support times
+    the w + 1 classes one [w] reaches.  Each step is charged that bound
+    before it runs, and DimensionCapError is raised once the total passes
+    `fusion.DEFAULT_DIMENSION_CAP`, read at call time.
+    """
+    _check_level(k)
+    weights = [_check_weight(k, w) for w in weights]
+    cap = fusion.DEFAULT_DIMENSION_CAP
+    out = {weights[0]: 1} if weights else {0: 1}
+    work = 0
     for w in weights[1:]:
-        out = out * FusionRingElement.basis(k, w)
-    return out
+        work += len(out) * (w + 1)
+        if work > cap:
+            raise DimensionCapError(
+                f"fusion product of {len(weights)} classes at level {k} would "
+                f"exceed the cap of {cap} coefficient updates")
+        step = {}
+        for a, ca in out.items():
+            for c in _fusion_range(k, a, w):
+                step[c] = step.get(c, 0) + ca
+        out = step
+    coeffs = [0] * (k + 1)
+    for c, m in out.items():
+        coeffs[c] = m
+    return FusionRingElement(k, coeffs)
+
+
+def product_chain(k: int, weights) -> FusionRingElement:
+    """Left fold of the fusion product over a list of basis weights.
+
+    Its work is charged against `fusion.DEFAULT_DIMENSION_CAP` (see `_fold`).
+    """
+    return _fold(k, weights)
 
 
 def product_chain_right(k: int, weights) -> FusionRingElement:
     """Right fold [w_1] . ([w_2] . ( ... . [w_n])) of the fusion product.
 
-    Equal to `product_chain` by associativity; kept as the independent
-    second route to it.
+    The ring is commutative, so this is the left fold of the reversed list:
+    equal to `product_chain` by associativity, with a different product at
+    every intermediate step, and kept as the second route to it.
     """
-    out = FusionRingElement.unit(_check_level(k))
-    for w in reversed(list(weights)):
-        out = FusionRingElement.basis(k, w) * out
-    return out
+    return _fold(k, list(weights)[::-1])
 
 
 class LimitDecomposition(namedtuple(
@@ -181,7 +207,11 @@ def limit_multiplicities(bundle) -> LimitDecomposition:
 
 
 def classical_limit_check(bundle) -> bool:
-    """At level >= sum(b_i) fusion reproduces the classical tensor count."""
+    """At level >= sum(b_i) fusion reproduces the classical tensor count.
+
+    The fold at level sum(b_i) is charged its coefficient updates, so a
+    long bundle raises DimensionCapError well below the level cap.
+    """
     bundle = weakly_increasing(bundle, minimum=0)
     k = sum(bundle)
     product = product_chain(k, bundle)

@@ -172,6 +172,23 @@ def test_over_budget_module_exits_3(weights):
     assert int(rss_kib) < 600 * 1024
 
 
+def test_large_module_builds_in_a_child_process():
+    # the closure stops at h-weight 0, so (5,5,5,5) interns 92 193 blocks;
+    # closing the whole span it interned 148 995 in 2.9-3.4 s and 148 MB
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-c", _RSS_CHILD, "dim", "5,5,5,5"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["result"] == 625
+    assert report["checks"] == [{"name": "product_formula", "pass": True,
+                                 "detail": "product of weights is 625"}]
+    assert elapsed < 10
+    assert int(proc.stderr) < 120 * 1024
+
+
 @pytest.mark.parametrize("argv, seconds, mib", [
     # each power past the vanishing one still costs a RelationCheck: this
     # ran for 16 s to a 1.5 GB peak before every power was charged
@@ -185,7 +202,12 @@ def test_over_budget_module_exits_3(weights):
     (("verlinde-fuse", "300000000", "0", "0"), 10, 200),
     # the bundle's level is 3 000 001; this took 6.7 s and 174 MB
     (("verlinde-limit", "0,3000000"), 10, 200),
-], ids=["relations", "stabilize", "verlinde-fuse", "verlinde-limit"])
+    # far under the level cap, but each fold of the product is charged its
+    # coefficient updates: this ran past 60 s in the classical check's fold
+    # at level 10 000 before
+    (("verlinde-limit", ",".join(["50"] * 200)), 10, 200),
+], ids=["relations", "stabilize", "verlinde-fuse", "verlinde-limit",
+        "verlinde-limit-long"])
 def test_long_input_exits_3(argv, seconds, mib):
     env = dict(os.environ, PYTHONPATH=str(SRC))
     start = time.perf_counter()
@@ -293,6 +315,13 @@ def test_out_of_domain_input_exits_2(capsys, argv):
     assert code == 2
     assert not out
     assert "invalid input" in err
+
+
+def test_stabilize_rejects_a_decreasing_bundle(capsys):
+    code, out, err = run(capsys, "stabilize", "2,1", "3", "1")
+    assert code == 2
+    assert not out
+    assert "weakly increasing" in err
 
 
 def test_bundle_split_of_one_part_composition_exits_2(capsys):

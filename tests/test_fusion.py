@@ -297,10 +297,13 @@ def _fifo_closure_oracle(seeds, operators) -> SpanBasis:
 def _closed_by_fifo_oracle():
     # routes build_module and build_submodule through the oracle closure;
     # call _build_module_cached.__wrapped__ under it, so no oracle result
-    # lands in the module cache
+    # lands in the module cache.  The oracle ignores a layer limit and
+    # closes the whole span, so build_module's mirrored half meets the
+    # full character.
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(fusion, "_close_under",
-                   lambda seed, operators: _fifo_closure_oracle([seed], operators))
+                   lambda seed, operators, layers=None:
+                   _fifo_closure_oracle([seed], operators))
         yield
 
 
@@ -321,6 +324,47 @@ def test_degree_ordered_closure_matches_fifo_oracle(weights):
         expected = _build_module_cached.__wrapped__(weights)
     assert module.dimension == expected.dimension == math.prod(weights)
     assert module.character == expected.character
+
+
+@contextmanager
+def _recorded_closures():
+    # yields a list that gets (seed, layers, basis) for every closure run
+    closures = []
+    close = fusion._close_under
+
+    def recording(seed, operators, layers=None):
+        basis = close(seed, operators, layers)
+        closures.append((seed, layers, basis))
+        return basis
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fusion, "_close_under", recording)
+        yield closures
+
+
+@pytest.mark.parametrize("weights", [
+    (2,), (3,), (2, 2), (2, 3), (1, 3, 3), (2, 3, 4), (2,) * 7, (3, 3, 4)])
+def test_module_closure_stops_at_weight_zero(weights):
+    # the closure keeps only rows of h-weight <= 0; the rest are mirrored
+    with _recorded_closures() as closures:
+        module = _build_module_cached.__wrapped__(weights)
+    ((seed, layers, basis),) = closures
+    n = sum(a - 1 for a in weights)
+    assert layers == n // 2
+    assert max(seed.model.bigrade(p)[0] for p in basis.pivots()) == -(n % 2)
+    assert basis.dimension < module.dimension == math.prod(weights)
+    assert module.character == character_recursive(weights)
+
+
+def test_submodule_closure_runs_to_the_end():
+    # the kernel's generator is not known to span an sl2-module, so its
+    # closure has no layer limit and reaches positive h-weights
+    with _recorded_closures() as closures:
+        sub = build_submodule((2, 3, 5), 1)
+    ((seed, layers, basis),) = closures
+    assert layers is None
+    assert basis.dimension == sub.dimension == kernel_dimension((2, 3, 5), 1)
+    assert max(seed.model.bigrade(p)[0] for p in basis.pivots()) > 0
 
 
 @pytest.mark.parametrize("weights", [

@@ -141,7 +141,10 @@ def test_insert_reduced_returns_stored_row():
     row = basis.insert_reduced({0: 2, 1: 2, 2: 6})
     assert row is not None
     assert row[min(row)] > 0 and math.gcd(*row.values()) == 1  # primitive
-    assert basis.insert_reduced(dict(row)) is None
+    assert row is basis.row_vectors()[1]  # not a copy
+    stored = dict(row)
+    assert basis.insert_reduced(row) is None
+    assert row == stored  # reducing a stored row leaves it as it was
 
 
 def test_reduce_clears_fill_in_pivots():

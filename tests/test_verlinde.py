@@ -74,6 +74,28 @@ def test_level_past_the_dimension_cap(monkeypatch):
         fuse(6, 0, 0)
 
 
+def test_folds_are_charged_their_updates(monkeypatch):
+    # a fold step is charged the running product's support times the w + 1
+    # classes one [w] reaches, and the total is held to the cap at call time
+    monkeypatch.setattr(fusion, "DEFAULT_DIMENSION_CAP", 10)
+    # [2].[3] charges 1 * 4 and has support {1, 3, 5}; times [1], 3 * 2 more
+    assert product_chain(5, [2, 3, 1]) == elt(5, 1, 0, 2, 0, 2, 0)
+    assert verlinde.product_chain_right(5, [1, 3, 2]) == elt(5, 1, 0, 2, 0, 2, 0)
+    over_cap = [
+        lambda: product_chain(5, [2, 3, 2]),  # 4 + 3 * 3
+        lambda: verlinde.product_chain_right(5, [3, 2, 2]),  # 3 + 3 * 4
+        lambda: classical_limit_check((1,) * 5),  # 2 + 4 + 4 + 6 at level 5
+        lambda: limit_multiplicities((0,) * 12),  # eleven steps of 1
+    ]
+    for call in over_cap:
+        with pytest.raises(DimensionCapError,
+                           match="exceed the cap of 10 coefficient updates"):
+            call()
+    monkeypatch.setattr(fusion, "DEFAULT_DIMENSION_CAP", 9)
+    with pytest.raises(DimensionCapError):
+        product_chain(5, [2, 3, 1])
+
+
 def test_top_weight_is_involution():
     for k in range(1, 7):
         assert fuse(k, k, k) == FusionRingElement.unit(k)
