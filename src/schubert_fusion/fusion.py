@@ -38,16 +38,20 @@ after its last user, and one packed layout, sized by the largest target;
 each target is read out as soon as it is packed.  A caller that reads only
 the top energy rows of each target has only those rows packed: every
 stratum it needs is packed once, in a window anchored at its own top
-energy and as wide as its widest user keeps.
+energy and as wide as its widest user keeps.  Each top energy has a closed
+form (`_top_energy`), so the walk skips the subtree of every quotient whose
+top lies below the rows its user keeps, and a long chain plans little more
+than the strata it packs.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
+import sys
 from collections import Counter, namedtuple
 from functools import lru_cache
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, compress, count
 from types import MappingProxyType
 
 # DimensionCapError lives in `fock`, which raises it too; it is re-exported here
@@ -218,19 +222,31 @@ def _peel_packed(targets, read, depth=None) -> list:
     if any((top - s) % 2 for s in sums):
         raise ValueError("peeled targets must share the parity of sum(a - 1)")
     largest = max(math.prod(t) for t in targets)
-    field = 8 * -(-largest.bit_length() // 8)  # whole bytes
+    size = -(-largest.bit_length() // 8)  # whole bytes
+    if size <= 8:  # 1, 2, 4 or 8 bytes: a C integer, which `_unpack` casts to
+        size = 1 << (size - 1).bit_length()
+    field = 8 * size
     row = (top + 1) * field
-    # Plan first: a depth-first walk on an explicit stack lists every
-    # stratum after its quotient and kernel, target by target, each
-    # target's new strata in a batch of their own.  A step is (quotient,
-    # kernel, quotient gap, kernel gap): the rows each child is shifted up
-    # by before the two are added, here (0, the kernel's energy shift).
-    # Then pack in that order, read each target out as soon as its strata
-    # are packed, and drop each stratum once its last user (a later
-    # stratum, or the read-out of a target) is done.  With a depth,
-    # `_top_windows` first rewrites the plan for windows anchored at each
-    # stratum's top, and the same loop packs those.
-    plan, batches = {}, []
+    # Plan first: a depth-first walk on an explicit stack lists each
+    # stratum it reaches after its quotient and kernel, target by target,
+    # each target's new strata in a batch of their own.  A step is
+    # (quotient, kernel, quotient gap, kernel gap): the rows each child is
+    # shifted up by before the two are added.  Then pack in that order,
+    # read each target out as soon as its strata are packed, and drop each
+    # stratum once its last user (a later stratum, or the read-out of a
+    # target) is done.
+    #
+    # With no depth the gaps are (0, the kernel's energy shift).  With a
+    # depth every stratum is a window anchored at its own top energy, and
+    # the gaps are each child's distance in rows below its user's top.
+    # `_top_energy` gives each top in closed form, without a walk.  The
+    # shifted kernel always reaches its user's top, so its gap is 0 and its
+    # top is its user's less the shift.  A window holds at most depth + 1
+    # rows, so a quotient more than depth rows below its user's top adds no
+    # row any window keeps: it stands as None and its subtree is not
+    # walked.  `_top_windows` then sizes each window to its widest user and
+    # drops the strata no user keeps, and the same loop packs the rest.
+    plan, batches, tops = {}, [], {}
     for target in targets:
         batch, stack = [], [(target, False)]
         while stack:
@@ -249,8 +265,19 @@ def _peel_packed(targets, read, depth=None) -> list:
             kernel = ((a2 - a1 + 1,) + cur[2:]) if a1 < a2 else cur[2:]
             bisect.insort(rest, a2 + 1)
             quotient = ((a1 - 1,) if a1 > 2 else ()) + tuple(rest)
-            plan[cur] = (quotient, kernel, 0, (a1 - 1) * (len(cur) - 1))
-            stack += ((cur, True), (quotient, False), (kernel, False))
+            shift = (a1 - 1) * (len(cur) - 1)
+            if depth is None:
+                plan[cur] = (quotient, kernel, 0, shift)
+            else:
+                if cur not in tops:
+                    tops[cur] = _top_energy(cur)
+                tops[kernel] = tops[cur] - shift
+                if quotient not in tops:
+                    tops[quotient] = _top_energy(quotient)
+                gap = tops[cur] - tops[quotient]
+                plan[cur] = (quotient if gap <= depth else None, kernel, gap, 0)
+            stack.append((cur, True))
+            stack += ((c, False) for c in plan[cur][:2] if c is not None)
         batches.append(batch)
     widths, totals = {}, [None] * len(targets)
     if depth is not None:
@@ -290,37 +317,51 @@ def _peel_packed(targets, read, depth=None) -> list:
     return reads
 
 
+def _top_energy(weights) -> int:
+    """Highest energy of the fusion module on `weights`, in closed form.
+
+    With m_(1) >= m_(2) >= ... the values a - 1 sorted in decreasing
+    order, it is T(A) = sum over j >= 1 of floor(j / 2) m_(j): floor(n**2 /
+    4) for (2,) * n, and min(m_1, m_2) for two parts.  It is the highest
+    energy that peeling A finds, by induction along the peeling (see
+    `_peel_packed`), from three facts about A = (a_1 <= a_2 <= ...) of
+    length n, its kernel K and its quotient Q:
+
+    (i) T(A) = T(K) + (a_1 - 1)(n - 1).  The n - 2 largest parts of A
+        are those of K, in the same places.  For a_1 < a_2 the last part
+        of K, a_2 - a_1, sits in place n - 1, where A has a_2 - 1; for
+        a_1 = a_2 the kernel has no other part.  Either way T(A) - T(K) =
+        (floor((n - 1) / 2) + floor(n / 2))(a_1 - 1) = (a_1 - 1)(n - 1),
+        for unequal and for equal neighbours alike.
+    (ii) T(Q) <= T(A).  Q trades a_1 - 1 and a_2 - 1 for a_1 - 2 and a_2,
+        so the sorted parts of Q majorize those of A, and the weights
+        floor(j / 2) do not decrease with j.
+    (iii) A's top is the higher of Q's top and K's top plus the shift, as
+        multiplicities are nonnegative; by (i) the shifted kernel reaches
+        T(A), and by (ii) the quotient does not pass it, so the top is T(A)
+        once it is T for Q and K.  Strings (a,) and () have top 0 = T.
+    """
+    parts = sorted((a - 1 for a in weights), reverse=True)
+    return sum(j // 2 * m for j, m in enumerate(parts, 1))
+
+
 def _top_windows(plan, batches, targets, depth):
     """Steps, batches, widths and totals that pack the top depth + 1
-    energy rows of each target.
+    energy rows of each target, from a plan of windows anchored at each
+    stratum's own top energy.
 
-    Every window is anchored at its stratum's own top energy: row d holds
-    co-energy d.  A step's gaps become each child's distance in rows below
-    its user's top, and a stratum is packed once, `widths[stratum]` rows
-    wide, the most any of its users keeps of it.  A child that adds no row
-    its user keeps stands as None, and a stratum no user keeps is not
-    packed at all.
+    A stratum is packed once, `widths[stratum]` rows wide, the most any of
+    its users keeps of it.  A child that adds no row its user keeps stands
+    as None, and a stratum no user keeps is not packed at all.  A target's
+    total is the product of its weights.
     """
-    # Multiplicities are nonnegative, so a stratum's top energy is exactly
-    # the higher of its quotient's and its shifted kernel's, and its total
-    # the sum of theirs.
-    tops, totals = {}, {}
-    for batch in batches:
-        for cur in batch:
-            step = plan[cur]
-            if step is None:
-                tops[cur], totals[cur] = 0, (cur[0] if cur else 1)
-                continue
-            quotient, kernel, gq, gk = step
-            tops[cur] = max(tops[quotient] + gq, tops[kernel] + gk)
-            totals[cur] = totals[quotient] + totals[kernel]
     # Users come after their children in the batches, so a reverse pass
     # meets every stratum after all its users have widened it.  A user w
     # rows wide keeps the rows of a child g rows below its top up to w - g.
     widths = dict.fromkeys(targets, depth + 1)
 
     def keep(child, rows):
-        if rows <= 0:
+        if child is None or rows <= 0:
             return None
         widths[child] = max(widths.get(child, 0), rows)
         return child
@@ -333,26 +374,40 @@ def _top_windows(plan, batches, targets, depth):
             step = plan[cur]
             if step is not None:
                 quotient, kernel, gq, gk = step
-                gq = tops[cur] - tops[quotient] - gq
-                gk = tops[cur] - tops[kernel] - gk
                 step = (keep(quotient, widths[cur] - gq),
                         keep(kernel, widths[cur] - gk), gq, gk)
             steps[cur] = step
     # a window goes in its stratum's batch, which comes before any target
     # that reads it
     batches = [[cur for cur in batch if cur in widths] for batch in batches]
-    return steps, batches, widths, [totals[t] for t in targets]
+    return steps, batches, widths, [math.prod(t) for t in targets]
+
+
+# memoryview formats of the C integers 1, 2, 4 and 8 bytes wide
+_FIELD_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
 
 def _unpack(packed, top, field, total=None) -> dict:
     # A read of `_peel_packed`; a full character has no use for a total.
-    # One to_bytes per call; whole zero rows and the zero ends of each row
-    # are skipped at C speed before any field is read.
+    # One to_bytes per call.  A field of a C integer's width is read with
+    # the whole int through one memoryview cast, and only the nonzero
+    # fields reach Python code; a wider field is read with from_bytes,
+    # after whole zero rows and the zero ends of each row are skipped.
     size = field // 8
-    row = (top + 1) * size
+    cols = top + 1
+    row = cols * size
     rows = -(-packed.bit_length() // (8 * row))
-    data = packed.to_bytes(rows * row, "little")
     char = {}
+    if size in _FIELD_FORMATS:
+        data = packed.to_bytes(rows * row, sys.byteorder)
+        fields = memoryview(data).cast(_FIELD_FORMATS[size]).tolist()
+        if sys.byteorder == "big":  # the lowest field came last
+            fields.reverse()
+        for i in compress(count(), fields):
+            t, j = divmod(i, cols)
+            char[(2 * j - top, t)] = fields[i]
+        return char
+    data = packed.to_bytes(rows * row, "little")
     for t in range(rows):
         chunk = data[t * row:(t + 1) * row]
         end = len(chunk.rstrip(b"\0"))

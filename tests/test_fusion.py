@@ -8,6 +8,7 @@ import weakref
 from collections import Counter, deque
 from contextlib import contextmanager
 from functools import lru_cache
+from itertools import combinations_with_replacement
 
 import pytest
 from hypothesis import example, given, settings
@@ -18,6 +19,7 @@ from schubert_fusion.fock import WedgeState, apply_current
 from schubert_fusion.fusion import (
     DimensionCapError,
     _build_module_cached,
+    _top_energy,
     apply_monomial,
     build_module,
     build_submodule,
@@ -541,7 +543,8 @@ peel_vectors = st.one_of(
     st.builds(lambda k, tail: [2] * k + tail,
               st.integers(min_value=0, max_value=20),
               st.lists(st.integers(min_value=3, max_value=30), max_size=2)),
-    # power-of-two products: the field width steps up at 2**8, 2**16, ...
+    # power-of-two products: the field width steps up at 2**8, 2**16,
+    # 2**32 and 2**64
     st.builds(lambda i, j: [2] * i + [4] * j,
               st.integers(min_value=0, max_value=24),
               st.integers(min_value=0, max_value=6)),
@@ -552,8 +555,8 @@ peel_vectors = st.one_of(
 @given(peel_vectors)
 @example((2,) * 13 + (28,))  # the benchmark's long vectors
 @example((3, 5, 17, 257))  # product 2**16 - 1: two-byte fields
-@example((2,) * 16)  # product 2**16: three-byte fields
-@example((2,) * 32)  # product 2**32: five-byte fields
+@example((2,) * 16)  # product 2**16: three bytes, four-byte fields
+@example((2,) * 32)  # product 2**32: five bytes, eight-byte fields
 def test_packed_recursion_matches_dict_oracle(weights):
     try:
         expected = _peeled_oracle(tuple(a for a in weights if a > 1))
@@ -673,25 +676,27 @@ def _packed_windows(monkeypatch):
 
 
 def test_top_row_window_skips_kernel_subtrees(monkeypatch):
-    # at depth 0 most strata of a Schubert chain lie wholly below the top
-    # row their users keep and are never packed; the top rows still match
+    # at depth 0 every quotient below its user's top is left unwalked, and
+    # each stratum the walk plans is packed; the top rows still match
     calls = _packed_windows(monkeypatch)
     chain = [(2, 2) + (2,) * (2 * i) for i in range(8)]
     _assert_windows_read(chain, 0)
     ((planned, packed),) = calls
-    assert len(packed) < planned // 2
+    assert planned == len(packed)
 
 
 def test_no_stratum_is_packed_twice(monkeypatch):
     # on the chain of bundle (2,) at depth 3, six strata are asked for more
     # than one width by their users; each is packed once, as wide as its
     # widest user keeps, so 18 strata make 18 windows (26 when a stratum
-    # was packed once for each floor asked of it)
+    # was packed once for each floor asked of it).  The walk plans 70
+    # strata, leaving out each quotient more than 3 rows below its user's
+    # top with its subtree (127 when it walked every stratum).
     calls = _packed_windows(monkeypatch)
     _assert_windows_read([(3,) * (2 * i + 1) for i in range(5)], 3)
     ((planned, packed),) = calls
     assert len(packed) == len(set(packed)) == 18
-    assert planned == 127
+    assert planned == 70
 
 
 @pytest.mark.parametrize("depth", [2, 3])
@@ -710,6 +715,113 @@ def test_windows_of_repeated_and_nested_targets(depth):
     # widths, and it is packed once, at the wider.  The repeated (3, 3) is
     # read out again.
     _assert_windows_read([(3, 3), (2, 4), (3, 3)], depth)
+
+
+@pytest.mark.parametrize("depth", range(5))
+@pytest.mark.parametrize("bundle",
+                         list(combinations_with_replacement(range(4), 3)))
+def test_windows_read_on_schubert_chains(bundle, depth):
+    # the Schubert chain of the bundle: (b + 1 for b in bundle) grown by
+    # two more copies of its last entry per step
+    base = tuple(b + 1 for b in bundle)
+    _assert_windows_read([base + base[-1:] * (2 * i) for i in range(4)],
+                         depth)
+
+
+def _highest_energy(weights):
+    return max(t for _, t in character_recursive(weights, cap=10 ** 30))
+
+
+def test_top_energy_closed_forms():
+    assert _top_energy(()) == _top_energy((1, 1, 1)) == 0
+    for n in range(20):
+        assert _top_energy((2,) * n) == n * n // 4
+    for a in range(1, 9):
+        assert _top_energy((a,)) == 0
+        for b in range(a, 9):
+            assert _top_energy((a, b)) == min(a, b) - 1
+    # the order of the entries does not matter
+    assert _top_energy((4, 2, 3)) == _top_energy((2, 3, 4)) == 3
+
+
+def test_top_energy_is_the_highest_peeled_energy():
+    for length in range(6):
+        for weights in combinations_with_replacement(range(1, 9), length):
+            assert _top_energy(weights) == _highest_energy(weights), weights
+
+
+@pytest.mark.parametrize("m", range(2, 11))
+def test_top_energy_of_twos_under_one_weight(m):
+    for n in range(25):
+        weights = (2,) * n + (m,)
+        assert _top_energy(weights) == _highest_energy(weights)
+
+
+sorted_vectors = st.lists(st.integers(min_value=2, max_value=40),
+                          min_size=2, max_size=12).map(lambda xs: tuple(sorted(xs)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(sorted_vectors)
+def test_top_energy_kernel_lemma(weights):
+    # the kernel's top, raised by its energy shift, is its module's top
+    a1, a2, rest = weights[0], weights[1], weights[2:]
+    kernel = ((a2 - a1 + 1,) + rest) if a1 < a2 else rest
+    shift = (a1 - 1) * (len(weights) - 1)
+    assert _top_energy(weights) == _top_energy(kernel) + shift
+
+
+@settings(max_examples=200, deadline=None)
+@given(sorted_vectors, st.integers(min_value=0, max_value=10))
+def test_top_energy_quotient_lemma(weights, raw_index):
+    # the quotient's parts majorize the module's, and its top is no higher
+    index = 1 + raw_index % (len(weights) - 1)
+    quotient = quotient_weights(weights, index)
+
+    def partial_sums(vector):
+        parts = sorted((a - 1 for a in vector), reverse=True)
+        return [sum(parts[:j]) for j in range(1, len(parts) + 1)]
+
+    big, small = partial_sums(quotient), partial_sums(weights)
+    assert big[-1] == small[-1]
+    assert all(q >= a for q, a in zip(big, small))
+    assert _top_energy(quotient) <= _top_energy(weights)
+
+
+@pytest.mark.parametrize("weights, size", [
+    ((2, 3), 1),
+    ((3, 5, 17), 1),  # 255 fills one byte
+    ((2,) * 8, 2),  # 2**8 needs two
+    ((3, 5, 17, 257), 2),  # 2**16 - 1
+    ((2,) * 16, 4),  # three bytes round up to four
+    ((2,) * 32, 8),  # five bytes round up to eight
+    ((2,) * 63, 8),  # 2**63 needs all 64 bits
+    ((2,) * 64, 9),  # 65 bits: wider than a C integer, whole bytes
+    ((2,) * 70, 9),
+])
+def test_unpack_reads_every_field_width(weights, size):
+    # fields of a C integer's width are read through a memoryview cast,
+    # wider ones with from_bytes; both read back the peeled character
+    ((char, field),) = fusion._peel_packed(
+        [weights], lambda p, top, field, total:
+        (fusion._unpack(p, top, field), field))
+    assert field == 8 * size
+    if set(weights) == {2}:
+        expected = _q_binomial_character(len(weights))
+    else:
+        expected = _peeled_oracle(weights)
+        _peeled_oracle.cache_clear()
+    assert char == expected
+    if size > 8:
+        assert character_recursive(weights, cap=10 ** 80) == expected
+
+
+def test_field_formats_are_their_widths():
+    # every width up to 8 bytes rounds up to one that has a format
+    rounded = {1 << (size - 1).bit_length() for size in range(1, 9)}
+    assert rounded == set(fusion._FIELD_FORMATS)
+    for size, fmt in fusion._FIELD_FORMATS.items():
+        assert memoryview(bytes(8)).cast(fmt).itemsize == size
 
 
 def test_chain_peeling_rejects_mixed_parities():

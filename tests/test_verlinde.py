@@ -96,6 +96,43 @@ def test_folds_are_charged_their_updates(monkeypatch):
         product_chain(5, [2, 3, 1])
 
 
+def _dense_product(x, y):
+    # the schoolbook product over every pair of classes, as the reference
+    k = x.level
+    out = [0] * (k + 1)
+    for a, ca in enumerate(x.coeffs):
+        for b, cb in enumerate(y.coeffs):
+            for c in range(abs(a - b), min(a + b, 2 * k - a - b) + 1, 2):
+                out[c] += ca * cb
+    return FusionRingElement(k, out)
+
+
+def test_products_are_sparse_and_charged(monkeypatch):
+    # a full-support square at level 400 would make about 400**3 / 6
+    # updates; it is charged 401 * 401 * 401 and refused before any runs
+    full = elt(400, *[1] * 401)
+    start = time.perf_counter()
+    with pytest.raises(DimensionCapError, match="coefficient updates"):
+        full * full
+    assert time.perf_counter() - start < 0.1
+    # supports {1, 3} and {0, 2, 5}: 2 * 3 * (min(3, 5) + 1) = 24 updates
+    x, y = elt(5, 0, 2, 0, 1, 0, 0), elt(5, 1, 0, 3, 0, 0, 1)
+    monkeypatch.setattr(fusion, "DEFAULT_DIMENSION_CAP", 24)
+    assert x * y == _dense_product(x, y)
+    monkeypatch.setattr(fusion, "DEFAULT_DIMENSION_CAP", 23)
+    with pytest.raises(DimensionCapError, match="cap of 23"):
+        x * y
+    monkeypatch.undo()
+    # a zero factor makes no update
+    assert x * elt(5, *[0] * 6) == elt(5, *[0] * 6)
+    rng = random.Random(3)
+    for k in (1, 4, 9, 30):
+        for _ in range(10):
+            x, y = (elt(k, *[rng.choice((0, 0, 1, 2)) for _ in range(k + 1)])
+                    for _ in range(2))
+            assert x * y == _dense_product(x, y)
+
+
 def test_top_weight_is_involution():
     for k in range(1, 7):
         assert fuse(k, k, k) == FusionRingElement.unit(k)
