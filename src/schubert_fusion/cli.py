@@ -47,6 +47,7 @@ from .schubert import (
 from .types import (
     Composition,
     PoincarePolynomial,
+    _check_size,
     canonical_A,
     leq,
     leq_by_vectors,
@@ -274,6 +275,8 @@ def _cmd_flag_check(args):
     if args.random < 0:
         raise ValueError(f"--random must be nonnegative, got {args.random}")
     comp = Composition(args.C)
+    _check_size(args.random * 2 * comp.n,
+                f"{args.random} translates of a chain in dimension {2 * comp.n}")
     chain = canonical_flag(comp)
     conditions = flag_conditions(chain, comp)
     checks = [_check(name, ok, "canonical chain") for name, ok in conditions.items()]

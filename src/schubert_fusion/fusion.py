@@ -184,16 +184,15 @@ def character(weights) -> dict:
     return dict(build_module(weights).character)
 
 
-def _peel_packed(targets, read, depth=None) -> list:
-    """read(packed, top, field, total) for each target, in order.
+def _peel_packed(targets, depth=None) -> list:
+    """The character of each target, in order, as `_unpack` reads it.
 
     Each target is read out as soon as it is packed and its packed int is
     dropped once no later stratum uses it, so a long chain never holds all
-    its steps at once.  With no `depth`, `packed` is the target's whole
-    character, row t its energy t, and `total` is None.  With a `depth`,
-    `packed` holds only the target's top depth + 1 energy rows, row d its
-    co-energy d (the distance below its highest energy), and `total` is the
-    sum of all its multiplicities.
+    its steps at once.  With no `depth`, a character maps (h-weight,
+    energy) to its multiplicity.  With a `depth`, it holds only the
+    target's top depth + 1 energy rows and maps (h-weight, d) to its
+    multiplicity, d the co-energy (the distance below its highest energy).
     """
     # Peel the smallest weight: the span decomposes against the kernel of
     # the surjection that shuffles (a_1, a_2) to (a_1 - 1, a_2 + 1).  The
@@ -279,10 +278,9 @@ def _peel_packed(targets, read, depth=None) -> list:
             stack.append((cur, True))
             stack += ((c, False) for c in plan[cur][:2] if c is not None)
         batches.append(batch)
-    widths, totals = {}, [None] * len(targets)
+    widths = {}
     if depth is not None:
-        plan, batches, widths, totals = _top_windows(plan, batches, targets,
-                                                     depth)
+        plan, batches, widths = _top_windows(plan, batches, targets, depth)
     users = Counter(child for step in plan.values() if step
                     for child in step[:2])
     users.update(targets)
@@ -291,7 +289,7 @@ def _peel_packed(targets, read, depth=None) -> list:
     # below 0, so it is never deleted
     del users[None]
     memo, reads = {None: 0}, []
-    for target, batch, total in zip(targets, batches, totals):
+    for target, batch in zip(targets, batches):
         for cur in batch:
             step = plan[cur]
             if step is None:  # a string of m weights; () is the string (1,)
@@ -310,7 +308,7 @@ def _peel_packed(targets, read, depth=None) -> list:
                 users[child] -= 1
                 if not users[child]:
                     del memo[child]
-        reads.append(read(memo[target], top, field, total))
+        reads.append(_unpack(memo[target], top, field))
         users[target] -= 1
         if not users[target]:
             del memo[target]
@@ -346,14 +344,13 @@ def _top_energy(weights) -> int:
 
 
 def _top_windows(plan, batches, targets, depth):
-    """Steps, batches, widths and totals that pack the top depth + 1
-    energy rows of each target, from a plan of windows anchored at each
-    stratum's own top energy.
+    """Steps, batches and widths that pack the top depth + 1 energy rows
+    of each target, from a plan of windows anchored at each stratum's own
+    top energy.
 
     A stratum is packed once, `widths[stratum]` rows wide, the most any of
     its users keeps of it.  A child that adds no row its user keeps stands
-    as None, and a stratum no user keeps is not packed at all.  A target's
-    total is the product of its weights.
+    as None, and a stratum no user keeps is not packed at all.
     """
     # Users come after their children in the batches, so a reverse pass
     # meets every stratum after all its users have widened it.  A user w
@@ -380,15 +377,14 @@ def _top_windows(plan, batches, targets, depth):
     # a window goes in its stratum's batch, which comes before any target
     # that reads it
     batches = [[cur for cur in batch if cur in widths] for batch in batches]
-    return steps, batches, widths, [math.prod(t) for t in targets]
+    return steps, batches, widths
 
 
 # memoryview formats of the C integers 1, 2, 4 and 8 bytes wide
 _FIELD_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
 
-def _unpack(packed, top, field, total=None) -> dict:
-    # A read of `_peel_packed`; a full character has no use for a total.
+def _unpack(packed, top, field) -> dict:
     # One to_bytes per call.  A field of a C integer's width is read with
     # the whole int through one memoryview cast, and only the nonzero
     # fields reach Python code; a wider field is read with from_bytes,
@@ -442,28 +438,28 @@ def character_recursive(weights, cap=DEFAULT_DIMENSION_CAP) -> dict:
     build_module for long weight vectors, and an independent oracle for
     the builder.
     """
-    (char,) = _peel_packed([_capped(weights, cap)], _unpack)
+    (char,) = _peel_packed([_capped(weights, cap)])
     return char
 
 
 def _top_strata(chain, depth, cap) -> list:
-    """(strata, total) for each weight vector of `chain`, peeled together.
+    """The top energy rows of each weight vector of `chain`, peeled together.
 
-    `strata` maps each co-energy d <= depth (the distance below the
-    vector's top energy) to {h-weight: multiplicity}, d descending and
-    h-weights ascending; `total` is the sum of all its multiplicities.
-    Only the top depth + 1 energy rows of each vector are packed, and the
-    total is summed alongside the peeling, stratum by stratum.  Every
-    vector is checked against `cap` before any peeling, and all must share
-    the parity of sum(a - 1), as the steps of a Schubert chain do.
+    Each maps each co-energy d <= depth (the distance below the vector's
+    top energy) to {h-weight: multiplicity}, d descending and h-weights
+    ascending.  Only the top depth + 1 energy rows of each vector are
+    packed.  Each vector is checked against `cap` as the chain is built,
+    before any peeling, so the first one over it raises before any later
+    one is built; all must share the parity of sum(a - 1), as the steps of
+    a Schubert chain do.
     """
-    def read(window, top, field, total):
+    tables = []
+    for window in _peel_packed([_capped(w, cap) for w in chain], depth):
         strata = {}
-        for (w, d), mult in _unpack(window, top, field).items():
+        for (w, d), mult in window.items():
             strata.setdefault(d, {})[w] = mult
-        return dict(reversed(strata.items())), total
-
-    return _peel_packed([_capped(w, cap) for w in chain], read, depth)
+        tables.append(dict(reversed(strata.items())))
+    return tables
 
 
 class RelationCheck(namedtuple(

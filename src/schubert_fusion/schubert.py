@@ -25,10 +25,11 @@ from __future__ import annotations
 import math
 import random
 from collections import namedtuple
+from itertools import accumulate
 
 from .linalg import SpanBasis
-from .types import (Composition, _Validated, leq, poincare, type_of,
-                    weakly_increasing)
+from .types import (Composition, _Validated, _check_size, leq, poincare,
+                    type_of, weakly_increasing)
 
 __all__ = [
     "BundleSplit", "FlagChain", "GroupElement",
@@ -102,8 +103,7 @@ def curve_degrees(bundle) -> tuple:
     Entry j (j = 0 .. n-1) is b_1 + ... + b_{n-j}.
     """
     bundle = weakly_increasing(bundle, minimum=0)
-    n = len(bundle)
-    return tuple(sum(bundle[:n - j]) for j in range(n))
+    return tuple(accumulate(bundle))[::-1]
 
 
 def sections_dim(bundle, composition: Composition) -> int:
@@ -132,6 +132,7 @@ def coordinate_ring_dims(weights, i_max: int) -> tuple:
     weights = weakly_increasing(weights, minimum=1)
     if not isinstance(i_max, int) or i_max < 0:
         raise ValueError("i_max must be a nonnegative integer")
+    _check_size(i_max + 1, f"coordinate ring of {i_max + 1} graded pieces")
     return tuple(
         math.prod(i * (a - 1) + 1 for a in weights) for i in range(i_max + 1)
     )

@@ -13,6 +13,15 @@ from collections import namedtuple
 from itertools import groupby
 
 
+def _check_size(size: int, what: str) -> None:
+    """Raise DimensionCapError once `size` passes the dimension cap."""
+    from . import fusion  # it imports this module; its cap is read per call
+
+    cap = fusion.DEFAULT_DIMENSION_CAP
+    if size > cap:
+        raise fusion.DimensionCapError(f"{what} would exceed the cap of {cap}")
+
+
 class _Validated:
     """Base of the records whose __new__ validates its fields.
 
@@ -126,6 +135,7 @@ def leq_by_vectors(lo: Composition, hi: Composition) -> bool:
 
 def canonical_A(comp: Composition) -> tuple:
     """Smallest weight vector of the given type: i_1 twos, i_2 threes, ..."""
+    _check_size(comp.n, f"weight vector of {comp.n} entries")
     out = []
     for block, size in enumerate(comp.parts, start=2):
         out.extend([block] * size)
@@ -187,6 +197,7 @@ class PoincarePolynomial(_Validated,
 
 def poincare(comp: Composition) -> PoincarePolynomial:
     """Closed-form Poincare polynomial: product over parts of 1 + q^2 + ... + q^{2i}."""
+    _check_size(comp.n + 1, f"Poincare polynomial of {comp.n + 1} coefficients")
     result = PoincarePolynomial((1,))
     for part in comp.parts:
         result = result * PoincarePolynomial((1,) * (part + 1))
@@ -203,6 +214,7 @@ def poincare_recursive_single(n: int) -> PoincarePolynomial:
     """
     if not isinstance(n, int) or n < 0:
         raise ValueError("n must be a nonnegative integer")
+    _check_size(n + 1, f"Poincare polynomial of {n + 1} coefficients")
     coeffs = [1] * (n % 2 + 1)  # P(0) or P(1)
     for k in range(n % 2 + 2, n + 1, 2):
         coeffs += [0, 0]

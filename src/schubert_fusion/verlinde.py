@@ -95,7 +95,7 @@ class FusionRingElement(_Validated,
         product is charged its support times the other's support times
         the widest such range, before it runs, and DimensionCapError is
         raised when that passes `fusion.DEFAULT_DIMENSION_CAP`, read at
-        call time, as `_fold` charges a fold.
+        call time, as `product_chain` charges a fold.
         """
         if self.level != other.level:
             raise ValueError("cannot multiply elements of different levels")
@@ -139,16 +139,10 @@ def _fusion_range(k: int, a: int, b: int):
 
 def fuse(k: int, a: int, b: int) -> FusionRingElement:
     """Product [a] . [b] in the level-k fusion ring."""
-    _check_level(k)
-    _check_weight(k, a)
-    _check_weight(k, b)
-    coeffs = [0] * (k + 1)
-    for c in _fusion_range(k, a, b):
-        coeffs[c] += 1
-    return FusionRingElement(k, tuple(coeffs))
+    return product_chain(k, (a, b))
 
 
-def _fold(k: int, weights) -> FusionRingElement:
+def product_chain(k: int, weights) -> FusionRingElement:
     """[w_1] . [w_2] . ... . [w_n] at level k, multiplied left to right.
 
     The running product is a sparse {class: coefficient} map, so a step
@@ -179,14 +173,6 @@ def _fold(k: int, weights) -> FusionRingElement:
     return FusionRingElement(k, coeffs)
 
 
-def product_chain(k: int, weights) -> FusionRingElement:
-    """Left fold of the fusion product over a list of basis weights.
-
-    Its work is charged against `fusion.DEFAULT_DIMENSION_CAP` (see `_fold`).
-    """
-    return _fold(k, weights)
-
-
 def product_chain_right(k: int, weights) -> FusionRingElement:
     """Right fold [w_1] . ([w_2] . ( ... . [w_n])) of the fusion product.
 
@@ -194,7 +180,7 @@ def product_chain_right(k: int, weights) -> FusionRingElement:
     equal to `product_chain` by associativity, with a different product at
     every intermediate step, and kept as the second route to it.
     """
-    return _fold(k, list(weights)[::-1])
+    return product_chain(k, list(weights)[::-1])
 
 
 class LimitDecomposition(namedtuple(
@@ -256,8 +242,9 @@ class StabilizationReport(_Validated, namedtuple(
     `tables[i]` maps each co-energy d <= deg_max (distance below the module's
     maximal energy) to a {h-weight: multiplicity} mapping for the i-th
     module.  `stable_from` is the least i with tables[i] == tables[i+1] ==
-    ... (None when the last two tables still differ); `dims` and
-    `expected_dims` track the closed-form section count.
+    ... (None when the last two tables still differ).  `dims[i]` is the
+    product of the i-th module's weights and `expected_dims[i]` is
+    `grassmannian_section_dims(bundle, i)`, two codings of one closed form.
 
     `tables` is a tuple of read-only mappings of read-only mappings, as
     `FusionModule.character` is, so a report cannot be changed in place;
@@ -287,21 +274,13 @@ def character_stabilization(bundle, i_max: int, deg_max: int,
     Characters come from the peeling recursion, so long extensions stay
     cheap: the whole chain is peeled at once, its steps sharing one memo of
     strata, and only each step's top deg_max + 1 energy rows are packed and
-    read out, each step as soon as it is peeled, with its total summed
-    alongside.  For bundle (0, 0, 1) to i_max 15 the steps hold 3037
-    strata, 582 of them distinct, and at deg_max 3 only 21 of them are
-    packed, each once, in a window anchored at its own top energy (23
-    windows when a stratum was packed once for each floor asked of it).
-    Each top energy has a closed form, so the walk plans only 32 of the
-    582: it skips every quotient that lies wholly below the rows its user
-    keeps, with its subtree.  To i_max 40 that chain takes 0.005 s at a
-    14 MB peak, (1,) to i_max 60 takes 0.011 s at 14 MB and (1,) to i_max
-    200 takes 0.15 s at 15 MB (0.04 s at 17 MB, 0.1 s at 23 MB and 2.3 s
-    at 233 MB when the walk visited every stratum; (1,) to i_max 60 took
-    11.4 s at 1170 MB when every row was packed; one fresh process each,
-    2-vCPU VM, Python 3.11.7).  The cap bounds every step's dimension and
-    is checked for all steps before any peeling; the steps are built one at
-    a time, so the first step over it raises before any later one is built.
+    read out, each step as soon as it is peeled.  Each stratum is packed
+    once, in a window anchored at its own top energy, and the walk skips
+    every quotient that lies wholly below the rows its user keeps, with its
+    subtree, since each top energy has a closed form.  The cap bounds every
+    step's dimension and is checked for all steps before any peeling; the
+    steps are built one at a time, so the first step over it raises before
+    any later one is built.
     """
     bundle = weakly_increasing(bundle, minimum=0)
     if not isinstance(i_max, int) or i_max < 1:
@@ -310,7 +289,9 @@ def character_stabilization(bundle, i_max: int, deg_max: int,
     if not isinstance(deg_max, int) or deg_max < 0:
         raise ValueError("deg_max must be a nonnegative integer")
     chain = (grassmannian_weights(bundle, i) for i in range(i_max + 1))
-    tables, dims = zip(*_top_strata(chain, deg_max, cap))
+    tables = _top_strata(chain, deg_max, cap)
+    dims = tuple(math.prod(grassmannian_weights(bundle, i))
+                 for i in range(i_max + 1))
     stable_from = None
     for i in range(i_max, 0, -1):
         if tables[i] != tables[i - 1]:

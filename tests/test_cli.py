@@ -206,8 +206,23 @@ def test_large_module_builds_in_a_child_process():
     # coefficient updates: this ran past 60 s in the classical check's fold
     # at level 10 000 before
     (("verlinde-limit", ",".join(["50"] * 200)), 10, 200),
+    # the graded pieces, coefficients, entries and translates are charged
+    # against the dimension cap: the first ran past 35 s, the second took
+    # 5.9 s at a 713 MB peak, the next two 8.3 s and 14.4 s, and the three
+    # after them ended in a MemoryError traceback and exit 1 under a
+    # 1.5 GB address-space limit; the last ran past 35 s
+    (("coordring", "1,1", "99999999999"), 10, 200),
+    (("coordring", "2,2", "10000000"), 10, 200),
+    (("poincare", "10000000"), 10, 200),
+    (("bundle-split", "10000000,1", "1"), 10, 200),
+    (("poincare", "100000000"), 10, 200),
+    (("bundle-split", "100000000,1", "1"), 10, 200),
+    (("morphism", "100000000", "100000000"), 10, 200),
+    (("flag-check", "1", "--random", "100000000"), 10, 200),
 ], ids=["relations", "stabilize", "verlinde-fuse", "verlinde-limit",
-        "verlinde-limit-long"])
+        "verlinde-limit-long", "coordring-long", "coordring",
+        "poincare", "bundle-split", "poincare-long", "bundle-split-long",
+        "morphism", "flag-check-random"])
 def test_long_input_exits_3(argv, seconds, mib):
     env = dict(os.environ, PYTHONPATH=str(SRC))
     start = time.perf_counter()
@@ -220,6 +235,20 @@ def test_long_input_exits_3(argv, seconds, mib):
     assert message.startswith("resource cap: ")
     assert elapsed < seconds
     assert int(rss_kib) < mib * 1024
+
+
+def test_curve_degrees_of_a_long_bundle():
+    # summing each prefix afresh took 16.3 s on 60 000 ones
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "schubert_fusion.cli", "degrees",
+         ",".join(["1"] * 60000)],
+        capture_output=True, text=True, env=env, timeout=60)
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["result"] == list(range(60000, 0, -1))
+    assert elapsed < 10
 
 
 def test_cli_import_skips_dataclasses():

@@ -593,25 +593,35 @@ def test_recursion_of_twos_is_q_binomial(n):
     assert char == _q_binomial_character(n)
 
 
-def test_chain_peeling_matches_one_target_peeling():
+def _recording_unpack(monkeypatch):
+    # the (top, field) layout of each read `_peel_packed` makes
+    unpack = fusion._unpack
+    layouts = []
+
+    def recording(packed, top, field):
+        layouts.append((top, field))
+        return unpack(packed, top, field)
+
+    monkeypatch.setattr(fusion, "_unpack", recording)
+    return layouts
+
+
+def test_chain_peeling_matches_one_target_peeling(monkeypatch):
     # one layout for the chain, sized by its last step: every step's full
     # character reads back as its own peeling gives it
     chain = [(2, 3) + (3,) * (2 * i) for i in range(4)]
-    reads = fusion._peel_packed(
-        chain, lambda p, top, field, total:
-        (fusion._unpack(p, top, field), top, field, total))
-    # 6 * 3**6 needs 13 bits, and a full read carries no total
-    assert {(top, field, total) for _, top, field, total in reads} == \
-        {(3 + 2 * 6, 16, None)}
-    assert [char for char, _, _, _ in reads] == \
-        [character_recursive(w, cap=10 ** 9) for w in chain]
+    layouts = _recording_unpack(monkeypatch)
+    chars = fusion._peel_packed(chain)
+    # 6 * 3**6 needs 13 bits
+    assert layouts == [(3 + 2 * 6, 16)] * len(chain)
+    assert chars == [character_recursive(w, cap=10 ** 9) for w in chain]
 
 
 def test_chain_peeling_reads_repeated_and_nested_targets():
     # (2, 4) is the quotient of (3, 3), so it is packed inside the first
     # target's strata; it and the repeated (3, 3) must still be read out
     chain = [(3, 3), (2, 4), (3, 3)]
-    chars = fusion._peel_packed(chain, fusion._unpack)
+    chars = fusion._peel_packed(chain)
     assert chars == [character_recursive(w) for w in chain]
 
 
@@ -620,8 +630,7 @@ def test_chain_total_at_the_modular_edge():
     # int is 0 modulo 255; 3 * 5 = 15 shares the layout and the parity
     chain = [(3, 5), (3, 5, 17)]
     steps = fusion._top_strata(chain, 0, cap=255)
-    assert [total for _, total in steps] == [15, 255]
-    for (strata, _), weights in zip(steps, chain):
+    for strata, weights in zip(steps, chain):
         char = character_recursive(weights, cap=255)
         high = max(t for _, t in char)
         assert strata == {0: {w: m for (w, t), m in char.items() if t == high}}
@@ -630,14 +639,14 @@ def test_chain_total_at_the_modular_edge():
 def _top_rows(weights, depth):
     # The reference read-out: the full character of one call of
     # character_recursive, filtered to its top depth + 1 energies, d
-    # descending and h-weights ascending, and its sum
+    # descending and h-weights ascending
     char = character_recursive(weights, cap=10 ** 60)
     high = max(t for _, t in char)
     strata = {}
     for (w, t), mult in sorted(char.items(), key=lambda e: e[0][::-1]):
         if high - t <= depth:
             strata.setdefault(high - t, {})[w] = mult
-    return strata, sum(char.values())
+    return strata
 
 
 def _assert_windows_read(chain, depth):
@@ -654,7 +663,7 @@ def test_window_past_the_top_reads_every_row():
     for depth in (5, 40):
         _assert_windows_read(chain, depth)
     steps = fusion._top_strata(chain, 5, cap=10 ** 60)
-    for (strata, _), weights in zip(steps, chain):
+    for strata, weights in zip(steps, chain):
         assert sum(sum(s.values()) for s in strata.values()) == \
             math.prod(weights)
 
@@ -667,9 +676,9 @@ def _packed_windows(monkeypatch):
     calls = []
 
     def counting(plan, batches, targets, depth):
-        out = windows(plan, batches, targets, depth)
-        calls.append((sum(map(len, batches)), [s for b in out[1] for s in b]))
-        return out
+        steps, kept, widths = windows(plan, batches, targets, depth)
+        calls.append((sum(map(len, batches)), [s for b in kept for s in b]))
+        return steps, kept, widths
 
     monkeypatch.setattr(fusion, "_top_windows", counting)
     return calls
@@ -799,12 +808,12 @@ def test_top_energy_quotient_lemma(weights, raw_index):
     ((2,) * 64, 9),  # 65 bits: wider than a C integer, whole bytes
     ((2,) * 70, 9),
 ])
-def test_unpack_reads_every_field_width(weights, size):
+def test_unpack_reads_every_field_width(weights, size, monkeypatch):
     # fields of a C integer's width are read through a memoryview cast,
     # wider ones with from_bytes; both read back the peeled character
-    ((char, field),) = fusion._peel_packed(
-        [weights], lambda p, top, field, total:
-        (fusion._unpack(p, top, field), field))
+    layouts = _recording_unpack(monkeypatch)
+    (char,) = fusion._peel_packed([weights])
+    ((_, field),) = layouts
     assert field == 8 * size
     if set(weights) == {2}:
         expected = _q_binomial_character(len(weights))
@@ -827,4 +836,4 @@ def test_field_formats_are_their_widths():
 def test_chain_peeling_rejects_mixed_parities():
     # sum(a - 1) is 1 for (2,) and 2 for (2, 2): no one layout holds both
     with pytest.raises(ValueError, match="parity"):
-        fusion._peel_packed([(2,), (2, 2)], fusion._unpack)
+        fusion._peel_packed([(2,), (2, 2)])

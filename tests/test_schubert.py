@@ -104,6 +104,17 @@ def test_curve_degrees_examples():
     assert curve_degrees((1, 1, 1)) == (3, 2, 1)
 
 
+def test_curve_degrees_match_the_partial_sum_formula():
+    # entry j is b_1 + ... + b_{n-j}, summed afresh for each j
+    rng = random.Random(23)
+    for _ in range(200):
+        bundle = tuple(sorted(rng.randrange(50)
+                              for _ in range(rng.randint(1, 30))))
+        n = len(bundle)
+        assert curve_degrees(bundle) == \
+            tuple(sum(bundle[:n - j]) for j in range(n))
+
+
 def test_curve_degrees_of_canonical_bundles():
     for n in range(1, 6):
         for c in compositions(n):

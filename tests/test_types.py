@@ -8,6 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from schubert_fusion import fusion
+from schubert_fusion.fusion import DimensionCapError
+from schubert_fusion.schubert import coordinate_ring_dims
 from schubert_fusion.types import (
     Composition,
     PoincarePolynomial,
@@ -198,3 +201,19 @@ def test_order_matches_equality_pattern():
             pattern = all(bv[i] == bv[i + 1]
                           for i in range(len(av) - 1) if av[i] == av[i + 1])
             assert leq(lo, hi) == pattern
+
+
+@pytest.mark.parametrize("build, size", [
+    (lambda: poincare(comp(2, 3)), 6),  # n + 1 coefficients
+    (lambda: poincare_recursive_single(5), 6),
+    (lambda: canonical_A(comp(2, 3)), 5),  # n entries
+    (lambda: coordinate_ring_dims((2, 2), 5), 6),  # i_max + 1 entries
+])
+def test_sizes_are_charged_against_the_cap(monkeypatch, build, size):
+    # the cap is read at call time: a result of `size` entries fits a cap
+    # of `size` and raises under one less
+    monkeypatch.setattr(fusion, "DEFAULT_DIMENSION_CAP", size)
+    build()
+    monkeypatch.setattr(fusion, "DEFAULT_DIMENSION_CAP", size - 1)
+    with pytest.raises(DimensionCapError, match=f"cap of {size - 1}"):
+        build()

@@ -337,7 +337,7 @@ def test_stabilization_cap_names_the_first_step_over_it(monkeypatch):
     # 12 * 9**3 = 8748 fits under the cap and 12 * 9**4 does not
     first = grassmannian_weights((1, 1, 2), 4)
 
-    def no_peeling(targets, read):
+    def no_peeling(*args):
         raise AssertionError("peeled before the cap check")
 
     def recording_weights(bundle, steps):
@@ -353,6 +353,12 @@ def test_stabilization_cap_names_the_first_step_over_it(monkeypatch):
         f"character of {first} would exceed the cap of 10000"
     # the steps after the first one over the cap are never built
     assert built == [0, 1, 2, 3, 4]
+    # the control: under a cap every step passes, the chain reaches the
+    # peeling, and the stub stops it there
+    built.clear()
+    with pytest.raises(AssertionError, match="peeled before the cap check"):
+        character_stabilization((1, 1, 2), 6, 3, cap=10 ** 9)
+    assert built == list(range(7))
 
 
 @pytest.mark.quarantined_numerics
