@@ -30,18 +30,19 @@ hold every row of weight <= 0; each weight w < 0 is mirrored to -w.
 The second route to the character, `character_recursive`, needs no span:
 it peels the short exact sequences 0 -> S -> M(A) -> M(A') -> 0 down to
 single-weight strings.  Each stratum's character is packed into one int, a
-fixed-width field per (h-weight, energy) of the top module, so a peel is a
-shift and an add; the strata are walked with an explicit stack, and
-nothing is kept between calls.  One call can peel several targets, the
-steps of a stabilization chain: they share one memo, dropping each stratum
-after its last user, and one packed layout, sized by the largest target;
-each target is read out as soon as it is packed.  A caller that reads only
-the top energy rows of each target has only those rows packed: every
-stratum it needs is packed once, in a window anchored at its own top
-energy and as wide as its widest user keeps.  Each top energy has a closed
-form (`_top_energy`), so the walk skips the subtree of every quotient whose
-top lies below the rows its user keeps, and a long chain plans little more
-than the strata it packs.
+fixed-width field per (h-weight <= 0, energy) of the top module, so a peel
+is a shift and an add, and each target is read back by sl2 symmetry; a
+field is as wide as the largest weight space of the targets needs.  The
+strata are walked with an explicit stack, and nothing is kept between
+calls.  One call can peel several targets, the steps of a stabilization
+chain: they share one memo, dropping each stratum after its last user, and
+one packed layout, sized by the largest target; each target is read out as
+soon as it is packed.  A caller that reads only the top energy rows of
+each target has only those rows packed: every stratum it needs is packed
+once, in a window anchored at its own top energy and as wide as its widest
+user keeps.  Each top energy has a closed form (`_top_energy`), so the
+walk skips the subtree of every quotient whose top lies below the rows its
+user keeps, and a long chain plans little more than the strata it packs.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ import math
 import sys
 from collections import Counter, namedtuple
 from functools import lru_cache
-from itertools import combinations_with_replacement, compress, count
+from itertools import chain, combinations_with_replacement, repeat
 from types import MappingProxyType
 
 # DimensionCapError lives in `fock`, which raises it too; it is re-exported here
@@ -203,29 +204,37 @@ def _peel_packed(targets, depth=None) -> list:
     # of the stratum and the shift is a_1 - 1 times (length - 1).
     #
     # Each stratum's character is one int (Kronecker substitution): with
-    # N = max sum(a - 1) over the targets, the multiplicity at (w, t) sits
-    # in field t * (N + 1) + (w + N) / 2, each field `field` bits wide.  The
-    # quotient keeps sum(a - 1), the kernel lowers it by 2 (a_1 - 1), and a
-    # stratum's h-weights share the parity of its own sum and lie within
-    # -N .. N, so one layout serves every stratum of every target that
-    # shares the parity of N, and a peel is a shift by whole rows plus an
-    # add.  (A Schubert chain qualifies: each step adds 2 top to the sum.)
-    # No carry crosses a field: coefficients are nonnegative, a stratum's
-    # multiplicities sum to the product of its weights, and neither the
-    # quotient ((a_1 - 1)(a_2 + 1) < a_1 a_2) nor the kernel has a larger
-    # product than its parent, so every field, sums included, stays at
-    # most the largest target product < 2**field.
+    # N = max sum(a - 1) over the targets, the multiplicity at (w, t) for
+    # w <= 0 sits in field t * (N // 2 + 1) + (w + N) / 2, each field
+    # `field` bits wide.  The quotient keeps sum(a - 1), the kernel lowers
+    # it by 2 (a_1 - 1), and a stratum's h-weights share the parity of its
+    # own sum and lie within -N .. N, so one layout serves every stratum of
+    # every target that shares the parity of N, and a peel is a shift by
+    # whole rows plus an add.  (A Schubert chain qualifies: each step adds
+    # 2 top to the sum.)  A peel never moves an h-weight, so dropping the
+    # fields of w > 0 commutes with every shift and add; each target is an
+    # sl2-module (module docstring), and `_unpack` mirrors each w < 0.
+    #
+    # No carry crosses a field.  The multiplicity at (w, t) of the module M
+    # on A is at most dim M_w, a coefficient of the product of the
+    # 1 + z + ... + z^(a_i - 1).  Splitting off any one factor j writes that
+    # coefficient as a sum of a_j consecutive coefficients of the product
+    # of the others, which sum to prod_{i != j} a_i; so dim M_w <=
+    # prod(A) // max(A).  char M = char Q + q^shift char K has nonnegative
+    # terms, so dim Q_w <= dim M_w and dim K_w <= dim M_w: every stratum,
+    # and every sum of two, stays within the bound of a target it serves,
+    # at most the largest bound < 2**field.
     targets = [tuple(a for a in t if a > 1) for t in targets]
     sums = [sum(a - 1 for a in t) for t in targets]
     top = max(sums)
     if any((top - s) % 2 for s in sums):
         raise ValueError("peeled targets must share the parity of sum(a - 1)")
-    largest = max(math.prod(t) for t in targets)
+    largest = max(math.prod(t) // max(t, default=1) for t in targets)
     size = -(-largest.bit_length() // 8)  # whole bytes
     if size <= 8:  # 1, 2, 4 or 8 bytes: a C integer, which `_unpack` casts to
         size = 1 << (size - 1).bit_length()
     field = 8 * size
-    row = (top + 1) * field
+    row = (top // 2 + 1) * field
     # Plan first: a depth-first walk on an explicit stack lists each
     # stratum it reaches after its quotient and kernel, target by target,
     # each target's new strata in a batch of their own.  A step is
@@ -294,7 +303,8 @@ def _peel_packed(targets, depth=None) -> list:
             step = plan[cur]
             if step is None:  # a string of m weights; () is the string (1,)
                 m = cur[0] if cur else 1
-                ones = ((1 << (m * field)) - 1) // ((1 << field) - 1)
+                # its (m + 1) // 2 weights w <= 0, from w = 1 - m
+                ones = ((1 << ((m + 1) // 2 * field)) - 1) // ((1 << field) - 1)
                 memo[cur] = ones << ((top - m + 1) // 2 * field)
                 continue
             q, k, gq, gk = step
@@ -385,36 +395,43 @@ _FIELD_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
 
 def _unpack(packed, top, field) -> dict:
-    # One to_bytes per call.  A field of a C integer's width is read with
-    # the whole int through one memoryview cast, and only the nonzero
-    # fields reach Python code; a wider field is read with from_bytes,
-    # after whole zero rows and the zero ends of each row are skipped.
+    # One to_bytes per call.  A row holds the fields of w = -top, ..., <= 0
+    # at one energy; it is read out with its mirror image, the fields of
+    # w > 0, so the dict runs energy by energy, h-weights ascending.  Each
+    # row is an sl2-module's half character, and e is injective on its
+    # weights w < 0, so the multiplicities do not fall from w = -top up to
+    # w <= 0: the zero fields of a row are the ones that open it, and only
+    # the rest reach the dict.  A field of a C integer's width is read with
+    # the whole int through one memoryview cast; a wider field is read with
+    # from_bytes, after the zero bytes that open each row.
     size = field // 8
-    cols = top + 1
+    cols = top // 2 + 1
     row = cols * size
     rows = -(-packed.bit_length() // (8 * row))
-    char = {}
     if size in _FIELD_FORMATS:
         data = packed.to_bytes(rows * row, sys.byteorder)
         fields = memoryview(data).cast(_FIELD_FORMATS[size]).tolist()
         if sys.byteorder == "big":  # the lowest field came last
             fields.reverse()
-        for i in compress(count(), fields):
-            t, j = divmod(i, cols)
-            char[(2 * j - top, t)] = fields[i]
-        return char
-    data = packed.to_bytes(rows * row, "little")
+    else:
+        data = packed.to_bytes(rows * row, "little")
+        fields = []
+        for end in range(row, rows * row + 1, row):
+            chunk = data[end - row:end]
+            start = (row - len(chunk.lstrip(b"\0"))) // size
+            fields += [0] * start
+            fields += [int.from_bytes(chunk[i:i + size], "little")
+                       for i in range(start * size, row, size)]
+    mirror = top % 2 - 2  # the last field of w < 0
+    mults, keys = [], []
     for t in range(rows):
-        chunk = data[t * row:(t + 1) * row]
-        end = len(chunk.rstrip(b"\0"))
-        if not end:
-            continue
-        start = (row - len(chunk.lstrip(b"\0"))) // size
-        for i in range(start, -(-end // size)):
-            mult = int.from_bytes(chunk[i * size:(i + 1) * size], "little")
-            if mult:
-                char[(2 * i - top, t)] = mult
-    return char
+        half = fields[t * cols:(t + 1) * cols]
+        lead = half.count(0)
+        del half[:lead]
+        mults += half
+        mults += half[mirror::-1]
+        keys.append(zip(range(2 * lead - top, top - 2 * lead + 1, 2), repeat(t)))
+    return dict(zip(chain.from_iterable(keys), mults))
 
 
 def _capped(weights, cap) -> tuple:
@@ -431,8 +448,9 @@ def character_recursive(weights, cap=DEFAULT_DIMENSION_CAP) -> dict:
     Splitting off the kernel of the adjacent-pair shuffle at the first
     position expresses the character through two smaller modules; iterating
     bottoms out in single-weight strings.  Each stratum's character is
-    packed into one int, a field per (h-weight, energy) of the top module,
-    so a peel is one shift and one add; the strata are memoized per call
+    packed into one int, a field per (h-weight <= 0, energy) of the top
+    module, so a peel is one shift and one add, and the weights > 0 are
+    read back by sl2 symmetry; the strata are memoized per call
     and walked with an explicit stack, so no state outlives the call and
     long vectors do not hit the recursion limit.  Far cheaper than
     build_module for long weight vectors, and an independent oracle for

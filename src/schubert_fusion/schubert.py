@@ -132,7 +132,10 @@ def coordinate_ring_dims(weights, i_max: int) -> tuple:
     weights = weakly_increasing(weights, minimum=1)
     if not isinstance(i_max, int) or i_max < 0:
         raise ValueError("i_max must be a nonnegative integer")
-    _check_size(i_max + 1, f"coordinate ring of {i_max + 1} graded pieces")
+    # each of the i_max + 1 graded pieces is a product of len(weights) factors
+    _check_size((i_max + 1) * len(weights),
+                f"coordinate ring of {i_max + 1} graded pieces "
+                f"over {len(weights)} weights")
     return tuple(
         math.prod(i * (a - 1) + 1 for a in weights) for i in range(i_max + 1)
     )
@@ -176,9 +179,11 @@ def canonical_flag(composition: Composition) -> FlagChain:
     alpha parts; the final one is the pure v-span.  The thresholds grow
     with alpha, so the chain is built from the smallest subspace up: each
     larger one extends a copy of the next smaller one by its extra u-modes,
-    and every unit vector is inserted once.
+    and every unit vector is inserted once.  The 2n unit vectors of the
+    flag space are charged against the dimension cap first.
     """
     n = composition.n
+    _check_size(2 * n, f"flag space of dimension {2 * n}")
     basis = SpanBasis()
     for m in range(n):
         basis.insert(_unit_vector(m))

@@ -10,7 +10,8 @@ the unique minimal one is {n}.
 from __future__ import annotations
 
 from collections import namedtuple
-from itertools import groupby
+from itertools import accumulate, groupby
+from operator import sub
 
 
 def _check_size(size: int, what: str) -> None:
@@ -196,12 +197,20 @@ class PoincarePolynomial(_Validated,
 
 
 def poincare(comp: Composition) -> PoincarePolynomial:
-    """Closed-form Poincare polynomial: product over parts of 1 + q^2 + ... + q^{2i}."""
+    """Closed-form Poincare polynomial: product over parts of 1 + q^2 + ... + q^{2i}.
+
+    Each factor costs one pass over the running product: coefficient j of
+    the product with 1 + ... + q^{2i} is the sum of the coefficients
+    j - i .. j, a difference of two prefix sums.
+    """
     _check_size(comp.n + 1, f"Poincare polynomial of {comp.n + 1} coefficients")
-    result = PoincarePolynomial((1,))
+    coeffs = [1]
     for part in comp.parts:
-        result = result * PoincarePolynomial((1,) * (part + 1))
-    return result
+        # sums[part + k] is the sum of the first k coefficients, and the
+        # part + 1 zeros before it stand for the empty sums
+        sums = [0] * (part + 1) + list(accumulate(coeffs + [0] * part))
+        coeffs = list(map(sub, sums[part + 1:], sums))
+    return PoincarePolynomial(tuple(coeffs))
 
 
 def poincare_recursive_single(n: int) -> PoincarePolynomial:

@@ -219,10 +219,16 @@ def test_large_module_builds_in_a_child_process():
     (("bundle-split", "100000000,1", "1"), 10, 200),
     (("morphism", "100000000", "100000000"), 10, 200),
     (("flag-check", "1", "--random", "100000000"), 10, 200),
+    # the flag space's 2n unit vectors are charged too: this ended in a
+    # MemoryError traceback and exit 1 under a 1.5 GB address-space limit
+    (("flag-check", "100000000"), 10, 200),
+    # each graded piece is charged its len(weights) factors: this ran past
+    # 30 s when only the i_max + 1 pieces were charged
+    (("coordring", ",".join(["2"] * 2000), "99999"), 10, 200),
 ], ids=["relations", "stabilize", "verlinde-fuse", "verlinde-limit",
         "verlinde-limit-long", "coordring-long", "coordring",
         "poincare", "bundle-split", "poincare-long", "bundle-split-long",
-        "morphism", "flag-check-random"])
+        "morphism", "flag-check-random", "flag-check", "coordring-wide"])
 def test_long_input_exits_3(argv, seconds, mib):
     env = dict(os.environ, PYTHONPATH=str(SRC))
     start = time.perf_counter()
@@ -235,6 +241,21 @@ def test_long_input_exits_3(argv, seconds, mib):
     assert message.startswith("resource cap: ")
     assert elapsed < seconds
     assert int(rss_kib) < mib * 1024
+
+
+def test_poincare_of_two_long_parts():
+    # each all-ones factor is one pass of prefix sums; the generic product,
+    # quadratic in the factors' lengths, took 10.2 s on this
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "schubert_fusion.cli", "poincare", "10000,10000"],
+        capture_output=True, text=True, env=env, timeout=60)
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 0, proc.stderr
+    coeffs = json.loads(proc.stdout)["result"]["coefficients"]
+    assert coeffs == [min(j, 20000 - j) + 1 for j in range(20001)]
+    assert elapsed < 10
 
 
 def test_curve_degrees_of_a_long_bundle():

@@ -543,8 +543,8 @@ peel_vectors = st.one_of(
     st.builds(lambda k, tail: [2] * k + tail,
               st.integers(min_value=0, max_value=20),
               st.lists(st.integers(min_value=3, max_value=30), max_size=2)),
-    # power-of-two products: the field width steps up at 2**8, 2**16,
-    # 2**32 and 2**64
+    # power-of-two bounds on the weight spaces: the field width steps up at
+    # 2**8, 2**16 and 2**32
     st.builds(lambda i, j: [2] * i + [4] * j,
               st.integers(min_value=0, max_value=24),
               st.integers(min_value=0, max_value=6)),
@@ -554,9 +554,9 @@ peel_vectors = st.one_of(
 @settings(max_examples=60, deadline=None)
 @given(peel_vectors)
 @example((2,) * 13 + (28,))  # the benchmark's long vectors
-@example((3, 5, 17, 257))  # product 2**16 - 1: two-byte fields
-@example((2,) * 16)  # product 2**16: three bytes, four-byte fields
-@example((2,) * 32)  # product 2**32: five bytes, eight-byte fields
+@example((3, 5, 17, 257))  # bound 3 * 5 * 17 = 2**8 - 1: one-byte fields
+@example((2,) * 16)  # bound 2**15: two-byte fields
+@example((2,) * 32)  # bound 2**31: four-byte fields
 def test_packed_recursion_matches_dict_oracle(weights):
     try:
         expected = _peeled_oracle(tuple(a for a in weights if a > 1))
@@ -587,7 +587,7 @@ def _q_binomial_character(n):
 
 @pytest.mark.parametrize("n", [7, 8, 64])
 def test_recursion_of_twos_is_q_binomial(n):
-    # products 2**n around one-byte and eight-byte field widths, the
+    # weight-space bounds 2**(n - 1) in one-byte and eight-byte fields, the
     # last with multiplicities far past 2**32
     char = character_recursive((2,) * n, cap=2 ** n)
     assert char == _q_binomial_character(n)
@@ -612,7 +612,7 @@ def test_chain_peeling_matches_one_target_peeling(monkeypatch):
     chain = [(2, 3) + (3,) * (2 * i) for i in range(4)]
     layouts = _recording_unpack(monkeypatch)
     chars = fusion._peel_packed(chain)
-    # 6 * 3**6 needs 13 bits
+    # its weight spaces are bounded by 2 * 3**6, which needs 11 bits
     assert layouts == [(3 + 2 * 6, 16)] * len(chain)
     assert chars == [character_recursive(w, cap=10 ** 9) for w in chain]
 
@@ -625,15 +625,97 @@ def test_chain_peeling_reads_repeated_and_nested_targets():
     assert chars == [character_recursive(w) for w in chain]
 
 
-def test_chain_total_at_the_modular_edge():
-    # 3 * 5 * 17 = 255 = 2**8 - 1 fills the one-byte field, so the packed
-    # int is 0 modulo 255; 3 * 5 = 15 shares the layout and the parity
-    chain = [(3, 5), (3, 5, 17)]
-    steps = fusion._top_strata(chain, 0, cap=255)
-    for strata, weights in zip(steps, chain):
-        char = character_recursive(weights, cap=255)
-        high = max(t for _, t in char)
-        assert strata == {0: {w: m for (w, t), m in char.items() if t == high}}
+def test_chain_total_at_the_modular_edge(monkeypatch):
+    # the bound on the weight spaces of (3, 5, 17, 17) is 3 * 5 * 17 = 255
+    # = 2**8 - 1, which exactly fills a one-byte field; (3, 5) shares the
+    # layout and the parity.  Full reads and top-row windows both hold.
+    chain = [(3, 5), (3, 5, 17, 17)]
+    layouts = _recording_unpack(monkeypatch)
+    try:
+        expected = [_peeled_oracle(w) for w in chain]
+    finally:
+        _peeled_oracle.cache_clear()
+    assert fusion._peel_packed(chain) == expected
+    assert [field for _, field in layouts] == [8, 8]
+    for depth in (0, 3):
+        _assert_windows_read(chain, depth)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(min_value=1, max_value=9), min_size=1, max_size=6)
+       .map(sorted))
+def test_weight_spaces_are_bounded_by_prod_over_max(weights):
+    # dim M_w is a coefficient of the product of the 1 + z + ... + z^(a - 1),
+    # the character of the tensor product of the V_(a - 1): at most
+    # prod // max, the bound `_peel_packed` sizes its fields by
+    coeffs = [1]
+    for a in weights:
+        grown = [0] * (len(coeffs) + a - 1)
+        for i, c in enumerate(coeffs):
+            for j in range(a):
+                grown[i + j] += c
+        coeffs = grown
+    assert max(coeffs) <= math.prod(weights) // max(weights)
+    # and these are the weight spaces of the peeled character
+    spaces = Counter()
+    for (w, _), mult in character_recursive(weights, cap=10 ** 9).items():
+        spaces[w] += mult
+    top = len(coeffs) - 1
+    assert spaces == {2 * k - top: c for k, c in enumerate(coeffs)}
+
+
+def _traced_memo(targets, depth=None):
+    # every value the memo of one `_peel_packed` run holds, and the run's
+    # (top, field) layout: a trace function reads the frame's locals line
+    # by line, and each stratum is packed once
+    values, layout = {}, []
+    code = fusion._peel_packed.__code__
+
+    def local(frame, event, arg):
+        names = frame.f_locals
+        for stratum, packed in names.get("memo", {}).items():
+            values.setdefault(stratum, packed)
+        if "field" in names and not layout:
+            layout.extend((names["top"], names["field"]))
+        return local
+
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg:
+                 local if frame.f_code is code else None)
+    try:
+        fusion._peel_packed(targets, depth)
+    finally:
+        sys.settrace(previous)
+    return values, layout
+
+
+@pytest.mark.parametrize("targets", [
+    [(3, 5), (3, 5, 17, 17)],  # bound 255 in one byte
+    [(2,) * 9],  # bound 2**8 in two bytes
+    [(2, 3) + (3,) * (2 * i) for i in range(4)],
+    [(2,) * 11 + (9,), (2,) * 13 + (9,)],
+])
+@pytest.mark.parametrize("depth", [None, 0, 3])
+def test_every_packed_field_holds_its_multiplicity(targets, depth):
+    # no field carries into the next: every field of every stratum the run
+    # packs is at most the bound on the targets' weight spaces, below
+    # 2**field, and a fully packed stratum reads back as its own character
+    values, (top, field) = _traced_memo(targets, depth)
+    bound = max(math.prod(t) // max(t) for t in targets)
+    assert bound < 2 ** field
+    mask = (1 << field) - 1
+    try:
+        for stratum, packed in values.items():
+            assert packed >= 0
+            fields = [packed >> i & mask
+                      for i in range(0, packed.bit_length(), field)]
+            assert max(fields, default=0) <= bound
+            if depth is None and stratum is not None:
+                assert fusion._unpack(packed, top, field) == \
+                    _peeled_oracle(stratum)
+    finally:
+        _peeled_oracle.cache_clear()
+    assert len(values) > len(targets)
 
 
 def _top_rows(weights, depth):
@@ -799,18 +881,20 @@ def test_top_energy_quotient_lemma(weights, raw_index):
 
 @pytest.mark.parametrize("weights, size", [
     ((2, 3), 1),
-    ((3, 5, 17), 1),  # 255 fills one byte
-    ((2,) * 8, 2),  # 2**8 needs two
-    ((3, 5, 17, 257), 2),  # 2**16 - 1
-    ((2,) * 16, 4),  # three bytes round up to four
-    ((2,) * 32, 8),  # five bytes round up to eight
-    ((2,) * 63, 8),  # 2**63 needs all 64 bits
-    ((2,) * 64, 9),  # 65 bits: wider than a C integer, whole bytes
+    ((3, 5, 17), 1),  # bound 15
+    ((2,) * 9, 2),  # 2**8 needs two
+    ((2, 3, 5, 17, 257), 2),  # 2 * 255
+    ((2,) * 17, 4),  # three bytes round up to four
+    ((2,) * 33, 8),  # five bytes round up to eight
+    ((2,) * 64, 8),  # 2**63 needs all 64 bits
+    ((2,) * 65, 9),  # 65 bits: wider than a C integer, whole bytes
     ((2,) * 70, 9),
 ])
 def test_unpack_reads_every_field_width(weights, size, monkeypatch):
-    # fields of a C integer's width are read through a memoryview cast,
-    # wider ones with from_bytes; both read back the peeled character
+    # a field holds the largest weight space, at most prod // max: (2,) * n
+    # needs 2**(n - 1).  Fields of a C integer's width are read through a
+    # memoryview cast, wider ones with from_bytes; both read back the
+    # peeled character
     layouts = _recording_unpack(monkeypatch)
     (char,) = fusion._peel_packed([weights])
     ((_, field),) = layouts

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from schubert_fusion import fusion
 from schubert_fusion.fusion import DimensionCapError
-from schubert_fusion.schubert import coordinate_ring_dims
+from schubert_fusion.schubert import canonical_flag, coordinate_ring_dims
 from schubert_fusion.types import (
     Composition,
     PoincarePolynomial,
@@ -125,6 +125,16 @@ def test_poincare_structure():
             assert poly.evaluate(1) == math.prod(i + 1 for i in c.parts)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(min_value=1, max_value=40), min_size=1, max_size=8))
+def test_poincare_matches_the_product_fold(parts):
+    # the prefix-sum windows give the generic product of the all-ones factors
+    expected = PoincarePolynomial((1,))
+    for part in parts:
+        expected = expected * PoincarePolynomial((1,) * (part + 1))
+    assert poincare(Composition(parts)) == expected
+
+
 def test_recursion_examples():
     assert poincare_recursive_single(0).even_coeffs == (1,)
     assert poincare_recursive_single(2).even_coeffs == (1, 1, 1)
@@ -207,7 +217,10 @@ def test_order_matches_equality_pattern():
     (lambda: poincare(comp(2, 3)), 6),  # n + 1 coefficients
     (lambda: poincare_recursive_single(5), 6),
     (lambda: canonical_A(comp(2, 3)), 5),  # n entries
-    (lambda: coordinate_ring_dims((2, 2), 5), 6),  # i_max + 1 entries
+    # i_max + 1 entries of len(weights) factors each
+    (lambda: coordinate_ring_dims((2,), 5), 6),
+    (lambda: coordinate_ring_dims((2, 3, 3), 3), 12),
+    (lambda: canonical_flag(comp(2, 3)), 10),  # 2n unit vectors
 ])
 def test_sizes_are_charged_against_the_cap(monkeypatch, build, size):
     # the cap is read at call time: a result of `size` entries fits a cap
