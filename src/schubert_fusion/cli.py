@@ -6,7 +6,8 @@ independently recomputed consistency statement about the result, so the
 tool double-checks itself on every call.
 
 Exit codes: 0 success, 1 a mathematical check failed, 2 invalid input,
-3 dimension cap exceeded.  Vectors are comma-separated integers with no
+3 a resource cap exceeded (also a result with an integer too long to
+print).  Vectors are comma-separated integers with no
 whitespace.  All randomness sits behind --seed (default 0).
 """
 
@@ -275,8 +276,11 @@ def _cmd_flag_check(args):
     if args.random < 0:
         raise ValueError(f"--random must be nonnegative, got {args.random}")
     comp = Composition(args.C)
-    _check_size(args.random * 2 * comp.n,
-                f"{args.random} translates of a chain in dimension {2 * comp.n}")
+    # each membership check, of the canonical chain and of each translate,
+    # tests about s * 2n vectors against the s subspaces
+    _check_size((args.random + 1) * comp.s * 2 * comp.n,
+                f"{args.random + 1} membership checks of {comp.s} subspaces "
+                f"in dimension {2 * comp.n}")
     chain = canonical_flag(comp)
     conditions = flag_conditions(chain, comp)
     checks = [_check(name, ok, "canonical chain") for name, ok in conditions.items()]
@@ -489,30 +493,39 @@ def _render_table(report) -> str:
     return "\n".join(lines)
 
 
+def _render(report, fmt) -> str:
+    # The report is rendered whole before any of it is printed.  The one
+    # ValueError either rendering raises is an int with more digits than
+    # the interpreter converts to a string, a result too long to print.
+    try:
+        return json.dumps(report) if fmt == "json" else _render_table(report)
+    except ValueError as exc:
+        raise DimensionCapError(
+            "result holds an integer of more than "
+            f"{sys.get_int_max_str_digits()} digits") from exc
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
+    # the input echo is every subcommand argument, in declaration order
+    echo = {key: list(value) if isinstance(value, tuple) else value
+            for key, value in vars(args).items()
+            if key not in ("format", "command", "handler")}
     try:
         result, checks = args.handler(args)
+        text = _render({"command": args.command, "input": echo,
+                        "result": result, "checks": checks}, args.format)
     except DimensionCapError as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return 2
-    # the input echo is every subcommand argument, in declaration order
-    echo = {key: list(value) if isinstance(value, tuple) else value
-            for key, value in vars(args).items()
-            if key not in ("format", "command", "handler")}
-    report = {"command": args.command, "input": echo,
-              "result": result, "checks": checks}
-    if args.format == "json":
-        print(json.dumps(report))
-    else:
-        print(_render_table(report))
+    print(text)
     return 0 if all(chk["pass"] for chk in checks) else 1
 
 

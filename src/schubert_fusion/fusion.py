@@ -33,14 +33,17 @@ single-weight strings.  Each stratum's character is packed into one int, a
 fixed-width field per (h-weight <= 0, energy) of the top module, so a peel
 is a shift and an add, and each target is read back by sl2 symmetry; a
 field is as wide as the largest weight space of the targets needs.  The
-strata are walked with an explicit stack, and nothing is kept between
-calls.  One call can peel several targets, the steps of a stabilization
-chain: they share one memo, dropping each stratum after its last user, and
-one packed layout, sized by the largest target; each target is read out as
-soon as it is packed.  A caller that reads only the top energy rows of
-each target has only those rows packed: every stratum it needs is packed
-once, in a window anchored at its own top energy and as wide as its widest
-user keeps.  Each top energy has a closed form (`_top_energy`), so the
+strata are walked with an explicit stack, each quotient's subtree before
+its kernel's, and nothing is kept between calls.  The walk interns each
+stratum to a small int id the first time it meets it, so a stratum's
+weight tuple is hashed once per user, and the plan and the memo are lists
+indexed by id.  One call can peel several targets, the steps of a
+stabilization chain: they share one memo, dropping each stratum after its
+last user, and one packed layout, sized by the largest target; each target
+is read out as soon as it is packed.  A caller that reads only the top
+energy rows of each target has only those rows packed: every stratum it
+needs is packed once, in a window anchored at its own top energy and as
+wide as its widest user keeps.  Each top energy has a closed form (`_top_energy`), so the
 walk skips the subtree of every quotient whose top lies below the rows its
 user keeps, and a long chain plans little more than the strata it packs.
 """
@@ -52,7 +55,7 @@ import math
 import sys
 from collections import Counter, namedtuple
 from functools import lru_cache
-from itertools import chain, combinations_with_replacement, repeat
+from itertools import accumulate, chain, combinations_with_replacement, repeat
 from types import MappingProxyType
 
 # DimensionCapError lives in `fock`, which raises it too; it is re-exported here
@@ -237,91 +240,131 @@ def _peel_packed(targets, depth=None) -> list:
     row = (top // 2 + 1) * field
     # Plan first: a depth-first walk on an explicit stack lists each
     # stratum it reaches after its quotient and kernel, target by target,
-    # each target's new strata in a batch of their own.  A step is
-    # (quotient, kernel, quotient gap, kernel gap): the rows each child is
-    # shifted up by before the two are added.  Then pack in that order,
+    # each target's new strata in a batch of their own.  The walk interns
+    # each stratum to a dense id the first time it meets it, so each
+    # stratum's tuple is hashed on one dict lookup per child that reaches
+    # it, and the steps, tops, widths, users and memo are lists indexed by
+    # id.  Id 0 stands for a child that adds no row its user keeps; it
+    # packs to 0.  A step is (quotient, kernel, quotient shift, kernel
+    # shift): the bits each child is shifted up by before the two are
+    # added; a string's step is its packed int.  Then pack in that order,
     # read each target out as soon as its strata are packed, and drop each
     # stratum once its last user (a later stratum, or the read-out of a
-    # target) is done.
+    # target) is done.  The quotient's subtree is walked, and so packed,
+    # before the kernel's: that packs each stratum nearer its last user,
+    # so fewer wait at once.  A full read of (2,) * 80 holds at most 42
+    # strata at once this way, and 650 with the kernel's subtree first.
     #
-    # With no depth the gaps are (0, the kernel's energy shift).  With a
-    # depth every stratum is a window anchored at its own top energy, and
-    # the gaps are each child's distance in rows below its user's top.
-    # `_top_energy` gives each top in closed form, without a walk.  The
-    # shifted kernel always reaches its user's top, so its gap is 0 and its
-    # top is its user's less the shift.  A window holds at most depth + 1
-    # rows, so a quotient more than depth rows below its user's top adds no
-    # row any window keeps: it stands as None and its subtree is not
-    # walked.  `_top_windows` then sizes each window to its widest user and
-    # drops the strata no user keeps, and the same loop packs the rest.
-    plan, batches, tops = {}, [], {}
+    # With no depth the shifts are 0 and the kernel's energy shift, times
+    # `row` bits.  With a depth every stratum is a window anchored at its
+    # own top energy, and the gaps are each child's distance in rows below
+    # its user's top.  `_top_energy` gives each top in closed form,
+    # without a walk.  The shifted kernel always reaches its user's top,
+    # so its gap is 0 and its top is its user's less the shift.  A window
+    # holds at most depth + 1 rows, so a quotient more than depth rows
+    # below its user's top adds no row any window keeps: it stands as id 0
+    # and its subtree is not walked.  `_top_windows` then sizes each window
+    # to its widest user, drops the strata no user keeps and turns the
+    # gaps into shifts, and the same loop packs the rest.
+    #
+    # `strata` maps each id back to its stratum; the tops are read only
+    # with a depth.  Each stratum is interned inline, where it is met: a
+    # helper call per child took about a tenth longer on a full read.
+    ids, strata, steps, tops = {}, [None], [None], [0]
+    tids, batches = [], []
     for target in targets:
-        batch, stack = [], [(target, False)]
+        tid = ids.setdefault(target, len(strata))
+        if tid == len(strata):
+            strata.append(target)
+            steps.append(None)
+            tops.append(0 if depth is None else _top_energy(target))
+        batch, stack = [], [tid]
         while stack:
-            cur, done = stack.pop()
-            if done:
-                batch.append(cur)
+            i = stack.pop()
+            if i < 0:  # ~i, whose children are planned
+                batch.append(~i)
                 continue
-            if cur in plan:
+            if steps[i] is not None:
                 continue
-            if len(cur) <= 1:
-                plan[cur] = None
-                batch.append(cur)
-                continue
-            a1, a2 = cur[0], cur[1]
-            rest = list(cur[2:])
-            kernel = ((a2 - a1 + 1,) + cur[2:]) if a1 < a2 else cur[2:]
-            bisect.insort(rest, a2 + 1)
-            quotient = ((a1 - 1,) if a1 > 2 else ()) + tuple(rest)
-            shift = (a1 - 1) * (len(cur) - 1)
-            if depth is None:
-                plan[cur] = (quotient, kernel, 0, shift)
-            else:
-                if cur not in tops:
-                    tops[cur] = _top_energy(cur)
-                tops[kernel] = tops[cur] - shift
-                if quotient not in tops:
-                    tops[quotient] = _top_energy(quotient)
-                gap = tops[cur] - tops[quotient]
-                plan[cur] = (quotient if gap <= depth else None, kernel, gap, 0)
-            stack.append((cur, True))
-            stack += ((c, False) for c in plan[cur][:2] if c is not None)
-        batches.append(batch)
-    widths = {}
-    if depth is not None:
-        plan, batches, widths = _top_windows(plan, batches, targets, depth)
-    users = Counter(child for step in plan.values() if step
-                    for child in step[:2])
-    users.update(targets)
-    # None stands for a child that adds no row its user keeps: it packs to
-    # 0, and with no count of users to start from its count only falls
-    # below 0, so it is never deleted
-    del users[None]
-    memo, reads = {None: 0}, []
-    for target, batch in zip(targets, batches):
-        for cur in batch:
-            step = plan[cur]
-            if step is None:  # a string of m weights; () is the string (1,)
+            cur = strata[i]
+            if len(cur) <= 1:  # a string of m weights; () is the string (1,)
                 m = cur[0] if cur else 1
                 # its (m + 1) // 2 weights w <= 0, from w = 1 - m
                 ones = ((1 << ((m + 1) // 2 * field)) - 1) // ((1 << field) - 1)
-                memo[cur] = ones << ((top - m + 1) // 2 * field)
+                steps[i] = ones << ((top - m + 1) // 2 * field)
+                batch.append(i)
                 continue
-            q, k, gq, gk = step
-            packed = (memo[q] << gq * row) + (memo[k] << gk * row)
+            a1, a2 = cur[0], cur[1]
+            kernel = ((a2 - a1 + 1,) + cur[2:]) if a1 < a2 else cur[2:]
+            at = bisect.bisect(cur, a2 + 1, 2)
+            quotient = (((a1 - 1,) if a1 > 2 else ()) + cur[2:at] + (a2 + 1,)
+                        + cur[at:])
+            shift = (a1 - 1) * (len(cur) - 1)
+            new = len(strata)
+            k = ids.setdefault(kernel, new)
+            if k == new:
+                strata.append(kernel)
+                steps.append(None)
+                tops.append(tops[i] - shift)
+                new += 1
+            q = ids.setdefault(quotient, new)
+            if q == new:
+                strata.append(quotient)
+                steps.append(None)
+                tops.append(0 if depth is None else _top_energy(quotient))
+            stack.append(~i)
+            if steps[k] is None:
+                stack.append(k)
+            if depth is None:
+                steps[i] = (q, k, 0, shift * row)
+            else:
+                gap = tops[i] - tops[q]
+                if gap > depth:
+                    q = 0
+                steps[i] = (q, k, gap, 0)
+            if q and steps[q] is None:
+                stack.append(q)
+        tids.append(tid)
+        batches.append(batch)
+    widths = None
+    if depth is not None:
+        steps, batches, widths = _top_windows(steps, batches, tids, depth, row)
+    users = [0] * len(steps)
+    for i in tids:
+        users[i] += 1
+    for i in chain.from_iterable(batches):
+        step = steps[i]
+        if step.__class__ is tuple:
+            users[step[0]] += 1
+            users[step[1]] += 1
+    # id 0 packs to 0, and with no count of users to start from its count
+    # only falls below 0, so it is never dropped
+    users[0] = 0
+    memo, reads = [None] * len(steps), []
+    memo[0] = 0
+    for tid, batch in zip(tids, batches):
+        for i in batch:
+            step = steps[i]
+            if step.__class__ is int:  # a string
+                memo[i] = step
+                continue
+            q, k, sq, sk = step
+            packed = (memo[q] << sq) + (memo[k] << sk)
             # a window keeps its own width: above it a narrower child's
             # share may be missing, and cutting those rows off is exact,
             # since no field carries into the next
-            memo[cur] = (packed & ((1 << widths[cur] * row) - 1) if widths
-                         else packed)
-            for child in (q, k):
-                users[child] -= 1
-                if not users[child]:
-                    del memo[child]
-        reads.append(_unpack(memo[target], top, field))
-        users[target] -= 1
-        if not users[target]:
-            del memo[target]
+            memo[i] = (packed & ((1 << widths[i] * row) - 1) if widths
+                       else packed)
+            users[q] -= 1
+            if not users[q]:
+                memo[q] = None
+            users[k] -= 1
+            if not users[k]:
+                memo[k] = None
+        reads.append(_unpack(memo[tid], top, field))
+        users[tid] -= 1
+        if not users[tid]:
+            memo[tid] = None
     return reads
 
 
@@ -348,45 +391,53 @@ def _top_energy(weights) -> int:
         multiplicities are nonnegative; by (i) the shifted kernel reaches
         T(A), and by (ii) the quotient does not pass it, so the top is T(A)
         once it is T for Q and K.  Strings (a,) and () have top 0 = T.
+
+    floor(j / 2) counts the even e <= j, so T is the sum over even e of the
+    parts m_(e), m_(e + 1), ...: over the n - e + 1 smallest, a prefix of
+    the weights sorted in increasing order, each prefix of i weights
+    summing its a - 1 to the prefix sum less i.  The i = n - 1, n - 3, ...
+    sum to floor(n**2 / 4).
     """
-    parts = sorted((a - 1 for a in weights), reverse=True)
-    return sum(j // 2 * m for j, m in enumerate(parts, 1))
+    sums = list(accumulate(sorted(weights), initial=0))
+    n = len(weights)
+    return sum(sums[n - 1:0:-2]) - n * n // 4
 
 
-def _top_windows(plan, batches, targets, depth):
+def _top_windows(steps, batches, targets, depth, row):
     """Steps, batches and widths that pack the top depth + 1 energy rows
     of each target, from a plan of windows anchored at each stratum's own
-    top energy.
+    top energy; strata and targets are ids, and steps and widths lists
+    indexed by id.
 
-    A stratum is packed once, `widths[stratum]` rows wide, the most any of
-    its users keeps of it.  A child that adds no row its user keeps stands
-    as None, and a stratum no user keeps is not packed at all.
+    A stratum is packed once, `widths[id]` rows wide, the most any of its
+    users keeps of it.  A child that adds no row its user keeps stands as
+    id 0, and a stratum no user keeps is not packed at all.  Each kept
+    step's gaps, in rows, become shifts of `row` bits a row.
     """
     # Users come after their children in the batches, so a reverse pass
     # meets every stratum after all its users have widened it.  A user w
     # rows wide keeps the rows of a child g rows below its top up to w - g.
-    widths = dict.fromkeys(targets, depth + 1)
+    widths = [0] * len(steps)
+    for i in targets:
+        widths[i] = depth + 1
 
     def keep(child, rows):
-        if child is None or rows <= 0:
-            return None
-        widths[child] = max(widths.get(child, 0), rows)
+        if not child or rows <= 0:
+            return 0
+        widths[child] = max(widths[child], rows)
         return child
 
-    steps = {}
     for batch in reversed(batches):
-        for cur in reversed(batch):
-            if cur not in widths:
+        for i in reversed(batch):
+            width, step = widths[i], steps[i]
+            if not width or step.__class__ is int:  # dropped, or a string
                 continue
-            step = plan[cur]
-            if step is not None:
-                quotient, kernel, gq, gk = step
-                step = (keep(quotient, widths[cur] - gq),
-                        keep(kernel, widths[cur] - gk), gq, gk)
-            steps[cur] = step
+            quotient, kernel, gq, gk = step
+            steps[i] = (keep(quotient, width - gq), keep(kernel, width - gk),
+                        gq * row, gk * row)
     # a window goes in its stratum's batch, which comes before any target
     # that reads it
-    batches = [[cur for cur in batch if cur in widths] for batch in batches]
+    batches = [[i for i in batch if widths[i]] for batch in batches]
     return steps, batches, widths
 
 

@@ -225,10 +225,19 @@ def test_large_module_builds_in_a_child_process():
     # each graded piece is charged its len(weights) factors: this ran past
     # 30 s when only the i_max + 1 pieces were charged
     (("coordring", ",".join(["2"] * 2000), "99999"), 10, 200),
+    # each membership check is charged its s * 2n vectors: this took 32 s
+    # when only the 2n coordinates of each translate were charged
+    (("flag-check", ",".join(["1"] * 1000), "--random", "4"), 10, 200),
+    # results with an integer past the interpreter's limit on printed
+    # digits (4300 by default): these ended in a ValueError traceback and
+    # exit 1 when the report was rendered after the error handling
+    (("coordring", ",".join(["1000000000"] * 1000), "1"), 10, 200),
+    (("sections", ",".join(["0"] + ["1000000000"] * 600), "1,600"), 10, 200),
 ], ids=["relations", "stabilize", "verlinde-fuse", "verlinde-limit",
         "verlinde-limit-long", "coordring-long", "coordring",
         "poincare", "bundle-split", "poincare-long", "bundle-split-long",
-        "morphism", "flag-check-random", "flag-check", "coordring-wide"])
+        "morphism", "flag-check-random", "flag-check", "coordring-wide",
+        "flag-check-parts", "coordring-digits", "sections-digits"])
 def test_long_input_exits_3(argv, seconds, mib):
     env = dict(os.environ, PYTHONPATH=str(SRC))
     start = time.perf_counter()

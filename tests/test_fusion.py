@@ -664,19 +664,13 @@ def test_weight_spaces_are_bounded_by_prod_over_max(weights):
     assert spaces == {2 * k - top: c for k, c in enumerate(coeffs)}
 
 
-def _traced_memo(targets, depth=None):
-    # every value the memo of one `_peel_packed` run holds, and the run's
-    # (top, field) layout: a trace function reads the frame's locals line
-    # by line, and each stratum is packed once
-    values, layout = {}, []
+def _trace_peel(targets, depth, read):
+    # one `_peel_packed` run, with read(names, event) called on each trace
+    # event of its frame, `names` the frame's locals
     code = fusion._peel_packed.__code__
 
     def local(frame, event, arg):
-        names = frame.f_locals
-        for stratum, packed in names.get("memo", {}).items():
-            values.setdefault(stratum, packed)
-        if "field" in names and not layout:
-            layout.extend((names["top"], names["field"]))
+        read(frame.f_locals, event)
         return local
 
     previous = sys.gettrace()
@@ -686,7 +680,50 @@ def _traced_memo(targets, depth=None):
         fusion._peel_packed(targets, depth)
     finally:
         sys.settrace(previous)
-    return values, layout
+
+
+def _traced_memo(targets, depth=None):
+    # every value the memo of one `_peel_packed` run holds, by stratum
+    # (None for id 0, which packs to 0), and the run's (top, field) layout.
+    # The memo is a list indexed by stratum id, None where no stratum is
+    # held, and `strata` maps each id back to its stratum; each stratum is
+    # packed once, so a new value shows as one more entry held
+    values, layout, run = {}, [], {"held": 0}
+
+    def read(names, event):
+        memo = names.get("memo")
+        if memo is not None:
+            held = len(memo) - memo.count(None)
+            if held > run["held"]:
+                for i, packed in enumerate(memo):
+                    if packed is not None:
+                        values.setdefault(i, packed)
+            run["held"] = held
+            run["strata"] = names["strata"]
+        if "field" in names and not layout:
+            layout.extend((names["top"], names["field"]))
+
+    _trace_peel(targets, depth, read)
+    return {run["strata"][i]: packed for i, packed in values.items()}, layout
+
+
+def _traced_liveness(targets, depth=None):
+    # the most strata the memo of one `_peel_packed` run holds at once
+    # besides id 0, and the (stratum, value) pairs it still holds when the
+    # run returns
+    run = {"peak": 0}
+
+    def read(names, event):
+        memo = names.get("memo")
+        if memo is not None:
+            run["peak"] = max(run["peak"], len(memo) - memo.count(None) - 1)
+            if event == "return":
+                run["left"] = [(names["strata"][i], packed)
+                               for i, packed in enumerate(memo)
+                               if packed is not None]
+
+    _trace_peel(targets, depth, read)
+    return run["peak"], run["left"]
 
 
 @pytest.mark.parametrize("targets", [
@@ -716,6 +753,39 @@ def test_every_packed_field_holds_its_multiplicity(targets, depth):
     finally:
         _peeled_oracle.cache_clear()
     assert len(values) > len(targets)
+
+
+@pytest.mark.parametrize("targets, depth", [
+    ([(2,) * 9], None),
+    ([(3, 3), (2, 4), (3, 3)], None),
+    ([(3, 3), (2, 4), (3, 3)], 1),
+    ([(3,) * (2 * i + 1) for i in range(5)], 3),
+    ([(2, 2, 3) + (3,) * (2 * i) for i in range(4)], 0),
+])
+def test_only_id_0_outlives_the_call(targets, depth):
+    # each stratum is dropped after its last user, a repeated target after
+    # its last read: when the call returns only id 0 is left, still 0
+    _, left = _traced_liveness(targets, depth)
+    assert left == [(None, 0)]
+
+
+def test_live_strata_do_not_grow_with_the_chain():
+    # on the chain of bundle (1,), the strata alive at once at depth 3 do
+    # not grow with its length: each step's strata are dropped once the
+    # next step has used them
+    peaks = []
+    for i_max in (15, 30, 60):
+        chain = [(2,) * (2 * i + 1) for i in range(i_max + 1)]
+        peaks.append(_traced_liveness(chain, 3)[0])
+    assert peaks == [4] * 3
+
+
+@pytest.mark.parametrize("n", [3, 10, 40, 80])
+def test_full_read_of_twos_keeps_few_strata(n):
+    # the quotient's subtree is packed before the kernel's, so a full read
+    # of (2,) * n holds at most n strata at once (n // 2 + 2 of them; 650
+    # on (2,) * 80 when the kernel's subtree went first)
+    assert _traced_liveness([(2,) * n])[0] <= n
 
 
 def _top_rows(weights, depth):
@@ -757,8 +827,8 @@ def _packed_windows(monkeypatch):
     windows = fusion._top_windows
     calls = []
 
-    def counting(plan, batches, targets, depth):
-        steps, kept, widths = windows(plan, batches, targets, depth)
+    def counting(steps, batches, targets, depth, row):
+        steps, kept, widths = windows(steps, batches, targets, depth, row)
         calls.append((sum(map(len, batches)), [s for b in kept for s in b]))
         return steps, kept, widths
 
