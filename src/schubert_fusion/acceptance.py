@@ -1,8 +1,14 @@
-"""Acceptance battery: the ten headline properties at desk scale.
+"""Acceptance battery and the cross-checks of every CLI subcommand.
+
+Each `<subcommand>_checks` function (`flag_checks` for `flag-check`) takes
+that subcommand's result and checks it by a second route, returning the
+{"name", "pass", "detail"} dicts that the CLI prints.  The ten criteria,
+the headline properties at desk scale, call the same functions over their
+sweeps, so each cross-check has one home and both front ends run it.
 
 Each criterion is a self-contained exhaustive or seeded check returning a
 CheckResult; run_all executes them in order.  Scales are chosen so the whole
-battery finishes in a couple of minutes; max_n trims the larger sweeps for a
+battery finishes in about ten seconds; max_n trims the larger sweeps for a
 quicker smoke run.  Everything is exact: integer elimination in the span
 closures and the flag model, int numerators over one denominator in the
 group elements, and floats only in the quantum-dimension check inside
@@ -16,51 +22,33 @@ import math
 import random
 from collections import namedtuple
 
-from .fusion import (
-    apply_monomial,
-    build_module,
-    character,
-    character_recursive,
-    check_relations,
-    exact_sequence_check,
-    kernel_dimension,
-    monomial_basis,
-    top_wedge,
-)
+from .fusion import (apply_monomial, build_module, character,
+                     character_recursive, check_relations,
+                     exact_sequence_check, kernel_dimension, monomial_basis,
+                     top_wedge)
 from .linalg import SpanBasis
-from .schubert import (
-    bundle_split,
-    canonical_flag,
-    curve_degrees,
-    flag_membership,
-    group_act,
-    line_bundle_exists,
-    morphism_exists,
-    random_group_element,
-    sections_dim,
-)
-from .types import (
-    Composition,
-    canonical_A,
-    compositions,
-    leq,
-    leq_by_vectors,
-    poincare,
-    poincare_recursive_single,
-    type_of,
-)
-from .verlinde import (
-    FusionRingElement,
-    character_stabilization,
-    classical_limit_check,
-    fuse,
-    grassmannian_section_dims,
-    grassmannian_weights,
-    product_chain,
-    product_chain_right,
-)
+from .schubert import (bundle_split, canonical_flag, coordinate_ring_dims,
+                       curve_degrees, flag_conditions, flag_membership,
+                       group_act, isomorphic, line_bundle_exists,
+                       morphism_exists, picard_rank, random_group_element,
+                       sections_dim)
+from .types import (Composition, _check_size, canonical_A, compositions, leq,
+                    leq_by_vectors, poincare, poincare_recursive_single,
+                    type_of)
+from .verlinde import (FusionRingElement, character_stabilization,
+                       classical_limit_check, fuse, grassmannian_section_dims,
+                       grassmannian_weights, limit_multiplicities,
+                       product_chain, product_chain_right)
 
-__all__ = ["CheckResult", "CRITERIA", "run_all", "weight_corpus"]
+__all__ = [
+    "CheckResult", "CRITERIA", "run_all", "weight_corpus", "dim_checks",
+    "char_checks", "relations_checks", "submodule_checks", "exactseq_checks",
+    "type_checks", "order_checks", "poincare_checks", "isom_checks",
+    "morphism_checks", "bundle_split_checks", "bundle_exists_checks",
+    "sections_checks", "degrees_checks", "picard_checks", "coordring_checks",
+    "flag_checks", "verlinde_fuse_checks", "verlinde_limit_checks",
+    "stabilize_checks", "selftest_checks",
+]
 
 
 class CheckResult(namedtuple("CheckResult", "number name passed detail")):
@@ -93,6 +81,209 @@ def weight_corpus(bound: int, max_len: int | None = None) -> list:
     return out
 
 
+# --- cross-checks, one function per subcommand -----------------------------
+
+def _check(name: str, ok: bool, detail: str = "") -> dict:
+    return {"name": name, "pass": bool(ok), "detail": detail}
+
+
+_ORACLE_LIMIT = 512  # largest module a per-call cross-check will build
+
+
+def _module_oracle(name: str, weights, expected: int, detail: str) -> dict:
+    """Check a closed-form count against the built fusion module on
+    `weights`, or pass it as skipped when the module is too large."""
+    if math.prod(weights) > _ORACLE_LIMIT:
+        return _check(name, True, f"skipped, module larger than {_ORACLE_LIMIT}")
+    return _check(name, build_module(weights).dimension == expected, detail)
+
+
+def dim_checks(weights, dim: int) -> list:
+    expected = math.prod(weights)
+    return [_check("product_formula", dim == expected,
+                   f"product of weights is {expected}")]
+
+
+def char_checks(weights, char: dict) -> list:
+    total = sum(char.values())
+    return [
+        _check("total_dimension", total == math.prod(weights),
+               f"character sums to {total}"),
+        _check("peeling_recursion", char == character_recursive(weights),
+               "matches the span-free recursion"),
+    ]
+
+
+def relations_checks(report) -> list:
+    return [_check("series_vanishing", report.ok,
+                   f"powers 2..{report.max_power} on truncation "
+                   f"{report.truncation}")]
+
+
+def submodule_checks(weights, index: int, dim: int) -> list:
+    """`dim` is the dimension of the kernel submodule at pair `index`."""
+    expected = kernel_dimension(weights, index)
+    if expected is not None:
+        return [_check("closed_form", dim == expected,
+                       f"boundary case predicts {expected}")]
+    return [_check("proper_submodule", 0 < dim < math.prod(weights),
+                   "strictly between 0 and the parent dimension")]
+
+
+def exactseq_checks(res) -> list:
+    return [_check("dimension_additivity", res.holds,
+                   f"{res.dim_submodule} + {res.dim_quotient} "
+                   f"vs {res.dim_module}")]
+
+
+def type_checks(comp) -> list:
+    return [_check("canonical_roundtrip", type_of(canonical_A(comp)) == comp,
+                   "type survives the canonical weight vector")]
+
+
+def order_checks(c1, c2, lo_hi: bool, hi_lo: bool) -> list:
+    """`lo_hi` is leq(c1, c2) and `hi_lo` is leq(c2, c1)."""
+    return [_check("antisymmetry", not (lo_hi and hi_lo and c1 != c2),
+                   "both directions only for equal compositions")]
+
+
+def poincare_checks(comp, poly, recursive: bool = False) -> list:
+    """`poly` is the closed form of `comp`, or with `recursive` the product
+    of the single-row recursion over its parts."""
+    if recursive:
+        return [_check("matches_closed_form", poly == poincare(comp),
+                       "single-row recursion, multiplied over parts")]
+    value = poly.evaluate(1)
+    return [_check("euler_value", value == math.prod(i + 1 for i in comp.parts),
+                   f"value at q=1 is {value}")]
+
+
+def isom_checks(weights_a, weights_b, iso: bool) -> list:
+    type_a, type_b = type_of(weights_a), type_of(weights_b)
+    agree = (poincare(type_a) == poincare(type_b)
+             and picard_rank(type_a) == picard_rank(type_b))
+    return [_check("invariants_consistent", agree or not iso,
+                   "isomorphic varieties share Poincare data and Picard rank")]
+
+
+def morphism_checks(source, target, exists: bool) -> list:
+    return [_check("vector_formulation",
+                   exists == leq_by_vectors(target, source),
+                   "agrees with the canonical-vector order")]
+
+
+def bundle_split_checks(split) -> list:
+    return [_check("factorization", split.identity_holds,
+                   "total polynomial is the product of the factors")]
+
+
+def bundle_exists_checks(bundle, comp, exists: bool) -> list:
+    blocks_ok, start = True, 0
+    for part in comp.parts:
+        blocks_ok = blocks_ok and len(set(bundle[start:start + part])) == 1
+        start += part
+    return [_check("blockwise_constant", exists == blocks_ok,
+                   "existence means the bundle is constant on each block")]
+
+
+def sections_checks(bundle, dim: int) -> list:
+    return [_module_oracle("module_oracle", tuple(b + 1 for b in bundle), dim,
+                           "matches the fusion module on weights b_i + 1")]
+
+
+def degrees_checks(degrees) -> list:
+    ok = all(x >= y for x, y in zip(degrees, degrees[1:])) and degrees[-1] >= 0
+    return [_check("weakly_decreasing", ok,
+                   "partial sums of a nonnegative vector")]
+
+
+def picard_checks(comp, rank: int) -> list:
+    return [_check("bounded", 1 <= rank <= comp.n, "rank between 1 and n")]
+
+
+def coordring_checks(weights, dims) -> list:
+    """`dims` are the graded pieces 0 .. i_max of the ring on `weights`."""
+    checks = [_check("unit_stratum", dims[0] == 1, "degree 0 is the constants")]
+    if len(dims) > 1:
+        checks.append(_module_oracle(
+            "module_dimension", weights, dims[1],
+            "degree 1 stratum matches the fusion module"))
+    return checks
+
+
+def _translates(draws, rng) -> tuple:
+    """Act on the chain of each (composition, chain) of `draws` by a random
+    group element from `rng`; return how many translates stay in their
+    variety before the first that leaves, and that composition (None when
+    every one stays)."""
+    tested = 0
+    for comp, chain in draws:
+        g = random_group_element(comp.n, rng)
+        if not flag_membership(group_act(g, chain), comp):
+            return tested, comp
+        tested += 1
+    return tested, None
+
+
+def flag_checks(comp, count: int = 0, seed: int = 0) -> list:
+    """The membership conditions of the canonical chain of `comp` and, for
+    a positive `count`, that many translates by group elements drawn at
+    `seed`, all of which must stay in the variety."""
+    # each membership check, of the canonical chain and of each translate,
+    # tests about s * 2n vectors against the s subspaces
+    _check_size((count + 1) * comp.s * 2 * comp.n,
+                f"{count + 1} membership checks of {comp.s} subspaces "
+                f"in dimension {2 * comp.n}")
+    chain = canonical_flag(comp)
+    checks = [_check(name, ok, "canonical chain")
+              for name, ok in flag_conditions(chain, comp).items()]
+    if count:
+        tested, left = _translates(itertools.repeat((comp, chain), count),
+                                   random.Random(seed))
+        checks.append(_check("group_invariance", left is None,
+                             f"{tested} elements at seed {seed}"))
+    return checks
+
+
+def verlinde_fuse_checks(a: int, b: int, elt) -> list:
+    """`elt` is the level-k product [a] . [b]."""
+    classical = elt.classical_dimension()
+    bound = (a + 1) * (b + 1)
+    classical_ok = classical == bound if elt.level >= a + b else classical <= bound
+    return [
+        _check("commutative", fuse(elt.level, b, a) == elt, "[b].[a] agrees"),
+        _check("classical_bound", classical_ok,
+               f"total dimension {classical} vs tensor product {bound}"),
+    ]
+
+
+def verlinde_limit_checks(decomp) -> list:
+    bundle, level = decomp.bundle, decomp.level
+    return [
+        _check("fold_independence",
+               product_chain(level, bundle) == product_chain_right(level, bundle),
+               "left and right folds of the product agree"),
+        _check("classical_limit", classical_limit_check(bundle),
+               "high-level product has the tensor dimension"),
+    ]
+
+
+def stabilize_checks(report) -> list:
+    return [
+        _check("dims_match", report.dims_match,
+               "section dims follow the closed form"),
+        _check("stabilized", report.stable_from is not None,
+               f"top strata constant from i = {report.stable_from}"),
+    ]
+
+
+def selftest_checks(results) -> list:
+    """One check per criterion of `results`, the CheckResults of run_all."""
+    return [_check(f"criterion_{r.number}", r.passed, r.name) for r in results]
+
+
+# --- the criteria -----------------------------------------------------------
+
 def _trim(max_n: int | None, full: int | None = None) -> int | None:
     """Upper end of a sweep: `full` (None if unbounded) lowered to `max_n`
     when one is given.  A `max_n` below 1 raises ValueError."""
@@ -108,34 +299,45 @@ def _all_compositions(n_max: int):
         yield from compositions(n)
 
 
+def _failures(checks, where) -> list:
+    """One problem line for each failed check, naming `where` it failed."""
+    return [f"{chk['name']} fails at {where}: {chk['detail']}"
+            for chk in checks if not chk["pass"]]
+
+
+def _result(number: int, name: str, problems: list, detail: str) -> CheckResult:
+    """Criterion `number` passes without problems; the first one found is
+    appended to its detail line."""
+    if problems:
+        detail += "; " + problems[0]
+    return CheckResult(number, name, not problems, detail)
+
+
 def criterion_1_dimensions(max_n: int | None = None) -> CheckResult:
     corpus = weight_corpus(256, _trim(max_n))
-    failures = []
+    problems = []
     for weights in corpus:
-        expected = math.prod(weights)
-        got = build_module(weights).dimension
-        if got != expected:
-            failures.append((weights, got, expected))
+        problems += _failures(
+            dim_checks(weights, build_module(weights).dimension), weights)
     n_ladder = _trim(max_n, 6)
     powers = all(build_module((2,) * n).dimension == 2 ** n
                  for n in range(1, n_ladder + 1))
-    passed = not failures and powers and len(corpus) >= 60
+    if not powers:
+        problems.append("the 2^n ladder fails")
+    if len(corpus) < 60:
+        problems.append(f"only {len(corpus)} modules in the corpus")
     detail = (f"{len(corpus)} modules with product <= 256; "
               f"2^n ladder n <= {n_ladder} {'ok' if powers else 'FAILED'}")
-    if failures:
-        detail += f"; first failure {failures[0]}"
-    return CheckResult(1, "dimension product formula", passed, detail)
+    return _result(1, "dimension product formula", problems, detail)
 
 
 def criterion_2_relations(max_n: int | None = None) -> CheckResult:
     n_top = _trim(max_n, 4)
-    reports = [check_relations(n, 3) for n in range(1, n_top + 1)]
-    bad = [r for r in reports if not r.ok]
-    detail = f"series powers i <= 3 on truncations n <= {n_top}"
-    if bad:
-        detail += f"; violation at n={bad[0].truncation}"
-    return CheckResult(2, "vanishing of current-series coefficients",
-                       not bad, detail)
+    problems = []
+    for n in range(1, n_top + 1):
+        problems += _failures(relations_checks(check_relations(n, 3)), f"n={n}")
+    return _result(2, "vanishing of current-series coefficients", problems,
+                   f"series powers i <= 3 on truncations n <= {n_top}")
 
 
 def criterion_3_monomial_basis(max_n: int | None = None) -> CheckResult:
@@ -165,11 +367,8 @@ def criterion_3_monomial_basis(max_n: int | None = None) -> CheckResult:
             problems.append(f"n={n}: span {basis.dimension} != {2 ** n}")
         if build_module((2,) * n).dimension != 2 ** n:
             problems.append(f"n={n}: module dimension mismatch")
-    detail = f"binomial refinement and independence up to n = {n_top}"
-    if problems:
-        detail += "; " + problems[0]
-    return CheckResult(3, "monomial basis of the hypercube module",
-                       not problems, detail)
+    return _result(3, "monomial basis of the hypercube module", problems,
+                   f"binomial refinement and independence up to n = {n_top}")
 
 
 def criterion_4_exact_sequences(max_n: int | None = None) -> CheckResult:
@@ -180,25 +379,16 @@ def criterion_4_exact_sequences(max_n: int | None = None) -> CheckResult:
         for index in range(1, len(weights)):
             pairs += 1
             res = exact_sequence_check(weights, index)
-            if not res.holds:
-                problems.append(f"additivity fails at {weights}, i={index}")
-                continue
-            expected = kernel_dimension(weights, index)
-            if expected is not None and res.dim_submodule != expected:
-                problems.append(f"kernel at {weights}, i={index}: "
-                                f"{res.dim_submodule} != {expected}")
-    chars_checked = 0
+            problems += _failures(
+                exactseq_checks(res)
+                + submodule_checks(weights, index, res.dim_submodule),
+                f"{weights}, i={index}")
     for weights in corpus:
-        if character(weights) != character_recursive(weights):
-            problems.append(f"peeled character differs at {weights}")
-        chars_checked += 1
-    passed = not problems
+        problems += _failures(char_checks(weights, character(weights)), weights)
     detail = (f"{pairs} (A, i) pairs with product <= 128; closed kernel forms "
               f"at both ends and equal pairs; peeling recursion cross-checked "
-              f"on {chars_checked} characters")
-    if problems:
-        detail += "; " + problems[0]
-    return CheckResult(4, "kernel-quotient dimension additivity", passed, detail)
+              f"on {len(corpus)} characters")
+    return _result(4, "kernel-quotient dimension additivity", problems, detail)
 
 
 def criterion_5_poincare(max_n: int | None = None) -> CheckResult:
@@ -207,23 +397,19 @@ def criterion_5_poincare(max_n: int | None = None) -> CheckResult:
     if poincare_recursive_single(0).even_coeffs != (1,):
         problems.append("recursion has the wrong empty-variety value")
     for n in range(1, n_rec + 1):
-        if poincare_recursive_single(n) != poincare(Composition((n,))):
-            problems.append(f"recursion differs from closed form at n={n}")
+        problems += _failures(poincare_checks(
+            Composition((n,)), poincare_recursive_single(n), True), f"n={n}")
     n_split = _trim(max_n, 8)
     splits = 0
     for comp in _all_compositions(n_split):
+        problems += _failures(poincare_checks(comp, poincare(comp)), comp.parts)
         for cut in range(1, comp.s):
             splits += 1
-            if not bundle_split(comp, cut).identity_holds:
-                problems.append(f"factorization fails at {comp.parts}, t={cut}")
-    for comp in _all_compositions(n_split):
-        if poincare(comp).evaluate(1) != math.prod(i + 1 for i in comp.parts):
-            problems.append(f"Euler count fails at {comp.parts}")
+            problems += _failures(bundle_split_checks(bundle_split(comp, cut)),
+                                  f"{comp.parts}, t={cut}")
     detail = (f"recursion vs closed form n <= {n_rec}; {splits} bundle "
               f"factorizations n <= {n_split}; Euler characteristic values")
-    if problems:
-        detail += "; " + problems[0]
-    return CheckResult(5, "Poincare polynomial identities", not problems, detail)
+    return _result(5, "Poincare polynomial identities", problems, detail)
 
 
 def criterion_6_type_lattice(max_n: int | None = None) -> CheckResult:
@@ -234,9 +420,11 @@ def criterion_6_type_lattice(max_n: int | None = None) -> CheckResult:
         for a in comps:
             if not leq(a, a):
                 problems.append(f"not reflexive at {a.parts}")
+            problems += _failures(type_checks(a) + picard_checks(a, picard_rank(a)),
+                                  a.parts)
         for a, b in itertools.permutations(comps, 2):
-            if leq(a, b) and leq(b, a):
-                problems.append(f"antisymmetry fails at {a.parts}, {b.parts}")
+            problems += _failures(order_checks(a, b, leq(a, b), leq(b, a)),
+                                  f"{a.parts}, {b.parts}")
         for a, b, c in itertools.product(comps, repeat=3):
             if leq(a, b) and leq(b, c) and not leq(a, c):
                 problems.append(f"transitivity fails at {a.parts},{b.parts},{c.parts}")
@@ -254,21 +442,19 @@ def criterion_6_type_lattice(max_n: int | None = None) -> CheckResult:
         comps = list(compositions(n))
         for lo, hi in itertools.product(comps, repeat=2):
             pairs += 1
-            blockwise = leq(lo, hi)
-            if blockwise != leq_by_vectors(lo, hi):
-                problems.append(
-                    f"order formulations disagree at {lo.parts} vs {hi.parts}")
-            if morphism_exists(hi, lo) != blockwise:
+            exists = morphism_exists(hi, lo)
+            if exists != leq(lo, hi):
                 problems.append(
                     f"morphism predicate disagrees at {lo.parts} vs {hi.parts}")
-            if type_of(canonical_A(lo)) != lo:
-                problems.append(f"canonical vector loses the type {lo.parts}")
+            a, b = canonical_A(lo), canonical_A(hi)
+            problems += _failures(
+                morphism_checks(hi, lo, exists)
+                + isom_checks(a, b, isomorphic(a, b)),
+                f"{lo.parts} vs {hi.parts}")
     detail = (f"order axioms and unique extremes n <= {n_order}; "
               f"{pairs} pairs cross-checked against the canonical-vector "
               f"formulation n <= {n_morph}")
-    if problems:
-        detail += "; " + problems[0]
-    return CheckResult(6, "type lattice and morphism order", not problems, detail)
+    return _result(6, "type lattice and morphism order", problems, detail)
 
 
 def criterion_7_line_bundles(max_n: int | None = None) -> CheckResult:
@@ -279,7 +465,13 @@ def criterion_7_line_bundles(max_n: int | None = None) -> CheckResult:
         bundles = [b for b in itertools.combinations_with_replacement(range(4), n)]
         comps = list(compositions(n))
         for b in bundles:
-            holders = [c for c in comps if line_bundle_exists(b, c)]
+            holders = []
+            for c in comps:
+                exists = line_bundle_exists(b, c)
+                problems += _failures(bundle_exists_checks(b, c, exists),
+                                      f"{b} on {c.parts}")
+                if exists:
+                    holders.append(c)
             for c in holders:
                 for c2 in comps:
                     if leq(c, c2):
@@ -289,21 +481,21 @@ def criterion_7_line_bundles(max_n: int | None = None) -> CheckResult:
     oracle_checked = 0
     for b_plus_one in weight_corpus(128, _trim(max_n)):
         bundle = tuple(x - 1 for x in b_plus_one)
-        comp = type_of(bundle)
-        expected = build_module(b_plus_one).dimension
-        if sections_dim(bundle, comp) != expected:
-            problems.append(f"sections mismatch at {bundle}")
+        problems += _failures(
+            sections_checks(bundle, sections_dim(bundle, type_of(bundle)))
+            + coordring_checks(b_plus_one, coordinate_ring_dims(b_plus_one, 1)),
+            bundle)
         oracle_checked += 1
     hand_cases = [((1, 2), (3, 1)), ((0, 0, 0), (0, 0, 0)), ((1, 1, 1), (3, 2, 1))]
     for bundle, expected in hand_cases:
-        if curve_degrees(bundle) != expected:
+        degrees = curve_degrees(bundle)
+        if degrees != expected:
             problems.append(f"curve degrees wrong for {bundle}")
+        problems += _failures(degrees_checks(degrees), bundle)
     detail = (f"{checked} monotonicity pairs (entries <= 3, n <= {n_mono}); "
               f"{oracle_checked} section counts against the module builder; "
               f"3 hand curve-degree cases")
-    if problems:
-        detail += "; " + problems[0]
-    return CheckResult(7, "line bundle existence and sections", not problems, detail)
+    return _result(7, "line bundle existence and sections", problems, detail)
 
 
 def criterion_8_flag_model(max_n: int | None = None) -> CheckResult:
@@ -312,25 +504,18 @@ def criterion_8_flag_model(max_n: int | None = None) -> CheckResult:
     count = 0
     for comp in _all_compositions(n_canon):
         count += 1
-        if not flag_membership(canonical_flag(comp), comp):
-            problems.append(f"canonical chain rejected for {comp.parts}")
+        problems += _failures(flag_checks(comp), comp.parts)
     n_rand = _trim(max_n, 4)
     comps = list(_all_compositions(n_rand))
     rng = random.Random(0)
-    actions = 0
-    for _ in range(200):
-        comp = comps[rng.randrange(len(comps))]
-        g = random_group_element(comp.n, rng)
-        if not flag_membership(group_act(g, canonical_flag(comp)), comp):
-            problems.append(f"group action leaves the variety at {comp.parts}")
-            break
-        actions += 1
+    draws = (comps[rng.randrange(len(comps))] for _ in range(200))
+    actions, left = _translates(((c, canonical_flag(c)) for c in draws), rng)
+    if left is not None:
+        problems.append(f"group action leaves the variety at {left.parts}")
     detail = (f"{count} canonical chains n <= {n_canon}; {actions} seeded "
               f"group actions n <= {n_rand}")
-    if problems:
-        detail += "; " + problems[0]
-    return CheckResult(8, "flag chain membership and group invariance",
-                       not problems, detail)
+    return _result(8, "flag chain membership and group invariance",
+                   problems, detail)
 
 
 def criterion_9_verlinde(max_n: int | None = None) -> CheckResult:
@@ -338,8 +523,8 @@ def criterion_9_verlinde(max_n: int | None = None) -> CheckResult:
     for k in range(1, 6):
         for a in range(k + 1):
             for b in range(k + 1):
-                if fuse(k, a, b) != fuse(k, b, a):
-                    problems.append(f"commutativity fails k={k}")
+                problems += _failures(verlinde_fuse_checks(a, b, fuse(k, a, b)),
+                                      f"k={k}, [{a}].[{b}]")
                 for c in range(k + 1):
                     lhs = (fuse(k, a, b) * FusionRingElement.basis(k, c))
                     rhs = (FusionRingElement.basis(k, a) * fuse(k, b, c))
@@ -350,14 +535,9 @@ def criterion_9_verlinde(max_n: int | None = None) -> CheckResult:
             problems.append(f"boundary involution fails k={k}")
     bundles = [tuple(x - 1 for x in w) for w in weight_corpus(64, _trim(max_n))]
     bundles += [(0,), (0, 1), (0, 0, 2)]
-    folds = 0
     for bundle in bundles:
-        if not classical_limit_check(bundle):
-            problems.append(f"classical limit fails for {bundle}")
-        level = bundle[-1] + 1
-        if product_chain(level, bundle) != product_chain_right(level, bundle):
-            problems.append(f"fold order changes the product for {bundle}")
-        folds += 1
+        problems += _failures(verlinde_limit_checks(limit_multiplicities(bundle)),
+                              bundle)
     qdim_err = 0.0
     for k in range(1, 6):
         def qdim(c):
@@ -368,11 +548,10 @@ def criterion_9_verlinde(max_n: int | None = None) -> CheckResult:
                 qdim_err = max(qdim_err, abs(total - qdim(a) * qdim(b)))
     if qdim_err > 1e-9:
         problems.append(f"quantum dimension error {qdim_err:.2e}")
-    detail = (f"ring axioms k <= 5; involution k <= 6; {folds} classical and "
-              f"fold checks; qdim homomorphism off by {qdim_err:.1e} (tol 1e-9)")
-    if problems:
-        detail += "; " + problems[0]
-    return CheckResult(9, "Verlinde algebra consistency", not problems, detail)
+    detail = (f"ring axioms k <= 5; involution k <= 6; {len(bundles)} classical "
+              f"and fold checks; qdim homomorphism off by {qdim_err:.1e} "
+              f"(tol 1e-9)")
+    return _result(9, "Verlinde algebra consistency", problems, detail)
 
 
 def criterion_10_stabilization(max_n: int | None = None) -> CheckResult:
@@ -381,6 +560,7 @@ def criterion_10_stabilization(max_n: int | None = None) -> CheckResult:
     details = []
     for bundle in [(1,), (1, 1), (1, 2)]:
         report = character_stabilization(bundle, 3, 2)
+        problems += _failures(stabilize_checks(report), bundle)
         if report.stable_from is None or report.stable_from > 2:
             problems.append(f"no stabilization by i=2 for {bundle}")
         details.append(f"{bundle}: i0={report.stable_from}")
@@ -390,9 +570,7 @@ def criterion_10_stabilization(max_n: int | None = None) -> CheckResult:
                 problems.append(f"section dims wrong for {bundle} at i={i}")
     detail = ("top-anchored tables at co-energy <= 2 for i <= 3 ("
               + ", ".join(details) + "); built dims match the closed form for i <= 2")
-    if problems:
-        detail += "; " + problems[0]
-    return CheckResult(10, "affine Grassmannian stabilization", not problems, detail)
+    return _result(10, "affine Grassmannian stabilization", problems, detail)
 
 
 CRITERIA = (

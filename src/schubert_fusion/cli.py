@@ -3,7 +3,10 @@
 Every invocation prints a single report: {"command", "input", "result",
 "checks"} as JSON (default) or an aligned text table.  Each check is an
 independently recomputed consistency statement about the result, so the
-tool double-checks itself on every call.
+tool double-checks itself on every call.  The checks live in `acceptance`,
+one `<subcommand>_checks` function each (`flag_checks` for flag-check),
+which the acceptance battery runs over its sweeps too; a handler here only
+computes its result, shapes it for JSON and hands it to that function.
 
 Exit codes: 0 success, 1 a mathematical check failed, 2 invalid input,
 3 a resource cap exceeded (also a result with an integer too long to
@@ -16,7 +19,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import random
 import sys
 
 from . import acceptance
@@ -25,45 +27,29 @@ from .fusion import (
     build_module,
     build_submodule,
     character,
-    character_recursive,
     check_relations,
     exact_sequence_check,
-    kernel_dimension,
 )
 from .schubert import (
     bundle_split,
     canonical_flag,
     coordinate_ring_dims,
     curve_degrees,
-    flag_conditions,
-    flag_membership,
-    group_act,
     isomorphic,
     line_bundle_exists,
     morphism_exists,
     picard_rank,
-    random_group_element,
     sections_dim,
 )
 from .types import (
     Composition,
     PoincarePolynomial,
-    _check_size,
-    canonical_A,
     leq,
-    leq_by_vectors,
     poincare,
     poincare_recursive_single,
     type_of,
 )
-from .verlinde import (
-    character_stabilization,
-    classical_limit_check,
-    fuse,
-    limit_multiplicities,
-    product_chain,
-    product_chain_right,
-)
+from .verlinde import character_stabilization, fuse, limit_multiplicities
 
 __all__ = ["main"]
 
@@ -79,45 +65,19 @@ def _comma_ints(text: str) -> tuple:
             f"not a comma-separated integer list: {text!r}")
 
 
-def _check(name: str, ok: bool, detail: str = "") -> dict:
-    return {"name": name, "pass": bool(ok), "detail": detail}
-
-
-_ORACLE_LIMIT = 512  # largest module a per-call cross-check will build
-
-
-def _module_oracle(name: str, weights, expected: int, detail: str) -> dict:
-    """Check a closed-form count against the built fusion module on
-    `weights`, or pass it as skipped when the module is too large."""
-    if math.prod(weights) > _ORACLE_LIMIT:
-        return _check(name, True, f"skipped, module larger than {_ORACLE_LIMIT}")
-    return _check(name, build_module(weights).dimension == expected, detail)
-
-
-# --- handlers: each returns (result, list of checks) -----------------------
+# --- handlers: each returns (result, the acceptance checks of it) ----------
 
 def _cmd_dim(args):
-    weights = args.A
-    dim = build_module(weights).dimension
-    expected = math.prod(weights)
-    checks = [_check("product_formula", dim == expected,
-                     f"product of weights is {expected}")]
-    return dim, checks
+    dim = build_module(args.A).dimension
+    return dim, acceptance.dim_checks(args.A, dim)
 
 
 def _cmd_char(args):
-    weights = args.A
-    char = character(weights)
+    char = character(args.A)
     entries = [{"weight": w, "energy": t, "mult": m}
                for (w, t), m in sorted(char.items(), key=lambda kv: (kv[0][1], kv[0][0]))]
-    total = sum(char.values())
-    checks = [
-        _check("total_dimension", total == math.prod(weights),
-               f"character sums to {total}"),
-        _check("peeling_recursion", char == character_recursive(weights),
-               "matches the span-free recursion"),
-    ]
-    return {"entries": entries, "dimension": total}, checks
+    result = {"entries": entries, "dimension": sum(char.values())}
+    return result, acceptance.char_checks(args.A, char)
 
 
 def _cmd_relations(args):
@@ -125,26 +85,15 @@ def _cmd_relations(args):
     result = [{"power": c.power, "required_vanishing": c.required_vanishing,
                "ok": c.ok, "first_violation": c.first_violation}
               for c in report.checks]
-    checks = [_check("series_vanishing", report.ok,
-                     f"powers 2..{args.i} on truncation {args.n}")]
-    return result, checks
+    return result, acceptance.relations_checks(report)
 
 
 def _cmd_submodule(args):
-    weights, index = args.A, args.i
-    sub = build_submodule(weights, index)
-    expected = kernel_dimension(weights, index)
+    sub = build_submodule(args.A, args.i)
     result = {"dimension": sub.dimension, "case": sub.case,
               "aprime": list(sub.aprime),
               "adoubleprime": list(sub.adoubleprime) if sub.adoubleprime else None}
-    if expected is not None:
-        checks = [_check("closed_form", sub.dimension == expected,
-                         f"boundary case predicts {expected}")]
-    else:
-        checks = [_check("proper_submodule",
-                         0 < sub.dimension < math.prod(weights),
-                         "strictly between 0 and the parent dimension")]
-    return result, checks
+    return result, acceptance.submodule_checks(args.A, args.i, sub.dimension)
 
 
 def _cmd_exactseq(args):
@@ -153,62 +102,43 @@ def _cmd_exactseq(args):
               "quotient_weights": list(res.quotient),
               "quotient_dim": res.dim_quotient,
               "parent_dim": res.dim_module}
-    checks = [_check("dimension_additivity", res.holds,
-                     f"{res.dim_submodule} + {res.dim_quotient} vs {res.dim_module}")]
-    return result, checks
+    return result, acceptance.exactseq_checks(res)
 
 
 def _cmd_type(args):
     comp = type_of(args.A)
-    checks = [_check("canonical_roundtrip", type_of(canonical_A(comp)) == comp,
-                     "type survives the canonical weight vector")]
-    return {"parts": list(comp.parts), "n": comp.n, "s": comp.s}, checks
+    result = {"parts": list(comp.parts), "n": comp.n, "s": comp.s}
+    return result, acceptance.type_checks(comp)
 
 
 def _cmd_order(args):
     c1, c2 = Composition(args.C1), Composition(args.C2)
     lo_hi, hi_lo = leq(c1, c2), leq(c2, c1)
     result = {"leq": lo_hi, "geq": hi_lo, "comparable": lo_hi or hi_lo}
-    checks = [_check("antisymmetry", not (lo_hi and hi_lo and c1 != c2),
-                     "both directions only for equal compositions")]
-    return result, checks
+    return result, acceptance.order_checks(c1, c2, lo_hi, hi_lo)
 
 
 def _cmd_poincare(args):
     comp = Composition(args.C)
-    closed = poincare(comp)
+    # the closed form comes first: it charges the n + 1 coefficients
+    # before the quadratic recursive route runs
+    poly = poincare(comp)
     if args.recursive:
-        poly = PoincarePolynomial((1,))
-        for part in comp.parts:
-            poly = poly * poincare_recursive_single(part)
-        checks = [_check("matches_closed_form", poly == closed,
-                         "single-row recursion, multiplied over parts")]
-    else:
-        poly = closed
-        checks = [_check("euler_value",
-                         poly.evaluate(1) == math.prod(i + 1 for i in comp.parts),
-                         f"value at q=1 is {poly.evaluate(1)}")]
+        poly = math.prod(map(poincare_recursive_single, comp.parts),
+                         start=PoincarePolynomial((1,)))
     result = {"coefficients": list(poly.even_coeffs), "degree": poly.degree}
-    return result, checks
+    return result, acceptance.poincare_checks(comp, poly, args.recursive)
 
 
 def _cmd_isom(args):
     iso = isomorphic(args.A, args.B)
-    invariants_agree = (
-        poincare(type_of(args.A)) == poincare(type_of(args.B))
-        and picard_rank(type_of(args.A)) == picard_rank(type_of(args.B)))
-    checks = [_check("invariants_consistent", invariants_agree or not iso,
-                     "isomorphic varieties share Poincare data and Picard rank")]
-    return {"isomorphic": iso}, checks
+    return {"isomorphic": iso}, acceptance.isom_checks(args.A, args.B, iso)
 
 
 def _cmd_morphism(args):
     source, target = Composition(args.C1), Composition(args.C2)
     exists = morphism_exists(source, target)
-    checks = [_check("vector_formulation",
-                     exists == leq_by_vectors(target, source),
-                     "agrees with the canonical-vector order")]
-    return {"exists": exists}, checks
+    return {"exists": exists}, acceptance.morphism_checks(source, target, exists)
 
 
 def _cmd_bundle_split(args):
@@ -221,115 +151,62 @@ def _cmd_bundle_split(args):
         "fiber_poincare": list(poincare(split.fiber).even_coeffs),
         "base_poincare": list(poincare(split.base).even_coeffs),
     }
-    checks = [_check("factorization", split.identity_holds,
-                     "total polynomial is the product of the factors")]
-    return result, checks
+    return result, acceptance.bundle_split_checks(split)
 
 
 def _cmd_bundle_exists(args):
     comp = Composition(args.C)
     exists = line_bundle_exists(args.B, comp)
-    blocks_ok, start = True, 0
-    for part in comp.parts:
-        block = args.B[start:start + part]
-        blocks_ok = blocks_ok and len(set(block)) == 1
-        start += part
-    checks = [_check("blockwise_constant", exists == blocks_ok,
-                     "existence means the bundle is constant on each block")]
-    return {"exists": exists}, checks
+    return {"exists": exists}, acceptance.bundle_exists_checks(args.B, comp, exists)
 
 
 def _cmd_sections(args):
-    comp = Composition(args.C)
-    dim = sections_dim(args.B, comp)
-    checks = [_module_oracle("module_oracle", tuple(b + 1 for b in args.B), dim,
-                             "matches the fusion module on weights b_i + 1")]
-    return dim, checks
+    dim = sections_dim(args.B, Composition(args.C))
+    return dim, acceptance.sections_checks(args.B, dim)
 
 
 def _cmd_degrees(args):
-    degs = curve_degrees(args.B)
-    ok = all(x >= y for x, y in zip(degs, degs[1:])) and degs[-1] >= 0
-    checks = [_check("weakly_decreasing", ok,
-                     "partial sums of a nonnegative vector")]
-    return list(degs), checks
+    degrees = curve_degrees(args.B)
+    return list(degrees), acceptance.degrees_checks(degrees)
 
 
 def _cmd_picard(args):
     comp = Composition(args.C)
     rank = picard_rank(comp)
-    checks = [_check("bounded", 1 <= rank <= comp.n,
-                     "rank between 1 and n")]
-    return rank, checks
+    return rank, acceptance.picard_checks(comp, rank)
 
 
 def _cmd_coordring(args):
     dims = coordinate_ring_dims(args.A, args.imax)
-    checks = [_check("unit_stratum", dims[0] == 1, "degree 0 is the constants")]
-    if args.imax >= 1:
-        checks.append(_module_oracle("module_dimension", args.A, dims[1],
-                                     "degree 1 stratum matches the fusion module"))
-    return list(dims), checks
+    return list(dims), acceptance.coordring_checks(args.A, dims)
 
 
 def _cmd_flag_check(args):
     if args.random < 0:
         raise ValueError(f"--random must be nonnegative, got {args.random}")
     comp = Composition(args.C)
-    # each membership check, of the canonical chain and of each translate,
-    # tests about s * 2n vectors against the s subspaces
-    _check_size((args.random + 1) * comp.s * 2 * comp.n,
-                f"{args.random + 1} membership checks of {comp.s} subspaces "
-                f"in dimension {2 * comp.n}")
-    chain = canonical_flag(comp)
-    conditions = flag_conditions(chain, comp)
-    checks = [_check(name, ok, "canonical chain") for name, ok in conditions.items()]
-    invariant, tested = True, 0
-    if args.random:
-        rng = random.Random(args.seed)
-        for _ in range(args.random):
-            g = random_group_element(comp.n, rng)
-            if not flag_membership(group_act(g, chain), comp):
-                invariant = False
-                break
-            tested += 1
-        checks.append(_check("group_invariance", invariant,
-                             f"{tested} elements at seed {args.seed}"))
-    result = {"dimensions": list(chain.dimensions()),
-              "conditions": dict(conditions)}
+    # the checks charge the whole run against the cap before any chain
+    # is built, so the chain of the result is built after them
+    checks = acceptance.flag_checks(comp, args.random, args.seed)
+    result = {"dimensions": list(canonical_flag(comp).dimensions()),
+              "conditions": {chk["name"]: chk["pass"] for chk in checks
+                             if chk["name"] != "group_invariance"}}
     return result, checks
 
 
 def _cmd_verlinde_fuse(args):
-    k, a, b = args.k, args.a, args.b
-    elt = fuse(k, a, b)
-    classical = elt.classical_dimension()
-    bound = (a + 1) * (b + 1)
-    classical_ok = classical == bound if k >= a + b else classical <= bound
-    checks = [
-        _check("commutative", fuse(k, b, a) == elt, "[b].[a] agrees"),
-        _check("classical_bound", classical_ok,
-               f"total dimension {classical} vs tensor product {bound}"),
-    ]
+    elt = fuse(args.k, args.a, args.b)
     result = {"coefficients": list(elt.coeffs), "support": list(elt.support())}
-    return result, checks
+    return result, acceptance.verlinde_fuse_checks(args.a, args.b, elt)
 
 
 def _cmd_verlinde_limit(args):
     decomp = limit_multiplicities(args.B)
-    level = decomp.level
-    result = {"level": level,
+    result = {"level": decomp.level,
               "multiplicities": list(decomp.multiplicities),
               "boundary_coefficient": decomp.boundary_coefficient,
               "boundary_nonzero": decomp.boundary_nonzero}
-    checks = [
-        _check("fold_independence",
-               product_chain(level, args.B) == product_chain_right(level, args.B),
-               "left and right folds of the product agree"),
-        _check("classical_limit", classical_limit_check(args.B),
-               "high-level product has the tensor dimension"),
-    ]
-    return result, checks
+    return result, acceptance.verlinde_limit_checks(decomp)
 
 
 def _cmd_stabilize(args):
@@ -342,22 +219,14 @@ def _cmd_stabilize(args):
     result = {"tables": tables, "dims": list(report.dims),
               "expected_dims": list(report.expected_dims),
               "stable_from": report.stable_from}
-    checks = [
-        _check("dims_match", report.dims_match,
-               "section dims follow the closed form"),
-        _check("stabilized", report.stable_from is not None,
-               f"top strata constant from i = {report.stable_from}"),
-    ]
-    return result, checks
+    return result, acceptance.stabilize_checks(report)
 
 
 def _cmd_selftest(args):
     results = acceptance.run_all(args.max_n)
     result = [{"number": r.number, "name": r.name, "passed": r.passed,
                "detail": r.detail} for r in results]
-    checks = [_check(f"criterion_{r.number}", r.passed, r.name)
-              for r in results]
-    return result, checks
+    return result, acceptance.selftest_checks(results)
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -1,12 +1,17 @@
-"""Acceptance battery: one test per headline criterion, full scale.
+"""Acceptance battery: one test per headline criterion, full scale, and
+the cross-checks it shares with the CLI.
 
-Each case prints a single pass/fail line with the criterion's summary, so
-the suite log doubles as the acceptance report.
+Each criterion case prints a single pass/fail line with the criterion's
+summary, so the suite log doubles as the acceptance report.
 """
+
+import json
 
 import pytest
 
+from schubert_fusion import acceptance, types, verlinde
 from schubert_fusion.acceptance import CRITERIA
+from schubert_fusion.cli import _build_parser, main
 
 
 @pytest.mark.parametrize(
@@ -27,3 +32,53 @@ def test_criterion_rejects_nonpositive_max_n(criterion, max_n):
     # 0 used to run untrimmed or on an empty corpus, and -1 on empty sweeps
     with pytest.raises(ValueError, match="max_n"):
         criterion(max_n)
+
+
+def _negated_leq_by_vectors(lo, hi):
+    return not types.leq_by_vectors(lo, hi)
+
+
+def _short_product_chain_right(level, bundle):
+    return verlinde.product_chain_right(level, bundle[:-1])
+
+
+@pytest.mark.parametrize("name, wrong_route, argv, criterion", [
+    ("character_recursive", lambda weights: {}, ("char", "2,3"),
+     acceptance.criterion_4_exact_sequences),
+    ("leq_by_vectors", _negated_leq_by_vectors, ("morphism", "1,1,1", "2,1"),
+     acceptance.criterion_6_type_lattice),
+    ("product_chain_right", _short_product_chain_right,
+     ("verlinde-limit", "1,1"), acceptance.criterion_9_verlinde),
+], ids=["char", "morphism", "verlinde-limit"])
+def test_a_broken_route_fails_both_front_ends(monkeypatch, capsys, name,
+                                              wrong_route, argv, criterion):
+    # the CLI and the battery run the same check, so a wrong second route
+    # makes the CLI exit 1 and the criterion fail
+    monkeypatch.setattr(acceptance, name, wrong_route)
+    assert main(list(argv)) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert not all(chk["pass"] for chk in report["checks"])
+    assert not criterion(2).passed
+
+
+def test_the_battery_runs_every_cli_check(monkeypatch):
+    subcommands = next(a for a in _build_parser()._actions
+                       if a.dest == "command").choices
+    # one function per subcommand; selftest's reads the battery's results
+    names = {command.replace("-", "_") + "_checks" for command in subcommands}
+    names = names - {"flag_check_checks", "selftest_checks"} | {"flag_checks"}
+    assert names | {"selftest_checks"} == \
+        {n for n in acceptance.__all__ if n.endswith("_checks")}
+    called = set()
+
+    def recorded(name, fn):
+        def wrapper(*args, **kwargs):
+            called.add(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(acceptance, name,
+                            recorded(name, getattr(acceptance, name)))
+    assert all(result.passed for result in acceptance.run_all(2))
+    assert called == names

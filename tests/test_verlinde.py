@@ -308,12 +308,20 @@ def test_stabilization_matches_step_by_step_oracle(top):
                     assert repr(report) == repr(expected)
 
 
+# The peak RSS in KiB is VmHWM, which counts this process alone, or
+# ru_maxrss where /proc is absent: on Linux a child's ru_maxrss starts at
+# its parent's resident size.
 _LONG_CHAIN_CHILD = """\
-import resource
+import os, resource
 from schubert_fusion.verlinde import character_stabilization
 report = character_stabilization((1,), 60, 3, cap=10 ** 40)
-print(report.stable_from, report.dims_match,
-      resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+if os.path.exists("/proc/self/status"):
+    with open("/proc/self/status") as fh:
+        peak = next(int(line.split()[1]) for line in fh
+                    if line.startswith("VmHWM:"))
+else:
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+print(report.stable_from, report.dims_match, peak)
 """
 
 
