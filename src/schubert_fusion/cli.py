@@ -7,6 +7,8 @@ tool double-checks itself on every call.  The checks live in `acceptance`,
 one `<subcommand>_checks` function each (`flag_checks` for flag-check),
 which the acceptance battery runs over its sweeps too; a handler here only
 computes its result, shapes it for JSON and hands it to that function.
+`COMMANDS` names each subcommand's handler, help and arguments, from
+which `_build_parser` builds the parser.
 
 Exit codes: 0 success, 1 a mathematical check failed, 2 invalid input,
 3 a resource cap exceeded (also a result with an integer too long to
@@ -229,6 +231,60 @@ def _cmd_selftest(args):
     return result, acceptance.selftest_checks(results)
 
 
+_VECTOR = {"type": _comma_ints}
+_INT = {"type": int}
+
+# name -> (handler, help text, arguments); each argument is the name or flag
+# and the keywords that add_argument takes, in declaration order
+COMMANDS = {
+    "dim": (_cmd_dim, "dimension of the fusion module on A", [("A", _VECTOR)]),
+    "char": (_cmd_char, "bigraded character of the module on A",
+             [("A", _VECTOR)]),
+    "relations": (_cmd_relations, "current-series relation check",
+                  [("n", _INT), ("i", _INT)]),
+    "submodule": (_cmd_submodule, "kernel submodule at the i-th pair",
+                  [("A", _VECTOR), ("i", _INT)]),
+    "exactseq": (_cmd_exactseq, "kernel-quotient dimension additivity",
+                 [("A", _VECTOR), ("i", _INT)]),
+    "type": (_cmd_type, "run-length type of a weight vector", [("A", _VECTOR)]),
+    "order": (_cmd_order, "compare two compositions in the type order",
+              [("C1", _VECTOR), ("C2", _VECTOR)]),
+    "poincare": (_cmd_poincare, "Poincare polynomial of a type",
+                 [("C", _VECTOR),
+                  ("--recursive", {"action": "store_true",
+                                   "help": "compute via the single-row recursion"})]),
+    "isom": (_cmd_isom, "do two weight vectors give isomorphic modules",
+             [("A", _VECTOR), ("B", _VECTOR)]),
+    "morphism": (_cmd_morphism, "does a morphism exist from C1 to C2",
+                 [("C1", _VECTOR), ("C2", _VECTOR)]),
+    "bundle-split": (_cmd_bundle_split, "fibration split of a type",
+                     [("C", _VECTOR), ("t", _INT)]),
+    "bundle-exists": (_cmd_bundle_exists, "line bundle existence",
+                      [("B", _VECTOR), ("C", _VECTOR)]),
+    "sections": (_cmd_sections, "dimension of the section space",
+                 [("B", _VECTOR), ("C", _VECTOR)]),
+    "degrees": (_cmd_degrees, "degrees on the standard curve chain",
+                [("B", _VECTOR)]),
+    "picard": (_cmd_picard, "Picard rank of a type", [("C", _VECTOR)]),
+    "coordring": (_cmd_coordring, "coordinate ring strata dimensions",
+                  [("A", _VECTOR), ("imax", _INT)]),
+    "flag-check": (_cmd_flag_check, "canonical chain membership",
+                   [("C", _VECTOR),
+                    ("--random", {"type": int, "default": 0, "metavar": "N",
+                                  "help": "also test N random group translates"}),
+                    ("--seed", {"type": int, "default": 0})]),
+    "verlinde-fuse": (_cmd_verlinde_fuse, "level-k fusion product",
+                      [("k", _INT), ("a", _INT), ("b", _INT)]),
+    "verlinde-limit": (_cmd_verlinde_limit,
+                       "limit decomposition of a bundle product",
+                       [("B", _VECTOR)]),
+    "stabilize": (_cmd_stabilize, "top character strata along the chain",
+                  [("B", _VECTOR), ("imax", _INT), ("degmax", _INT)]),
+    "selftest": (_cmd_selftest, "run the acceptance battery",
+                 [("--max-n", _INT)]),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="schubert-fusion",
@@ -237,95 +293,11 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--format", choices=("json", "table"), default="json",
                         help="output rendering (default json)")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, handler, help_text):
+    for name, (handler, help_text, arguments) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(handler=handler)
-        return p
-
-    p = add("dim", _cmd_dim, "dimension of the fusion module on A")
-    p.add_argument("A", type=_comma_ints)
-
-    p = add("char", _cmd_char, "bigraded character of the module on A")
-    p.add_argument("A", type=_comma_ints)
-
-    p = add("relations", _cmd_relations, "current-series relation check")
-    p.add_argument("n", type=int)
-    p.add_argument("i", type=int)
-
-    p = add("submodule", _cmd_submodule, "kernel submodule at the i-th pair")
-    p.add_argument("A", type=_comma_ints)
-    p.add_argument("i", type=int)
-
-    p = add("exactseq", _cmd_exactseq, "kernel-quotient dimension additivity")
-    p.add_argument("A", type=_comma_ints)
-    p.add_argument("i", type=int)
-
-    p = add("type", _cmd_type, "run-length type of a weight vector")
-    p.add_argument("A", type=_comma_ints)
-
-    p = add("order", _cmd_order, "compare two compositions in the type order")
-    p.add_argument("C1", type=_comma_ints)
-    p.add_argument("C2", type=_comma_ints)
-
-    p = add("poincare", _cmd_poincare, "Poincare polynomial of a type")
-    p.add_argument("C", type=_comma_ints)
-    p.add_argument("--recursive", action="store_true",
-                   help="compute via the single-row recursion")
-
-    p = add("isom", _cmd_isom, "do two weight vectors give isomorphic modules")
-    p.add_argument("A", type=_comma_ints)
-    p.add_argument("B", type=_comma_ints)
-
-    p = add("morphism", _cmd_morphism, "does a morphism exist from C1 to C2")
-    p.add_argument("C1", type=_comma_ints)
-    p.add_argument("C2", type=_comma_ints)
-
-    p = add("bundle-split", _cmd_bundle_split, "fibration split of a type")
-    p.add_argument("C", type=_comma_ints)
-    p.add_argument("t", type=int)
-
-    p = add("bundle-exists", _cmd_bundle_exists, "line bundle existence")
-    p.add_argument("B", type=_comma_ints)
-    p.add_argument("C", type=_comma_ints)
-
-    p = add("sections", _cmd_sections, "dimension of the section space")
-    p.add_argument("B", type=_comma_ints)
-    p.add_argument("C", type=_comma_ints)
-
-    p = add("degrees", _cmd_degrees, "degrees on the standard curve chain")
-    p.add_argument("B", type=_comma_ints)
-
-    p = add("picard", _cmd_picard, "Picard rank of a type")
-    p.add_argument("C", type=_comma_ints)
-
-    p = add("coordring", _cmd_coordring, "coordinate ring strata dimensions")
-    p.add_argument("A", type=_comma_ints)
-    p.add_argument("imax", type=int)
-
-    p = add("flag-check", _cmd_flag_check, "canonical chain membership")
-    p.add_argument("C", type=_comma_ints)
-    p.add_argument("--random", type=int, default=0, metavar="N",
-                   help="also test N random group translates")
-    p.add_argument("--seed", type=int, default=0)
-
-    p = add("verlinde-fuse", _cmd_verlinde_fuse, "level-k fusion product")
-    p.add_argument("k", type=int)
-    p.add_argument("a", type=int)
-    p.add_argument("b", type=int)
-
-    p = add("verlinde-limit", _cmd_verlinde_limit,
-            "limit decomposition of a bundle product")
-    p.add_argument("B", type=_comma_ints)
-
-    p = add("stabilize", _cmd_stabilize, "top character strata along the chain")
-    p.add_argument("B", type=_comma_ints)
-    p.add_argument("imax", type=int)
-    p.add_argument("degmax", type=int)
-
-    p = add("selftest", _cmd_selftest, "run the acceptance battery")
-    p.add_argument("--max-n", type=int, default=None, dest="max_n")
-
+        for flag, options in arguments:
+            p.add_argument(flag, **options)
     return parser
 
 

@@ -14,6 +14,12 @@ A row may be supported on the pivots of rows inserted after it; it is never
 rewritten once stored.  Elimination cross-multiplies (fraction-free, in the
 style of Bareiss), so all arithmetic is on Python ints; no fractions or
 floats anywhere.
+
+Membership never changes the basis.  `contains` first looks up the row at
+the vector's smallest index: a vector equal to that stored row (or empty)
+is a member with no elimination.  Any other vector is reduced, and the
+reduction stops at the first index that no row can cancel, so one whose
+smallest index is not a pivot is rejected at the first step.
 """
 
 from __future__ import annotations
@@ -112,14 +118,20 @@ class SpanBasis:
         """True iff int vector vec lies in the span; vec is not changed.
 
         A stored row's support starts at its pivot, so a member's smallest
-        index is always a pivot.  Each step clears the smallest index left
-        in the residual by its row, which adds only larger indices; once
-        that index is not a pivot, no row can cancel it and the answer is
-        False without finishing the reduction.  A scan by `min` suits the
-        flag model's vectors of at most 2n coordinates.
+        index is always a pivot.  An empty vec, or one equal to the row at
+        its smallest index, is a member at the cost of one lookup and one
+        dict comparison; the flag model tests mostly such vectors (the rows
+        of a subspace, and their images under t, which are often rows of
+        the same subspace).  Otherwise each step clears the smallest index
+        left in the residual by its row, which adds only larger indices;
+        once that index is not a pivot, no row can cancel it and the
+        answer is False without finishing the reduction.  A scan by `min`
+        suits the flag model's vectors of at most 2n coordinates.
         """
-        residual = dict(vec)
         rows = self._rows
+        if not vec or rows.get(min(vec)) == vec:
+            return True
+        residual = dict(vec)
         while residual:
             p = min(residual)
             row = rows.get(p)

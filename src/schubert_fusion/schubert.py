@@ -202,6 +202,52 @@ def _contains_all(space: SpanBasis, vectors) -> bool:
     return all(space.contains(vec) for vec in vectors)
 
 
+def _conditions(chain: FlagChain, composition: Composition):
+    """Yield (name, holds) for the four flag conditions, in order, lazily.
+
+    Each condition is decided only when the caller asks for it, so a caller
+    that stops at the first failure skips the membership tests of the rest.
+    """
+    n = composition.n
+    if chain.truncation != n:
+        raise ValueError("chain truncation must equal the type's n")
+    parts = composition.parts
+    s = composition.s
+    spaces = chain.subspaces
+
+    expected_dims = []
+    dim = 2 * n
+    for alpha in range(1, s + 1):
+        dim -= parts[s - alpha]
+        expected_dims.append(dim)
+    yield "profile", (
+        len(spaces) == s and chain.dimensions() == tuple(expected_dims)
+    )
+
+    yield "nested", all(
+        _contains_all(spaces[alpha], spaces[alpha + 1].row_vectors())
+        for alpha in range(len(spaces) - 1)
+    )
+
+    yield "t_stable", all(
+        _contains_all(space, (_shift_vector(row, 1, n) for row in space.row_vectors()))
+        for space in spaces
+    )
+
+    def step_holds(alpha):
+        power = parts[s - alpha - 1]  # i_{s - alpha}
+        if alpha == 0:
+            generators = [_unit_vector(c) for c in range(2 * n)]
+        else:
+            generators = spaces[alpha - 1].row_vectors()
+        shifted = (_shift_vector(g, power, n) for g in generators)
+        return _contains_all(spaces[alpha], (v for v in shifted if v))
+
+    yield "t_power_steps", all(
+        step_holds(alpha) for alpha in range(min(len(spaces), s))
+    )
+
+
 def flag_conditions(chain: FlagChain, composition: Composition) -> dict:
     """Named membership conditions for a chain against a type.
 
@@ -211,52 +257,22 @@ def flag_conditions(chain: FlagChain, composition: Composition) -> dict:
     ``t_stable``: t W_alpha <= W_alpha for every alpha.
     ``t_power_steps``: t^{i_{s-alpha}} W_alpha <= W_{alpha+1}, where W_0 is
     the full space.
+
+    Every condition is decided, also after one has failed; `flag_membership`
+    asks the same conditions in the same order but stops at the first
+    failure.
     """
-    n = composition.n
-    if chain.truncation != n:
-        raise ValueError("chain truncation must equal the type's n")
-    parts = composition.parts
-    s = composition.s
-    spaces = chain.subspaces
-    conditions = {}
-
-    expected_dims = []
-    dim = 2 * n
-    for alpha in range(1, s + 1):
-        dim -= parts[s - alpha]
-        expected_dims.append(dim)
-    conditions["profile"] = (
-        len(spaces) == s and chain.dimensions() == tuple(expected_dims)
-    )
-
-    conditions["nested"] = all(
-        _contains_all(spaces[alpha], spaces[alpha + 1].row_vectors())
-        for alpha in range(len(spaces) - 1)
-    )
-
-    conditions["t_stable"] = all(
-        _contains_all(space, (_shift_vector(row, 1, n) for row in space.row_vectors()))
-        for space in spaces
-    )
-
-    steps_ok = True
-    for alpha in range(min(len(spaces), s)):
-        power = parts[s - alpha - 1]  # i_{s - alpha}
-        if alpha == 0:
-            generators = [_unit_vector(c) for c in range(2 * n)]
-        else:
-            generators = spaces[alpha - 1].row_vectors()
-        target = spaces[alpha]
-        shifted = (_shift_vector(g, power, n) for g in generators)
-        if not _contains_all(target, (v for v in shifted if v)):
-            steps_ok = False
-            break
-    conditions["t_power_steps"] = steps_ok
-    return conditions
+    return dict(_conditions(chain, composition))
 
 
 def flag_membership(chain: FlagChain, composition: Composition) -> bool:
-    return all(flag_conditions(chain, composition).values())
+    """True iff the chain satisfies every condition of `flag_conditions`.
+
+    The conditions are decided in order and the first failure ends the
+    test, so a chain whose dimension profile differs from the type's costs
+    no membership test at all.
+    """
+    return all(holds for _, holds in _conditions(chain, composition))
 
 
 # ---------------------------------------------------------------------------

@@ -378,3 +378,37 @@ def test_contains_matches_reduce_on_long_vectors():
             _assert_contains_matches_reduce(basis, probe)
             noise = {i: rng.randint(1, 5) for i in rng.sample(range(width), 250)}
             _assert_contains_matches_reduce(basis, noise)
+
+
+@settings(max_examples=150, deadline=None)
+@given(int_row_lists,
+       st.dictionaries(st.integers(min_value=0, max_value=7),
+                       st.integers(min_value=-5, max_value=5).filter(bool),
+                       max_size=6),
+       st.integers(min_value=-3, max_value=3).filter(lambda k: k not in (0, 1)),
+       st.integers(min_value=0, max_value=7))
+def test_contains_on_stored_rows_and_their_multiples(rows, vec, factor, extra):
+    # a stored row (the object or an equal copy) and the empty vector are
+    # answered by one lookup; negatives, multiples, a row with one more
+    # entry and one with a changed entry on the same support are not equal
+    # to any stored row and take the reduction
+    basis = SpanBasis()
+    for row in rows:
+        basis.insert(dict(row))
+    probes = [{}, vec]
+    for row in basis.row_vectors():
+        probes += [row, dict(row), {q: -c for q, c in row.items()},
+                   {q: factor * c for q, c in row.items()}]
+        widened = dict(row)
+        widened[extra] = widened.get(extra, 0) + 1
+        probes.append({q: c for q, c in widened.items() if c})
+        last = max(row)
+        if row[last] != -1:
+            probes.append({**row, last: row[last] + 1})
+    for probe in probes:
+        _assert_contains_matches_reduce(basis, probe)
+    for row in basis.row_vectors():
+        assert basis.contains(row) and basis.contains(dict(row))
+        assert basis.contains({q: factor * c for q, c in row.items()})
+    assert basis.contains({})
+

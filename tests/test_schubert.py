@@ -556,3 +556,100 @@ def test_flag_model_runs_on_ints(monkeypatch):
                        for space in chain.subspaces for row in space.row_vectors()]
     assert len(seen) > 1000 and len(stored) > 100
     assert all(type(x) is int for vec in seen + stored for x in vec.values())
+
+
+def _coordinate_chains(c):
+    """Every chain of coordinate subspaces with the dimension profile of c."""
+    n, dims, dim = c.n, [], 2 * c.n
+    for part in reversed(c.parts):
+        dim -= part
+        dims.append(dim)
+    for subsets in itertools.product(*[itertools.combinations(range(2 * n), d)
+                                       for d in dims]):
+        yield _chain_of(n, [[{coord: 1} for coord in subset] for subset in subsets])
+
+
+def _assert_membership_matches_conditions(chain, c):
+    conds = flag_conditions(chain, c)
+    assert flag_membership(chain, c) == all(conds.values())
+    return tuple(name for name, holds in conds.items() if not holds)
+
+
+def test_membership_matches_conditions_on_canonical_chains_and_translates():
+    rng = random.Random(3)
+    for n in range(1, 6):
+        for c in compositions(n):
+            chain = canonical_flag(c)
+            assert _assert_membership_matches_conditions(chain, c) == ()
+            for _ in range(2):
+                moved = group_act(random_group_element(n, rng), chain)
+                assert _assert_membership_matches_conditions(moved, c) == ()
+
+
+def test_membership_matches_conditions_on_foreign_compositions():
+    for n in range(1, 5):
+        for c, other in itertools.product(compositions(n), repeat=2):
+            failed = _assert_membership_matches_conditions(canonical_flag(c), other)
+            # the profile alone tells the compositions apart
+            assert ("profile" in failed) == (c != other)
+
+
+def test_membership_matches_conditions_on_broken_chains():
+    # every coordinate chain with the right profile for n <= 3: the profile
+    # holds, and nested, t_stable or t_power_steps may fail, alone or with
+    # the others, so membership stops at each of them first somewhere
+    seen = set()
+    for n in (2, 3):
+        for c in compositions(n):
+            for chain in _coordinate_chains(c):
+                seen.add(_assert_membership_matches_conditions(chain, c))
+    assert "profile" not in {name for failed in seen for name in failed}
+    assert {(), ("t_stable",), ("nested", "t_stable", "t_power_steps"),
+            ("nested", "t_power_steps"), ("t_stable", "t_power_steps")} <= seen
+    # non-coordinate chains: a translate whose last subspace is swapped for
+    # another translate's, and the chains group_act is checked on
+    rng = random.Random(11)
+    for n in (3, 4):
+        for c in compositions(n):
+            if c.s < 2:
+                continue
+            a, b = (group_act(random_group_element(n, rng), canonical_flag(c))
+                    for _ in range(2))
+            spliced = FlagChain(n, a.subspaces[:-1] + b.subspaces[-1:])
+            _assert_membership_matches_conditions(spliced, c)
+        for vector_lists in _non_canonical_chains(n, rng).values():
+            chain = _chain_of(n, vector_lists)
+            for c in compositions(n):
+                _assert_membership_matches_conditions(chain, c)
+
+
+def _count_contains(monkeypatch):
+    calls = []
+    contains = SpanBasis.contains
+
+    def counting(self, vec):
+        calls.append(vec)
+        return contains(self, vec)
+
+    monkeypatch.setattr(SpanBasis, "contains", counting)
+    return calls
+
+
+def test_membership_stops_at_the_first_failed_condition(monkeypatch):
+    calls = _count_contains(monkeypatch)
+    chain = canonical_flag(comp(2, 1))
+    # a different profile is decided without a single membership test
+    assert not flag_membership(chain, comp(1, 2))
+    assert not flag_membership(chain, comp(3))
+    assert calls == []
+    assert flag_conditions(chain, comp(1, 2))["profile"] is False
+    assert calls  # flag_conditions decides every condition
+    # a chain that fails `nested` stops there, before t_stable's tests
+    broken = _chain_of(2, [[{0: 1}, {1: 1}, {3: 1}], [{2: 1}, {3: 1}]])
+    assert _assert_membership_matches_conditions(broken, comp(1, 1))[0] == "nested"
+    calls.clear()
+    flag_conditions(broken, comp(1, 1))
+    every = len(calls)
+    calls.clear()
+    assert not flag_membership(broken, comp(1, 1))
+    assert 0 < len(calls) < every
