@@ -25,7 +25,6 @@ import sys
 
 from . import acceptance
 from .fusion import (
-    DimensionCapError,
     build_module,
     build_submodule,
     character,
@@ -45,6 +44,7 @@ from .schubert import (
 )
 from .types import (
     Composition,
+    DimensionCapError,
     PoincarePolynomial,
     leq,
     poincare,

@@ -50,19 +50,9 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import namedtuple
 
+from .types import DimensionCapError
+
 WEDGE_BLOCK_BUDGET = 2 ** 18
-
-
-class DimensionCapError(RuntimeError):
-    """Raised when a computation would exceed one of its budgets.
-
-    Three budgets, each read at call time: span closures check
-    `fusion.DEFAULT_DIMENSION_CAP` (their dimension), and so does a fusion
-    ring's level (its k + 1 classes); the relation series checks
-    `fusion.RELATION_PARTICLE_CAP` (the particles it carries), and a wedge
-    model checks WEDGE_BLOCK_BUDGET (the blocks it interns).  Peeling
-    checks its caller's cap.
-    """
 
 
 def factor_groups(shapes) -> tuple:

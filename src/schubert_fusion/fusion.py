@@ -43,9 +43,10 @@ last user, and one packed layout, sized by the largest target; each target
 is read out as soon as it is packed.  A caller that reads only the top
 energy rows of each target has only those rows packed: every stratum it
 needs is packed once, in a window anchored at its own top energy and as
-wide as its widest user keeps.  Each top energy has a closed form (`_top_energy`), so the
-walk skips the subtree of every quotient whose top lies below the rows its
-user keeps, and a long chain plans little more than the strata it packs.
+wide as its widest user keeps.  Each top energy has a closed form
+(`_top_energy`), so the walk skips the subtree of every quotient whose top
+lies below the rows its user keeps, and a long chain plans little more than
+the strata it packs.
 """
 
 from __future__ import annotations
@@ -58,13 +59,10 @@ from functools import lru_cache
 from itertools import accumulate, chain, combinations_with_replacement, repeat
 from types import MappingProxyType
 
-# DimensionCapError lives in `fock`, which raises it too; it is re-exported here
-from .fock import DimensionCapError, WedgeState, apply_current, top_wedge
+from .fock import WedgeState, apply_current, top_wedge
 from .linalg import SpanBasis
-from .types import weakly_increasing
-
-DEFAULT_DIMENSION_CAP = 100_000
-RELATION_PARTICLE_CAP = 1_000_000
+# DimensionCapError lives in `types`; it is re-exported here
+from .types import DimensionCapError, _check_size, weakly_increasing
 
 
 def factor_shapes(weights) -> tuple:
@@ -130,9 +128,7 @@ def _close_under(seed, operators, layers=None) -> SpanBasis:
                     continue
                 row = basis.insert_reduced(image.coeffs)
                 if row is not None:
-                    if basis.dimension > DEFAULT_DIMENSION_CAP:
-                        raise DimensionCapError("span dimension exceeded the "
-                                                f"cap of {DEFAULT_DIMENSION_CAP}")
+                    _check_size(basis.dimension, "span dimension")
                     born.append(WedgeState(image.model, row))
             born_ends.append(len(born))
         layer, ends = born, born_ends
@@ -159,9 +155,7 @@ def _build_module_cached(weights):
     char = _character_from_basis(basis, cyclic)
     char.update({(-w, t): m for (w, t), m in char.items() if w < 0})
     dimension = sum(char.values())
-    if dimension > DEFAULT_DIMENSION_CAP:
-        raise DimensionCapError("span dimension exceeded the "
-                                f"cap of {DEFAULT_DIMENSION_CAP}")
+    _check_size(dimension, "span dimension")
     return FusionModule(weights, dimension, MappingProxyType(char))
 
 
@@ -177,9 +171,7 @@ def build_module(weights) -> FusionModule:
     """
     weights = weakly_increasing(weights, minimum=1, allow_empty=True)
     # preflight on the expected size; the closure re-checks as it grows
-    if math.prod(weights) > DEFAULT_DIMENSION_CAP:
-        raise DimensionCapError(f"module on {weights} would exceed the cap "
-                                f"of {DEFAULT_DIMENSION_CAP}")
+    _check_size(math.prod(weights), f"module on {weights}")
     return _build_module_cached(weights)
 
 
@@ -487,13 +479,11 @@ def _unpack(packed, top, field) -> dict:
 
 def _capped(weights, cap) -> tuple:
     weights = weakly_increasing(weights, minimum=1, allow_empty=True)
-    if math.prod(weights) > cap:
-        raise DimensionCapError(
-            f"character of {weights} would exceed the cap of {cap}")
+    _check_size(math.prod(weights), f"character of {weights}", cap=cap)
     return weights
 
 
-def character_recursive(weights, cap=DEFAULT_DIMENSION_CAP) -> dict:
+def character_recursive(weights, cap=None) -> dict:
     """Bigraded character by peeling, without any span computation.
 
     Splitting off the kernel of the adjacent-pair shuffle at the first
@@ -505,7 +495,8 @@ def character_recursive(weights, cap=DEFAULT_DIMENSION_CAP) -> dict:
     and walked with an explicit stack, so no state outlives the call and
     long vectors do not hit the recursion limit.  Far cheaper than
     build_module for long weight vectors, and an independent oracle for
-    the builder.
+    the builder.  `cap` bounds the product of the weights; None reads
+    `types.DEFAULT_DIMENSION_CAP` at call time.
     """
     (char,) = _peel_packed([_capped(weights, cap)])
     return char
@@ -561,31 +552,27 @@ def check_relations(truncation: int, max_power: int) -> RelationReport:
     raised to the i-th power on the top wedge of shape (n,); the coefficient
     of z^k must vanish for every k < n (i - 1), i.e. the i-th power is
     divisible by z^{n (i - 1)}.  Raises DimensionCapError once more than
-    RELATION_PARTICLE_CAP particles are charged: n for each power, also
-    after the series has vanished, and n for each term of every image.
+    `types.RELATION_PARTICLE_CAP` particles are charged: n for each power,
+    also after the series has vanished, and n for each term of every image.
     """
     n = truncation
     if not isinstance(n, int) or n < 1:
         raise ValueError("truncation must be a positive integer")
     if not isinstance(max_power, int) or max_power < 1:
         raise ValueError("max power must be a positive integer")
-    cap = RELATION_PARTICLE_CAP
-    over_cap = (f"relation series on truncation {n} produced more "
-                f"than the cap of {cap} particles")
+    what = f"relation series on truncation {n}"
     series = {0: top_wedge((n,))}
     checks = []
     produced = 0  # particles charged so far: the work done, bounded by the cap
     for i in range(1, max_power + 1):
         produced += n  # the power's RelationCheck
-        if produced > cap:
-            raise DimensionCapError(over_cap)
+        _check_size(produced, what, particles=True)
         out = {}
         for deg, state in series.items():
             for k in range(n):
                 image = apply_current(n - 1 - k, state)
                 produced += n * len(image.coeffs)
-                if produced > cap:
-                    raise DimensionCapError(over_cap)
+                _check_size(produced, what, particles=True)
                 if image.coeffs:
                     key = deg + k
                     out[key] = out[key] + image if key in out else image
@@ -653,9 +640,7 @@ def _check_pair(weights, index) -> tuple:
 def build_submodule(weights, index: int) -> SubmoduleS:
     weights = _check_pair(weights, index)
     n = len(weights)
-    if math.prod(weights) > DEFAULT_DIMENSION_CAP:
-        raise DimensionCapError(f"submodule inside {weights} would exceed "
-                                f"the cap of {DEFAULT_DIMENSION_CAP}")
+    _check_size(math.prod(weights), f"submodule inside {weights}")
     left, right = weights[index - 1], weights[index]
     aprime = weights[:index - 1] + weights[index + 1:]
     if left == right:

@@ -256,7 +256,9 @@ def flag_conditions(chain: FlagChain, composition: Composition) -> dict:
     ``nested``: each subspace contains the next.
     ``t_stable``: t W_alpha <= W_alpha for every alpha.
     ``t_power_steps``: t^{i_{s-alpha}} W_alpha <= W_{alpha+1}, where W_0 is
-    the full space.
+    the full space.  It follows from the other three, since W_alpha /
+    W_{alpha+1} is then a nilpotent C[t]-module of dimension i_{s-alpha},
+    but it is decided all the same, as a cross-check.
 
     Every condition is decided, also after one has failed; `flag_membership`
     asks the same conditions in the same order but stops at the first

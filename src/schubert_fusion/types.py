@@ -14,13 +14,37 @@ from itertools import accumulate, groupby
 from operator import sub
 
 
-def _check_size(size: int, what: str) -> None:
-    """Raise DimensionCapError once `size` passes the dimension cap."""
-    from . import fusion  # it imports this module; its cap is read per call
+DEFAULT_DIMENSION_CAP = 100_000
+RELATION_PARTICLE_CAP = 1_000_000
 
-    cap = fusion.DEFAULT_DIMENSION_CAP
+
+class DimensionCapError(RuntimeError):
+    """Raised when a computation would exceed one of its budgets.
+
+    Each budget is read at call time.  `_check_size` charges three:
+    DEFAULT_DIMENSION_CAP (span dimensions, fusion-ring classes and
+    coefficient updates, the entries of closed-form results), the `cap` of a
+    peeling route (the product of the weights it peels) and
+    RELATION_PARTICLE_CAP (the particles of the relation series).
+    `fock.WEDGE_BLOCK_BUDGET` bounds the blocks a wedge model interns, and
+    the CLI refuses a result with an integer too long to print.
+    """
+
+
+def _check_size(size: int, what: str, detail: str = "", cap: int | None = None,
+                particles: bool = False) -> None:
+    """Raise DimensionCapError once the charge `size` passes its cap.
+
+    The cap is read here, at call time: RELATION_PARTICLE_CAP for a charge
+    in particles, else the caller's own `cap`, else DEFAULT_DIMENSION_CAP.
+    The message is "<what> would exceed the cap of <cap><detail>".
+    """
+    if particles:
+        cap, detail = RELATION_PARTICLE_CAP, " particles"
+    elif cap is None:
+        cap = DEFAULT_DIMENSION_CAP
     if size > cap:
-        raise fusion.DimensionCapError(f"{what} would exceed the cap of {cap}")
+        raise DimensionCapError(f"{what} would exceed the cap of {cap}{detail}")
 
 
 class _Validated:
@@ -174,14 +198,22 @@ class PoincarePolynomial(_Validated,
         return sum(c * x ** (2 * j) for j, c in enumerate(self.even_coeffs))
 
     def __mul__(self, other: "PoincarePolynomial") -> "PoincarePolynomial":
+        """The product, by Kronecker substitution.
+
+        Each factor is packed into one int, coefficient j in field j, and
+        the two ints are multiplied once.  A coefficient of the product is
+        a sum of at most min(len(a), len(b)) terms, each at most max(a) *
+        max(b), so a field that holds that bound takes no carry.
+        """
         a, b = self.even_coeffs, other.even_coeffs
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if not ca:
-                continue
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-        return PoincarePolynomial(tuple(out))
+        bound = min(len(a), len(b)) * max(a) * max(b)
+        if not bound:  # a zero factor
+            return PoincarePolynomial((0,))
+        size = -(-bound.bit_length() // 8)  # whole bytes
+        data = (_pack(a, size) * _pack(b, size)).to_bytes(
+            (len(a) + len(b) - 1) * size, "little")
+        return PoincarePolynomial(int.from_bytes(data[i:i + size], "little")
+                                  for i in range(0, len(data), size))
 
     def __str__(self):
         terms = []
@@ -194,6 +226,12 @@ class PoincarePolynomial(_Validated,
                 head = "" if c == 1 else f"{c}*"
                 terms.append(f"{head}q^{2 * j}")
         return " + ".join(terms) or "0"
+
+
+def _pack(coeffs, size) -> int:
+    """The int whose `size`-byte fields, lowest first, hold `coeffs`."""
+    return int.from_bytes(b"".join(c.to_bytes(size, "little") for c in coeffs),
+                          "little")
 
 
 def poincare(comp: Composition) -> PoincarePolynomial:

@@ -25,23 +25,18 @@ import math
 from collections import namedtuple
 from types import MappingProxyType
 
-from . import fusion
-from .fusion import DEFAULT_DIMENSION_CAP, DimensionCapError, _top_strata
-from .types import _Validated, weakly_increasing
+from .fusion import _top_strata
+from .types import _Validated, _check_size, weakly_increasing
 
 
 def _check_level(k: int) -> int:
     """k itself, once it is a level whose k + 1 coefficients fit the cap.
 
-    Every path that builds a coefficient vector checks its level here, so
-    `fusion.DEFAULT_DIMENSION_CAP`, read at call time, bounds them all.
+    Every path that builds a coefficient vector checks its level here.
     """
     if not isinstance(k, int) or k < 0:
         raise ValueError(f"level must be a nonnegative integer, got {k!r}")
-    cap = fusion.DEFAULT_DIMENSION_CAP
-    if k + 1 > cap:
-        raise DimensionCapError(f"level {k} would exceed the cap of {cap}: "
-                                f"its ring has {k + 1} classes")
+    _check_size(k + 1, f"level {k}", f": its ring has {k + 1} classes")
     return k
 
 
@@ -56,8 +51,8 @@ class FusionRingElement(_Validated,
     """Element of the level-k fusion ring in the basis [0] .. [k].
 
     `coeffs` holds level + 1 nonnegative integers, the coefficient of [c]
-    at position c; a level whose level + 1 passes
-    `fusion.DEFAULT_DIMENSION_CAP` raises DimensionCapError.
+    at position c; a level whose level + 1 passes the dimension cap raises
+    DimensionCapError.
     """
 
     __slots__ = ()
@@ -93,9 +88,8 @@ class FusionRingElement(_Validated,
 
         A pair [a] . [b] reaches at most min(a, b) + 1 classes, so the
         product is charged its support times the other's support times
-        the widest such range, before it runs, and DimensionCapError is
-        raised when that passes `fusion.DEFAULT_DIMENSION_CAP`, read at
-        call time, as `product_chain` charges a fold.
+        the widest such range against the dimension cap, before it runs,
+        as `product_chain` charges a fold.
         """
         if self.level != other.level:
             raise ValueError("cannot multiply elements of different levels")
@@ -105,12 +99,10 @@ class FusionRingElement(_Validated,
         out = [0] * (k + 1)
         if not left or not right:
             return FusionRingElement(k, out)
-        cap = fusion.DEFAULT_DIMENSION_CAP
         width = min(left[-1][0], right[-1][0]) + 1
-        if len(left) * len(right) * width > cap:
-            raise DimensionCapError(
-                f"fusion product of supports {len(left)} and {len(right)} at "
-                f"level {k} would exceed the cap of {cap} coefficient updates")
+        _check_size(len(left) * len(right) * width,
+                    f"fusion product of supports {len(left)} and {len(right)} "
+                    f"at level {k}", " coefficient updates")
         for a, ca in left:
             for b, cb in right:
                 for c in _fusion_range(k, a, b):
@@ -148,20 +140,16 @@ def product_chain(k: int, weights) -> FusionRingElement:
     The running product is a sparse {class: coefficient} map, so a step
     costs only its coefficient updates: at most the product's support times
     the w + 1 classes one [w] reaches.  Each step is charged that bound
-    before it runs, and DimensionCapError is raised once the total passes
-    `fusion.DEFAULT_DIMENSION_CAP`, read at call time.
+    before it runs, and the total is held to the dimension cap.
     """
     _check_level(k)
     weights = [_check_weight(k, w) for w in weights]
-    cap = fusion.DEFAULT_DIMENSION_CAP
+    what = f"fusion product of {len(weights)} classes at level {k}"
     out = {weights[0]: 1} if weights else {0: 1}
     work = 0
     for w in weights[1:]:
         work += len(out) * (w + 1)
-        if work > cap:
-            raise DimensionCapError(
-                f"fusion product of {len(weights)} classes at level {k} would "
-                f"exceed the cap of {cap} coefficient updates")
+        _check_size(work, what, " coefficient updates")
         step = {}
         for a, ca in out.items():
             for c in _fusion_range(k, a, w):
@@ -268,7 +256,7 @@ class StabilizationReport(_Validated, namedtuple(
 
 
 def character_stabilization(bundle, i_max: int, deg_max: int,
-                            cap=DEFAULT_DIMENSION_CAP) -> StabilizationReport:
+                            cap=None) -> StabilizationReport:
     """Track the top end of the section-space characters as the chain grows.
 
     Characters come from the peeling recursion, so long extensions stay
@@ -278,9 +266,9 @@ def character_stabilization(bundle, i_max: int, deg_max: int,
     once, in a window anchored at its own top energy, and the walk skips
     every quotient that lies wholly below the rows its user keeps, with its
     subtree, since each top energy has a closed form.  The cap bounds every
-    step's dimension and is checked for all steps before any peeling; the
-    steps are built one at a time, so the first step over it raises before
-    any later one is built.
+    step's dimension (None reads the dimension cap at call time) and is
+    checked for all steps before any peeling; the steps are built one at a
+    time, so the first step over it raises before any later one is built.
     """
     bundle = weakly_increasing(bundle, minimum=0)
     if not isinstance(i_max, int) or i_max < 1:

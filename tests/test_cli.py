@@ -287,6 +287,25 @@ def test_poincare_of_two_long_parts():
     assert elapsed < 10
 
 
+def test_bundle_split_of_two_long_parts():
+    # the fiber and base polynomials are multiplied by Kronecker
+    # substitution, one product of two packed ints; the schoolbook double
+    # loop ran past 60 s on these, which the n + 1 charge admits
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "schubert_fusion.cli", "bundle-split",
+         "49999,50000", "1"],
+        capture_output=True, text=True, env=env, timeout=60)
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    coeffs = report["result"]["total_poincare"]
+    assert coeffs == [min(j, 99999 - j) + 1 for j in range(100000)]
+    assert [c["pass"] for c in report["checks"]] == [True]
+    assert elapsed < 10
+
+
 def test_curve_degrees_of_a_long_bundle():
     # summing each prefix afresh took 16.3 s on 60 000 ones
     env = dict(os.environ, PYTHONPATH=str(SRC))

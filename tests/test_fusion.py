@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from schubert_fusion import fock, fusion
+from schubert_fusion import fock, fusion, types
 from schubert_fusion.fock import WedgeState, apply_current
 from schubert_fusion.fusion import (
     DimensionCapError,
@@ -90,7 +90,7 @@ def test_weights_must_be_monotone():
 def test_dimension_cap(monkeypatch):
     with pytest.raises(DimensionCapError):
         build_module((7,) * 7)
-    monkeypatch.setattr(fusion, "DEFAULT_DIMENSION_CAP", 4)
+    monkeypatch.setattr(types, "DEFAULT_DIMENSION_CAP", 4)
     with pytest.raises(DimensionCapError):
         build_module((2, 2, 2))
     # past the preflight, the closure's own guard reads the constant too
@@ -155,16 +155,16 @@ def test_relations_stop_at_the_span_cap():
 
 def test_relations_read_the_cap_at_call_time(monkeypatch):
     assert check_relations(4, 3).ok
-    monkeypatch.setattr(fusion, "RELATION_PARTICLE_CAP", 10)
+    monkeypatch.setattr(types, "RELATION_PARTICLE_CAP", 10)
     with pytest.raises(DimensionCapError, match="cap of 10 particles"):
         check_relations(4, 3)
     # a long truncation trips the count within its first power
-    monkeypatch.setattr(fusion, "RELATION_PARTICLE_CAP", 1000)
+    monkeypatch.setattr(types, "RELATION_PARTICLE_CAP", 1000)
     with pytest.raises(DimensionCapError, match="truncation 1000"):
         check_relations(1000, 1)
     # every power costs n particles, also once e(z)^i has vanished: on
     # truncation 1 the first power charges 1 + 1 and every later one 1
-    monkeypatch.setattr(fusion, "RELATION_PARTICLE_CAP", 5)
+    monkeypatch.setattr(types, "RELATION_PARTICLE_CAP", 5)
     assert check_relations(1, 4).ok
     with pytest.raises(DimensionCapError, match="cap of 5 particles"):
         check_relations(1, 5)

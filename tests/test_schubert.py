@@ -594,6 +594,24 @@ def test_membership_matches_conditions_on_foreign_compositions():
             assert ("profile" in failed) == (c != other)
 
 
+def test_t_power_steps_never_fails_alone():
+    # once the profile holds and W_alpha >= W_alpha+1 are both t-stable,
+    # W_alpha / W_alpha+1 is a nilpotent C[t]-module of dimension
+    # i_{s-alpha}, so t^{i_{s-alpha}} kills it: over every coordinate chain
+    # with the right profile for n <= 3, 280 of them nested, t_power_steps
+    # fails only with nested or t_stable
+    nested = 0
+    for n in (1, 2, 3):
+        for c in compositions(n):
+            for chain in _coordinate_chains(c):
+                conds = flag_conditions(chain, c)
+                assert conds["profile"]
+                nested += conds["nested"]
+                if conds["nested"] and conds["t_stable"]:
+                    assert conds["t_power_steps"]
+    assert nested == 280
+
+
 def test_membership_matches_conditions_on_broken_chains():
     # every coordinate chain with the right profile for n <= 3: the profile
     # holds, and nested, t_stable or t_power_steps may fail, alone or with

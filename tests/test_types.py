@@ -2,13 +2,14 @@
 
 import itertools
 import math
+import random
 import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from schubert_fusion import fusion
+from schubert_fusion import types
 from schubert_fusion.fusion import DimensionCapError
 from schubert_fusion.schubert import canonical_flag, coordinate_ring_dims
 from schubert_fusion.types import (
@@ -169,6 +170,34 @@ def test_polynomial_arithmetic():
     assert p.coefficient(10) == 0
 
 
+def _schoolbook_product(x, y):
+    # the double loop over every pair of coefficients, as the reference; a
+    # zero factor leaves zeros on top, which the canonical form drops
+    a, b = x.even_coeffs, y.even_coeffs
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        for j, cb in enumerate(b):
+            out[i + j] += ca * cb
+    while len(out) > 1 and not out[-1]:
+        out.pop()
+    return PoincarePolynomial(out)
+
+
+def test_product_matches_the_schoolbook_loop():
+    # Kronecker substitution against the double loop, over the zero
+    # polynomial, length-1 factors, inner zeros, coefficients that fill
+    # whole bytes and fields from one byte to many
+    polys = [PoincarePolynomial(c) for c in (
+        (0,), (1,), (7,), (256,), (0, 0, 3), (255,) * 3, (2 ** 70, 0, 1))]
+    rng = random.Random(5)
+    for _ in range(40):
+        top = rng.choice((1, 255, 2 ** 16, 2 ** 40))
+        coeffs = [rng.randint(0, top) for _ in range(rng.randint(0, 29))]
+        polys.append(PoincarePolynomial(coeffs + [rng.randint(1, top)]))
+    for x, y in itertools.product(polys, repeat=2):
+        assert x * y == _schoolbook_product(x, y)
+
+
 def test_extremes():
     for n in range(1, 7):
         top, bottom = comp(*([1] * n)), comp(n)
@@ -225,8 +254,8 @@ def test_order_matches_equality_pattern():
 def test_sizes_are_charged_against_the_cap(monkeypatch, build, size):
     # the cap is read at call time: a result of `size` entries fits a cap
     # of `size` and raises under one less
-    monkeypatch.setattr(fusion, "DEFAULT_DIMENSION_CAP", size)
+    monkeypatch.setattr(types, "DEFAULT_DIMENSION_CAP", size)
     build()
-    monkeypatch.setattr(fusion, "DEFAULT_DIMENSION_CAP", size - 1)
+    monkeypatch.setattr(types, "DEFAULT_DIMENSION_CAP", size - 1)
     with pytest.raises(DimensionCapError, match=f"cap of {size - 1}"):
         build()

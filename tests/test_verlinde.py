@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import schubert_fusion
-from schubert_fusion import fusion, verlinde
+from schubert_fusion import fusion, types, verlinde
 from schubert_fusion.fusion import DimensionCapError, character_recursive
 from schubert_fusion.verlinde import (
     FusionRingElement,
@@ -48,8 +48,8 @@ def test_fuse_validates_weights():
 
 def test_level_past_the_dimension_cap(monkeypatch):
     # a level-k element holds k + 1 coefficients, so every path that builds
-    # one checks k + 1 against fusion.DEFAULT_DIMENSION_CAP, read at call time
-    monkeypatch.setattr(fusion, "DEFAULT_DIMENSION_CAP", 6)
+    # one checks k + 1 against types.DEFAULT_DIMENSION_CAP, read at call time
+    monkeypatch.setattr(types, "DEFAULT_DIMENSION_CAP", 6)
     assert fuse(5, 2, 3) == elt(5, 0, 1, 0, 1, 0, 1)
     assert limit_multiplicities((0, 4)).level == 5
     assert classical_limit_check((2, 3))
@@ -74,10 +74,24 @@ def test_level_past_the_dimension_cap(monkeypatch):
         fuse(6, 0, 0)
 
 
+def test_peeling_reads_the_default_cap_at_call_time(monkeypatch):
+    # with no cap given, the peeling routes read the dimension cap when
+    # called, as the span builder does, not when the module was loaded
+    monkeypatch.setattr(types, "DEFAULT_DIMENSION_CAP", 4)
+    with pytest.raises(DimensionCapError, match="^character of \\(2, 3\\) "
+                                                "would exceed the cap of 4$"):
+        character_recursive((2, 3))
+    with pytest.raises(DimensionCapError, match="cap of 4"):
+        character_stabilization((1,), 2, 1)  # dims 2, 8, 32
+    # a cap of the caller's own still wins
+    assert sum(character_recursive((2, 3), 6).values()) == 6
+    assert character_stabilization((1,), 2, 1, 32).dims == (2, 8, 32)
+
+
 def test_folds_are_charged_their_updates(monkeypatch):
     # a fold step is charged the running product's support times the w + 1
     # classes one [w] reaches, and the total is held to the cap at call time
-    monkeypatch.setattr(fusion, "DEFAULT_DIMENSION_CAP", 10)
+    monkeypatch.setattr(types, "DEFAULT_DIMENSION_CAP", 10)
     # [2].[3] charges 1 * 4 and has support {1, 3, 5}; times [1], 3 * 2 more
     assert product_chain(5, [2, 3, 1]) == elt(5, 1, 0, 2, 0, 2, 0)
     assert verlinde.product_chain_right(5, [1, 3, 2]) == elt(5, 1, 0, 2, 0, 2, 0)
@@ -91,7 +105,7 @@ def test_folds_are_charged_their_updates(monkeypatch):
         with pytest.raises(DimensionCapError,
                            match="exceed the cap of 10 coefficient updates"):
             call()
-    monkeypatch.setattr(fusion, "DEFAULT_DIMENSION_CAP", 9)
+    monkeypatch.setattr(types, "DEFAULT_DIMENSION_CAP", 9)
     with pytest.raises(DimensionCapError):
         product_chain(5, [2, 3, 1])
 
@@ -117,9 +131,9 @@ def test_products_are_sparse_and_charged(monkeypatch):
     assert time.perf_counter() - start < 0.1
     # supports {1, 3} and {0, 2, 5}: 2 * 3 * (min(3, 5) + 1) = 24 updates
     x, y = elt(5, 0, 2, 0, 1, 0, 0), elt(5, 1, 0, 3, 0, 0, 1)
-    monkeypatch.setattr(fusion, "DEFAULT_DIMENSION_CAP", 24)
+    monkeypatch.setattr(types, "DEFAULT_DIMENSION_CAP", 24)
     assert x * y == _dense_product(x, y)
-    monkeypatch.setattr(fusion, "DEFAULT_DIMENSION_CAP", 23)
+    monkeypatch.setattr(types, "DEFAULT_DIMENSION_CAP", 23)
     with pytest.raises(DimensionCapError, match="cap of 23"):
         x * y
     monkeypatch.undo()
