@@ -20,6 +20,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import sys
 from collections import namedtuple
 
 from .fusion import (apply_monomial, build_module, character,
@@ -154,8 +155,12 @@ def poincare_checks(comp, poly, recursive: bool = False) -> list:
         return [_check("matches_closed_form", poly == poincare(comp),
                        "single-row recursion, multiplied over parts")]
     value = poly.evaluate(1)
+    try:
+        detail = f"value at q=1 is {value}"
+    except ValueError:  # more digits than the interpreter prints
+        detail = f"value at q=1 has more than {sys.get_int_max_str_digits()} digits"
     return [_check("euler_value", value == math.prod(i + 1 for i in comp.parts),
-                   f"value at q=1 is {value}")]
+                   detail)]
 
 
 def isom_checks(weights_a, weights_b, iso: bool) -> list:

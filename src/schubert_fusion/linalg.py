@@ -176,7 +176,19 @@ class SpanBasis:
         pivot), so the row depends on vec and the span only.  It is
         usually far sparser than vec, with small int coefficients, which
         matters when the caller feeds rows back into further computation.
+
+        A one-term vec {i: c} whose index i is not a pivot is already
+        reduced (`reduce` clears pivots only), and its primitive form is
+        {i: 1}, so that row is stored without elimination; the flag model
+        inserts 2n unit vectors for every canonical chain.  A one-term vec
+        at a pivot still goes through `reduce`: the row there may carry
+        other entries, so vec need not be in the span.
         """
+        if len(vec) == 1:
+            (pivot,) = vec
+            if pivot not in self._rows:
+                row = self._rows[pivot] = {pivot: 1}
+                return row
         residual = self.reduce(vec)
         if not residual:
             return None

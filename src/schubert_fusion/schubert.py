@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 import random
 from collections import namedtuple
-from itertools import accumulate
+from itertools import accumulate, islice
 
 from .linalg import SpanBasis
 from .types import (Composition, _Validated, _check_size, leq, poincare,
@@ -258,11 +258,11 @@ def flag_conditions(chain: FlagChain, composition: Composition) -> dict:
     ``t_power_steps``: t^{i_{s-alpha}} W_alpha <= W_{alpha+1}, where W_0 is
     the full space.  It follows from the other three, since W_alpha /
     W_{alpha+1} is then a nilpotent C[t]-module of dimension i_{s-alpha},
-    but it is decided all the same, as a cross-check.
+    but it is decided here all the same, as a cross-check of that proof.
 
     Every condition is decided, also after one has failed; `flag_membership`
-    asks the same conditions in the same order but stops at the first
-    failure.
+    asks the first three in the same order, stops at the first failure and
+    never decides ``t_power_steps``.
     """
     return dict(_conditions(chain, composition))
 
@@ -270,11 +270,14 @@ def flag_conditions(chain: FlagChain, composition: Composition) -> dict:
 def flag_membership(chain: FlagChain, composition: Composition) -> bool:
     """True iff the chain satisfies every condition of `flag_conditions`.
 
-    The conditions are decided in order and the first failure ends the
-    test, so a chain whose dimension profile differs from the type's costs
-    no membership test at all.
+    Only ``profile``, ``nested`` and ``t_stable`` are decided, in that
+    order, and the first failure ends the test, so a chain whose dimension
+    profile differs from the type's costs no membership test at all.  The
+    fourth, ``t_power_steps``, holds whenever the first three do (the proof
+    is in `flag_conditions`), so leaving it out gives the same answer; the
+    generator is lazy, so its membership tests are never made.
     """
-    return all(holds for _, holds in _conditions(chain, composition))
+    return all(holds for _, holds in islice(_conditions(chain, composition), 3))
 
 
 # ---------------------------------------------------------------------------

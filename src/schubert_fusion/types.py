@@ -9,7 +9,7 @@ the unique minimal one is {n}.
 
 from __future__ import annotations
 
-from collections import namedtuple
+from collections import Counter, namedtuple
 from itertools import accumulate, groupby
 from operator import sub
 
@@ -234,17 +234,47 @@ def _pack(coeffs, size) -> int:
                           "little")
 
 
+def _run_power(part: int, k: int) -> list:
+    """Coefficients of (1 + x + ... + x^part)^k, by the power recurrence.
+
+    For P = f^k with f = 1 + ... + x^part, f P' = k f' P gives a_0 = 1 and
+    j a_j = sum over m = 1 .. min(part, j) of ((k + 1) m - j) a_{j-m}, that
+    is (k + 1) s1 - j s0 with the window sums s0 = sum of a_{j-m} and
+    s1 = sum of m a_{j-m}.  Sliding both windows from j - 1 to j takes a
+    few big-int steps, so the k part + 1 coefficients cost O(k part) of
+    them, where k passes of prefix sums cost O(k^2 part).
+    """
+    coeffs = [1]
+    s0 = s1 = 0
+    for j in range(1, k * part + 1):
+        # a_{j-1} enters the windows at m = 1, every other term moves up
+        # one m, and a_{j-1-part} leaves from m = part + 1
+        enters = coeffs[j - 1]
+        leaves = coeffs[j - 1 - part] if j > part else 0
+        s1 += s0 + enters - (part + 1) * leaves
+        s0 += enters - leaves
+        coeffs.append(((k + 1) * s1 - j * s0) // j)
+    return coeffs
+
+
 def poincare(comp: Composition) -> PoincarePolynomial:
     """Closed-form Poincare polynomial: product over parts of 1 + q^2 + ... + q^{2i}.
 
-    Each factor costs one pass over the running product: coefficient j of
+    The factors commute, so the k parts equal to the most frequent part
+    are one factor (1 + ... + q^{2i})^k, computed by `_run_power`.  Each
+    other factor costs one pass over the running product: coefficient j of
     the product with 1 + ... + q^{2i} is the sum of the coefficients
-    j - i .. j, a difference of two prefix sums.
+    j - i .. j, a difference of two prefix sums.  Passes over a long run
+    of equal parts would cost time cubic in its length, since each pass
+    also makes the coefficients longer.
     """
     _check_size(comp.n + 1, f"Poincare polynomial of {comp.n + 1} coefficients")
-    coeffs = [1]
+    run, k = Counter(comp.parts).most_common(1)[0]
+    coeffs = _run_power(run, k)
     for part in comp.parts:
-        # sums[part + k] is the sum of the first k coefficients, and the
+        if part == run:
+            continue
+        # sums[part + m] is the sum of the first m coefficients, and the
         # part + 1 zeros before it stand for the empty sums
         sums = [0] * (part + 1) + list(accumulate(coeffs + [0] * part))
         coeffs = list(map(sub, sums[part + 1:], sums))

@@ -2,6 +2,7 @@
 
 import ast
 import json
+import math
 import os
 import subprocess
 import sys
@@ -253,11 +254,16 @@ def test_large_module_builds_in_a_child_process():
     # exit 1 when the report was rendered after the error handling
     (("coordring", ",".join(["1000000000"] * 1000), "1"), 10, 200),
     (("sections", ",".join(["0"] + ["1000000000"] * 600), "1,600"), 10, 200),
+    # the middle coefficient of 15 000 ones has 4514 digits; this exited 2
+    # ("invalid input") when the euler_value check put 2^15000, with 4516
+    # digits, into its detail
+    (("poincare", ",".join(["1"] * 15000)), 10, 200),
 ], ids=["relations", "stabilize", "verlinde-fuse", "verlinde-limit",
         "verlinde-limit-long", "coordring-long", "coordring",
         "poincare", "bundle-split", "poincare-long", "bundle-split-long",
         "morphism", "flag-check-random", "flag-check", "coordring-wide",
-        "flag-check-parts", "coordring-digits", "sections-digits"])
+        "flag-check-parts", "coordring-digits", "sections-digits",
+        "poincare-digits"])
 def test_long_input_exits_3(argv, seconds, mib):
     env = dict(os.environ, PYTHONPATH=str(SRC))
     start = time.perf_counter()
@@ -284,6 +290,22 @@ def test_poincare_of_two_long_parts():
     assert proc.returncode == 0, proc.stderr
     coeffs = json.loads(proc.stdout)["result"]["coefficients"]
     assert coeffs == [min(j, 20000 - j) + 1 for j in range(20001)]
+    assert elapsed < 10
+
+
+def test_poincare_of_a_long_run():
+    # the 8000 equal parts are one power, computed by its recurrence; one
+    # pass of prefix sums per part took 36 s on this
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "schubert_fusion.cli", "poincare",
+         ",".join(["1"] * 8000)],
+        capture_output=True, text=True, env=env, timeout=60)
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 0, proc.stderr
+    coeffs = json.loads(proc.stdout)["result"]["coefficients"]
+    assert coeffs == [math.comb(8000, j) for j in range(8001)]
     assert elapsed < 10
 
 

@@ -412,3 +412,43 @@ def test_contains_on_stored_rows_and_their_multiples(rows, vec, factor, extra):
         assert basis.contains({q: factor * c for q, c in row.items()})
     assert basis.contains({})
 
+
+class _Unguarded(dict):
+    """A vector that reports a length other than 1, so `insert_reduced`
+    skips its one-term guard and takes the elimination path for it."""
+
+    def __len__(self):
+        return super().__len__() + 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(int_row_lists, st.integers(min_value=0, max_value=7),
+       st.integers(min_value=-5, max_value=5).filter(bool))
+def test_one_term_insert_matches_elimination(rows, index, value):
+    # the guard stores {index: 1} when index is not a pivot; at a pivot the
+    # vector goes through the reduction like any other
+    basis = SpanBasis()
+    for row in rows:
+        basis.insert(dict(row))
+    twin = basis.copy()
+    vec = {index: value}
+    row = basis.insert_reduced(vec)
+    assert row == twin.insert_reduced(_Unguarded(vec))
+    assert vec == {index: value}  # the caller's vector is not stored
+    assert basis.dimension == twin.dimension
+    assert basis.row_vectors() == twin.row_vectors()
+    assert_integer_echelon(basis)
+
+
+def test_one_term_insert_at_an_occupied_pivot():
+    # {0: 3} is not in the span of {0: 1, 1: 1}, although 0 is a pivot:
+    # subtracting 3 times that row leaves -3 at index 1
+    basis = SpanBasis()
+    basis.insert({0: 1, 1: 1})
+    row = basis.insert_reduced({0: 3})
+    assert row == {1: 1}
+    assert basis.dimension == 2
+    assert basis.row_vectors() == [{0: 1, 1: 1}, {1: 1}]
+    # a one-term vector that is a stored row is refused
+    assert basis.insert_reduced({1: 4}) is None
+    assert basis.dimension == 2

@@ -598,18 +598,22 @@ def test_t_power_steps_never_fails_alone():
     # once the profile holds and W_alpha >= W_alpha+1 are both t-stable,
     # W_alpha / W_alpha+1 is a nilpotent C[t]-module of dimension
     # i_{s-alpha}, so t^{i_{s-alpha}} kills it: over every coordinate chain
-    # with the right profile for n <= 3, 280 of them nested, t_power_steps
-    # fails only with nested or t_stable
+    # with the right profile for n <= 3 (280 of them nested) and for n = 4
+    # with s <= 2 (1050 nested), t_power_steps fails only with nested or
+    # t_stable, so flag_membership, which skips it, gives the same answer
     nested = 0
-    for n in (1, 2, 3):
+    for n in (1, 2, 3, 4):
         for c in compositions(n):
+            if n == 4 and c.s > 2:
+                continue
             for chain in _coordinate_chains(c):
                 conds = flag_conditions(chain, c)
                 assert conds["profile"]
                 nested += conds["nested"]
                 if conds["nested"] and conds["t_stable"]:
                     assert conds["t_power_steps"]
-    assert nested == 280
+                assert flag_membership(chain, c) == all(conds.values())
+    assert nested == 280 + 1050
 
 
 def test_membership_matches_conditions_on_broken_chains():
@@ -671,3 +675,23 @@ def test_membership_stops_at_the_first_failed_condition(monkeypatch):
     calls.clear()
     assert not flag_membership(broken, comp(1, 1))
     assert 0 < len(calls) < every
+
+
+def test_membership_skips_the_implied_condition(monkeypatch):
+    # a member passes every condition, and flag_membership decides all but
+    # t_power_steps; with s >= 2 the step of W_s has power i_s < n, so that
+    # condition tests at least one shifted vector that membership skips
+    calls = _count_contains(monkeypatch)
+    rng = random.Random(7)
+    for n in range(2, 6):
+        for c in compositions(n):
+            if c.s < 2:
+                continue
+            chain = canonical_flag(c)
+            for member in (chain, group_act(random_group_element(n, rng), chain)):
+                calls.clear()
+                assert all(flag_conditions(member, c).values())
+                every = len(calls)
+                calls.clear()
+                assert flag_membership(member, c)
+                assert len(calls) < every

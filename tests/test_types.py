@@ -136,6 +136,35 @@ def test_poincare_matches_the_product_fold(parts):
     assert poincare(Composition(parts)) == expected
 
 
+def _per_part_passes(parts):
+    # one pass of prefix sums per part, as the reference: coefficient j of
+    # the product with 1 + ... + q^{2i} is the sum of coefficients j - i .. j
+    coeffs = [1]
+    for part in parts:
+        sums = [0] * (part + 1) + list(itertools.accumulate(coeffs + [0] * part))
+        coeffs = [hi - lo for hi, lo in zip(sums[part + 1:], sums)]
+    return tuple(coeffs)
+
+
+def test_poincare_matches_the_per_part_passes():
+    # the most frequent part's power comes from its recurrence: long runs,
+    # runs split by other parts, several runs of one length, single parts
+    rng = random.Random(29)
+    cases = [[1] * 400, [2] * 300, [7] * 60, [1, 2, 3] * 50,
+             [1] * 150 + [5] * 150, [1] * 500 + [7] * 6, [9], [4, 1], [3, 3],
+             [12, 12, 1, 5], [40, 1, 40, 2, 40]]
+    for _ in range(12):
+        run = [rng.randint(1, 9)] * rng.randint(1, 120)
+        rest = [rng.randint(1, 9) for _ in range(rng.randint(0, 60))]
+        parts = run + rest
+        rng.shuffle(parts)
+        cases.append(parts)
+    cases += [[rng.randint(1, 9) for _ in range(rng.randint(1, 150))]
+              for _ in range(8)]
+    for parts in cases:
+        assert poincare(Composition(parts)).even_coeffs == _per_part_passes(parts)
+
+
 def test_recursion_examples():
     assert poincare_recursive_single(0).even_coeffs == (1,)
     assert poincare_recursive_single(2).even_coeffs == (1, 1, 1)
