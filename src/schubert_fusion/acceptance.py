@@ -33,9 +33,9 @@ from .schubert import (bundle_split, canonical_flag, coordinate_ring_dims,
                        group_act, isomorphic, line_bundle_exists,
                        morphism_exists, picard_rank, random_group_element,
                        sections_dim)
-from .types import (Composition, _check_size, canonical_A, compositions, leq,
-                    leq_by_vectors, poincare, poincare_recursive_single,
-                    type_of)
+from .types import (Composition, _check_int, _check_size, canonical_A,
+                    compositions, leq, leq_by_vectors, poincare,
+                    poincare_recursive_single, type_of)
 from .verlinde import (FusionRingElement, character_stabilization,
                        classical_limit_check, fuse, grassmannian_section_dims,
                        grassmannian_weights, limit_multiplicities,
@@ -233,7 +233,9 @@ def _translates(draws, rng) -> tuple:
 def flag_checks(comp, count: int = 0, seed: int = 0) -> list:
     """The membership conditions of the canonical chain of `comp` and, for
     a positive `count`, that many translates by group elements drawn at
-    `seed`, all of which must stay in the variety."""
+    `seed`, all of which must stay in the variety.  A negative `count`
+    raises ValueError."""
+    _check_int(count, "count", 0)
     # each membership check, of the canonical chain and of each translate,
     # tests about s * 2n vectors against the s subspaces
     _check_size((count + 1) * comp.s * 2 * comp.n,
@@ -294,8 +296,7 @@ def _trim(max_n: int | None, full: int | None = None) -> int | None:
     when one is given.  A `max_n` below 1 raises ValueError."""
     if max_n is None:
         return full
-    if not isinstance(max_n, int) or max_n < 1:
-        raise ValueError(f"max_n must be a positive integer, got {max_n!r}")
+    _check_int(max_n, "max_n", 1)
     return max_n if full is None else min(full, max_n)
 
 

@@ -184,8 +184,6 @@ def _cmd_coordring(args):
 
 
 def _cmd_flag_check(args):
-    if args.random < 0:
-        raise ValueError(f"--random must be nonnegative, got {args.random}")
     comp = Composition(args.C)
     # the checks charge the whole run against the cap before any chain
     # is built, so the chain of the result is built after them

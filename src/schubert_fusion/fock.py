@@ -50,7 +50,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import namedtuple
 
-from .types import DimensionCapError
+from .types import DimensionCapError, _check_int
 
 WEDGE_BLOCK_BUDGET = 2 ** 18
 
@@ -204,8 +204,7 @@ def top_wedge(shapes) -> WedgeState:
     """
     shapes = tuple(shapes)
     for m in shapes:
-        if not isinstance(m, int) or m < 1:
-            raise ValueError(f"factor truncation must be a positive integer, got {m!r}")
+        _check_int(m, "factor truncation", 1)
     model = WedgeModel(shapes)
     index = model.pack_index(
         model.intern(((1 << m) - 1,) * count,
@@ -225,15 +224,14 @@ def apply_current(mode: int, state: WedgeState, blocks=None) -> WedgeState:
     acts on every block.  A block index outside 0 .. len(groups) - 1
     raises ValueError.
     """
-    if not isinstance(mode, int) or mode < 0:
-        raise ValueError("current mode must be a nonnegative integer")
+    _check_int(mode, "current mode", 0)
     model = state.model
     groups = model.groups
     last = len(groups) - 1
-    scope = range(len(groups)) if blocks is None else tuple(blocks)
-    for g in scope:
-        if not 0 <= g <= last:
-            raise ValueError(f"block index {g!r} is outside 0..{last}")
+    if blocks is None:
+        scope = range(len(groups))
+    else:
+        scope = tuple(_check_int(g, "block index", 0, last) for g in blocks)
     bits = model.bits
     mask = (1 << bits) - 1
     out = {}

@@ -62,7 +62,8 @@ from types import MappingProxyType
 from .fock import WedgeState, apply_current, top_wedge
 from .linalg import SpanBasis
 # DimensionCapError lives in `types`; it is re-exported here
-from .types import DimensionCapError, _check_size, weakly_increasing
+from .types import (DimensionCapError, _check_int, _check_size,
+                    weakly_increasing)
 
 
 def factor_shapes(weights) -> tuple:
@@ -555,11 +556,8 @@ def check_relations(truncation: int, max_power: int) -> RelationReport:
     `types.RELATION_PARTICLE_CAP` particles are charged: n for each power,
     also after the series has vanished, and n for each term of every image.
     """
-    n = truncation
-    if not isinstance(n, int) or n < 1:
-        raise ValueError("truncation must be a positive integer")
-    if not isinstance(max_power, int) or max_power < 1:
-        raise ValueError("max power must be a positive integer")
+    n = _check_int(truncation, "truncation", 1)
+    _check_int(max_power, "max power", 1)
     what = f"relation series on truncation {n}"
     series = {0: top_wedge((n,))}
     checks = []
@@ -593,9 +591,7 @@ def monomial_basis(truncation: int) -> list:
     Applied to the top wedge of shape (n,) these give a basis; there are
     binomial(n, k) words of each length k and 2^n in total.
     """
-    n = truncation
-    if not isinstance(n, int) or n < 1:
-        raise ValueError("truncation must be a positive integer")
+    n = _check_int(truncation, "truncation", 1)
     words = []
     for k in range(n + 1):
         words.extend(combinations_with_replacement(range(n - k + 1), k))
@@ -632,8 +628,7 @@ def _check_pair(weights, index) -> tuple:
     n = len(weights)
     if n == 1:
         raise ValueError("a one-entry vector has no adjacent pair")
-    if not isinstance(index, int) or not 1 <= index <= n - 1:
-        raise ValueError(f"index must lie in 1..{n - 1}, got {index!r}")
+    _check_int(index, "index", 1, n - 1)
     return weights
 
 

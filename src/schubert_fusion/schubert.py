@@ -28,8 +28,8 @@ from collections import namedtuple
 from itertools import accumulate, islice
 
 from .linalg import SpanBasis
-from .types import (Composition, _Validated, _check_size, leq, poincare,
-                    type_of, weakly_increasing)
+from .types import (Composition, _Validated, _check_int, _check_size, leq,
+                    poincare, type_of, weakly_increasing)
 
 __all__ = [
     "BundleSplit", "FlagChain", "GroupElement",
@@ -77,8 +77,7 @@ def bundle_split(composition: Composition, cut: int) -> BundleSplit:
     parts = composition.parts
     if len(parts) == 1:
         raise ValueError("a one-part composition has no fibration to split")
-    if not isinstance(cut, int) or not 1 <= cut <= len(parts) - 1:
-        raise ValueError(f"cut must lie in 1..{len(parts) - 1}, got {cut!r}")
+    _check_int(cut, "cut", 1, len(parts) - 1)
     fiber = Composition(parts[:cut])
     base = Composition(parts[cut:])
     identity = poincare(composition) == poincare(fiber) * poincare(base)
@@ -130,8 +129,7 @@ def coordinate_ring_dims(weights, i_max: int) -> tuple:
     (i(a_1 - 1) + 1, ..., i(a_n - 1) + 1), of dimension prod(i(a_j - 1) + 1).
     """
     weights = weakly_increasing(weights, minimum=1)
-    if not isinstance(i_max, int) or i_max < 0:
-        raise ValueError("i_max must be a nonnegative integer")
+    _check_int(i_max, "i_max", 0)
     # each of the i_max + 1 graded pieces is a product of len(weights) factors
     _check_size((i_max + 1) * len(weights),
                 f"coordinate ring of {i_max + 1} graded pieces "
@@ -323,8 +321,7 @@ class GroupElement(_Validated,
                 raise ValueError("matrix entries must be length-n coefficient tuples")
             if not all(isinstance(c, int) for c in entry):
                 raise TypeError("group element entries must be ints")
-        if not isinstance(den, int) or den < 1:
-            raise ValueError(f"den must be a positive integer, got {den!r}")
+        _check_int(den, "den", 1)
         common = math.gcd(den, *(c for entry in entries for c in entry))
         den = den // common
         vv, vu, uv, uu = (tuple(c // common for c in entry) for entry in entries)
@@ -386,9 +383,7 @@ def _one_param(n, mode, z, lowering):
     z is read as z.numerator / z.denominator, so it is an int or a
     quotient of ints; a float has neither and raises TypeError.
     """
-    if not isinstance(mode, int) or not 0 <= mode < n:
-        raise ValueError(
-            f"mode must be an integer in 0..{n - 1}, got {mode!r}")
+    _check_int(mode, "mode", 0, n - 1)
     try:
         p, q = z.numerator, z.denominator
     except AttributeError:
@@ -421,12 +416,10 @@ def random_group_element(n: int, rng: random.Random, length: int = 4) -> GroupEl
     times one column into the other (the v column into the u column for
     lowering, the u column into the v column for raising).  Only the result
     is validated and reduced to lowest terms.  `n` must be a positive int
-    and `length` a nonnegative int (bools are refused for both).
+    and `length` a nonnegative int.
     """
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise ValueError(f"n must be a positive integer, got {n!r}")
-    if not isinstance(length, int) or isinstance(length, bool) or length < 0:
-        raise ValueError(f"length must be a nonnegative integer, got {length!r}")
+    _check_int(n, "n", 1)
+    _check_int(length, "length", 0)
     # columns: (vv, uv) is the image of v, (vu, uu) the image of u
     v_col = ([1] + [0] * (n - 1), [0] * n)
     u_col = ([0] * n, [1] + [0] * (n - 1))

@@ -47,6 +47,27 @@ def _check_size(size: int, what: str, detail: str = "", cap: int | None = None,
         raise DimensionCapError(f"{what} would exceed the cap of {cap}{detail}")
 
 
+def _check_int(value, what: str, low: int | None = None,
+               high: int | None = None) -> int:
+    """`value` itself, once it is an int in low..high, for the bounds given.
+
+    This is the one integer rule of the package: a bool or a float is
+    refused like any other non-int.  `high` is only given with `low`.
+    Raises ValueError "<what> must be <rule>, got <value!r>".
+    """
+    if (type(value) is int and (low is None or low <= value)
+            and (high is None or value <= high)):
+        return value
+    if high is not None:
+        rule = f"an integer in {low}..{high}"
+    elif low is None:
+        rule = "an integer"
+    else:
+        rule = {0: "a nonnegative integer", 1: "a positive integer"}.get(
+            low, f"an integer >= {low}")
+    raise ValueError(f"{what} must be {rule}, got {value!r}")
+
+
 class _Validated:
     """Base of the records whose __new__ validates its fields.
 
@@ -71,8 +92,7 @@ class Composition(_Validated, namedtuple("Composition", "parts")):
         if not parts:
             raise ValueError("composition must have at least one part")
         for p in parts:
-            if not isinstance(p, int) or p < 1:
-                raise ValueError(f"parts must be positive integers, got {p!r}")
+            _check_int(p, "part", 1)
         return super().__new__(cls, parts)
 
     @property
@@ -89,8 +109,7 @@ class Composition(_Validated, namedtuple("Composition", "parts")):
 
 def compositions(n: int):
     """All compositions of n, ordered by their binary break masks."""
-    if n < 1:
-        raise ValueError("n must be positive")
+    _check_int(n, "n", 1)
     for mask in range(1 << (n - 1)):
         parts = []
         size = 1
@@ -107,16 +126,15 @@ def compositions(n: int):
 def weakly_increasing(values, minimum=None, allow_empty=False) -> tuple:
     """Validate a weakly increasing integer vector and return it as a tuple.
 
-    Entries must be integers, at least `minimum` when one is given; the empty
-    vector passes only with `allow_empty`.  Raises ValueError otherwise.
+    Entries must be ints, at least `minimum` when one is given, by
+    `_check_int`; the empty vector passes only with `allow_empty`.  Raises
+    ValueError otherwise.
     """
     values = tuple(values)
     if not values and not allow_empty:
         raise ValueError("vector must be nonempty")
     for a in values:
-        if not isinstance(a, int) or (minimum is not None and a < minimum):
-            bound = "" if minimum is None else f" >= {minimum}"
-            raise ValueError(f"entries must be integers{bound}, got {a!r}")
+        _check_int(a, "entry", minimum)
     if any(a > b for a, b in zip(values, values[1:])):
         raise ValueError(f"vector must be weakly increasing, got {values}")
     return values
@@ -178,8 +196,7 @@ class PoincarePolynomial(_Validated,
         if not even_coeffs:
             raise ValueError("a polynomial needs at least the constant term")
         for c in even_coeffs:
-            if not isinstance(c, int) or c < 0:
-                raise ValueError("coefficients must be nonnegative integers")
+            _check_int(c, "coefficient", 0)
         if len(even_coeffs) > 1 and even_coeffs[-1] == 0:
             raise ValueError("trailing zero coefficients are not canonical")
         return super().__new__(cls, even_coeffs)
@@ -289,8 +306,7 @@ def poincare_recursive_single(n: int) -> PoincarePolynomial:
     dimension n - 1 over the boundary copy two steps down.  The steps run
     upward from the base of n's parity, so long inputs need no deep stack.
     """
-    if not isinstance(n, int) or n < 0:
-        raise ValueError("n must be a nonnegative integer")
+    _check_int(n, "n", 0)
     _check_size(n + 1, f"Poincare polynomial of {n + 1} coefficients")
     coeffs = [1] * (n % 2 + 1)  # P(0) or P(1)
     for k in range(n % 2 + 2, n + 1, 2):

@@ -26,7 +26,7 @@ from collections import namedtuple
 from types import MappingProxyType
 
 from .fusion import _top_strata
-from .types import _Validated, _check_size, weakly_increasing
+from .types import _Validated, _check_int, _check_size, weakly_increasing
 
 
 def _check_level(k: int) -> int:
@@ -34,16 +34,13 @@ def _check_level(k: int) -> int:
 
     Every path that builds a coefficient vector checks its level here.
     """
-    if not isinstance(k, int) or k < 0:
-        raise ValueError(f"level must be a nonnegative integer, got {k!r}")
+    _check_int(k, "level", 0)
     _check_size(k + 1, f"level {k}", f": its ring has {k + 1} classes")
     return k
 
 
 def _check_weight(k: int, a: int) -> int:
-    if not isinstance(a, int) or not 0 <= a <= k:
-        raise ValueError(f"weight must lie in 0..{k}, got {a!r}")
-    return a
+    return _check_int(a, "weight", 0, k)
 
 
 class FusionRingElement(_Validated,
@@ -62,8 +59,8 @@ class FusionRingElement(_Validated,
         coeffs = tuple(coeffs)
         if len(coeffs) != level + 1:
             raise ValueError("coefficient vector must have length level + 1")
-        if any(not isinstance(c, int) or c < 0 for c in coeffs):
-            raise ValueError("coefficients must be nonnegative integers")
+        for c in coeffs:
+            _check_int(c, "coefficient", 0)
         return super().__new__(cls, level, coeffs)
 
     @staticmethod
@@ -76,12 +73,6 @@ class FusionRingElement(_Validated,
     @staticmethod
     def unit(level: int) -> "FusionRingElement":
         return FusionRingElement.basis(level, 0)
-
-    def __add__(self, other: "FusionRingElement") -> "FusionRingElement":
-        if self.level != other.level:
-            raise ValueError("cannot add elements of different levels")
-        return FusionRingElement(
-            self.level, tuple(x + y for x, y in zip(self.coeffs, other.coeffs)))
 
     def __mul__(self, other: "FusionRingElement") -> "FusionRingElement":
         """The product, over the nonzero coefficients of both factors.
@@ -209,8 +200,7 @@ def classical_limit_check(bundle) -> bool:
 def grassmannian_weights(bundle, steps: int) -> tuple:
     """Module weights (b_1+1, ..., b_n+1) extended by 2*steps copies of b_n+1."""
     bundle = weakly_increasing(bundle, minimum=0)
-    if not isinstance(steps, int) or steps < 0:
-        raise ValueError("steps must be a nonnegative integer")
+    _check_int(steps, "steps", 0)
     grown = tuple(b + 1 for b in bundle) + (bundle[-1] + 1,) * (2 * steps)
     return grown
 
@@ -271,11 +261,9 @@ def character_stabilization(bundle, i_max: int, deg_max: int,
     time, so the first step over it raises before any later one is built.
     """
     bundle = weakly_increasing(bundle, minimum=0)
-    if not isinstance(i_max, int) or i_max < 1:
-        raise ValueError("i_max must be a positive integer: stabilization "
-                         "compares at least two tables")
-    if not isinstance(deg_max, int) or deg_max < 0:
-        raise ValueError("deg_max must be a nonnegative integer")
+    # stabilization compares at least two tables
+    _check_int(i_max, "i_max", 1)
+    _check_int(deg_max, "deg_max", 0)
     chain = (grassmannian_weights(bundle, i) for i in range(i_max + 1))
     tables = _top_strata(chain, deg_max, cap)
     dims = tuple(math.prod(grassmannian_weights(bundle, i))

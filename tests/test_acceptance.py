@@ -82,3 +82,10 @@ def test_the_battery_runs_every_cli_check(monkeypatch):
                             recorded(name, getattr(acceptance, name)))
     assert all(result.passed for result in acceptance.run_all(2))
     assert called == names
+
+
+def test_flag_checks_refuse_a_negative_count():
+    # it returned a passing group_invariance check on "0 elements"
+    with pytest.raises(ValueError,
+                       match="^count must be a nonnegative integer, got -3$"):
+        acceptance.flag_checks(types.Composition((2, 1)), -3)

@@ -156,58 +156,40 @@ def test_long_relation_series_exits_3(argv):
     assert "Traceback" not in proc.stderr
 
 
-# Runs the CLI and prints its own peak RSS in KiB last: VmHWM, which counts
-# this process alone, or ru_maxrss where /proc is absent.  On Linux a
-# child's ru_maxrss starts at its parent's resident size (a child of a
-# 300 MB parent read 321 120 KiB there and 13 564 KiB in VmHWM).
-_RSS_CHILD = """\
-import os, resource, sys
+# Runs the CLI on its arguments, in a child process of `run_child`.
+_CLI_CHILD = """\
+import sys
 from schubert_fusion.cli import main
-code = main(sys.argv[1:])
-if os.path.exists("/proc/self/status"):
-    with open("/proc/self/status") as fh:
-        peak = next(int(line.split()[1]) for line in fh
-                    if line.startswith("VmHWM:"))
-else:
-    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-print(peak, file=sys.stderr)
-sys.exit(code)
+sys.exit(main(sys.argv[1:]))
 """
 
 
 @pytest.mark.parametrize("weights", ["6,6,6,6", "3,3,3,3,3,3,3"])
-def test_over_budget_module_exits_3(weights):
+def test_over_budget_module_exits_3(run_child, weights):
     # both are far below the dimension cap (1296 and 2187) and ran for
     # 85-103 s in 1.4-1.5 GB before the wedge model had a block budget
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    start = time.perf_counter()
-    proc = subprocess.run([sys.executable, "-c", _RSS_CHILD, "dim", weights],
-                          capture_output=True, text=True, env=env, timeout=60)
-    elapsed = time.perf_counter() - start
-    assert proc.returncode == 3
-    assert not proc.stdout
-    message, rss_kib = proc.stderr.splitlines()
+    child = run_child(_CLI_CHILD, "dim", weights)
+    assert child.returncode == 3
+    assert not child.stdout
+    [message] = child.stderr.splitlines()
     assert message.startswith("resource cap: wedge model on")
     assert "budget of 262144 blocks" in message
-    assert elapsed < 30
-    assert int(rss_kib) < 600 * 1024
+    assert child.seconds < 30
+    assert child.rss_kib < 600 * 1024
 
 
-def test_large_module_builds_in_a_child_process():
+def test_large_module_builds_in_a_child_process(run_child):
     # the closure stops at h-weight 0, so (5,5,5,5) interns 92 193 blocks;
     # closing the whole span it interned 148 995 in 2.9-3.4 s and 148 MB
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    start = time.perf_counter()
-    proc = subprocess.run([sys.executable, "-c", _RSS_CHILD, "dim", "5,5,5,5"],
-                          capture_output=True, text=True, env=env, timeout=60)
-    elapsed = time.perf_counter() - start
-    assert proc.returncode == 0, proc.stderr
-    report = json.loads(proc.stdout)
+    child = run_child(_CLI_CHILD, "dim", "5,5,5,5")
+    assert child.returncode == 0, child.stderr
+    assert not child.stderr
+    report = json.loads(child.stdout)
     assert report["result"] == 625
     assert report["checks"] == [{"name": "product_formula", "pass": True,
                                  "detail": "product of weights is 625"}]
-    assert elapsed < 10
-    assert int(proc.stderr) < 120 * 1024
+    assert child.seconds < 10
+    assert child.rss_kib < 120 * 1024
 
 
 @pytest.mark.parametrize("argv, seconds, mib", [
@@ -264,18 +246,14 @@ def test_large_module_builds_in_a_child_process():
         "morphism", "flag-check-random", "flag-check", "coordring-wide",
         "flag-check-parts", "coordring-digits", "sections-digits",
         "poincare-digits"])
-def test_long_input_exits_3(argv, seconds, mib):
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    start = time.perf_counter()
-    proc = subprocess.run([sys.executable, "-c", _RSS_CHILD, *argv],
-                          capture_output=True, text=True, env=env, timeout=60)
-    elapsed = time.perf_counter() - start
-    assert proc.returncode == 3
-    assert not proc.stdout
-    message, rss_kib = proc.stderr.splitlines()
+def test_long_input_exits_3(run_child, argv, seconds, mib):
+    child = run_child(_CLI_CHILD, *argv)
+    assert child.returncode == 3
+    assert not child.stdout
+    [message] = child.stderr.splitlines()
     assert message.startswith("resource cap: ")
-    assert elapsed < seconds
-    assert int(rss_kib) < mib * 1024
+    assert child.seconds < seconds
+    assert child.rss_kib < mib * 1024
 
 
 def test_poincare_of_two_long_parts():

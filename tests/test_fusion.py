@@ -87,6 +87,17 @@ def test_weights_must_be_monotone():
         build_module((2, 0))
 
 
+def test_a_bool_weight_is_refused_and_leaves_the_cache_alone():
+    # (True, 2) == (1, 2) and both hash the same: a record built for the
+    # bool weights was cached and handed back for (1, 2) afterwards
+    with pytest.raises(ValueError,
+                       match="^entry must be a positive integer, got True$"):
+        build_module((True, 2))
+    weights = build_module((1, 2)).weights
+    assert weights == (1, 2)
+    assert all(type(a) is int for a in weights)
+
+
 def test_dimension_cap(monkeypatch):
     with pytest.raises(DimensionCapError):
         build_module((7,) * 7)

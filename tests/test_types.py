@@ -3,15 +3,24 @@
 import itertools
 import math
 import random
+import re
 import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from schubert_fusion import types
-from schubert_fusion.fusion import DimensionCapError
-from schubert_fusion.schubert import canonical_flag, coordinate_ring_dims
+from schubert_fusion import acceptance, types
+from schubert_fusion.fock import apply_current, top_wedge
+from schubert_fusion.fusion import (DimensionCapError, build_module,
+                                    build_submodule, check_relations,
+                                    monomial_basis)
+from schubert_fusion.schubert import (GroupElement, bundle_split,
+                                      canonical_flag, coordinate_ring_dims,
+                                      exp_raising, random_group_element)
+from schubert_fusion.verlinde import (FusionRingElement,
+                                      character_stabilization, fuse,
+                                      grassmannian_weights)
 from schubert_fusion.types import (
     Composition,
     PoincarePolynomial,
@@ -60,13 +69,78 @@ def test_records_validate_the_tuple_they_keep():
     assert parts.n == 3
     with pytest.raises(ValueError, match="at least one part"):
         Composition(p for p in ())
-    with pytest.raises(ValueError, match="positive integers"):
+    with pytest.raises(ValueError, match="part must be a positive integer"):
         Composition(p for p in (1, 0))
     poly = PoincarePolynomial(c for c in (1, 2))
     assert poly.even_coeffs == (1, 2)
     assert poly.degree == 2
     with pytest.raises(ValueError, match="not canonical"):
         PoincarePolynomial(c for c in (1, 0))
+
+
+@pytest.mark.parametrize("low, high, rule", [
+    (None, None, "an integer"),
+    (0, None, "a nonnegative integer"),
+    (1, None, "a positive integer"),
+    (2, None, "an integer >= 2"),
+    (1, 3, "an integer in 1..3"),
+])
+def test_check_int_states_its_rule(low, high, rule):
+    assert types._check_int(3, "x", low, high) == 3
+    for bad in (True, 3.0, "3", None) + ((low - 1,) if low is not None else ()):
+        with pytest.raises(ValueError,
+                           match=f"^x must be {re.escape(rule)}, got "
+                                 f"{re.escape(repr(bad))}$"):
+            types._check_int(bad, "x", low, high)
+
+
+# One case per integer check of the package: the call, with the argument
+# under test as `v`, the name its message starts with, and one int out of
+# its range.  A bool (an int subclass, equal and hash-equal to 0 or 1) and a
+# float equal to an int are refused everywhere, as is the out-of-range int.
+_INTEGER_SITES = {
+    "max_n": (lambda v: acceptance.run_all(v), "max_n", 0),
+    "count": (lambda v: acceptance.flag_checks(comp(2, 1), v), "count", -3),
+    "current mode": (lambda v: apply_current(v, top_wedge((2,))),
+                     "current mode", -1),
+    "block index": (lambda v: apply_current(0, top_wedge((2, 3)), (v,)),
+                    "block index", 2),
+    "truncation": (lambda v: check_relations(v, 1), "truncation", 0),
+    "max power": (lambda v: check_relations(2, v), "max power", 0),
+    "monomial truncation": (monomial_basis, "truncation", 0),
+    "index": (lambda v: build_submodule((2, 3), v), "index", 2),
+    "cut": (lambda v: bundle_split(comp(2, 1), v), "cut", 2),
+    "i_max": (lambda v: coordinate_ring_dims((2, 2), v), "i_max", -1),
+    "den": (lambda v: GroupElement(1, v, (1,), (0,), (0,), (1,)), "den", 0),
+    "mode": (lambda v: exp_raising(2, v, 1), "mode", 2),
+    "n": (lambda v: random_group_element(v, random.Random(0)), "n", 0),
+    "length": (lambda v: random_group_element(2, random.Random(0), v),
+               "length", -1),
+    "compositions": (lambda v: list(compositions(v)), "n", 0),
+    "recursion": (poincare_recursive_single, "n", -1),
+    "level": (lambda v: fuse(v, 0, 0), "level", -1),
+    "weight": (lambda v: fuse(2, v, 0), "weight", 3),
+    "steps": (lambda v: grassmannian_weights((1,), v), "steps", -1),
+    "stabilization i_max": (lambda v: character_stabilization((1,), v, 1),
+                            "i_max", 0),
+    "deg_max": (lambda v: character_stabilization((1,), 2, v), "deg_max", -1),
+    "entry": (lambda v: build_module((v, 2)), "entry", 0),
+    "part": (lambda v: Composition((v, 1)), "part", 0),
+    "Poincare coefficient": (lambda v: PoincarePolynomial((1, v)),
+                             "coefficient", -1),
+    "ring coefficient": (lambda v: FusionRingElement(1, (1, v)),
+                         "coefficient", -1),
+    "factor truncation": (lambda v: top_wedge((v,)), "factor truncation", 0),
+}
+
+
+@pytest.mark.parametrize("site", _INTEGER_SITES)
+def test_every_integer_argument_follows_one_rule(site):
+    call, what, out_of_range = _INTEGER_SITES[site]
+    for bad in (True, 2.0, out_of_range):
+        with pytest.raises(ValueError,
+                           match=f"^{what} must be .*, got {bad!r}$"):
+            call(bad)
 
 
 def test_compositions_count():

@@ -1,17 +1,12 @@
 """Level-k fusion ring and the large-weight limit bookkeeping."""
 
 import math
-import os
 import random
-import subprocess
-import sys
 import time
 from itertools import combinations_with_replacement
-from pathlib import Path
 
 import pytest
 
-import schubert_fusion
 from schubert_fusion import fusion, types, verlinde
 from schubert_fusion.fusion import DimensionCapError, character_recursive
 from schubert_fusion.verlinde import (
@@ -322,37 +317,21 @@ def test_stabilization_matches_step_by_step_oracle(top):
                     assert repr(report) == repr(expected)
 
 
-# The peak RSS in KiB is VmHWM, which counts this process alone, or
-# ru_maxrss where /proc is absent: on Linux a child's ru_maxrss starts at
-# its parent's resident size.
 _LONG_CHAIN_CHILD = """\
-import os, resource
 from schubert_fusion.verlinde import character_stabilization
 report = character_stabilization((1,), 60, 3, cap=10 ** 40)
-if os.path.exists("/proc/self/status"):
-    with open("/proc/self/status") as fh:
-        peak = next(int(line.split()[1]) for line in fh
-                    if line.startswith("VmHWM:"))
-else:
-    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-print(report.stable_from, report.dims_match, peak)
+print(report.stable_from, report.dims_match)
 """
 
 
-def test_long_chain_packs_only_its_top_rows():
+def test_long_chain_packs_only_its_top_rows(run_child):
     # packing every row of every step took 10-13 s at a 1.2 GB peak;
     # packing the top four energy rows of each takes a fraction of a second
-    src = Path(schubert_fusion.__file__).resolve().parents[1]
-    env = dict(os.environ, PYTHONPATH=str(src))
-    start = time.perf_counter()
-    proc = subprocess.run([sys.executable, "-c", _LONG_CHAIN_CHILD],
-                          capture_output=True, text=True, env=env, timeout=60)
-    elapsed = time.perf_counter() - start
-    assert proc.returncode == 0, proc.stderr
-    stable_from, dims_match, rss_kib = proc.stdout.split()
-    assert (stable_from, dims_match) == ("3", "True")
-    assert elapsed < 10
-    assert int(rss_kib) < 200 * 1024
+    child = run_child(_LONG_CHAIN_CHILD)
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.split() == ["3", "True"]
+    assert child.seconds < 10
+    assert child.rss_kib < 200 * 1024
 
 
 def test_stabilization_cap_names_the_first_step_over_it(monkeypatch):
