@@ -1,10 +1,13 @@
-"""Acceptance battery and the cross-checks of every CLI subcommand.
+"""Acceptance battery and the cross-checks of the CLI subcommands.
 
 Each `<subcommand>_checks` function (`flag_checks` for `flag-check`) takes
 that subcommand's result and checks it by a second route, returning the
 {"name", "pass", "detail"} dicts that the CLI prints.  The ten criteria,
 the headline properties at desk scale, call the same functions over their
-sweeps, so each cross-check has one home and both front ends run it.
+sweeps, so each cross-check has one home and both front ends run it.  A
+statement that holds by construction, whatever the first route computes,
+is no second route and is not a check: `isom`, `degrees` and `picard`
+have no function here until they get a real one.
 
 Each criterion is a self-contained exhaustive or seeded check returning a
 CheckResult; run_all executes them in order.  Scales are chosen so the whole
@@ -30,9 +33,8 @@ from .fusion import (apply_monomial, build_module, character,
 from .linalg import SpanBasis
 from .schubert import (bundle_split, canonical_flag, coordinate_ring_dims,
                        curve_degrees, flag_conditions, flag_membership,
-                       group_act, isomorphic, line_bundle_exists,
-                       morphism_exists, picard_rank, random_group_element,
-                       sections_dim)
+                       group_act, line_bundle_exists, morphism_exists,
+                       random_group_element, sections_dim)
 from .types import (Composition, _check_int, _check_size, canonical_A,
                     compositions, leq, leq_by_vectors, poincare,
                     poincare_recursive_single, type_of)
@@ -44,11 +46,10 @@ from .verlinde import (FusionRingElement, character_stabilization,
 __all__ = [
     "CheckResult", "CRITERIA", "run_all", "weight_corpus", "dim_checks",
     "char_checks", "relations_checks", "submodule_checks", "exactseq_checks",
-    "type_checks", "order_checks", "poincare_checks", "isom_checks",
-    "morphism_checks", "bundle_split_checks", "bundle_exists_checks",
-    "sections_checks", "degrees_checks", "picard_checks", "coordring_checks",
-    "flag_checks", "verlinde_fuse_checks", "verlinde_limit_checks",
-    "stabilize_checks", "selftest_checks",
+    "type_checks", "order_checks", "poincare_checks", "morphism_checks",
+    "bundle_split_checks", "bundle_exists_checks", "sections_checks",
+    "coordring_checks", "flag_checks", "verlinde_fuse_checks",
+    "verlinde_limit_checks", "stabilize_checks", "selftest_checks",
 ]
 
 
@@ -163,14 +164,6 @@ def poincare_checks(comp, poly, recursive: bool = False) -> list:
                    detail)]
 
 
-def isom_checks(weights_a, weights_b, iso: bool) -> list:
-    type_a, type_b = type_of(weights_a), type_of(weights_b)
-    agree = (poincare(type_a) == poincare(type_b)
-             and picard_rank(type_a) == picard_rank(type_b))
-    return [_check("invariants_consistent", agree or not iso,
-                   "isomorphic varieties share Poincare data and Picard rank")]
-
-
 def morphism_checks(source, target, exists: bool) -> list:
     return [_check("vector_formulation",
                    exists == leq_by_vectors(target, source),
@@ -196,24 +189,14 @@ def sections_checks(bundle, dim: int) -> list:
                            "matches the fusion module on weights b_i + 1")]
 
 
-def degrees_checks(degrees) -> list:
-    ok = all(x >= y for x, y in zip(degrees, degrees[1:])) and degrees[-1] >= 0
-    return [_check("weakly_decreasing", ok,
-                   "partial sums of a nonnegative vector")]
-
-
-def picard_checks(comp, rank: int) -> list:
-    return [_check("bounded", 1 <= rank <= comp.n, "rank between 1 and n")]
-
-
 def coordring_checks(weights, dims) -> list:
-    """`dims` are the graded pieces 0 .. i_max of the ring on `weights`."""
-    checks = [_check("unit_stratum", dims[0] == 1, "degree 0 is the constants")]
-    if len(dims) > 1:
-        checks.append(_module_oracle(
-            "module_dimension", weights, dims[1],
-            "degree 1 stratum matches the fusion module"))
-    return checks
+    """`dims` are the graded pieces 0 .. i_max of the ring on `weights`;
+    degree 0 is the constants whatever the weights, so only a degree 1
+    piece has a second route."""
+    if len(dims) < 2:
+        return []
+    return [_module_oracle("module_dimension", weights, dims[1],
+                           "degree 1 stratum matches the fusion module")]
 
 
 def _translates(draws, rng) -> tuple:
@@ -426,8 +409,7 @@ def criterion_6_type_lattice(max_n: int | None = None) -> CheckResult:
         for a in comps:
             if not leq(a, a):
                 problems.append(f"not reflexive at {a.parts}")
-            problems += _failures(type_checks(a) + picard_checks(a, picard_rank(a)),
-                                  a.parts)
+            problems += _failures(type_checks(a), a.parts)
         for a, b in itertools.permutations(comps, 2):
             problems += _failures(order_checks(a, b, leq(a, b), leq(b, a)),
                                   f"{a.parts}, {b.parts}")
@@ -448,14 +430,8 @@ def criterion_6_type_lattice(max_n: int | None = None) -> CheckResult:
         comps = list(compositions(n))
         for lo, hi in itertools.product(comps, repeat=2):
             pairs += 1
-            exists = morphism_exists(hi, lo)
-            if exists != leq(lo, hi):
-                problems.append(
-                    f"morphism predicate disagrees at {lo.parts} vs {hi.parts}")
-            a, b = canonical_A(lo), canonical_A(hi)
             problems += _failures(
-                morphism_checks(hi, lo, exists)
-                + isom_checks(a, b, isomorphic(a, b)),
+                morphism_checks(hi, lo, morphism_exists(hi, lo)),
                 f"{lo.parts} vs {hi.parts}")
     detail = (f"order axioms and unique extremes n <= {n_order}; "
               f"{pairs} pairs cross-checked against the canonical-vector "
@@ -494,10 +470,8 @@ def criterion_7_line_bundles(max_n: int | None = None) -> CheckResult:
         oracle_checked += 1
     hand_cases = [((1, 2), (3, 1)), ((0, 0, 0), (0, 0, 0)), ((1, 1, 1), (3, 2, 1))]
     for bundle, expected in hand_cases:
-        degrees = curve_degrees(bundle)
-        if degrees != expected:
+        if curve_degrees(bundle) != expected:
             problems.append(f"curve degrees wrong for {bundle}")
-        problems += _failures(degrees_checks(degrees), bundle)
     detail = (f"{checked} monotonicity pairs (entries <= 3, n <= {n_mono}); "
               f"{oracle_checked} section counts against the module builder; "
               f"3 hand curve-degree cases")

@@ -479,6 +479,8 @@ def _unpack(packed, top, field) -> dict:
 
 
 def _capped(weights, cap) -> tuple:
+    if cap is not None:
+        _check_int(cap, "cap", 1)
     weights = weakly_increasing(weights, minimum=1, allow_empty=True)
     _check_size(math.prod(weights), f"character of {weights}", cap=cap)
     return weights
@@ -496,8 +498,8 @@ def character_recursive(weights, cap=None) -> dict:
     and walked with an explicit stack, so no state outlives the call and
     long vectors do not hit the recursion limit.  Far cheaper than
     build_module for long weight vectors, and an independent oracle for
-    the builder.  `cap` bounds the product of the weights; None reads
-    `types.DEFAULT_DIMENSION_CAP` at call time.
+    the builder.  `cap`, a positive integer, bounds the product of the
+    weights; None reads `types.DEFAULT_DIMENSION_CAP` at call time.
     """
     (char,) = _peel_packed([_capped(weights, cap)])
     return char

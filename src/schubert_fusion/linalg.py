@@ -15,11 +15,12 @@ rewritten once stored.  Elimination cross-multiplies (fraction-free, in the
 style of Bareiss), so all arithmetic is on Python ints; no fractions or
 floats anywhere.
 
-Membership never changes the basis.  `contains` first looks up the row at
-the vector's smallest index: a vector equal to that stored row (or empty)
-is a member with no elimination.  Any other vector is reduced, and the
-reduction stops at the first index that no row can cancel, so one whose
-smallest index is not a pivot is rejected at the first step.
+`reduce` is the one elimination loop; `insert_reduced` and `contains` both
+go through it.  Membership never changes the basis.  `contains` first
+looks up the row at the vector's smallest index: a vector equal to that
+stored row (or empty) is a member with no elimination, which is most of
+the flag model's membership tests.  Any other vector is a member iff its
+reduction is empty.
 """
 
 from __future__ import annotations
@@ -117,39 +118,16 @@ class SpanBasis:
     def contains(self, vec: dict) -> bool:
         """True iff int vector vec lies in the span; vec is not changed.
 
-        A stored row's support starts at its pivot, so a member's smallest
-        index is always a pivot.  An empty vec, or one equal to the row at
-        its smallest index, is a member at the cost of one lookup and one
-        dict comparison; the flag model tests mostly such vectors (the rows
-        of a subspace, and their images under t, which are often rows of
-        the same subspace).  Otherwise each step clears the smallest index
-        left in the residual by its row, which adds only larger indices;
-        once that index is not a pivot, no row can cancel it and the
-        answer is False without finishing the reduction.  A scan by `min`
-        suits the flag model's vectors of at most 2n coordinates.
+        An empty vec, or one equal to the stored row at its smallest index,
+        is a member at the cost of one lookup and one dict comparison, with
+        no copy of vec and no heap.  The flag model tests mostly such
+        vectors (the rows of a subspace, and their images under t, which
+        are often rows of the same subspace).  Any other vec is a member
+        iff `reduce` leaves nothing.
         """
-        rows = self._rows
-        if not vec or rows.get(min(vec)) == vec:
+        if not vec or self._rows.get(min(vec)) == vec:
             return True
-        residual = dict(vec)
-        while residual:
-            p = min(residual)
-            row = rows.get(p)
-            if row is None:
-                return False
-            c = residual.pop(p)
-            rp = row[p]
-            if rp != 1:
-                c = _cross_scale(residual, c, rp)
-            for q, rc in row.items():
-                if q == p:
-                    continue
-                nv = residual.get(q, 0) - c * rc
-                if nv:
-                    residual[q] = nv
-                else:
-                    del residual[q]
-        return True
+        return not self.reduce(vec)
 
     def copy(self) -> "SpanBasis":
         """A new basis with the same span and the same rows.

@@ -108,19 +108,26 @@ class Composition(_Validated, namedtuple("Composition", "parts")):
 
 
 def compositions(n: int):
-    """All compositions of n, ordered by their binary break masks."""
+    """All compositions of n, ordered by their binary break masks.
+
+    n is checked at the call, before the first composition is asked for.
+    """
     _check_int(n, "n", 1)
-    for mask in range(1 << (n - 1)):
-        parts = []
-        size = 1
-        for bit in range(n - 1):
-            if mask >> bit & 1:
-                parts.append(size)
-                size = 1
-            else:
-                size += 1
-        parts.append(size)
-        yield Composition(tuple(parts))
+
+    def generate():
+        for mask in range(1 << (n - 1)):
+            parts = []
+            size = 1
+            for bit in range(n - 1):
+                if mask >> bit & 1:
+                    parts.append(size)
+                    size = 1
+                else:
+                    size += 1
+            parts.append(size)
+            yield Composition(tuple(parts))
+
+    return generate()
 
 
 def weakly_increasing(values, minimum=None, allow_empty=False) -> tuple:

@@ -255,10 +255,11 @@ def character_stabilization(bundle, i_max: int, deg_max: int,
     read out, each step as soon as it is peeled.  Each stratum is packed
     once, in a window anchored at its own top energy, and the walk skips
     every quotient that lies wholly below the rows its user keeps, with its
-    subtree, since each top energy has a closed form.  The cap bounds every
-    step's dimension (None reads the dimension cap at call time) and is
-    checked for all steps before any peeling; the steps are built one at a
-    time, so the first step over it raises before any later one is built.
+    subtree, since each top energy has a closed form.  The cap, a positive
+    integer, bounds every step's dimension (None reads the dimension cap at
+    call time) and is checked for all steps before any peeling; the steps
+    are built one at a time, so the first step over it raises before any
+    later one is built.
     """
     bundle = weakly_increasing(bundle, minimum=0)
     # stabilization compares at least two tables

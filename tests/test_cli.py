@@ -2,7 +2,6 @@
 
 import ast
 import json
-import math
 import os
 import subprocess
 import sys
@@ -283,7 +282,11 @@ def test_poincare_of_a_long_run():
     elapsed = time.perf_counter() - start
     assert proc.returncode == 0, proc.stderr
     coeffs = json.loads(proc.stdout)["result"]["coefficients"]
-    assert coeffs == [math.comb(8000, j) for j in range(8001)]
+    # the binomials of 8000 by their recurrence: one math.comb per j took 7 s
+    expected = [1]
+    for j in range(8000):
+        expected.append(expected[-1] * (8000 - j) // (j + 1))
+    assert coeffs == expected
     assert elapsed < 10
 
 

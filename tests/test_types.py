@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 from schubert_fusion import acceptance, types
 from schubert_fusion.fock import apply_current, top_wedge
 from schubert_fusion.fusion import (DimensionCapError, build_module,
-                                    build_submodule, check_relations,
-                                    monomial_basis)
+                                    build_submodule, character_recursive,
+                                    check_relations, monomial_basis)
 from schubert_fusion.schubert import (GroupElement, bundle_split,
                                       canonical_flag, coordinate_ring_dims,
                                       exp_raising, random_group_element)
@@ -116,7 +116,7 @@ _INTEGER_SITES = {
     "n": (lambda v: random_group_element(v, random.Random(0)), "n", 0),
     "length": (lambda v: random_group_element(2, random.Random(0), v),
                "length", -1),
-    "compositions": (lambda v: list(compositions(v)), "n", 0),
+    "compositions": (compositions, "n", 0),
     "recursion": (poincare_recursive_single, "n", -1),
     "level": (lambda v: fuse(v, 0, 0), "level", -1),
     "weight": (lambda v: fuse(2, v, 0), "weight", 3),
@@ -124,6 +124,9 @@ _INTEGER_SITES = {
     "stabilization i_max": (lambda v: character_stabilization((1,), v, 1),
                             "i_max", 0),
     "deg_max": (lambda v: character_stabilization((1,), 2, v), "deg_max", -1),
+    "stabilization cap": (lambda v: character_stabilization((1,), 2, 1, cap=v),
+                          "cap", 0),
+    "peeling cap": (lambda v: character_recursive((2,), cap=v), "cap", 0),
     "entry": (lambda v: build_module((v, 2)), "entry", 0),
     "part": (lambda v: Composition((v, 1)), "part", 0),
     "Poincare coefficient": (lambda v: PoincarePolynomial((1, v)),
