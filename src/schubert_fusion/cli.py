@@ -146,14 +146,15 @@ def _cmd_morphism(args):
 def _cmd_bundle_split(args):
     comp = Composition(args.C)
     split = bundle_split(comp, args.t)
+    total, fiber, base = map(poincare, (comp, split.fiber, split.base))
     result = {
         "fiber": list(split.fiber.parts),
         "base": list(split.base.parts),
-        "total_poincare": list(poincare(comp).even_coeffs),
-        "fiber_poincare": list(poincare(split.fiber).even_coeffs),
-        "base_poincare": list(poincare(split.base).even_coeffs),
+        "total_poincare": list(total.even_coeffs),
+        "fiber_poincare": list(fiber.even_coeffs),
+        "base_poincare": list(base.even_coeffs),
     }
-    return result, acceptance.bundle_split_checks(split)
+    return result, acceptance.bundle_split_checks(total, fiber, base)
 
 
 def _cmd_bundle_exists(args):
@@ -214,7 +215,6 @@ def _cmd_stabilize(args):
         for table in report.tables
     ]
     result = {"tables": tables, "dims": list(report.dims),
-              "expected_dims": list(report.expected_dims),
               "stable_from": report.stable_from}
     return result, acceptance.stabilize_checks(report)
 

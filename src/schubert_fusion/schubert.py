@@ -11,8 +11,8 @@ model with its unimodular group action over Q[t]/t^n.
 The flag model lives in the 2n-dimensional space C^2 (x) C[t]/t^n with
 basis v_0 .. v_{n-1}, u_0 .. u_{n-1} (coordinates 0 .. n-1 and n .. 2n-1).
 A chain W_1 >= ... >= W_s belongs to the variety of its composition when it
-is t-stable with the prescribed codimension profile and each step absorbs
-the matching power of t.
+is nested and t-stable with the prescribed codimension profile; each step
+then absorbs the matching power of t.
 
 The flag model's arithmetic runs on Python ints: chains are spanned by int
 rows, and a `GroupElement` stores int numerators over one common
@@ -25,11 +25,11 @@ from __future__ import annotations
 import math
 import random
 from collections import namedtuple
-from itertools import accumulate, islice
+from itertools import accumulate
 
 from .linalg import SpanBasis
 from .types import (Composition, _Validated, _check_int, _check_size, leq,
-                    poincare, type_of, weakly_increasing)
+                    type_of, weakly_increasing)
 
 __all__ = [
     "BundleSplit", "FlagChain", "GroupElement",
@@ -58,11 +58,10 @@ def morphism_exists(source: Composition, target: Composition) -> bool:
     return leq(target, source)
 
 
-class BundleSplit(namedtuple("BundleSplit", "fiber base identity_holds")):
+class BundleSplit(namedtuple("BundleSplit", "fiber base")):
     """Fibration of a Schubert variety over a smaller one.
 
-    `fiber` and `base` are Compositions; `identity_holds` says the Poincare
-    polynomial factors as fiber * base.
+    `fiber` and `base` are Compositions, the first `cut` parts and the rest.
     """
 
     __slots__ = ()
@@ -72,16 +71,13 @@ def bundle_split(composition: Composition, cut: int) -> BundleSplit:
     """Split off the first `cut` parts as the fiber type.
 
     The numerical shadow of the fibration is the factorization of the
-    Poincare polynomial, which is checked exactly.
+    Poincare polynomial, which `acceptance.bundle_split_checks` checks.
     """
     parts = composition.parts
     if len(parts) == 1:
         raise ValueError("a one-part composition has no fibration to split")
     _check_int(cut, "cut", 1, len(parts) - 1)
-    fiber = Composition(parts[:cut])
-    base = Composition(parts[cut:])
-    identity = poincare(composition) == poincare(fiber) * poincare(base)
-    return BundleSplit(fiber, base, identity)
+    return BundleSplit(Composition(parts[:cut]), Composition(parts[cut:]))
 
 
 def line_bundle_exists(bundle, composition: Composition) -> bool:
@@ -147,14 +143,12 @@ def _unit_vector(coord):
     return {coord: 1}
 
 
-def _shift_vector(vec, power, n):
-    """Multiply by t^power: v_m -> v_{m+power}, u_m -> u_{m+power}, drop at n."""
+def _shift_vector(vec, n):
+    """Multiply by t: v_m -> v_{m+1}, u_m -> u_{m+1}, drop at n."""
     out = {}
     for coord, val in vec.items():
-        kind_base = 0 if coord < n else n
-        mode = coord - kind_base
-        if mode + power < n:
-            out[kind_base + mode + power] = val
+        if coord != n - 1 and coord != 2 * n - 1:  # v_{n-1} and u_{n-1}
+            out[coord + 1] = val
     return out
 
 
@@ -201,7 +195,7 @@ def _contains_all(space: SpanBasis, vectors) -> bool:
 
 
 def _conditions(chain: FlagChain, composition: Composition):
-    """Yield (name, holds) for the four flag conditions, in order, lazily.
+    """Yield (name, holds) for the three flag conditions, in order, lazily.
 
     Each condition is decided only when the caller asks for it, so a caller
     that stops at the first failure skips the membership tests of the rest.
@@ -228,21 +222,8 @@ def _conditions(chain: FlagChain, composition: Composition):
     )
 
     yield "t_stable", all(
-        _contains_all(space, (_shift_vector(row, 1, n) for row in space.row_vectors()))
+        _contains_all(space, (_shift_vector(row, n) for row in space.row_vectors()))
         for space in spaces
-    )
-
-    def step_holds(alpha):
-        power = parts[s - alpha - 1]  # i_{s - alpha}
-        if alpha == 0:
-            generators = [_unit_vector(c) for c in range(2 * n)]
-        else:
-            generators = spaces[alpha - 1].row_vectors()
-        shifted = (_shift_vector(g, power, n) for g in generators)
-        return _contains_all(spaces[alpha], (v for v in shifted if v))
-
-    yield "t_power_steps", all(
-        step_holds(alpha) for alpha in range(min(len(spaces), s))
     )
 
 
@@ -253,14 +234,11 @@ def flag_conditions(chain: FlagChain, composition: Composition) -> dict:
     i_s, i_{s-1}, ..., i_1 starting from the full space.
     ``nested``: each subspace contains the next.
     ``t_stable``: t W_alpha <= W_alpha for every alpha.
-    ``t_power_steps``: t^{i_{s-alpha}} W_alpha <= W_{alpha+1}, where W_0 is
-    the full space.  It follows from the other three, since W_alpha /
-    W_{alpha+1} is then a nilpotent C[t]-module of dimension i_{s-alpha},
-    but it is decided here all the same, as a cross-check of that proof.
 
-    Every condition is decided, also after one has failed; `flag_membership`
-    asks the first three in the same order, stops at the first failure and
-    never decides ``t_power_steps``.
+    Together they give t^{i_{s-alpha}} W_alpha <= W_{alpha+1}, where W_0 is
+    the full space: W_alpha / W_{alpha+1} is a nilpotent C[t]-module of
+    dimension i_{s-alpha}.  Every condition is decided, also after one has
+    failed.
     """
     return dict(_conditions(chain, composition))
 
@@ -268,14 +246,11 @@ def flag_conditions(chain: FlagChain, composition: Composition) -> dict:
 def flag_membership(chain: FlagChain, composition: Composition) -> bool:
     """True iff the chain satisfies every condition of `flag_conditions`.
 
-    Only ``profile``, ``nested`` and ``t_stable`` are decided, in that
-    order, and the first failure ends the test, so a chain whose dimension
-    profile differs from the type's costs no membership test at all.  The
-    fourth, ``t_power_steps``, holds whenever the first three do (the proof
-    is in `flag_conditions`), so leaving it out gives the same answer; the
-    generator is lazy, so its membership tests are never made.
+    The conditions are decided in order and the first failure ends the
+    test, so a chain whose dimension profile differs from the type's costs
+    no membership test at all.
     """
-    return all(holds for _, holds in islice(_conditions(chain, composition), 3))
+    return all(holds for _, holds in _conditions(chain, composition))
 
 
 # ---------------------------------------------------------------------------

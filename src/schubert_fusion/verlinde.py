@@ -213,16 +213,14 @@ def grassmannian_section_dims(bundle, steps: int) -> int:
 
 
 class StabilizationReport(_Validated, namedtuple(
-        "StabilizationReport", "bundle deg_max tables dims expected_dims "
-        "stable_from")):
+        "StabilizationReport", "bundle deg_max tables dims stable_from")):
     """Top-anchored character strata along the growing Schubert chain.
 
     `tables[i]` maps each co-energy d <= deg_max (distance below the module's
     maximal energy) to a {h-weight: multiplicity} mapping for the i-th
     module.  `stable_from` is the least i with tables[i] == tables[i+1] ==
     ... (None when the last two tables still differ).  `dims[i]` is the
-    product of the i-th module's weights and `expected_dims[i]` is
-    `grassmannian_section_dims(bundle, i)`, two codings of one closed form.
+    product of the i-th module's weights.
 
     `tables` is a tuple of read-only mappings of read-only mappings, as
     `FusionModule.character` is, so a report cannot be changed in place;
@@ -231,18 +229,12 @@ class StabilizationReport(_Validated, namedtuple(
 
     __slots__ = ()
 
-    def __new__(cls, bundle, deg_max, tables, dims, expected_dims,
-                stable_from):
+    def __new__(cls, bundle, deg_max, tables, dims, stable_from):
         tables = tuple(
             MappingProxyType({d: MappingProxyType(dict(stratum))
                               for d, stratum in table.items()})
             for table in tables)
-        return super().__new__(cls, bundle, deg_max, tables, dims,
-                               expected_dims, stable_from)
-
-    @property
-    def dims_match(self) -> bool:
-        return self.dims == self.expected_dims
+        return super().__new__(cls, bundle, deg_max, tables, dims, stable_from)
 
 
 def character_stabilization(bundle, i_max: int, deg_max: int,
@@ -274,6 +266,4 @@ def character_stabilization(bundle, i_max: int, deg_max: int,
         if tables[i] != tables[i - 1]:
             break
         stable_from = i - 1
-    expected = tuple(grassmannian_section_dims(bundle, i) for i in range(i_max + 1))
-    return StabilizationReport(bundle, deg_max, tables, dims, expected,
-                               stable_from)
+    return StabilizationReport(bundle, deg_max, tables, dims, stable_from)

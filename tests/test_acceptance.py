@@ -49,7 +49,9 @@ def _short_product_chain_right(level, bundle):
      acceptance.criterion_6_type_lattice),
     ("product_chain_right", _short_product_chain_right,
      ("verlinde-limit", "1,1"), acceptance.criterion_9_verlinde),
-], ids=["char", "morphism", "verlinde-limit"])
+    ("grassmannian_section_dims", lambda bundle, steps: 0,
+     ("stabilize", "1", "2", "1"), acceptance.criterion_10_stabilization),
+], ids=["char", "morphism", "verlinde-limit", "stabilize"])
 def test_a_broken_route_fails_both_front_ends(monkeypatch, capsys, name,
                                               wrong_route, argv, criterion):
     # the CLI and the battery run the same check, so a wrong second route
@@ -86,6 +88,14 @@ def test_the_battery_runs_every_cli_check(monkeypatch):
                             recorded(name, getattr(acceptance, name)))
     assert all(result.passed for result in acceptance.run_all(2))
     assert called == names
+
+
+def test_bundle_split_checks_multiply_the_factors():
+    # the verdict is fiber * base == total, decided here and not in the split
+    total, fiber, base = map(types.poincare, map(types.Composition,
+                                                 ((2, 1), (2,), (1,))))
+    assert acceptance.bundle_split_checks(total, fiber, base)[0]["pass"]
+    assert not acceptance.bundle_split_checks(total, base, base)[0]["pass"]
 
 
 def test_flag_checks_refuse_a_negative_count():

@@ -87,6 +87,19 @@ def test_char_self_checks(capsys):
     assert all(chk["pass"] for chk in report["checks"])
 
 
+@pytest.mark.parametrize("argv, result", [
+    (("sections", "4,4,4,4", "4"), 625),
+    (("coordring", "9,9,9", "1"), [1, 729]),
+], ids=["sections", "coordring"])
+def test_module_over_the_oracle_limit_prints_no_check(capsys, argv, result):
+    # a module over 512 dimensions is not built, so no check is printed: a
+    # passing check that no second route decided would read as confirmed
+    code, report, _ = run_json(capsys, *argv)
+    assert code == 0
+    assert report["result"] == result
+    assert report["checks"] == []
+
+
 def test_every_subcommand_emits_schema(capsys):
     invocations = [
         ("dim", "2,3"),
