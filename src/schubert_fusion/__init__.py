@@ -48,7 +48,6 @@ from .types import (
 from .verlinde import (
     FusionRingElement,
     character_stabilization,
-    classical_limit_check,
     fuse,
     limit_multiplicities,
     product_chain,
@@ -86,7 +85,6 @@ __all__ = [
     "type_of",
     "FusionRingElement",
     "character_stabilization",
-    "classical_limit_check",
     "fuse",
     "limit_multiplicities",
     "product_chain",

@@ -525,47 +525,36 @@ def _top_strata(chain, depth, cap) -> list:
     return tables
 
 
-class RelationCheck(namedtuple(
-        "RelationCheck", "power required_vanishing ok first_violation")):
-    """The i-th power of the current series on one top wedge.
+class RelationReport(namedtuple("RelationReport",
+                                "truncation max_power lowest")):
+    """The powers 1 .. max_power of the current series on one top wedge.
 
-    The coefficients of z^k for k < `required_vanishing` must vanish; `ok`
-    says they do, and `first_violation` is the least k whose coefficient
-    does not (None when `ok`).
+    `lowest[i - 1]` is the least k whose z^k coefficient of the i-th power
+    is nonzero, or None once that power has vanished.
     """
 
     __slots__ = ()
 
 
-class RelationReport(namedtuple("RelationReport",
-                                "truncation max_power checks")):
-    """One RelationCheck per power 1 .. max_power, in `checks`."""
-
-    __slots__ = ()
-
-    @property
-    def ok(self) -> bool:
-        return all(c.ok for c in self.checks)
-
-
 def check_relations(truncation: int, max_power: int) -> RelationReport:
-    """Verify the defining current relations on a single top wedge.
+    """Raise the current series to its powers on a single top wedge.
 
     The generating series e(z) = e_{n-1} + z e_{n-2} + ... + z^{n-1} e_0 is
-    raised to the i-th power on the top wedge of shape (n,); the coefficient
-    of z^k must vanish for every k < n (i - 1), i.e. the i-th power is
-    divisible by z^{n (i - 1)}.  Raises DimensionCapError once more than
-    `types.RELATION_PARTICLE_CAP` particles are charged: n for each power,
-    also after the series has vanished, and n for each term of every image.
+    raised to the i-th power on the top wedge of shape (n,), and the lowest
+    z-degree of each power is recorded; the defining current relations say
+    that the i-th power is divisible by z^{n (i - 1)}.  Raises
+    DimensionCapError once more than `types.RELATION_PARTICLE_CAP` particles
+    are charged: n for each power, also after the series has vanished, and
+    n for each term of every image.
     """
     n = _check_int(truncation, "truncation", 1)
     _check_int(max_power, "max power", 1)
     what = f"relation series on truncation {n}"
     series = {0: top_wedge((n,))}
-    checks = []
+    lowest = []
     produced = 0  # particles charged so far: the work done, bounded by the cap
     for i in range(1, max_power + 1):
-        produced += n  # the power's RelationCheck
+        produced += n  # the power's entry of `lowest`
         _check_size(produced, what, particles=True)
         out = {}
         for deg, state in series.items():
@@ -577,14 +566,8 @@ def check_relations(truncation: int, max_power: int) -> RelationReport:
                     key = deg + k
                     out[key] = out[key] + image if key in out else image
         series = {k: s for k, s in out.items() if s.coeffs}
-        required = n * (i - 1)
-        violation = None
-        for k in sorted(series):
-            if k < required:
-                violation = k
-                break
-        checks.append(RelationCheck(i, required, violation is None, violation))
-    return RelationReport(n, max_power, tuple(checks))
+        lowest.append(min(series, default=None))
+    return RelationReport(n, max_power, tuple(lowest))
 
 
 def monomial_basis(truncation: int) -> list:
@@ -671,24 +654,16 @@ def build_submodule(weights, index: int) -> SubmoduleS:
     return SubmoduleS(weights, index, "general", aprime, adouble, basis.dimension)
 
 
-def kernel_dimension(weights, index: int) -> int | None:
-    """Closed-form dimension of the kernel submodule at `index`, if known.
+def kernel_dimension(weights, index: int) -> int:
+    """Closed-form dimension of the kernel submodule at `index`.
 
-    Equal neighbours give the module on `aprime`; an unequal pair at either
-    end of the vector gives (a_{i+1} - a_i + 1) times the entries outside the
-    pair.  Returns None for an unequal interior pair, which has no closed
-    form here.
+    It is (a_{i+1} - a_i + 1) times the entries outside the pair, which is
+    dim M(A) - dim M(A') by exactness; equal neighbours give the module on
+    `aprime`.
     """
     weights = _check_pair(weights, index)
-    n = len(weights)
     left, right = weights[index - 1], weights[index]
-    if left == right:
-        return math.prod(weights[:index - 1] + weights[index + 1:])
-    if index == 1:
-        return math.prod((right - left + 1,) + weights[2:])
-    if index == n - 1:
-        return math.prod(weights[:n - 2]) * (right - left + 1)
-    return None
+    return (right - left + 1) * math.prod(weights[:index - 1] + weights[index + 1:])
 
 
 def quotient_weights(weights, index: int) -> tuple:

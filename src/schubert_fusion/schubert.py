@@ -171,11 +171,12 @@ def canonical_flag(composition: Composition) -> FlagChain:
     alpha parts; the final one is the pure v-span.  The thresholds grow
     with alpha, so the chain is built from the smallest subspace up: each
     larger one extends a copy of the next smaller one by its extra u-modes,
-    and every unit vector is inserted once.  The 2n unit vectors of the
-    flag space are charged against the dimension cap first.
+    and every unit vector is inserted once.  The s subspaces of up to 2n
+    rows each that the chain stores are charged against the dimension cap
+    first.
     """
-    n = composition.n
-    _check_size(2 * n, f"flag space of dimension {2 * n}")
+    n, s = composition.n, composition.s
+    _check_size(s * 2 * n, f"flag chain of {s} subspaces in dimension {2 * n}")
     basis = SpanBasis()
     for m in range(n):
         basis.insert(_unit_vector(m))
@@ -289,13 +290,13 @@ class GroupElement(_Validated,
     __slots__ = ()
 
     def __new__(cls, truncation, den, vv, vu, uv, uu):
-        n = truncation
+        n = _check_int(truncation, "truncation", 1)
         entries = tuple(tuple(entry) for entry in (vv, vu, uv, uu))
         for entry in entries:
             if len(entry) != n:
                 raise ValueError("matrix entries must be length-n coefficient tuples")
-            if not all(isinstance(c, int) for c in entry):
-                raise TypeError("group element entries must be ints")
+            for c in entry:
+                _check_int(c, "matrix entry")
         _check_int(den, "den", 1)
         common = math.gcd(den, *(c for entry in entries for c in entry))
         den = den // common

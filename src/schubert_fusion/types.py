@@ -212,12 +212,6 @@ class PoincarePolynomial(_Validated,
     def degree(self) -> int:
         return 2 * (len(self.even_coeffs) - 1)
 
-    def coefficient(self, power: int) -> int:
-        if power % 2 or power < 0:
-            return 0
-        j = power // 2
-        return self.even_coeffs[j] if j < len(self.even_coeffs) else 0
-
     def evaluate(self, x: int) -> int:
         return sum(c * x ** (2 * j) for j, c in enumerate(self.even_coeffs))
 
@@ -238,18 +232,6 @@ class PoincarePolynomial(_Validated,
             (len(a) + len(b) - 1) * size, "little")
         return PoincarePolynomial(int.from_bytes(data[i:i + size], "little")
                                   for i in range(0, len(data), size))
-
-    def __str__(self):
-        terms = []
-        for j, c in enumerate(self.even_coeffs):
-            if not c:
-                continue
-            if j == 0:
-                terms.append(str(c))
-            else:
-                head = "" if c == 1 else f"{c}*"
-                terms.append(f"{head}q^{2 * j}")
-        return " + ".join(terms) or "0"
 
 
 def _pack(coeffs, size) -> int:

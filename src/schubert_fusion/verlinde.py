@@ -185,18 +185,6 @@ def limit_multiplicities(bundle) -> LimitDecomposition:
     return LimitDecomposition(bundle, level, tuple(mults), boundary, boundary != 0)
 
 
-def classical_limit_check(bundle) -> bool:
-    """At level >= sum(b_i) fusion reproduces the classical tensor count.
-
-    The fold at level sum(b_i) is charged its coefficient updates, so a
-    long bundle raises DimensionCapError well below the level cap.
-    """
-    bundle = weakly_increasing(bundle, minimum=0)
-    k = sum(bundle)
-    product = product_chain(k, bundle)
-    return product.classical_dimension() == math.prod(b + 1 for b in bundle)
-
-
 def grassmannian_weights(bundle, steps: int) -> tuple:
     """Module weights (b_1+1, ..., b_n+1) extended by 2*steps copies of b_n+1."""
     bundle = weakly_increasing(bundle, minimum=0)

@@ -9,7 +9,7 @@ import json
 
 import pytest
 
-from schubert_fusion import acceptance, types, verlinde
+from schubert_fusion import acceptance, fusion, schubert, types, verlinde
 from schubert_fusion.acceptance import CRITERIA
 from schubert_fusion.cli import _build_parser, main
 
@@ -102,4 +102,16 @@ def test_flag_checks_refuse_a_negative_count():
     # it returned a passing group_invariance check on "0 elements"
     with pytest.raises(ValueError,
                        match="^count must be a nonnegative integer, got -3$"):
-        acceptance.flag_checks(types.Composition((2, 1)), -3)
+        comp = types.Composition((2, 1))
+        acceptance.flag_checks(schubert.canonical_flag(comp), comp, -3)
+
+
+def test_relations_checks_decide_the_lowest_degrees():
+    # the report holds each power's lowest z-degree k; the verdict
+    # k >= n (i - 1), or a vanished power, is decided here
+    report = fusion.RelationReport(3, 3, (0, 3, 6))
+    assert acceptance.relations_checks(report)[0]["pass"]
+    assert not acceptance.relations_checks(
+        report._replace(lowest=(0, 2, 6)))[0]["pass"]
+    assert acceptance.relations_checks(
+        fusion.RelationReport(2, 3, (0, 2, None)))[0]["pass"]

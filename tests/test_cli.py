@@ -205,8 +205,9 @@ def test_large_module_builds_in_a_child_process(run_child):
 
 
 @pytest.mark.parametrize("argv, seconds, mib", [
-    # each power past the vanishing one still costs a RelationCheck: this
-    # ran for 16 s to a 1.5 GB peak before every power was charged
+    # each power past the vanishing one still costs its entry of the
+    # report: this ran for 16 s to a 1.5 GB peak before every power was
+    # charged
     (("relations", "1", "3000000"), 15, 400),
     # the chain is built step by step, so the first step over the cap
     # stops it before the later, ever longer steps are built
@@ -234,8 +235,9 @@ def test_large_module_builds_in_a_child_process(run_child):
     (("bundle-split", "100000000,1", "1"), 10, 200),
     (("morphism", "100000000", "100000000"), 10, 200),
     (("flag-check", "1", "--random", "100000000"), 10, 200),
-    # the flag space's 2n unit vectors are charged too: this ended in a
-    # MemoryError traceback and exit 1 under a 1.5 GB address-space limit
+    # the chain's s * 2n rows are charged too: this ended in a MemoryError
+    # traceback and exit 1 under a 1.5 GB address-space limit when not even
+    # the 2n unit vectors of the flag space were
     (("flag-check", "100000000"), 10, 200),
     # each graded piece is charged its len(weights) factors: this ran past
     # 30 s when only the i_max + 1 pieces were charged
@@ -375,6 +377,19 @@ def test_one_entry_vector_exits_2(capsys, command):
     assert code == 2
     assert not out
     assert "a one-entry vector has no adjacent pair" in err
+
+
+def test_flag_check_result_holds_only_dimensions(capsys):
+    # the pass flags of the conditions are the checks printed beside it
+    code, report, _ = run_json(capsys, "flag-check", "2,1", "--random", "3")
+    assert code == 0
+    assert report["result"] == {"dimensions": [5, 3]}
+    assert [chk["name"] for chk in report["checks"]] == \
+        ["profile", "nested", "t_stable", "group_invariance"]
+    # s * 2n = 96 000 rows fit the dimension cap
+    code, report, _ = run_json(capsys, "flag-check", "12000,12000")
+    assert code == 0
+    assert report["result"] == {"dimensions": [36000, 24000]}
 
 
 def test_flag_check_deterministic(capsys):

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from schubert_fusion import fock, fusion, types
+from schubert_fusion import acceptance, fock, fusion, types
 from schubert_fusion.fock import WedgeState, apply_current
 from schubert_fusion.fusion import (
     DimensionCapError,
@@ -37,6 +37,10 @@ from schubert_fusion.linalg import SpanBasis
 weight_vectors = st.lists(
     st.integers(min_value=1, max_value=5), min_size=1, max_size=4
 ).map(lambda xs: tuple(sorted(xs))).filter(lambda a: math.prod(a) <= 64)
+
+
+def _relations_hold(report):
+    return all(chk["pass"] for chk in acceptance.relations_checks(report))
 
 
 def test_factor_shapes():
@@ -136,21 +140,21 @@ def test_closures_drop_their_wedge_models(monkeypatch):
     _build_module_cached.cache_clear()
     assert build_module((2, 3, 4)).dimension == 24
     assert build_submodule((2, 3, 5), 1).dimension > 0
-    assert check_relations(3, 2).ok
+    assert _relations_hold(check_relations(3, 2))
     assert len(refs) == 3
     assert all(ref() is None for ref in refs)
 
 
 def test_relations_small():
-    assert check_relations(1, 2).ok
-    assert check_relations(2, 2).ok
-    assert check_relations(3, 3).ok
+    assert _relations_hold(check_relations(1, 2))
+    assert _relations_hold(check_relations(2, 2))
+    assert _relations_hold(check_relations(3, 3))
 
 
 def test_relations_within_the_particle_cap():
     # the series carries 506 740 particles: past DEFAULT_DIMENSION_CAP, but
     # within the relation budget of its own
-    assert check_relations(10, 4).ok
+    assert _relations_hold(check_relations(10, 4))
 
 
 def test_relations_stop_at_the_span_cap():
@@ -165,7 +169,7 @@ def test_relations_stop_at_the_span_cap():
 
 
 def test_relations_read_the_cap_at_call_time(monkeypatch):
-    assert check_relations(4, 3).ok
+    assert _relations_hold(check_relations(4, 3))
     monkeypatch.setattr(types, "RELATION_PARTICLE_CAP", 10)
     with pytest.raises(DimensionCapError, match="cap of 10 particles"):
         check_relations(4, 3)
@@ -176,7 +180,7 @@ def test_relations_read_the_cap_at_call_time(monkeypatch):
     # every power costs n particles, also once e(z)^i has vanished: on
     # truncation 1 the first power charges 1 + 1 and every later one 1
     monkeypatch.setattr(types, "RELATION_PARTICLE_CAP", 5)
-    assert check_relations(1, 4).ok
+    assert _relations_hold(check_relations(1, 4))
     with pytest.raises(DimensionCapError, match="cap of 5 particles"):
         check_relations(1, 5)
 
@@ -189,10 +193,14 @@ def test_relations_need_an_int_power():
 
 def test_relations_report_shape():
     report = check_relations(2, 3)
-    assert report.ok
-    assert [c.power for c in report.checks] == [1, 2, 3]
-    assert report.checks[1].required_vanishing == 2
-    assert report.checks[2].required_vanishing == 4
+    assert _relations_hold(report)
+    assert report._fields == ("truncation", "max_power", "lowest")
+    # e(z)^3 vanishes on truncation 2
+    assert (report.truncation, report.max_power) == (2, 3)
+    assert report.lowest == (0, 2, None)
+    # elsewhere the i-th power starts exactly at z^{n (i - 1)}
+    assert check_relations(3, 3).lowest == (0, 3, 6)
+    assert check_relations(4, 3).lowest == (0, 4, 8)
 
 
 def test_monomial_basis_counts():
@@ -383,8 +391,8 @@ def test_submodule_closure_runs_to_the_end():
 @pytest.mark.parametrize("weights", [
     (2, 3, 4), (3, 4, 5), (2, 2, 3, 4), (2, 3, 4, 5), (2, 3, 5, 6)])
 def test_submodules_match_fifo_oracle(weights):
-    # unequal interior pairs such as ((2, 3, 4, 5), 2) have no closed-form
-    # kernel dimension: this oracle and the exact sequence check them
+    # unequal interior pairs such as ((2, 3, 4, 5), 2) are built by the
+    # general closure: this oracle and the exact sequence check them too
     for index in range(1, len(weights)):
         sub = build_submodule(weights, index)
         with _closed_by_fifo_oracle():
@@ -416,12 +424,12 @@ def test_closure_skips_unsorted_words(monkeypatch):
 
 
 def test_kernel_dimension_closed_forms():
-    # boundary pairs, equal pairs, and no closed form for interior unequal ones
+    # boundary pairs, equal pairs, and interior unequal ones: one closed form
     for weights, index in (((2, 3, 4), 1), ((2, 3, 4), 2), ((2, 2, 4), 1),
                            ((2, 3, 3, 4), 2), ((3, 3), 1), ((2, 5), 1)):
         expected = kernel_dimension(weights, index)
         assert expected == build_submodule(weights, index).dimension
-    assert kernel_dimension((2, 3, 4, 5), 2) is None
+    assert kernel_dimension((2, 3, 4, 5), 2) == 20
     with pytest.raises(ValueError):
         kernel_dimension((2, 3), 2)
 

@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -29,7 +30,8 @@ from schubert_fusion.schubert import (
     _shared_prefix,
 )
 from schubert_fusion.linalg import SpanBasis
-from schubert_fusion.types import Composition, canonical_A, compositions, leq
+from schubert_fusion.types import (Composition, DimensionCapError, canonical_A,
+                                   compositions, leq)
 
 
 def comp(*parts):
@@ -183,6 +185,16 @@ def test_canonical_flags_are_members():
             assert flag_membership(canonical_flag(c), c)
 
 
+def test_canonical_flag_charges_the_rows_it_stores():
+    # s subspaces of up to 2n rows each: on 4000 ones the 2n charge let
+    # through a chain of 24 million rows, built in 1.7 s to a 968 MB peak
+    start = time.perf_counter()
+    with pytest.raises(DimensionCapError,
+                       match="flag chain of 1000 subspaces in dimension 2000"):
+        canonical_flag(Composition((1,) * 1000))
+    assert time.perf_counter() - start < 1
+
+
 def _chain_of(n, vector_lists):
     """A chain whose subspaces are spanned by the given int vectors, in order."""
     subspaces = []
@@ -261,9 +273,9 @@ def test_group_element_validation():
     g = GroupElement(n, 2, (4, 0), (0, 0), (0, 0), (1, 0))
     assert g @ GroupElement(n, 2, (1, 0), (0, 0), (0, 0), (4, 0)) \
         == identity_element(n)
-    with pytest.raises(TypeError, match="must be ints"):
+    with pytest.raises(ValueError, match="matrix entry must be an integer"):
         GroupElement(n, 1, (1.0, 0), (0, 0), (0, 0), (1, 0))
-    with pytest.raises(TypeError, match="must be ints"):
+    with pytest.raises(ValueError, match="matrix entry must be an integer"):
         GroupElement(n, 1, (Fraction(1), 0), (0, 0), (0, 0), (1, 0))
     with pytest.raises(TypeError, match="z must be an int"):
         exp_raising(n, 0, 0.5)

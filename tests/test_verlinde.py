@@ -13,7 +13,6 @@ from schubert_fusion.verlinde import (
     FusionRingElement,
     StabilizationReport,
     character_stabilization,
-    classical_limit_check,
     fuse,
     grassmannian_section_dims,
     grassmannian_weights,
@@ -47,7 +46,7 @@ def test_level_past_the_dimension_cap(monkeypatch):
     monkeypatch.setattr(types, "DEFAULT_DIMENSION_CAP", 6)
     assert fuse(5, 2, 3) == elt(5, 0, 1, 0, 1, 0, 1)
     assert limit_multiplicities((0, 4)).level == 5
-    assert classical_limit_check((2, 3))
+    assert product_chain(5, (2, 3)).classical_dimension() == 12
     over_cap = [
         lambda: fuse(6, 0, 0),
         lambda: elt(6, *[0] * 7),
@@ -57,7 +56,7 @@ def test_level_past_the_dimension_cap(monkeypatch):
         lambda: product_chain(6, [1, 2]),
         lambda: verlinde.product_chain_right(6, [1, 2]),
         lambda: limit_multiplicities((0, 5)),  # level 6
-        lambda: classical_limit_check((3, 3)),  # level 6
+        lambda: product_chain(6, (3, 3)),  # the classical fold of (3, 3)
     ]
     for call in over_cap:
         with pytest.raises(DimensionCapError, match="cap of 6"):
@@ -93,7 +92,8 @@ def test_folds_are_charged_their_updates(monkeypatch):
     over_cap = [
         lambda: product_chain(5, [2, 3, 2]),  # 4 + 3 * 3
         lambda: verlinde.product_chain_right(5, [3, 2, 2]),  # 3 + 3 * 4
-        lambda: classical_limit_check((1,) * 5),  # 2 + 4 + 4 + 6 at level 5
+        # the classical fold of (1,) * 5: 2 + 4 + 4 + 6 at level 5
+        lambda: product_chain(5, (1,) * 5),
         lambda: limit_multiplicities((0,) * 12),  # eleven steps of 1
     ]
     for call in over_cap:
@@ -204,16 +204,21 @@ def test_limit_rejects_bad_bundles():
         limit_multiplicities((-1, 2))
 
 
+def _classical_limit_holds(bundle):
+    checks = acceptance.verlinde_limit_checks(limit_multiplicities(bundle))
+    return {chk["name"]: chk["pass"] for chk in checks}["classical_limit"]
+
+
 def test_classical_limit_examples():
-    assert classical_limit_check((1, 1))
-    assert classical_limit_check((2, 2))
-    assert classical_limit_check((1, 2, 2))
+    assert _classical_limit_holds((1, 1))
+    assert _classical_limit_holds((2, 2))
+    assert _classical_limit_holds((1, 2, 2))
 
 
 def test_classical_limit_sweep():
     bundles = [(0,), (1,), (0, 3), (1, 1, 1), (1, 2, 3), (2, 2, 2)]
     for bundle in bundles:
-        assert classical_limit_check(bundle)
+        assert _classical_limit_holds(bundle)
 
 
 def test_grassmannian_weights_and_dims():
