@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 from . import acceptance
@@ -46,7 +45,6 @@ from .schubert import (
 from .types import (
     Composition,
     DimensionCapError,
-    PoincarePolynomial,
     leq,
     poincare,
     poincare_recursive_single,
@@ -126,8 +124,13 @@ def _cmd_poincare(args):
     # before the quadratic recursive route runs
     poly = poincare(comp)
     if args.recursive:
-        poly = math.prod(map(poincare_recursive_single, comp.parts),
-                         start=PoincarePolynomial((1,)))
+        # a balanced product tree: each level multiplies neighbours, so
+        # every factor is repacked once per level, not once per part
+        polys = [poincare_recursive_single(p) for p in comp.parts]
+        while len(polys) > 1:
+            polys = [polys[i] * polys[i + 1] if i + 1 < len(polys) else polys[i]
+                     for i in range(0, len(polys), 2)]
+        (poly,) = polys
     result = {"coefficients": list(poly.even_coeffs), "degree": poly.degree}
     return result, acceptance.poincare_checks(comp, poly, args.recursive)
 

@@ -34,8 +34,10 @@ them, and a state index is one Python int: block g's id sits in a
 fixed-width field, block 0 in the most significant field.  Every index of
 one state has the same number of fields, so comparing two indices as ints
 is comparing their block-id tuples lexicographically.  The single-current
-images of each block are memoized per mode as (id difference, multiplier)
-pairs, so a current rewrites one field with one shift and one add.
+images of each block are memoized per block position and mode as
+(shifted delta, multiplier) pairs, the delta being the id difference
+already shifted into that position's field, so a current rewrites one
+field with one add.
 
 A model belongs to one closure: `top_wedge` creates it, every state derived
 from that top wedge carries it, and it is freed with the last of them, so
@@ -70,9 +72,12 @@ class WedgeModel:
     """The interned blocks and memoized moves of one wedge model.
 
     `blocks[id]` is a block (a sorted tuple of monomial masks), and
-    `grades[id]` its (h-weight, t-degree); `moves[mode]` maps a block id to
-    the tuple of (image id - id, multiplier) pairs of its image under
-    e_mode.  `bits` is the width of one id field of a packed index.
+    `grades[id]` its (h-weight, t-degree).  `moves[g][mode]` maps the id of
+    a block in position g (an index into `groups`) to the tuple of
+    (shifted delta, multiplier) pairs of its image under e_mode, where the
+    shifted delta is (image id - id) moved into position g's field, so it
+    adds to a whole packed index.  `bits` is the width of one id field of a
+    packed index.
     """
 
     __slots__ = ("shapes", "groups", "budget", "bits", "blocks", "grades",
@@ -85,7 +90,7 @@ class WedgeModel:
         self.bits = (self.budget - 1).bit_length()
         self.blocks = []
         self.grades = []
-        self.moves = [{} for _ in range(max(shapes, default=0))]
+        self.moves = [[{} for _ in range(m)] for m, _ in self.groups]
         self._ids = {}
 
     def intern(self, block, grade) -> int:
@@ -128,10 +133,10 @@ class WedgeModel:
             tdeg += t
         return weight, tdeg
 
-    def _block_moves(self, bid, mode) -> tuple:
-        """Images of one interned block under e_mode, with integer multipliers.
+    def _block_moves(self, g, bid, mode) -> tuple:
+        """Images of one interned block in position g under e_mode.
 
-        Computes and memoizes the entry of `moves[mode]`; `apply_current`
+        Computes and memoizes the entry of `moves[g][mode]`; `apply_current`
         reads the table itself and calls this only on a miss.
 
         Replacing one factor monomial gamma by gamma' collects the
@@ -142,31 +147,53 @@ class WedgeModel:
         block = self.blocks[bid]
         weight, tdeg = self.grades[bid]
         grade = (weight + 2, tdeg + mode)  # one v_i became u_{i+mode}
-        m = block[0].bit_count()  # wedge degree equals the truncation
+        m = self.groups[g][0]
+        up = m + mode  # v_i at bit i goes to u_{i+mode} at bit i + up
         sources = (1 << (m - mode)) - 1  # v_i with i + mode < m
-        acc = {}
-        prev = None
-        for slot, mono in enumerate(block):
-            if mono == prev:
-                continue  # same source monomial, already processed
-            prev = mono
-            rest_block = block[:slot] + block[slot + 1:]
-            free = mono & sources
+        shift = self.bits * (len(self.groups) - 1 - g)
+        ids = self._ids
+        if len(block) == 1:
+            # one factor: each move makes its own monomial, in one slot
+            (mono,) = block
+            free = mono & sources & ~(mono >> up)  # sources with a free target
+            moves = []
             while free:
                 low = free & -free
                 free ^= low
-                target = low << (m + mode)  # u_{i+mode}
-                if mono & target:
-                    continue  # repeated particle
-                new_mono = mono ^ low ^ target
+                target = low << up
                 c = -1 if (mono & (target - (low << 1))).bit_count() & 1 else 1
-                r = bisect_left(rest_block, new_mono)
-                new_block = rest_block[:r] + (new_mono,) + rest_block[r:]
-                mult = rest_block.count(new_mono) + 1
-                nbid = self.intern(new_block, grade)
-                acc[nbid] = acc.get(nbid, 0) + c * mult
-        moves = tuple((b - bid, c) for b, c in acc.items() if c)
-        self.moves[mode][bid] = moves
+                new_block = (mono ^ low ^ target,)
+                nbid = ids.get(new_block)
+                if nbid is None:
+                    nbid = self.intern(new_block, grade)
+                moves.append(((nbid - bid) << shift, c))
+            moves = tuple(moves)
+        else:
+            acc = {}
+            prev = None
+            for slot, mono in enumerate(block):
+                if mono == prev:
+                    continue  # same source monomial, already processed
+                prev = mono
+                free = mono & sources & ~(mono >> up)
+                if not free:
+                    continue
+                rest_block = block[:slot] + block[slot + 1:]
+                while free:
+                    low = free & -free
+                    free ^= low
+                    target = low << up
+                    new_mono = mono ^ low ^ target
+                    c = -1 if (mono & (target - (low << 1))).bit_count() & 1 else 1
+                    r = bisect_left(rest_block, new_mono)
+                    new_block = rest_block[:r] + (new_mono,) + rest_block[r:]
+                    mult = rest_block.count(new_mono) + 1
+                    nbid = ids.get(new_block)
+                    if nbid is None:
+                        nbid = self.intern(new_block, grade)
+                    acc[nbid] = acc.get(nbid, 0) + c * mult
+            moves = tuple([((b - bid) << shift, c) for b, c in acc.items() if c])
+        self.moves[g][mode][bid] = moves
         return moves
 
 
@@ -239,18 +266,16 @@ def apply_current(mode: int, state: WedgeState, blocks=None) -> WedgeState:
     for g in scope:
         if mode >= groups[g][0]:
             continue  # every shift lands at or past the truncation
-        moves_of = model.moves[mode]
+        moves_of = model.moves[g][mode]
         shift = bits * (last - g)
         for idx, coeff in state.coeffs.items():
             bid = (idx >> shift) & mask
             moves = moves_of.get(bid)
             if moves is None:
-                moves = model._block_moves(bid, mode)
+                moves = model._block_moves(g, bid, mode)
             for delta, mul in moves:
-                new_idx = idx + (delta << shift)
-                acc = get(new_idx, 0) + coeff * mul
-                if acc:
-                    out[new_idx] = acc
-                else:
-                    del out[new_idx]
+                new_idx = idx + delta
+                out[new_idx] = get(new_idx, 0) + coeff * mul
+    if not all(out.values()):  # cancelled terms go once, for the whole image
+        out = {idx: c for idx, c in out.items() if c}
     return WedgeState(model, out)

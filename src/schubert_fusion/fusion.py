@@ -25,7 +25,11 @@ occupied v_{i+j} or past the truncation.  By PBW its span under the e_j is
 then a g[t]-submodule, and each of its energy pieces is a finite-dimensional
 sl2-module, whose character is symmetric under h -> -h.  Degree k of the
 closure sits at h-weight -N + 2k, N = sum(a - 1), so degrees 0 .. N // 2
-hold every row of weight <= 0; each weight w < 0 is mirrored to -w.
+hold every row of weight <= 0; each weight w < 0 is mirrored to -w.  The
+kernel submodules of `build_submodule` are closed the same way: their
+generator is not a top wedge, but its span under the closure's operators is
+still a module for the constant sl2 (the proof is in `build_submodule`), so
+those closures stop at h-weight 0 too.
 
 The second route to the character, `character_recursive`, needs no span:
 it peels the short exact sequences 0 -> S -> M(A) -> M(A') -> 0 down to
@@ -110,9 +114,10 @@ def _close_under(seed, operators, layers=None) -> SpanBasis:
     # so its reduction touches no row of another layer.
     #
     # With `layers`, the closure stops after that many layers past the seed,
-    # before any operator meets the last of them; `build_module` stops at
-    # the middle h-weight, the rest being fixed by sl2 symmetry (see the
-    # module docstring).  With None it runs until a layer adds nothing.
+    # before any operator meets the last of them; `build_module` and
+    # `build_submodule` both stop at h-weight 0, the rest being fixed by sl2
+    # symmetry (see the module docstring and `build_submodule`).  With None
+    # it runs until a layer adds nothing.
     basis = SpanBasis()
     if not seed.coeffs:
         return basis
@@ -136,11 +141,15 @@ def _close_under(seed, operators, layers=None) -> SpanBasis:
     return basis
 
 
-def _character_from_basis(basis, cyclic) -> dict:
-    bigrade = cyclic.model.bigrade
-    offset = bigrade(next(iter(cyclic.coeffs)))[1]
+def _mirrored_character(basis, seed) -> dict:
+    # the character of a closure stopped at h-weight 0: its pivots' bigrades,
+    # energies taken from the seed's, each w < 0 mirrored to -w
+    bigrade = seed.model.bigrade
+    offset = bigrade(next(iter(seed.coeffs)))[1]
     grades = (bigrade(pivot) for pivot in basis.pivots())
-    return dict(Counter((w, t - offset) for w, t in grades))
+    char = dict(Counter((w, t - offset) for w, t in grades))
+    char.update({(-w, t): m for (w, t), m in char.items() if w < 0})
+    return char
 
 
 @lru_cache(maxsize=None)
@@ -153,8 +162,7 @@ def _build_module_cached(weights):
     # layer k sits at h-weight -N + 2k: the first N // 2 layers past the
     # cyclic vector reach every row of weight <= 0, and the others mirror them
     basis = _close_under(cyclic, operators, (sum(weights) - n) // 2)
-    char = _character_from_basis(basis, cyclic)
-    char.update({(-w, t): m for (w, t), m in char.items() if w < 0})
+    char = _mirrored_character(basis, cyclic)
     dimension = sum(char.values())
     _check_size(dimension, "span dimension")
     return FusionModule(weights, dimension, MappingProxyType(char))
@@ -600,8 +608,11 @@ class SubmoduleS(namedtuple(
     global raising currents together with one extra raising current acting
     only on the factors at levels >= a_i.  Those high levels host the tail
     `adoubleprime` of the tensor-product description, whose first block
-    `aprime` (entries i, i+1 removed) names the abstract submodule.  For
-    equal neighbours the submodule is the fusion module on `aprime`.
+    `aprime` (entries i, i+1 removed) names the abstract submodule.  The
+    span is a module for the constant sl2, so the closure stops at h-weight
+    0 and `dimension` mirrors the weights w < 0 (`build_submodule` has the
+    proof).  For equal neighbours the submodule is the fusion module on
+    `aprime`.
     `case` is "general" or "equal"; `adoubleprime` is None in the equal case.
     """
 
@@ -618,6 +629,37 @@ def _check_pair(weights, index) -> tuple:
 
 
 def build_submodule(weights, index: int) -> SubmoduleS:
+    """Build the kernel submodule at the adjacent pair `index`.
+
+    Equal neighbours give the fusion module on `aprime`.  Unequal ones are
+    closed in the parent's wedge model (see `SubmoduleS`), up to h-weight
+    0, and the dimension is read off the pivots of weight <= 0, each weight
+    w < 0 counted twice, once for its mirror -w.
+
+    The span is a module for the constant sl2, so each energy piece of its
+    character is symmetric under h -> -h.  Write n for the length of A, i
+    for `index`, H for the high blocks (levels >= a_i) and e'_H, h'_H for
+    e_{n-i-1}, h_{n-i-1} acting on H only; the closure's operators are
+    the e_j, j < n, and e'_H, and they commute.
+    (i) The generator is killed by f_0 and by every h_j with j >= 1: each
+        of its factors is a top wedge, or one with v_0 moved to u_{m-1},
+        and these moves land on occupied particles or past the
+        truncation.  h'_H acts on it by 0 (n - i - 1 >= 1) or by a scalar
+        (h_0 on H, for i = n - 1); h_0 acts by its h-weight.
+    (ii) [f_0, e_j] = -h_j and [f_0, e'_H] = -h'_H.
+    (iii) [h_j, e_k] = 2 e_{j+k} and [h'_H, e_k] = [h_k, e'_H] = 2 e'_H
+        for k = 0 and 0 otherwise, and [h'_H, e'_H] is 2 e'_H for i = n - 1
+        and 0 otherwise: every truncation is <= n, so e_{j+k} vanishes for
+        j + k >= n, and every high truncation is <= n - i, so any current
+        past mode n - i - 1 vanishes on H.
+    So f_0 on a word in the operators times the generator is a sum of
+    words in the operators times the generator, by (ii), (iii) and (i),
+    and the span is stable under e_0, f_0 and h_0.  These keep the energy,
+    so each energy piece is a finite-dimensional sl2-module.  Every
+    operator raises the h-weight by 2, so layer k of the closure sits at
+    w_gen + 2k, w_gen the generator's h-weight, and the first -w_gen // 2
+    layers past it hold every row of weight <= 0.
+    """
     weights = _check_pair(weights, index)
     n = len(weights)
     _check_size(math.prod(weights), f"submodule inside {weights}")
@@ -650,8 +692,10 @@ def build_submodule(weights, index: int) -> SubmoduleS:
     extra_mode = n - index - 1
     operators.append(
         lambda s: apply_current(extra_mode, s, blocks=high))
-    basis = _close_under(generator, operators)
-    return SubmoduleS(weights, index, "general", aprime, adouble, basis.dimension)
+    w_gen = generator.model.bigrade(next(iter(generator.coeffs)))[0]
+    basis = _close_under(generator, operators, -w_gen // 2)
+    dimension = sum(_mirrored_character(basis, generator).values())
+    return SubmoduleS(weights, index, "general", aprime, adouble, dimension)
 
 
 def kernel_dimension(weights, index: int) -> int:

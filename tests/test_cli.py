@@ -305,6 +305,27 @@ def test_poincare_of_a_long_run():
     assert elapsed < 10
 
 
+def test_poincare_recursive_of_a_long_run():
+    # the single-part polynomials are multiplied in a balanced product
+    # tree; folding them one part at a time repacked the whole running
+    # product per part and took 73 s on this
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "schubert_fusion.cli", "poincare",
+         ",".join(["1"] * 4000), "--recursive"],
+        capture_output=True, text=True, env=env, timeout=120)
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    expected = [1]
+    for j in range(4000):
+        expected.append(expected[-1] * (4000 - j) // (j + 1))
+    assert report["result"]["coefficients"] == expected
+    assert [c["pass"] for c in report["checks"]] == [True]
+    assert elapsed < 20
+
+
 def test_bundle_split_of_two_long_parts():
     # the fiber and base polynomials are multiplied by Kronecker
     # substitution, one product of two packed ints; the schoolbook double

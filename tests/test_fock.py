@@ -254,24 +254,32 @@ def every_block(m, count):
 
 
 @pytest.mark.parametrize("shapes", [(1,), (2,), (3,), (4,), (5,),
-                                    (1, 1), (2, 2), (3, 3)])
+                                    (1, 1), (2, 2), (3, 3), (3, 1), (2, 2, 1)])
 def test_block_moves_match_the_particle_oracle(shapes):
-    # every one-factor block of truncation <= 5 and every two-factor block
-    # of truncation <= 3, under every mode below the truncation: the masks'
-    # XOR moves, popcount signs and multiplicities against sorted particles
-    m, count = shapes[0], len(shapes)
-    model = top_wedge(shapes).model
+    # every block of the first group, in the most significant field: every
+    # one-factor block of truncation <= 5 and every two-factor block of
+    # truncation <= 3, under every mode below the truncation: the masks' XOR
+    # moves, popcount signs, multiplicities and shifted deltas against
+    # sorted particles.  The other groups hold their top wedges, and the
+    # current acts on the first group alone as well as on the whole state.
+    m, count = factor_groups(shapes)[0]
+    top = top_wedge(shapes)
+    model = top.model
+    others = model.block_ids(only_term(top)[0])[1:]
     seen = 0
     for monos in every_block(m, count):
-        state = WedgeState(model, {intern_particles(model, monos): 1})
+        index = model.pack_index((intern_particles(model, monos),) + others)
+        state = WedgeState(model, {index: 1})
         vec = explicit(state)
         for mode in range(m):
-            image = apply_current(mode, state)
-            assert explicit(image) == oracle_current(mode, shapes, vec,
-                                                     range(count))
-            for index in image.coeffs:
-                word = next(iter(explicit(WedgeState(model, {index: 1}))))
-                assert model.bigrade(index) == particle_grade(word)
+            for blocks, factors in ((None, range(len(shapes))),
+                                    ((0,), range(count))):
+                image = apply_current(mode, state, blocks)
+                assert explicit(image) == oracle_current(mode, shapes, vec,
+                                                         factors)
+                for index in image.coeffs:
+                    word = next(iter(explicit(WedgeState(model, {index: 1}))))
+                    assert model.bigrade(index) == particle_grade(word)
         seen += 1
     assert seen == math.comb(math.comb(2 * m, m) + count - 1, count)
 

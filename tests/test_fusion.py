@@ -115,7 +115,8 @@ def test_dimension_cap(monkeypatch):
 
 def test_block_budget_is_read_at_call_time(monkeypatch):
     # (2, 3, 4) interns 21 blocks: within a budget of 32, past one of 16;
-    # the kernel at the first pair of (2, 4, 4) interns 18
+    # the kernel at the first pair of (2, 4, 5), closed to h-weight 0,
+    # interns 19
     monkeypatch.setattr(fock, "WEDGE_BLOCK_BUDGET", 32)
     assert _build_module_cached.__wrapped__((2, 3, 4)).dimension == 24
     monkeypatch.setattr(fock, "WEDGE_BLOCK_BUDGET", 16)
@@ -123,7 +124,7 @@ def test_block_budget_is_read_at_call_time(monkeypatch):
     with pytest.raises(DimensionCapError, match="budget of 16 blocks"):
         build_module((2, 3, 4))
     with pytest.raises(DimensionCapError, match="budget of 16 blocks"):
-        build_submodule((2, 4, 4), 1)
+        build_submodule((2, 4, 5), 1)
 
 
 def test_closures_drop_their_wedge_models(monkeypatch):
@@ -319,8 +320,8 @@ def _closed_by_fifo_oracle():
     # routes build_module and build_submodule through the oracle closure;
     # call _build_module_cached.__wrapped__ under it, so no oracle result
     # lands in the module cache.  The oracle ignores a layer limit and
-    # closes the whole span, so build_module's mirrored half meets the
-    # full character.
+    # closes the whole span, so the mirrored half that build_module and
+    # build_submodule read meets the full character.
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(fusion, "_close_under",
                    lambda seed, operators, layers=None:
@@ -349,13 +350,14 @@ def test_degree_ordered_closure_matches_fifo_oracle(weights):
 
 @contextmanager
 def _recorded_closures():
-    # yields a list that gets (seed, layers, basis) for every closure run
+    # yields a list that gets (seed, operators, layers, basis) for every
+    # closure run
     closures = []
     close = fusion._close_under
 
     def recording(seed, operators, layers=None):
         basis = close(seed, operators, layers)
-        closures.append((seed, layers, basis))
+        closures.append((seed, operators, layers, basis))
         return basis
 
     with pytest.MonkeyPatch.context() as mp:
@@ -369,7 +371,7 @@ def test_module_closure_stops_at_weight_zero(weights):
     # the closure keeps only rows of h-weight <= 0; the rest are mirrored
     with _recorded_closures() as closures:
         module = _build_module_cached.__wrapped__(weights)
-    ((seed, layers, basis),) = closures
+    ((seed, _, layers, basis),) = closures
     n = sum(a - 1 for a in weights)
     assert layers == n // 2
     assert max(seed.model.bigrade(p)[0] for p in basis.pivots()) == -(n % 2)
@@ -377,15 +379,33 @@ def test_module_closure_stops_at_weight_zero(weights):
     assert module.character == character_recursive(weights)
 
 
-def test_submodule_closure_runs_to_the_end():
-    # the kernel's generator is not known to span an sl2-module, so its
-    # closure has no layer limit and reaches positive h-weights
-    with _recorded_closures() as closures:
-        sub = build_submodule((2, 3, 5), 1)
-    ((seed, layers, basis),) = closures
-    assert layers is None
-    assert basis.dimension == sub.dimension == kernel_dimension((2, 3, 5), 1)
-    assert max(seed.model.bigrade(p)[0] for p in basis.pivots()) > 0
+def test_submodule_closure_stops_at_weight_zero():
+    # every unequal pair of weight_corpus(64): the kernel's closure keeps
+    # only rows of h-weight <= 0, the full closure of the same generator
+    # under the same operators is an sl2-module of the halved dimension,
+    # and the halved rows count the weights w <= 0 of the kernel's
+    # h-character, V(a_{i+1} - a_i + 1) times the modules on `aprime`
+    pairs = [(w, i) for w in acceptance.weight_corpus(64)
+             for i in range(1, len(w)) if w[i - 1] < w[i]]
+    assert len(pairs) > 100
+    for weights, index in pairs:
+        with _recorded_closures() as closures:
+            sub = build_submodule(weights, index)
+        ((seed, operators, layers, basis),) = closures
+        bigrade = seed.model.bigrade
+        w_gen = bigrade(next(iter(seed.coeffs)))[0]
+        assert layers == -w_gen // 2
+        assert max(bigrade(p)[0] for p in basis.pivots()) <= 0
+        full = fusion._close_under(seed, operators)
+        assert (full.dimension == sub.dimension
+                == kernel_dimension(weights, index))
+        char = Counter(bigrade(p) for p in full.pivots())
+        assert char == Counter({(-w, t): m for (w, t), m in char.items()})
+        left, right = weights[index - 1], weights[index]
+        kernel = tuple(sorted(sub.aprime + (right - left + 1,)))
+        peeled = character_recursive(kernel)
+        assert basis.dimension == sum(m for (w, _), m in peeled.items()
+                                      if w <= 0)
 
 
 @pytest.mark.parametrize("weights", [
