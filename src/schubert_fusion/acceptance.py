@@ -8,7 +8,7 @@ sweeps, so each cross-check has one home and both front ends run it.  A
 statement that holds by construction, whatever the first route computes,
 is no second route and is not a check: `isom`, `degrees` and `picard`
 have no function here until they get a real one, and a second route left
-unrun, such as a module too large to build, gives no check.  The result
+unrun, such as a module past the peeling cap, gives no check.  The result
 records only compute; `fusion.ExactSequenceResult.holds` is the one
 verdict a record keeps.
 
@@ -38,8 +38,8 @@ from .schubert import (bundle_split, canonical_flag, coordinate_ring_dims,
                        curve_degrees, flag_conditions, flag_membership,
                        group_act, line_bundle_exists, morphism_exists,
                        random_group_element, sections_dim)
-from .types import (Composition, _check_int, _check_size, canonical_A,
-                    compositions, leq, leq_by_vectors, poincare,
+from .types import (Composition, DimensionCapError, _check_size, canonical_A,
+                    check_int, compositions, leq, leq_by_vectors, poincare,
                     poincare_recursive_single, type_of)
 from .verlinde import (FusionRingElement, character_stabilization, fuse,
                        grassmannian_section_dims, grassmannian_weights,
@@ -96,11 +96,19 @@ _ORACLE_LIMIT = 512  # largest module a per-call cross-check will build
 
 
 def _module_oracle(name: str, weights, expected: int, detail: str) -> list:
-    """Check a closed-form count against the built fusion module on
-    `weights`; a module too large to build gives no check."""
-    if math.prod(weights) > _ORACLE_LIMIT:
+    """Check a closed-form count against the fusion module on `weights`.
+
+    Up to _ORACLE_LIMIT dimensions the module is built; above it the count
+    is compared with the total of `character_recursive`, which builds no
+    span.  A module past the peeling cap gives no check."""
+    if math.prod(weights) <= _ORACLE_LIMIT:
+        return [_check(name, build_module(weights).dimension == expected,
+                       detail)]
+    try:
+        total = sum(character_recursive(weights).values())
+    except DimensionCapError:
         return []
-    return [_check(name, build_module(weights).dimension == expected, detail)]
+    return [_check(name, total == expected, f"{detail}, by peeling")]
 
 
 def dim_checks(weights, dim: int) -> list:
@@ -225,7 +233,7 @@ def flag_checks(chain, comp, count: int = 0, seed: int = 0) -> list:
     and, for a positive `count`, that many translates by group elements
     drawn at `seed`, all of which must stay in the variety.  A negative
     `count` raises ValueError."""
-    _check_int(count, "count", 0)
+    check_int(count, "count", 0)
     # each membership check, of the canonical chain and of each translate,
     # tests about s * 2n vectors against the s subspaces
     _check_size((count + 1) * comp.s * 2 * comp.n,
@@ -293,7 +301,7 @@ def _trim(max_n: int | None, full: int | None = None) -> int | None:
     when one is given.  A `max_n` below 1 raises ValueError."""
     if max_n is None:
         return full
-    _check_int(max_n, "max_n", 1)
+    check_int(max_n, "max_n", 1)
     return max_n if full is None else min(full, max_n)
 
 

@@ -9,7 +9,10 @@ runs over its sweeps too; a handler here only computes its result, shapes
 it for JSON and hands it to that function.  `isom`, `degrees` and `picard`
 have no second route yet, so they print an empty check list.
 `COMMANDS` names each subcommand's handler, help and arguments, from
-which `_build_parser` builds the parser.
+which `_build_parser` builds the parser.  A handler checks an integer
+argument whose library parameter has another name (`imax` for `i_max`,
+`--random` for `count`) itself, with the same `types.check_int` rule, so
+an error names the argument as the help does.
 
 Exit codes: 0 success, 1 a mathematical check failed, 2 invalid input,
 3 a resource cap exceeded (also a result with an integer too long to
@@ -45,6 +48,7 @@ from .schubert import (
 from .types import (
     Composition,
     DimensionCapError,
+    check_int,
     leq,
     poincare,
     poincare_recursive_single,
@@ -179,14 +183,15 @@ def _cmd_picard(args):
 
 
 def _cmd_coordring(args):
-    dims = coordinate_ring_dims(args.A, args.imax)
+    dims = coordinate_ring_dims(args.A, check_int(args.imax, "imax", 0))
     return list(dims), acceptance.coordring_checks(args.A, dims)
 
 
 def _cmd_flag_check(args):
+    count = check_int(args.random, "--random", 0)
     comp = Composition(args.C)
     chain = canonical_flag(comp)
-    checks = acceptance.flag_checks(chain, comp, args.random, args.seed)
+    checks = acceptance.flag_checks(chain, comp, count, args.seed)
     return {"dimensions": list(chain.dimensions())}, checks
 
 
@@ -206,7 +211,8 @@ def _cmd_verlinde_limit(args):
 
 
 def _cmd_stabilize(args):
-    report = character_stabilization(args.B, args.imax, args.degmax)
+    report = character_stabilization(args.B, check_int(args.imax, "imax", 1),
+                                     check_int(args.degmax, "degmax", 0))
     tables = [
         {str(d): {str(w): m for w, m in sorted(stratum.items())}
          for d, stratum in sorted(table.items())}
@@ -218,6 +224,8 @@ def _cmd_stabilize(args):
 
 
 def _cmd_selftest(args):
+    if args.max_n is not None:
+        check_int(args.max_n, "--max-n", 1)
     results = acceptance.run_all(args.max_n)
     result = [{"number": r.number, "name": r.name, "passed": r.passed,
                "detail": r.detail} for r in results]

@@ -42,9 +42,19 @@ field with one add.
 A model belongs to one closure: `top_wedge` creates it, every state derived
 from that top wedge carries it, and it is freed with the last of them, so
 no table is shared across the process.  It interns at most
-WEDGE_BLOCK_BUDGET blocks, read when the model is created, and an id field
-is (budget - 1).bit_length() bits wide: 18 bits for the default 2**18.
-Interning past the budget raises DimensionCapError.
+WEDGE_BLOCK_BUDGET blocks, read when the model is created, and interning
+past the budget raises DimensionCapError.  An id field is only as wide as
+the model can need: a block of c factors of truncation m is a multiset of
+c of the C(2m, m) monomials, so the model can never intern more than
+
+    limit = min(budget, sum over groups (m, c) of C(C(2m, m) + c - 1, c))
+
+distinct blocks, and a field is (limit - 1).bit_length() bits wide.  That
+is 18 bits at the default budget of 2**18 only when the sum reaches it
+(any m >= 11 does); the models of the fusion modules on (3, 4, 4, 5, 5)
+and (2, 9, 14) need 15 and 10, so the packed indices of most closures fit
+in one 30-bit CPython digit.  Every id fits its field, so the int order of
+packed indices is still the order of their block-id tuples.
 """
 
 from __future__ import annotations
@@ -52,7 +62,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import namedtuple
 
-from .types import DimensionCapError, _check_int
+from .types import DimensionCapError, check_int
 
 WEDGE_BLOCK_BUDGET = 2 ** 18
 
@@ -68,16 +78,42 @@ def factor_groups(shapes) -> tuple:
     return tuple((m, c) for m, c in groups)
 
 
+def _id_limit(groups, budget) -> int:
+    """min(budget, sum over `groups` of C(C(2m, m) + c - 1, c)), see above.
+
+    Every count is taken saturating at the budget, so no binomial wider
+    than the budget is ever formed: C(2k, k) grows by at least 2 per step
+    in k, and C(r + s, r) by at least (r + 1) / r per step in r.
+    """
+    total = 0
+    for m, count in groups:
+        monomials = 1  # C(2k, k) for k = 0 .. m, saturating
+        for k in range(1, m + 1):
+            monomials = monomials * 2 * (2 * k - 1) // k
+            if monomials >= budget:
+                return budget
+        # C(monomials + count - 1, count) = C(s + r, r), r the smaller side
+        r, s = sorted((count, monomials - 1))
+        blocks = 1
+        for j in range(1, r + 1):
+            blocks = blocks * (s + j) // j
+            if total + blocks >= budget:
+                return budget
+        total += blocks
+    return min(total, budget)
+
+
 class WedgeModel:
     """The interned blocks and memoized moves of one wedge model.
 
     `blocks[id]` is a block (a sorted tuple of monomial masks), and
-    `grades[id]` its (h-weight, t-degree).  `moves[g][mode]` maps the id of
-    a block in position g (an index into `groups`) to the tuple of
-    (shifted delta, multiplier) pairs of its image under e_mode, where the
-    shifted delta is (image id - id) moved into position g's field, so it
-    adds to a whole packed index.  `bits` is the width of one id field of a
-    packed index.
+    `grades[id]` its (h-weight, t-degree).  `moves[g][mode]`, made on the
+    first use of e_mode in position g, maps the id of a block in position g
+    (an index into `groups`) to the tuple of (shifted delta, multiplier)
+    pairs of its image under e_mode, where the shifted delta is (image id -
+    id) moved into position g's field, so it adds to a whole packed index.
+    `bits` is the width of one id field of a packed index: wide enough for
+    every block the model can hold, no wider (see the module docstring).
     """
 
     __slots__ = ("shapes", "groups", "budget", "bits", "blocks", "grades",
@@ -87,10 +123,10 @@ class WedgeModel:
         self.shapes = shapes
         self.groups = factor_groups(shapes)
         self.budget = WEDGE_BLOCK_BUDGET
-        self.bits = (self.budget - 1).bit_length()
+        self.bits = (_id_limit(self.groups, self.budget) - 1).bit_length()
         self.blocks = []
         self.grades = []
-        self.moves = [[{} for _ in range(m)] for m, _ in self.groups]
+        self.moves = [{} for _ in self.groups]
         self._ids = {}
 
     def intern(self, block, grade) -> int:
@@ -193,7 +229,7 @@ class WedgeModel:
                         nbid = self.intern(new_block, grade)
                     acc[nbid] = acc.get(nbid, 0) + c * mult
             moves = tuple([((b - bid) << shift, c) for b, c in acc.items() if c])
-        self.moves[g][mode][bid] = moves
+        self.moves[g].setdefault(mode, {})[bid] = moves
         return moves
 
 
@@ -231,7 +267,7 @@ def top_wedge(shapes) -> WedgeState:
     """
     shapes = tuple(shapes)
     for m in shapes:
-        _check_int(m, "factor truncation", 1)
+        check_int(m, "factor truncation", 1)
     model = WedgeModel(shapes)
     index = model.pack_index(
         model.intern(((1 << m) - 1,) * count,
@@ -251,14 +287,14 @@ def apply_current(mode: int, state: WedgeState, blocks=None) -> WedgeState:
     acts on every block.  A block index outside 0 .. len(groups) - 1
     raises ValueError.
     """
-    _check_int(mode, "current mode", 0)
+    check_int(mode, "current mode", 0)
     model = state.model
     groups = model.groups
     last = len(groups) - 1
     if blocks is None:
         scope = range(len(groups))
     else:
-        scope = tuple(_check_int(g, "block index", 0, last) for g in blocks)
+        scope = tuple(check_int(g, "block index", 0, last) for g in blocks)
     bits = model.bits
     mask = (1 << bits) - 1
     out = {}
@@ -266,7 +302,7 @@ def apply_current(mode: int, state: WedgeState, blocks=None) -> WedgeState:
     for g in scope:
         if mode >= groups[g][0]:
             continue  # every shift lands at or past the truncation
-        moves_of = model.moves[g][mode]
+        moves_of = model.moves[g].setdefault(mode, {})
         shift = bits * (last - g)
         for idx, coeff in state.coeffs.items():
             bid = (idx >> shift) & mask

@@ -66,7 +66,7 @@ from types import MappingProxyType
 from .fock import WedgeState, apply_current, top_wedge
 from .linalg import SpanBasis
 # DimensionCapError lives in `types`; it is re-exported here
-from .types import (DimensionCapError, _check_int, _check_size,
+from .types import (DimensionCapError, _check_size, check_int,
                     weakly_increasing)
 
 
@@ -98,7 +98,7 @@ class FusionModule(namedtuple("FusionModule", "weights dimension character")):
     __slots__ = ()
 
 
-def _close_under(seed, operators, layers=None) -> SpanBasis:
+def _close_under(seed, operators, layers=None) -> list:
     # Work with the reduced rows, not the raw operator images: words in the
     # generators have term counts and coefficients that grow with the word
     # length, while the residuals stay no bigger than their grade stratum.
@@ -111,21 +111,26 @@ def _close_under(seed, operators, layers=None) -> SpanBasis:
     # them; its first ends[j] rows (those born from operators 0 .. j) span
     # its sorted words whose largest index is at most j, so operator j
     # needs only them.  Every image lies one h-weight step above its layer,
-    # so its reduction touches no row of another layer.
+    # so its reduction touches no row of another layer: each layer gets a
+    # basis of its own, dropped with the layer once the next is built, and
+    # only the pivots of each layer are kept.  They come back as one list,
+    # layer by layer; the dimension cap is charged their running total.
     #
     # With `layers`, the closure stops after that many layers past the seed,
     # before any operator meets the last of them; `build_module` and
     # `build_submodule` both stop at h-weight 0, the rest being fixed by sl2
     # symmetry (see the module docstring and `build_submodule`).  With None
     # it runs until a layer adds nothing.
-    basis = SpanBasis()
     if not seed.coeffs:
-        return basis
+        return []
+    basis = SpanBasis()
     layer = [WedgeState(seed.model, basis.insert_reduced(seed.coeffs))]
+    pivots = basis.pivots()
     ends = [1] * len(operators)
     depth = 0
     while layer and depth != layers:
         depth += 1
+        basis = SpanBasis()
         born, born_ends = [], []
         for op, end in zip(operators, ends):
             for state in layer[:end]:
@@ -134,19 +139,20 @@ def _close_under(seed, operators, layers=None) -> SpanBasis:
                     continue
                 row = basis.insert_reduced(image.coeffs)
                 if row is not None:
-                    _check_size(basis.dimension, "span dimension")
+                    _check_size(len(pivots) + basis.dimension, "span dimension")
                     born.append(WedgeState(image.model, row))
             born_ends.append(len(born))
+        pivots += basis.pivots()
         layer, ends = born, born_ends
-    return basis
+    return pivots
 
 
-def _mirrored_character(basis, seed) -> dict:
+def _mirrored_character(pivots, seed) -> dict:
     # the character of a closure stopped at h-weight 0: its pivots' bigrades,
     # energies taken from the seed's, each w < 0 mirrored to -w
     bigrade = seed.model.bigrade
     offset = bigrade(next(iter(seed.coeffs)))[1]
-    grades = (bigrade(pivot) for pivot in basis.pivots())
+    grades = (bigrade(pivot) for pivot in pivots)
     char = dict(Counter((w, t - offset) for w, t in grades))
     char.update({(-w, t): m for (w, t), m in char.items() if w < 0})
     return char
@@ -161,8 +167,8 @@ def _build_module_cached(weights):
     ]
     # layer k sits at h-weight -N + 2k: the first N // 2 layers past the
     # cyclic vector reach every row of weight <= 0, and the others mirror them
-    basis = _close_under(cyclic, operators, (sum(weights) - n) // 2)
-    char = _mirrored_character(basis, cyclic)
+    pivots = _close_under(cyclic, operators, (sum(weights) - n) // 2)
+    char = _mirrored_character(pivots, cyclic)
     dimension = sum(char.values())
     _check_size(dimension, "span dimension")
     return FusionModule(weights, dimension, MappingProxyType(char))
@@ -488,7 +494,7 @@ def _unpack(packed, top, field) -> dict:
 
 def _capped(weights, cap) -> tuple:
     if cap is not None:
-        _check_int(cap, "cap", 1)
+        check_int(cap, "cap", 1)
     weights = weakly_increasing(weights, minimum=1, allow_empty=True)
     _check_size(math.prod(weights), f"character of {weights}", cap=cap)
     return weights
@@ -555,8 +561,8 @@ def check_relations(truncation: int, max_power: int) -> RelationReport:
     are charged: n for each power, also after the series has vanished, and
     n for each term of every image.
     """
-    n = _check_int(truncation, "truncation", 1)
-    _check_int(max_power, "max power", 1)
+    n = check_int(truncation, "truncation", 1)
+    check_int(max_power, "max power", 1)
     what = f"relation series on truncation {n}"
     series = {0: top_wedge((n,))}
     lowest = []
@@ -584,7 +590,7 @@ def monomial_basis(truncation: int) -> list:
     Applied to the top wedge of shape (n,) these give a basis; there are
     binomial(n, k) words of each length k and 2^n in total.
     """
-    n = _check_int(truncation, "truncation", 1)
+    n = check_int(truncation, "truncation", 1)
     words = []
     for k in range(n + 1):
         words.extend(combinations_with_replacement(range(n - k + 1), k))
@@ -624,7 +630,7 @@ def _check_pair(weights, index) -> tuple:
     n = len(weights)
     if n == 1:
         raise ValueError("a one-entry vector has no adjacent pair")
-    _check_int(index, "index", 1, n - 1)
+    check_int(index, "index", 1, n - 1)
     return weights
 
 
@@ -693,8 +699,8 @@ def build_submodule(weights, index: int) -> SubmoduleS:
     operators.append(
         lambda s: apply_current(extra_mode, s, blocks=high))
     w_gen = generator.model.bigrade(next(iter(generator.coeffs)))[0]
-    basis = _close_under(generator, operators, -w_gen // 2)
-    dimension = sum(_mirrored_character(basis, generator).values())
+    pivots = _close_under(generator, operators, -w_gen // 2)
+    dimension = sum(_mirrored_character(pivots, generator).values())
     return SubmoduleS(weights, index, "general", aprime, adouble, dimension)
 
 

@@ -28,7 +28,7 @@ from collections import namedtuple
 from itertools import accumulate
 
 from .linalg import SpanBasis
-from .types import (Composition, _Validated, _check_int, _check_size, leq,
+from .types import (Composition, _Validated, _check_size, check_int, leq,
                     type_of, weakly_increasing)
 
 __all__ = [
@@ -76,7 +76,7 @@ def bundle_split(composition: Composition, cut: int) -> BundleSplit:
     parts = composition.parts
     if len(parts) == 1:
         raise ValueError("a one-part composition has no fibration to split")
-    _check_int(cut, "cut", 1, len(parts) - 1)
+    check_int(cut, "cut", 1, len(parts) - 1)
     return BundleSplit(Composition(parts[:cut]), Composition(parts[cut:]))
 
 
@@ -125,7 +125,7 @@ def coordinate_ring_dims(weights, i_max: int) -> tuple:
     (i(a_1 - 1) + 1, ..., i(a_n - 1) + 1), of dimension prod(i(a_j - 1) + 1).
     """
     weights = weakly_increasing(weights, minimum=1)
-    _check_int(i_max, "i_max", 0)
+    check_int(i_max, "i_max", 0)
     # each of the i_max + 1 graded pieces is a product of len(weights) factors
     _check_size((i_max + 1) * len(weights),
                 f"coordinate ring of {i_max + 1} graded pieces "
@@ -290,14 +290,14 @@ class GroupElement(_Validated,
     __slots__ = ()
 
     def __new__(cls, truncation, den, vv, vu, uv, uu):
-        n = _check_int(truncation, "truncation", 1)
+        n = check_int(truncation, "truncation", 1)
         entries = tuple(tuple(entry) for entry in (vv, vu, uv, uu))
         for entry in entries:
             if len(entry) != n:
                 raise ValueError("matrix entries must be length-n coefficient tuples")
             for c in entry:
-                _check_int(c, "matrix entry")
-        _check_int(den, "den", 1)
+                check_int(c, "matrix entry")
+        check_int(den, "den", 1)
         common = math.gcd(den, *(c for entry in entries for c in entry))
         den = den // common
         vv, vu, uv, uu = (tuple(c // common for c in entry) for entry in entries)
@@ -359,7 +359,7 @@ def _one_param(n, mode, z, lowering):
     z is read as z.numerator / z.denominator, so it is an int or a
     quotient of ints; a float has neither and raises TypeError.
     """
-    _check_int(mode, "mode", 0, n - 1)
+    check_int(mode, "mode", 0, n - 1)
     try:
         p, q = z.numerator, z.denominator
     except AttributeError:
@@ -394,8 +394,8 @@ def random_group_element(n: int, rng: random.Random, length: int = 4) -> GroupEl
     is validated and reduced to lowest terms.  `n` must be a positive int
     and `length` a nonnegative int.
     """
-    _check_int(n, "n", 1)
-    _check_int(length, "length", 0)
+    check_int(n, "n", 1)
+    check_int(length, "length", 0)
     # columns: (vv, uv) is the image of v, (vu, uu) the image of u
     v_col = ([1] + [0] * (n - 1), [0] * n)
     u_col = ([0] * n, [1] + [0] * (n - 1))
@@ -436,7 +436,7 @@ def group_act(element: GroupElement, chain: FlagChain) -> FlagChain:
 
     Each subspace inserts the images of its rows in pivot order, as if into
     an empty basis, and the work shared between subspaces is done once:
-    each distinct row's image is computed once per call, and when the next
+    each row's image is computed once per call, and when the next
     subspace's rows begin with the same rows as the current one's (the n
     v-rows of a canonical chain), it starts from a copy of the basis taken
     after that prefix.  A prefix shorter than the one the current subspace
@@ -447,6 +447,9 @@ def group_act(element: GroupElement, chain: FlagChain) -> FlagChain:
         raise ValueError("group element truncation must match the chain")
     v_terms = _column_terms(element.vv, element.uv)
     u_terms = _column_terms(element.vu, element.uu)
+    # images by row object: `SpanBasis.copy` shares rows, so a row that
+    # several subspaces hold is one object, and `sources` keeps every row
+    # alive, so no id is reused during the call
     images = {}
     sources = [space.row_vectors() for space in chain.subspaces]
     # shares[i]: how many rows subspace i + 1 shares with subspace i at the front
@@ -457,10 +460,9 @@ def group_act(element: GroupElement, chain: FlagChain) -> FlagChain:
         handoff = basis.copy() if shared == start else None
         for k in range(start, len(rows)):
             row = rows[k]
-            key = frozenset(row.items())
-            image = images.get(key)
+            image = images.get(id(row))
             if image is None:
-                image = images[key] = _image(row, n, v_terms, u_terms)
+                image = images[id(row)] = _image(row, n, v_terms, u_terms)
             if image:
                 basis.insert(image)
             if k + 1 == shared:

@@ -47,12 +47,14 @@ def _check_size(size: int, what: str, detail: str = "", cap: int | None = None,
         raise DimensionCapError(f"{what} would exceed the cap of {cap}{detail}")
 
 
-def _check_int(value, what: str, low: int | None = None,
-               high: int | None = None) -> int:
+def check_int(value, what: str, low: int | None = None,
+              high: int | None = None) -> int:
     """`value` itself, once it is an int in low..high, for the bounds given.
 
     This is the one integer rule of the package: a bool or a float is
-    refused like any other non-int.  `high` is only given with `low`.
+    refused like any other non-int.  It is public so that the CLI checks
+    its arguments by it under their own names.  `high` is only given with
+    `low`.
     Raises ValueError "<what> must be <rule>, got <value!r>".
     """
     if (type(value) is int and (low is None or low <= value)
@@ -92,7 +94,7 @@ class Composition(_Validated, namedtuple("Composition", "parts")):
         if not parts:
             raise ValueError("composition must have at least one part")
         for p in parts:
-            _check_int(p, "part", 1)
+            check_int(p, "part", 1)
         return super().__new__(cls, parts)
 
     @property
@@ -112,7 +114,7 @@ def compositions(n: int):
 
     n is checked at the call, before the first composition is asked for.
     """
-    _check_int(n, "n", 1)
+    check_int(n, "n", 1)
 
     def generate():
         for mask in range(1 << (n - 1)):
@@ -134,14 +136,14 @@ def weakly_increasing(values, minimum=None, allow_empty=False) -> tuple:
     """Validate a weakly increasing integer vector and return it as a tuple.
 
     Entries must be ints, at least `minimum` when one is given, by
-    `_check_int`; the empty vector passes only with `allow_empty`.  Raises
+    `check_int`; the empty vector passes only with `allow_empty`.  Raises
     ValueError otherwise.
     """
     values = tuple(values)
     if not values and not allow_empty:
         raise ValueError("vector must be nonempty")
     for a in values:
-        _check_int(a, "entry", minimum)
+        check_int(a, "entry", minimum)
     if any(a > b for a, b in zip(values, values[1:])):
         raise ValueError(f"vector must be weakly increasing, got {values}")
     return values
@@ -203,7 +205,7 @@ class PoincarePolynomial(_Validated,
         if not even_coeffs:
             raise ValueError("a polynomial needs at least the constant term")
         for c in even_coeffs:
-            _check_int(c, "coefficient", 0)
+            check_int(c, "coefficient", 0)
         if len(even_coeffs) > 1 and even_coeffs[-1] == 0:
             raise ValueError("trailing zero coefficients are not canonical")
         return super().__new__(cls, even_coeffs)
@@ -295,7 +297,7 @@ def poincare_recursive_single(n: int) -> PoincarePolynomial:
     dimension n - 1 over the boundary copy two steps down.  The steps run
     upward from the base of n's parity, so long inputs need no deep stack.
     """
-    _check_int(n, "n", 0)
+    check_int(n, "n", 0)
     _check_size(n + 1, f"Poincare polynomial of {n + 1} coefficients")
     coeffs = [1] * (n % 2 + 1)  # P(0) or P(1)
     for k in range(n % 2 + 2, n + 1, 2):

@@ -26,7 +26,7 @@ from collections import namedtuple
 from types import MappingProxyType
 
 from .fusion import _top_strata
-from .types import _Validated, _check_int, _check_size, weakly_increasing
+from .types import _Validated, _check_size, check_int, weakly_increasing
 
 
 def _check_level(k: int) -> int:
@@ -34,13 +34,13 @@ def _check_level(k: int) -> int:
 
     Every path that builds a coefficient vector checks its level here.
     """
-    _check_int(k, "level", 0)
+    check_int(k, "level", 0)
     _check_size(k + 1, f"level {k}", f": its ring has {k + 1} classes")
     return k
 
 
 def _check_weight(k: int, a: int) -> int:
-    return _check_int(a, "weight", 0, k)
+    return check_int(a, "weight", 0, k)
 
 
 class FusionRingElement(_Validated,
@@ -60,7 +60,7 @@ class FusionRingElement(_Validated,
         if len(coeffs) != level + 1:
             raise ValueError("coefficient vector must have length level + 1")
         for c in coeffs:
-            _check_int(c, "coefficient", 0)
+            check_int(c, "coefficient", 0)
         return super().__new__(cls, level, coeffs)
 
     @staticmethod
@@ -188,7 +188,7 @@ def limit_multiplicities(bundle) -> LimitDecomposition:
 def grassmannian_weights(bundle, steps: int) -> tuple:
     """Module weights (b_1+1, ..., b_n+1) extended by 2*steps copies of b_n+1."""
     bundle = weakly_increasing(bundle, minimum=0)
-    _check_int(steps, "steps", 0)
+    check_int(steps, "steps", 0)
     grown = tuple(b + 1 for b in bundle) + (bundle[-1] + 1,) * (2 * steps)
     return grown
 
@@ -243,8 +243,8 @@ def character_stabilization(bundle, i_max: int, deg_max: int,
     """
     bundle = weakly_increasing(bundle, minimum=0)
     # stabilization compares at least two tables
-    _check_int(i_max, "i_max", 1)
-    _check_int(deg_max, "deg_max", 0)
+    check_int(i_max, "i_max", 1)
+    check_int(deg_max, "deg_max", 0)
     chain = (grassmannian_weights(bundle, i) for i in range(i_max + 1))
     tables = _top_strata(chain, deg_max, cap)
     dims = tuple(math.prod(grassmannian_weights(bundle, i))

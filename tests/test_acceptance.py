@@ -98,6 +98,24 @@ def test_bundle_split_checks_multiply_the_factors():
     assert not acceptance.bundle_split_checks(total, base, base)[0]["pass"]
 
 
+def test_oracle_over_the_limit_decides_by_peeling(monkeypatch):
+    # over 512 dimensions the closed form meets the peeled total, and a
+    # wrong count fails there; no module is built on that route
+    def must_not_build(weights):
+        pytest.fail(f"built the module on {weights} over the oracle limit")
+
+    monkeypatch.setattr(acceptance, "build_module", must_not_build)
+    # the sections of bundle (4, 4, 4, 4) and the degree 1 stratum of the
+    # ring on (5, 5, 5, 5) both meet the module on (5, 5, 5, 5)
+    cases = [(acceptance.sections_checks((4,) * 4, dim),
+              acceptance.coordring_checks((5,) * 4, (1, dim)))
+             for dim in (625, 626)]
+    for good, bad in zip(*cases):
+        assert [check["pass"] for check in good] == [True]
+        assert [check["pass"] for check in bad] == [False]
+        assert good[0]["detail"].endswith(", by peeling")
+
+
 def test_flag_checks_refuse_a_negative_count():
     # it returned a passing group_invariance check on "0 elements"
     with pytest.raises(ValueError,

@@ -91,8 +91,24 @@ def test_char_self_checks(capsys):
     (("sections", "4,4,4,4", "4"), 625),
     (("coordring", "9,9,9", "1"), [1, 729]),
 ], ids=["sections", "coordring"])
-def test_module_over_the_oracle_limit_prints_no_check(capsys, argv, result):
-    # a module over 512 dimensions is not built, so no check is printed: a
+def test_module_over_the_oracle_limit_is_checked_by_peeling(capsys, argv,
+                                                           result):
+    # a module over 512 dimensions is not built: its closed form is checked
+    # against the total of the span-free peeling recursion instead
+    code, report, _ = run_json(capsys, *argv)
+    assert code == 0
+    assert report["result"] == result
+    [check] = report["checks"]
+    assert check["pass"]
+    assert check["detail"].endswith(", by peeling")
+
+
+@pytest.mark.parametrize("argv, result", [
+    (("sections", "99,99,99", "3"), 10 ** 6),
+    (("coordring", "100,100,100", "1"), [1, 10 ** 6]),
+], ids=["sections", "coordring"])
+def test_module_past_the_peeling_cap_prints_no_check(capsys, argv, result):
+    # neither route runs past the dimension cap, so no check is printed: a
     # passing check that no second route decided would read as confirmed
     code, report, _ = run_json(capsys, *argv)
     assert code == 0
@@ -454,17 +470,22 @@ def test_selftest_rejects_nonpositive_max_n(capsys, monkeypatch, max_n):
     assert "invalid input" in err
 
 
-@pytest.mark.parametrize("argv", [
-    ("flag-check", "2,1", "--random", "-3"),  # no vacuous "0 elements" check
-    ("stabilize", "1", "0", "2"),  # one table has nothing to stabilize against
-    ("degrees", "--", "-1,0"),  # bundle weights are nonnegative
-    ("bundle-exists", "--", "-1,2", "1,1"),
-], ids=lambda argv: argv[0])
-def test_out_of_domain_input_exits_2(capsys, argv):
+@pytest.mark.parametrize("argv, reason", [
+    # no vacuous "0 elements" check
+    (("flag-check", "2,1", "--random", "-3"),
+     "--random must be a nonnegative integer, got -3"),
+    (("coordring", "2,2", "-1"), "imax must be a nonnegative integer, got -1"),
+    # one table has nothing to stabilize against
+    (("stabilize", "1", "0", "2"), "imax must be a positive integer, got 0"),
+    (("degrees", "--", "-1,0"), "entry must be a nonnegative integer"),
+    (("bundle-exists", "--", "-1,2", "1,1"), "entry must be a nonnegative"),
+], ids=["flag-check", "coordring", "stabilize", "degrees", "bundle-exists"])
+def test_out_of_domain_input_exits_2(capsys, argv, reason):
+    # the message names an argument as the help does (imax, not i_max)
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert not out
-    assert "invalid input" in err
+    assert err.startswith(f"invalid input: {reason}")
 
 
 def test_stabilize_rejects_a_decreasing_bundle(capsys):

@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 from itertools import combinations, combinations_with_replacement, permutations, product
 
 import pytest
@@ -14,6 +15,7 @@ from schubert_fusion.fock import (
     factor_groups,
     top_wedge,
 )
+from schubert_fusion.fusion import factor_shapes
 
 V, U = 0, 1
 
@@ -322,9 +324,31 @@ def test_block_id_past_its_field_is_refused(monkeypatch):
     assert len(model.blocks) == len(model.grades) == 4
 
 
-def test_default_budget_gives_18_bit_fields():
-    model = top_wedge((2,)).model
+@pytest.mark.parametrize("weights, bits", [
+    ((2,), 1),  # one factor of truncation 1: 2 monomials
+    # groups (3, 1), (2, 7), (1, 5): 20 + C(12, 7) + C(6, 5) = 818 blocks
+    ((2, 9, 14), 10),
+    # groups (5, 2), (4, 1), (2, 1): C(253, 2) + 70 + 6 = 32 207 blocks
+    ((3, 4, 4, 5, 5), 15),
+    # group (4, 4): C(73, 4) = 1 088 430 multisets pass the budget
+    ((5, 5, 5, 5), 18),
+], ids=["2", "2,9,14", "3,4,4,5,5", "5,5,5,5"])
+def test_id_fields_are_as_wide_as_the_model_can_need(weights, bits):
+    # a field holds every multiset of c monomials (C(2m, m) of them) of
+    # each group (m, c), and at most the budget's 2**18 blocks
+    model = top_wedge(factor_shapes(weights)).model
     assert model.budget == fock.WEDGE_BLOCK_BUDGET == 2 ** 18
+    count = sum(math.comb(math.comb(2 * m, m) + c - 1, c)
+                for m, c in model.groups)
+    assert model.bits == bits == (min(count, 2 ** 18) - 1).bit_length()
+
+
+def test_field_width_of_a_long_factor_is_cheap():
+    # C(2m, m) passes the budget at m = 11, and the width rule forms no
+    # binomial past it: math.comb(2m, m) alone takes seconds at m = 200 000
+    start = time.perf_counter()
+    model = top_wedge((3_000_000,)).model
+    assert time.perf_counter() - start < 0.2
     assert model.bits == 18
 
 

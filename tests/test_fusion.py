@@ -325,7 +325,7 @@ def _closed_by_fifo_oracle():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(fusion, "_close_under",
                    lambda seed, operators, layers=None:
-                   _fifo_closure_oracle([seed], operators))
+                   _fifo_closure_oracle([seed], operators).pivots())
         yield
 
 
@@ -350,15 +350,15 @@ def test_degree_ordered_closure_matches_fifo_oracle(weights):
 
 @contextmanager
 def _recorded_closures():
-    # yields a list that gets (seed, operators, layers, basis) for every
+    # yields a list that gets (seed, operators, layers, pivots) for every
     # closure run
     closures = []
     close = fusion._close_under
 
     def recording(seed, operators, layers=None):
-        basis = close(seed, operators, layers)
-        closures.append((seed, operators, layers, basis))
-        return basis
+        pivots = close(seed, operators, layers)
+        closures.append((seed, operators, layers, pivots))
+        return pivots
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(fusion, "_close_under", recording)
@@ -371,11 +371,11 @@ def test_module_closure_stops_at_weight_zero(weights):
     # the closure keeps only rows of h-weight <= 0; the rest are mirrored
     with _recorded_closures() as closures:
         module = _build_module_cached.__wrapped__(weights)
-    ((seed, _, layers, basis),) = closures
+    ((seed, _, layers, pivots),) = closures
     n = sum(a - 1 for a in weights)
     assert layers == n // 2
-    assert max(seed.model.bigrade(p)[0] for p in basis.pivots()) == -(n % 2)
-    assert basis.dimension < module.dimension == math.prod(weights)
+    assert max(seed.model.bigrade(p)[0] for p in pivots) == -(n % 2)
+    assert len(pivots) < module.dimension == math.prod(weights)
     assert module.character == character_recursive(weights)
 
 
@@ -391,21 +391,20 @@ def test_submodule_closure_stops_at_weight_zero():
     for weights, index in pairs:
         with _recorded_closures() as closures:
             sub = build_submodule(weights, index)
-        ((seed, operators, layers, basis),) = closures
+        ((seed, operators, layers, pivots),) = closures
         bigrade = seed.model.bigrade
         w_gen = bigrade(next(iter(seed.coeffs)))[0]
         assert layers == -w_gen // 2
-        assert max(bigrade(p)[0] for p in basis.pivots()) <= 0
+        assert max(bigrade(p)[0] for p in pivots) <= 0
         full = fusion._close_under(seed, operators)
-        assert (full.dimension == sub.dimension
-                == kernel_dimension(weights, index))
-        char = Counter(bigrade(p) for p in full.pivots())
+        assert len(full) == sub.dimension == kernel_dimension(weights, index)
+        char = Counter(bigrade(p) for p in full)
         assert char == Counter({(-w, t): m for (w, t), m in char.items()})
         left, right = weights[index - 1], weights[index]
         kernel = tuple(sorted(sub.aprime + (right - left + 1,)))
         peeled = character_recursive(kernel)
-        assert basis.dimension == sum(m for (w, _), m in peeled.items()
-                                      if w <= 0)
+        assert len(pivots) == sum(m for (w, _), m in peeled.items()
+                                  if w <= 0)
 
 
 @pytest.mark.parametrize("weights", [

@@ -86,12 +86,12 @@ def test_records_validate_the_tuple_they_keep():
     (1, 3, "an integer in 1..3"),
 ])
 def test_check_int_states_its_rule(low, high, rule):
-    assert types._check_int(3, "x", low, high) == 3
+    assert types.check_int(3, "x", low, high) == 3
     for bad in (True, 3.0, "3", None) + ((low - 1,) if low is not None else ()):
         with pytest.raises(ValueError,
                            match=f"^x must be {re.escape(rule)}, got "
                                  f"{re.escape(repr(bad))}$"):
-            types._check_int(bad, "x", low, high)
+            types.check_int(bad, "x", low, high)
 
 
 # One case per integer check of the package: the call, with the argument
