@@ -8,9 +8,10 @@ sweeps, so each cross-check has one home and both front ends run it.  A
 statement that holds by construction, whatever the first route computes,
 is no second route and is not a check: `isom`, `degrees` and `picard`
 have no function here until they get a real one, and a second route left
-unrun, such as a module past the peeling cap, gives no check.  The result
-records only compute; `fusion.ExactSequenceResult.holds` is the one
-verdict a record keeps.
+unrun, such as a module past the peeling cap, gives no check; nor does
+rerunning one fold, so the Verlinde checks use `verlinde.kac_walton`.
+The result records only compute; `fusion.ExactSequenceResult.holds` is
+the one verdict a record keeps.
 
 Each criterion is a self-contained exhaustive or seeded check returning a
 CheckResult; run_all executes them in order.  Scales are chosen so the whole
@@ -41,10 +42,9 @@ from .schubert import (bundle_split, canonical_flag, coordinate_ring_dims,
 from .types import (Composition, DimensionCapError, _check_size, canonical_A,
                     check_int, compositions, leq, leq_by_vectors, poincare,
                     poincare_recursive_single, type_of)
-from .verlinde import (FusionRingElement, character_stabilization, fuse,
+from .verlinde import (character_stabilization, fuse,
                        grassmannian_section_dims, grassmannian_weights,
-                       limit_multiplicities, product_chain,
-                       product_chain_right)
+                       kac_walton, limit_multiplicities, product_chain)
 
 __all__ = [
     "CheckResult", "CRITERIA", "run_all", "weight_corpus", "dim_checks",
@@ -250,30 +250,36 @@ def flag_checks(chain, comp, count: int = 0, seed: int = 0) -> list:
 
 
 def verlinde_fuse_checks(a: int, b: int, elt) -> list:
-    """`elt` is the level-k product [a] . [b]."""
+    """`elt` is the level-k product [a] . [b], which the Kac-Walton formula
+    reaches by reflecting the Clebsch-Gordan range |a - b| .. a + b."""
     classical = elt.classical_dimension()
     bound = (a + 1) * (b + 1)
     classical_ok = classical == bound if elt.level >= a + b else classical <= bound
+    reflected = kac_walton(elt.level,
+                           {c: 1 for c in range(abs(a - b), a + b + 1, 2)})
     return [
-        _check("commutative", fuse(elt.level, b, a) == elt, "[b].[a] agrees"),
+        _check("kac_walton", reflected == elt.coeffs,
+               "the reflected Clebsch-Gordan range agrees"),
         _check("classical_bound", classical_ok,
                f"total dimension {classical} vs tensor product {bound}"),
     ]
 
 
 def verlinde_limit_checks(decomp) -> list:
-    """The left and right folds agree, and at level sum(b_i) the product
-    has the classical tensor dimension; that fold is charged its
-    coefficient updates, so a long bundle raises DimensionCapError well
-    below the level cap."""
-    bundle, level = decomp.bundle, decomp.level
-    folds_agree = product_chain(level, bundle) == product_chain_right(level, bundle)
-    classical = product_chain(sum(bundle), bundle).classical_dimension()
+    """At level sum(b_i) no class reaches the wall, so the fold there is
+    the classical product: its Kac-Walton reflection must be the reported
+    multiplicities and boundary coefficient, and it must have the tensor
+    dimension.  That fold is charged its coefficient updates, so a long
+    bundle raises DimensionCapError well below the level cap."""
+    bundle = decomp.bundle
+    fold = product_chain(sum(bundle), bundle)
+    reported = decomp.multiplicities + (decomp.boundary_coefficient,)
     return [
-        _check("fold_independence", folds_agree,
-               "left and right folds of the product agree"),
+        _check("kac_walton",
+               kac_walton(decomp.level, dict(enumerate(fold.coeffs))) == reported,
+               "the reflected classical product agrees"),
         _check("classical_limit",
-               classical == math.prod(b + 1 for b in bundle),
+               fold.classical_dimension() == math.prod(b + 1 for b in bundle),
                "high-level product has the tensor dimension"),
     ]
 
@@ -532,11 +538,13 @@ def criterion_9_verlinde(max_n: int | None = None) -> CheckResult:
             for b in range(k + 1):
                 problems += _failures(verlinde_fuse_checks(a, b, fuse(k, a, b)),
                                       f"k={k}, [{a}].[{b}]")
-                for c in range(k + 1):
-                    lhs = (fuse(k, a, b) * FusionRingElement.basis(k, c))
-                    rhs = (FusionRingElement.basis(k, a) * fuse(k, b, c))
-                    if lhs != rhs:
-                        problems.append(f"associativity fails k={k}")
+        # the reflection is a ring map from the classical product, so this
+        # holds commutativity and associativity of the fold at once
+        for triple in itertools.product(range(k + 1), repeat=3):
+            classical = product_chain(sum(triple), triple).coeffs
+            if (kac_walton(k, dict(enumerate(classical)))
+                    != product_chain(k, triple).coeffs):
+                problems.append(f"kac_walton fails at k={k}, {triple}")
     for k in range(1, 7):
         if fuse(k, k, k).coeffs != (1,) + (0,) * k:
             problems.append(f"boundary involution fails k={k}")
@@ -555,9 +563,9 @@ def criterion_9_verlinde(max_n: int | None = None) -> CheckResult:
                 qdim_err = max(qdim_err, abs(total - qdim(a) * qdim(b)))
     if qdim_err > 1e-9:
         problems.append(f"quantum dimension error {qdim_err:.2e}")
-    detail = (f"ring axioms k <= 5; involution k <= 6; {len(bundles)} classical "
-              f"and fold checks; qdim homomorphism off by {qdim_err:.1e} "
-              f"(tol 1e-9)")
+    detail = (f"Kac-Walton reflection of every triple k <= 5; involution "
+              f"k <= 6; {len(bundles)} limit decompositions reflected; qdim "
+              f"homomorphism off by {qdim_err:.1e} (tol 1e-9)")
     return _result(9, "Verlinde algebra consistency", problems, detail)
 
 

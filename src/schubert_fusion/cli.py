@@ -11,8 +11,10 @@ have no second route yet, so they print an empty check list.
 `COMMANDS` names each subcommand's handler, help and arguments, from
 which `_build_parser` builds the parser.  A handler checks an integer
 argument whose library parameter has another name (`imax` for `i_max`,
-`--random` for `count`) itself, with the same `types.check_int` rule, so
-an error names the argument as the help does.
+`--random` for `count`, `n`, `i`, `t`, `k`, `a` and `b`) itself, with the
+same `types.check_int` rule, so an error names the argument as the help
+does; a bound that depends on a vector is checked once the library would
+accept the vector, so a malformed one keeps the library's message.
 
 Exit codes: 0 success, 1 a mathematical check failed, 2 invalid input,
 3 a resource cap exceeded (also a result with an integer too long to
@@ -53,6 +55,7 @@ from .types import (
     poincare,
     poincare_recursive_single,
     type_of,
+    weakly_increasing,
 )
 from .verlinde import character_stabilization, fuse, limit_multiplicities
 
@@ -86,14 +89,22 @@ def _cmd_char(args):
 
 
 def _cmd_relations(args):
-    report = check_relations(args.n, args.i)
+    report = check_relations(check_int(args.n, "n", 1),
+                             check_int(args.i, "i", 1))
     result = [{"power": i, "lowest_degree": k}
               for i, k in enumerate(report.lowest, start=1)]
     return result, acceptance.relations_checks(report)
 
 
+def _pair_index(args) -> int:
+    """`i` checked against the adjacent pairs of a well-formed A."""
+    if len(weakly_increasing(args.A, minimum=1)) > 1:
+        check_int(args.i, "i", 1, len(args.A) - 1)
+    return args.i
+
+
 def _cmd_submodule(args):
-    sub = build_submodule(args.A, args.i)
+    sub = build_submodule(args.A, _pair_index(args))
     result = {"dimension": sub.dimension, "case": sub.case,
               "aprime": list(sub.aprime),
               "adoubleprime": list(sub.adoubleprime) if sub.adoubleprime else None}
@@ -101,7 +112,7 @@ def _cmd_submodule(args):
 
 
 def _cmd_exactseq(args):
-    res = exact_sequence_check(args.A, args.i)
+    res = exact_sequence_check(args.A, _pair_index(args))
     result = {"submodule_dim": res.dim_submodule,
               "quotient_weights": list(res.quotient),
               "quotient_dim": res.dim_quotient,
@@ -151,6 +162,8 @@ def _cmd_morphism(args):
 
 def _cmd_bundle_split(args):
     comp = Composition(args.C)
+    if comp.s > 1:
+        check_int(args.t, "t", 1, comp.s - 1)
     split = bundle_split(comp, args.t)
     total, fiber, base = map(poincare, (comp, split.fiber, split.base))
     result = {
@@ -196,7 +209,8 @@ def _cmd_flag_check(args):
 
 
 def _cmd_verlinde_fuse(args):
-    elt = fuse(args.k, args.a, args.b)
+    k = check_int(args.k, "k", 0)
+    elt = fuse(k, check_int(args.a, "a", 0, k), check_int(args.b, "b", 0, k))
     result = {"coefficients": list(elt.coeffs), "support": list(elt.support())}
     return result, acceptance.verlinde_fuse_checks(args.a, args.b, elt)
 

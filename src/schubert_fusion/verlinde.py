@@ -6,6 +6,8 @@ range at the level wall:
 
     [a] . [b] = sum of [c],  c = |a-b|, |a-b|+2, ..., min(a+b, 2k-a-b).
 
+`product_chain` is the one product; `kac_walton` is its second route.
+
 Products of the basis classes for a weakly increasing weight list B are
 taken at level b_n + 1.  The coefficients of [0] .. [b_n] are the limit
 multiplicities of the section spaces over the growing Schubert chain whose
@@ -39,10 +41,6 @@ def _check_level(k: int) -> int:
     return k
 
 
-def _check_weight(k: int, a: int) -> int:
-    return check_int(a, "weight", 0, k)
-
-
 class FusionRingElement(_Validated,
                         namedtuple("FusionRingElement", "level coeffs")):
     """Element of the level-k fusion ring in the basis [0] .. [k].
@@ -63,43 +61,6 @@ class FusionRingElement(_Validated,
             check_int(c, "coefficient", 0)
         return super().__new__(cls, level, coeffs)
 
-    @staticmethod
-    def basis(level: int, a: int) -> "FusionRingElement":
-        _check_weight(_check_level(level), a)
-        coeffs = [0] * (level + 1)
-        coeffs[a] = 1
-        return FusionRingElement(level, tuple(coeffs))
-
-    @staticmethod
-    def unit(level: int) -> "FusionRingElement":
-        return FusionRingElement.basis(level, 0)
-
-    def __mul__(self, other: "FusionRingElement") -> "FusionRingElement":
-        """The product, over the nonzero coefficients of both factors.
-
-        A pair [a] . [b] reaches at most min(a, b) + 1 classes, so the
-        product is charged its support times the other's support times
-        the widest such range against the dimension cap, before it runs,
-        as `product_chain` charges a fold.
-        """
-        if self.level != other.level:
-            raise ValueError("cannot multiply elements of different levels")
-        k = self.level
-        left = [(a, ca) for a, ca in enumerate(self.coeffs) if ca]
-        right = [(b, cb) for b, cb in enumerate(other.coeffs) if cb]
-        out = [0] * (k + 1)
-        if not left or not right:
-            return FusionRingElement(k, out)
-        width = min(left[-1][0], right[-1][0]) + 1
-        _check_size(len(left) * len(right) * width,
-                    f"fusion product of supports {len(left)} and {len(right)} "
-                    f"at level {k}", " coefficient updates")
-        for a, ca in left:
-            for b, cb in right:
-                for c in _fusion_range(k, a, b):
-                    out[c] += ca * cb
-        return FusionRingElement(k, out)
-
     def classical_dimension(self) -> int:
         """Total dimension when each [c] is read as the (c+1)-dim sl2 module."""
         return sum(m * (c + 1) for c, m in enumerate(self.coeffs))
@@ -116,10 +77,6 @@ class FusionRingElement(_Validated,
         return f"FusionRingElement(level={self.level}, {body})"
 
 
-def _fusion_range(k: int, a: int, b: int):
-    return range(abs(a - b), min(a + b, 2 * k - a - b) + 1, 2)
-
-
 def fuse(k: int, a: int, b: int) -> FusionRingElement:
     """Product [a] . [b] in the level-k fusion ring."""
     return product_chain(k, (a, b))
@@ -134,7 +91,7 @@ def product_chain(k: int, weights) -> FusionRingElement:
     before it runs, and the total is held to the dimension cap.
     """
     _check_level(k)
-    weights = [_check_weight(k, w) for w in weights]
+    weights = [check_int(w, "weight", 0, k) for w in weights]
     what = f"fusion product of {len(weights)} classes at level {k}"
     out = {weights[0]: 1} if weights else {0: 1}
     work = 0
@@ -143,7 +100,7 @@ def product_chain(k: int, weights) -> FusionRingElement:
         _check_size(work, what, " coefficient updates")
         step = {}
         for a, ca in out.items():
-            for c in _fusion_range(k, a, w):
+            for c in range(abs(a - w), min(a + w, 2 * k - a - w) + 1, 2):
                 step[c] = step.get(c, 0) + ca
         out = step
     coeffs = [0] * (k + 1)
@@ -152,14 +109,28 @@ def product_chain(k: int, weights) -> FusionRingElement:
     return FusionRingElement(k, coeffs)
 
 
-def product_chain_right(k: int, weights) -> FusionRingElement:
-    """Right fold [w_1] . ([w_2] . ( ... . [w_n])) of the fusion product.
+def kac_walton(level: int, classical) -> tuple:
+    """The level-k image of a classical product, by the Kac-Walton formula.
 
-    The ring is commutative, so this is the left fold of the reversed list:
-    equal to `product_chain` by associativity, with a different product at
-    every intermediate step, and kept as the second route to it.
+    `classical` maps each class c of an untruncated sl2 product to its
+    multiplicity.  The affine Weyl group at level k acts on the shifted
+    weight c + 1 by x -> -x and x -> x + 2(k + 2); each class is moved into
+    1 .. k + 1 with the sign of its reflection, and a class on a wall
+    (c + 1 a multiple of k + 2) goes to 0 (Kac, Infinite-dimensional Lie
+    algebras, ch. 13; Walton, Nucl. Phys. B 340, 1990).  The level + 1
+    coefficients come back as a plain tuple, not a FusionRingElement, so a
+    wrong input's negative entry fails a comparison instead of raising.
     """
-    return product_chain(k, list(weights)[::-1])
+    _check_level(level)
+    wall = level + 2
+    out = [0] * (level + 1)
+    for c, m in classical.items():
+        x = (c + 1) % (2 * wall)
+        if x > wall:
+            x, m = 2 * wall - x, -m
+        if x % wall:
+            out[x - 1] += m
+    return tuple(out)
 
 
 class LimitDecomposition(namedtuple(
@@ -176,13 +147,13 @@ class LimitDecomposition(namedtuple(
 
 
 def limit_multiplicities(bundle) -> LimitDecomposition:
+    """The product [b_1] ... [b_n] of a weakly increasing bundle at level
+    b_n + 1, split into the multiplicities of [0] .. [b_n] and the
+    coefficient of the boundary class [b_n + 1], which is kept apart."""
     bundle = weakly_increasing(bundle, minimum=0)
-    top = bundle[-1]
-    level = top + 1
-    product = product_chain(level, bundle)
-    mults = product.coeffs[:top + 1]
-    boundary = product.coeffs[top + 1]
-    return LimitDecomposition(bundle, level, tuple(mults), boundary, boundary != 0)
+    *mults, boundary = product_chain(bundle[-1] + 1, bundle).coeffs
+    return LimitDecomposition(bundle, bundle[-1] + 1, tuple(mults), boundary,
+                              boundary != 0)
 
 
 def grassmannian_weights(bundle, steps: int) -> tuple:

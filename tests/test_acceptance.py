@@ -38,8 +38,9 @@ def _negated_leq_by_vectors(lo, hi):
     return not types.leq_by_vectors(lo, hi)
 
 
-def _short_product_chain_right(level, bundle):
-    return verlinde.product_chain_right(level, bundle[:-1])
+def _kac_walton_one_level_low(level, classical):
+    # reflects at the walls of level - 1 and pads the vector to level + 1
+    return verlinde.kac_walton(level - 1, classical) + (0,)
 
 
 @pytest.mark.parametrize("name, wrong_route, argv, criterion", [
@@ -47,11 +48,13 @@ def _short_product_chain_right(level, bundle):
      acceptance.criterion_4_exact_sequences),
     ("leq_by_vectors", _negated_leq_by_vectors, ("morphism", "1,1,1", "2,1"),
      acceptance.criterion_6_type_lattice),
-    ("product_chain_right", _short_product_chain_right,
+    ("kac_walton", _kac_walton_one_level_low,
      ("verlinde-limit", "1,1"), acceptance.criterion_9_verlinde),
+    ("kac_walton", _kac_walton_one_level_low,
+     ("verlinde-fuse", "3", "2", "2"), acceptance.criterion_9_verlinde),
     ("grassmannian_section_dims", lambda bundle, steps: 0,
      ("stabilize", "1", "2", "1"), acceptance.criterion_10_stabilization),
-], ids=["char", "morphism", "verlinde-limit", "stabilize"])
+], ids=["char", "morphism", "verlinde-limit", "verlinde-fuse", "stabilize"])
 def test_a_broken_route_fails_both_front_ends(monkeypatch, capsys, name,
                                               wrong_route, argv, criterion):
     # the CLI and the battery run the same check, so a wrong second route
@@ -88,6 +91,18 @@ def test_the_battery_runs_every_cli_check(monkeypatch):
                             recorded(name, getattr(acceptance, name)))
     assert all(result.passed for result in acceptance.run_all(2))
     assert called == names
+
+
+def test_limit_checks_read_the_reported_vector():
+    # the reflected classical product of (1, 1) at level 2 is [0] + [2],
+    # so a decomposition that drops its boundary coefficient fails
+    decomp = verlinde.limit_multiplicities((1, 1))
+    assert decomp.boundary_coefficient == 1
+    checks = acceptance.verlinde_limit_checks(decomp)
+    assert [chk["pass"] for chk in checks] == [True, True]
+    wrong = acceptance.verlinde_limit_checks(
+        decomp._replace(boundary_coefficient=0))
+    assert [chk["pass"] for chk in wrong] == [False, True]
 
 
 def test_bundle_split_checks_multiply_the_factors():

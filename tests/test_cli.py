@@ -479,7 +479,20 @@ def test_selftest_rejects_nonpositive_max_n(capsys, monkeypatch, max_n):
     (("stabilize", "1", "0", "2"), "imax must be a positive integer, got 0"),
     (("degrees", "--", "-1,0"), "entry must be a nonnegative integer"),
     (("bundle-exists", "--", "-1,2", "1,1"), "entry must be a nonnegative"),
-], ids=["flag-check", "coordring", "stabilize", "degrees", "bundle-exists"])
+    # the help's n, i, t, k, a and b, not the library's truncation, index,
+    # cut, level and weight
+    (("relations", "0", "1"), "n must be a positive integer, got 0"),
+    (("submodule", "2,3", "5"), "i must be an integer in 1..1, got 5"),
+    (("exactseq", "2,3,4", "0"), "i must be an integer in 1..2, got 0"),
+    (("bundle-split", "2,1", "5"), "t must be an integer in 1..1, got 5"),
+    (("verlinde-fuse", "2", "3", "1"), "a must be an integer in 0..2, got 3"),
+    (("verlinde-fuse", "-1", "0", "0"),
+     "k must be a nonnegative integer, got -1"),
+    # i's bound comes from A, so a malformed A keeps the library's message
+    (("submodule", "3,2", "5"), "vector must be weakly increasing"),
+], ids=["flag-check", "coordring", "stabilize", "degrees", "bundle-exists",
+        "relations", "submodule", "exactseq", "bundle-split", "verlinde-fuse",
+        "verlinde-fuse-k", "submodule-malformed"])
 def test_out_of_domain_input_exits_2(capsys, argv, reason):
     # the message names an argument as the help does (imax, not i_max)
     code, out, err = run(capsys, *argv)
