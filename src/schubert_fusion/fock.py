@@ -37,7 +37,9 @@ is comparing their block-id tuples lexicographically.  The single-current
 images of each block are memoized per block position and mode as
 (shifted delta, multiplier) pairs, the delta being the id difference
 already shifted into that position's field, so a current rewrites one
-field with one add.
+field with one add.  Blocks of one factor and of many share one move
+path: a move replaces one copy of a monomial by a larger one, so the new
+block is four slices of the old, and no two moves of a block share an image.
 
 A model belongs to one closure: `top_wedge` creates it, every state derived
 from that top wedge carries it, and it is freed with the last of them, so
@@ -59,8 +61,9 @@ packed indices is still the order of their block-id tuples.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections import namedtuple
+from collections.abc import Sequence
 
 from .types import DimensionCapError, check_int
 
@@ -110,8 +113,9 @@ class WedgeModel:
     `grades[id]` its (h-weight, t-degree).  `moves[g][mode]`, made on the
     first use of e_mode in position g, maps the id of a block in position g
     (an index into `groups`) to the tuple of (shifted delta, multiplier)
-    pairs of its image under e_mode, where the shifted delta is (image id -
-    id) moved into position g's field, so it adds to a whole packed index.
+    pairs of its image under e_mode, one per move, where the shifted delta
+    is (image id - id) moved into position g's field, so it adds to a whole
+    packed index; no two pairs of an entry share a delta.
     `bits` is the width of one id field of a packed index: wide enough for
     every block the model can hold, no wider (see the module docstring).
     """
@@ -169,67 +173,55 @@ class WedgeModel:
             tdeg += t
         return weight, tdeg
 
-    def _block_moves(self, g, bid, mode) -> tuple:
+    def _block_moves(self, g, bid, mode, moves_of) -> tuple:
         """Images of one interned block in position g under e_mode.
 
-        Computes and memoizes the entry of `moves[g][mode]`; `apply_current`
-        reads the table itself and calls this only on a miss.
+        Stores the entry in `moves_of`, the table `moves[g][mode]`, which
+        `apply_current` reads itself, calling this only on a miss.
 
-        Replacing one factor monomial gamma by gamma' collects the
-        arrangements of the new multiset; the multiplier carries the wedge
-        sign and the multiplicity of gamma' in the new multiset (the number
-        of slots the move could have landed in).
+        Replacing one copy of a factor monomial gamma by gamma' collects
+        the arrangements of the new multiset; the multiplier carries the
+        wedge sign and the multiplicity of gamma' in the new multiset.  A
+        move sets a bit above the one it clears, so gamma' > gamma goes in
+        at some r >= end, the last copy of gamma being at end - 1.  Two
+        moves share an image only if they share gamma and gamma', so
+        nothing is merged; moves and the blocks they intern come in source
+        order, monomials and then bits ascending.
         """
         block = self.blocks[bid]
-        weight, tdeg = self.grades[bid]
-        grade = (weight + 2, tdeg + mode)  # one v_i became u_{i+mode}
         m = self.groups[g][0]
         up = m + mode  # v_i at bit i goes to u_{i+mode} at bit i + up
         sources = (1 << (m - mode)) - 1  # v_i with i + mode < m
         shift = self.bits * (len(self.groups) - 1 - g)
         ids = self._ids
-        if len(block) == 1:
-            # one factor: each move makes its own monomial, in one slot
-            (mono,) = block
+        grade = None  # made on the first new block, shared by the rest
+        moves = []
+        end = 0
+        while end < len(block):  # one pass per distinct monomial
+            mono = block[end]
+            end = bisect_right(block, mono, end)
             free = mono & sources & ~(mono >> up)  # sources with a free target
-            moves = []
+            if not free:
+                continue
+            head = block[:end - 1]  # the block below the last copy of mono
             while free:
                 low = free & -free
                 free ^= low
                 target = low << up
-                c = -1 if (mono & (target - (low << 1))).bit_count() & 1 else 1
-                new_block = (mono ^ low ^ target,)
+                new_mono = mono ^ low ^ target
+                r = bisect_left(block, new_mono, end)
+                new_block = head + block[end:r] + (new_mono,) + block[r:]
+                mult = bisect_right(block, new_mono, r) - r + 1
+                if (mono & (target - (low << 1))).bit_count() & 1:
+                    mult = -mult
                 nbid = ids.get(new_block)
                 if nbid is None:
+                    if grade is None:  # one v_i became u_{i+mode}
+                        weight, tdeg = self.grades[bid]
+                        grade = (weight + 2, tdeg + mode)
                     nbid = self.intern(new_block, grade)
-                moves.append(((nbid - bid) << shift, c))
-            moves = tuple(moves)
-        else:
-            acc = {}
-            prev = None
-            for slot, mono in enumerate(block):
-                if mono == prev:
-                    continue  # same source monomial, already processed
-                prev = mono
-                free = mono & sources & ~(mono >> up)
-                if not free:
-                    continue
-                rest_block = block[:slot] + block[slot + 1:]
-                while free:
-                    low = free & -free
-                    free ^= low
-                    target = low << up
-                    new_mono = mono ^ low ^ target
-                    c = -1 if (mono & (target - (low << 1))).bit_count() & 1 else 1
-                    r = bisect_left(rest_block, new_mono)
-                    new_block = rest_block[:r] + (new_mono,) + rest_block[r:]
-                    mult = rest_block.count(new_mono) + 1
-                    nbid = ids.get(new_block)
-                    if nbid is None:
-                        nbid = self.intern(new_block, grade)
-                    acc[nbid] = acc.get(nbid, 0) + c * mult
-            moves = tuple([((b - bid) << shift, c) for b, c in acc.items() if c])
-        self.moves[g].setdefault(mode, {})[bid] = moves
+                moves.append(((nbid - bid) << shift, mult))
+        moves = moves_of[bid] = tuple(moves)
         return moves
 
 
@@ -284,8 +276,8 @@ def apply_current(mode: int, state: WedgeState, blocks=None) -> WedgeState:
     vanish.  `blocks` restricts the diagonal action to the given blocks of
     equal truncations, as indices into `state.model.groups` (used for
     operators acting on one tensor block only); by default the current
-    acts on every block.  A block index outside 0 .. len(groups) - 1
-    raises ValueError.
+    acts on every block.  A `blocks` that is not a sequence, a block index
+    outside 0 .. len(groups) - 1 or a repeated one raises ValueError.
     """
     check_int(mode, "current mode", 0)
     model = state.model
@@ -294,7 +286,12 @@ def apply_current(mode: int, state: WedgeState, blocks=None) -> WedgeState:
     if blocks is None:
         scope = range(len(groups))
     else:
+        if not isinstance(blocks, Sequence):
+            raise ValueError(f"blocks must be a sequence of block indices, "
+                             f"got {blocks!r}")
         scope = tuple(check_int(g, "block index", 0, last) for g in blocks)
+        if len(set(scope)) < len(scope):
+            raise ValueError(f"block indices must be distinct, got {scope!r}")
     bits = model.bits
     mask = (1 << bits) - 1
     out = {}
@@ -308,7 +305,7 @@ def apply_current(mode: int, state: WedgeState, blocks=None) -> WedgeState:
             bid = (idx >> shift) & mask
             moves = moves_of.get(bid)
             if moves is None:
-                moves = model._block_moves(g, bid, mode)
+                moves = model._block_moves(g, bid, mode, moves_of)
             for delta, mul in moves:
                 new_idx = idx + delta
                 out[new_idx] = get(new_idx, 0) + coeff * mul

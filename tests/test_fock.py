@@ -161,6 +161,16 @@ def test_block_index_out_of_range_raises(bad):
         apply_current(0, state, blocks=(0, bad))
 
 
+def test_repeated_or_non_sequence_blocks_raise():
+    # a repeated index would apply the current to its block twice
+    state = top_wedge((2, 1))
+    assert apply_current(0, state, blocks=(0,)).coeffs == {17: -1, 25: 1}
+    with pytest.raises(ValueError, match="distinct"):
+        apply_current(0, state, blocks=(0, 0))
+    with pytest.raises(ValueError, match="sequence of block indices"):
+        apply_current(0, state, blocks=5)
+
+
 def test_single_factor_nilpotence():
     m = 3
     state = top_wedge((m,))
@@ -256,14 +266,18 @@ def every_block(m, count):
 
 
 @pytest.mark.parametrize("shapes", [(1,), (2,), (3,), (4,), (5,),
-                                    (1, 1), (2, 2), (3, 3), (3, 1), (2, 2, 1)])
+                                    (1, 1), (2, 2), (3, 3), (3, 1), (2, 2, 1),
+                                    (1,) * 5, (2, 2, 2), (2, 2, 2, 1)])
 def test_block_moves_match_the_particle_oracle(shapes):
     # every block of the first group, in the most significant field: every
-    # one-factor block of truncation <= 5 and every two-factor block of
-    # truncation <= 3, under every mode below the truncation: the masks' XOR
-    # moves, popcount signs, multiplicities and shifted deltas against
-    # sorted particles.  The other groups hold their top wedges, and the
-    # current acts on the first group alone as well as on the whole state.
+    # one-factor block of truncation <= 5, every two-factor block of
+    # truncation <= 3, every five-factor block of truncation 1 and every
+    # three-factor block of truncation 2, under every mode below the
+    # truncation: the masks' XOR moves, popcount signs, multiplicities and
+    # shifted deltas against sorted particles.  Only blocks of three or
+    # more factors can repeat both a move's source and its target
+    # monomial.  The other groups hold their top wedges, and the current
+    # acts on the first group alone as well as on the whole state.
     m, count = factor_groups(shapes)[0]
     top = top_wedge(shapes)
     model = top.model
@@ -284,6 +298,44 @@ def test_block_moves_match_the_particle_oracle(shapes):
                     assert model.bigrade(index) == particle_grade(word)
         seen += 1
     assert seen == math.comb(math.comb(2 * m, m) + count - 1, count)
+
+
+@pytest.mark.parametrize("weights", [(3, 3, 5, 5), (2, 9, 14)],
+                         ids=["3,3,5,5", "2,9,14"])
+def test_move_tables_need_no_merging(weights):
+    # groups (4, 2), (2, 2) and (3, 1), (2, 7), (1, 5): walk every index
+    # the currents reach from the top wedge, then check each table entry.
+    # Two moves of a block with one image would replace the same monomial
+    # by the same monomial, so the images of an entry are distinct and no
+    # multiplier cancels; a multiplier counts the copies of the new
+    # monomial, at most the group's factors and 1 for a single factor.
+    top = top_wedge(factor_shapes(weights))
+    model = top.model
+    modes = range(max(m for m, _ in model.groups))
+    seen = set(top.coeffs)
+    frontier = list(seen)
+    while frontier:
+        reached = []
+        for index in frontier:
+            state = WedgeState(model, {index: 1})
+            for mode in modes:
+                for image in apply_current(mode, state).coeffs:
+                    if image not in seen:
+                        seen.add(image)
+                        reached.append(image)
+        frontier = reached
+    largest = 0
+    for (m, count), tables in zip(model.groups, model.moves):
+        assert tables
+        for table in tables.values():
+            for moves in table.values():
+                deltas = [delta for delta, _ in moves]
+                assert len(set(deltas)) == len(deltas)
+                for _, mult in moves:
+                    assert 0 < abs(mult) <= count
+                    assert count > 1 or abs(mult) == 1
+                    largest = max(largest, abs(mult))
+    assert largest > 1  # some move lands on a monomial already present
 
 
 def test_explicit_model_signs():
