@@ -41,22 +41,61 @@ field with one add.  Blocks of one factor and of many share one move
 path: a move replaces one copy of a monomial by a larger one, so the new
 block is four slices of the old, and no two moves of a block share an image.
 
-A model belongs to one closure: `top_wedge` creates it, every state derived
-from that top wedge carries it, and it is freed with the last of them, so
-no table is shared across the process.  It interns at most
-WEDGE_BLOCK_BUDGET blocks, read when the model is created, and interning
-past the budget raises DimensionCapError.  An id field is only as wide as
-the model can need: a block of c factors of truncation m is a multiset of
-c of the C(2m, m) monomials, so the model can never intern more than
+Factor coordinates.  A factor of truncation m only ever holds vectors of
+its own cyclic module F_m, the span of the top wedge of shape (m,) under
+the currents: the module on (2,) * m, the local Weyl module of dimension
+2^m (Chari-Loktev), whose layer k (h-weight -m + 2k) has dimension
+C(m, k).  The wedge basis spreads F_m over Catalan(m + 1) monomials, and
+the spread multiplies across factors.  A `FactorBasis` closes F_m layer by
+layer on monomial masks, with the bit moves of a wedge model and the
+degree-ordered closure of `fusion`, and reduces each layer fully: its
+basis vector b_s has 1 at its pivot (its smallest mask), 0 at the other
+pivots of its layer and only int entries.  That the entries are ints is
+measured, not proved: in mask order every row of F_1 .. F_11 is, and
+every row of F_12 .. F_16 up to the budget; in the interning order of a
+wedge model, rows of F_10 would need fractions.  A row that would need
+one raises ArithmeticError.  A vector of the layer has its value at s's
+pivot as its coordinate on s, so e_j acts on labels by the column
+e_j(b_s) read at the next layer's pivots.  Labels are numbered layer by
+layer, so every hop goes to a larger label, as every bit move goes to a
+larger monomial, and a label's grade is the bigrade of its pivot.
+
+`cyclic_vector` puts a closure of two or more tensor factors in factor
+coordinates: a factor slot holds a label instead of a monomial, and the
+orbit-sum blocks, packed indices and move tables are the same, the
+multiplier of a move being the column entry times the copies of the new
+label in the new block.  This is exact.  The cyclic vector lies in the
+tensor product of the F_{m_j}, and each F_m is stable under every
+current, so every vector of the closure lies there too; on it the
+coordinates are a linear isomorphism, applied factor by factor, which
+commutes with the currents and with orbit sums and keeps the bigrade.  So
+each bigrade's span has the same dimension in both coordinates, and the
+character is the same.  A lone factor keeps wedge coordinates: its
+closure is the construction of F_m itself.  F_m is built only as deep as
+its closure can reach, each layer when a hop first needs it and each
+column on its first use; a hop that needs a layer past that depth raises
+rather than return no moves.
+
+A model belongs to one closure: `top_wedge` or `cyclic_vector` creates
+it, with the factor bases it owns, every state derived from that top
+wedge carries it, and it is freed with the last of them, so no table is
+shared across the process.  A model interns at most WEDGE_BLOCK_BUDGET
+blocks and a factor basis meets at most that many monomials, the budget
+read when each is created; going past it raises DimensionCapError.
+An id field is only as wide as the model can need: a block of c factors
+of truncation m is a multiset of c of the C(2m, m) monomials, or of the
+2^m labels in factor coordinates, so the model can never intern more than
 
     limit = min(budget, sum over groups (m, c) of C(C(2m, m) + c - 1, c))
 
-distinct blocks, and a field is (limit - 1).bit_length() bits wide.  That
-is 18 bits at the default budget of 2**18 only when the sum reaches it
-(any m >= 11 does); the models of the fusion modules on (3, 4, 4, 5, 5)
-and (2, 9, 14) need 15 and 10, so the packed indices of most closures fit
-in one 30-bit CPython digit.  Every id fits its field, so the int order of
-packed indices is still the order of their block-id tuples.
+distinct blocks (2^m in place of C(2m, m) in factor coordinates), and a
+field is (limit - 1).bit_length() bits wide.  That is 18 bits at the
+default budget of 2**18 only when the sum reaches it (any m >= 11 does in
+wedge coordinates); the wedge models of the fusion modules on
+(3, 4, 4, 5, 5) and (2, 9, 14) need 15 and 10, and the factor model of
+(5, 5, 5, 5) needs 12, so the packed indices of most closures fit in one
+30-bit CPython digit.  Every id fits its field, so the int order of packed
+indices is still the order of their block-id tuples.
 """
 
 from __future__ import annotations
@@ -64,7 +103,9 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from collections import namedtuple
 from collections.abc import Sequence
+from itertools import repeat
 
+from .linalg import SpanBasis
 from .types import DimensionCapError, check_int
 
 WEDGE_BLOCK_BUDGET = 2 ** 18
@@ -81,8 +122,9 @@ def factor_groups(shapes) -> tuple:
     return tuple((m, c) for m, c in groups)
 
 
-def _id_limit(groups, budget) -> int:
-    """min(budget, sum over `groups` of C(C(2m, m) + c - 1, c)), see above.
+def _id_limit(groups, budget, labels) -> int:
+    """min(budget, sum over `groups` of C(C(2m, m) + c - 1, c)), see above;
+    with `labels`, for factor coordinates, 2^m stands for C(2m, m).
 
     Every count is taken saturating at the budget, so no binomial wider
     than the budget is ever formed: C(2k, k) grows by at least 2 per step
@@ -90,11 +132,16 @@ def _id_limit(groups, budget) -> int:
     """
     total = 0
     for m, count in groups:
-        monomials = 1  # C(2k, k) for k = 0 .. m, saturating
-        for k in range(1, m + 1):
-            monomials = monomials * 2 * (2 * k - 1) // k
-            if monomials >= budget:
-                return budget
+        if labels:  # 2^m, saturating
+            monomials = 1 << min(m, budget.bit_length())
+        else:  # C(2k, k) for k = 0 .. m, saturating
+            monomials = 1
+            for k in range(1, m + 1):
+                monomials = monomials * 2 * (2 * k - 1) // k
+                if monomials >= budget:
+                    break
+        if monomials >= budget:
+            return budget
         # C(monomials + count - 1, count) = C(s + r, r), r the smaller side
         r, s = sorted((count, monomials - 1))
         blocks = 1
@@ -106,43 +153,209 @@ def _id_limit(groups, budget) -> int:
     return min(total, budget)
 
 
+def _bit_hops(mono, mode, m) -> list:
+    """(new monomial, sign) of each move of e_mode on a truncation-m monomial.
+
+    e_mode moves v_i (bit i) to u_{i+mode} (bit m + i + mode) when i + mode
+    < m and the target is clear; the sign is the parity of the bits set
+    strictly between the two.  Moves come with i ascending.
+    """
+    up = m + mode
+    free = mono & ((1 << (m - mode)) - 1) & ~(mono >> up)
+    hops = []
+    while free:
+        low = free & -free
+        free ^= low
+        target = low << up
+        sign = -1 if (mono & (target - (low << 1))).bit_count() & 1 else 1
+        hops.append((mono ^ low ^ target, sign))
+    return hops
+
+
+class FactorBasis:
+    """The row-reduced integral basis of F_m, the cyclic module of one factor.
+
+    Label s stands for the basis vector b_s: `rows[s]` maps monomial masks
+    to its coefficients, and `grades[s]` is the bigrade of its pivot, the
+    smallest mask of the row.  Label 0 is the top wedge.  The later layers
+    are built in order, each when a hop first needs it, up to `depth`
+    layers past the top (at most m); a layer's labels follow its pivots in
+    increasing order.  `hops(s, mode)` is the column of e_mode on b_s, made
+    on its first use.  The bit moves of a monomial are memoized per mode,
+    and the basis meets at most `budget` monomials, read when it is made,
+    as a wedge model interns at most that many blocks.
+    """
+
+    __slots__ = ("truncation", "depth", "budget", "rows", "grades",
+                 "_columns", "_labels", "_moves", "_met", "_born", "_ends",
+                 "__weakref__")
+
+    def __init__(self, m, depth):
+        top = (1 << m) - 1
+        self.truncation = m
+        self.depth = min(m, depth)
+        self.budget = WEDGE_BLOCK_BUDGET
+        self.rows = [{top: 1}]
+        self.grades = [(-m, m * (m - 1) // 2)]
+        self._columns = {}  # mode -> {label: column}
+        self._labels = {top: 0}  # the mask of a pivot -> its label
+        self._moves = {}  # mode -> {mask: its bit moves}
+        self._met = set()  # every mask with a move table, charged to the budget
+        # the rows of the last layer built, as its span basis stored them,
+        # and for each mode the number of them born from modes up to it;
+        # every mode meets the top wedge
+        self._born = [{top: 1}]
+        self._ends = None
+
+    def hops(self, label, mode) -> tuple:
+        """(label', coefficient) pairs of e_mode(b_label), label' ascending.
+
+        The coefficients are the values of the image at the next layer's
+        pivots.  A nonzero image whose layer lies past `depth` raises
+        RuntimeError; an image of 0 gives no pairs at any depth.
+        """
+        columns = self._columns.get(mode)
+        if columns is None:
+            columns = self._columns[mode] = {}
+        column = columns.get(label)
+        if column is None:
+            image = self._image(self.rows[label], mode)
+            if image:  # an image of 0 needs no layer above it
+                m = self.truncation
+                layer = (self.grades[label][0] + m) // 2
+                while (self.grades[-1][0] + m) // 2 <= layer:
+                    self._grow()
+            labels = self._labels
+            column = columns[label] = tuple(sorted(
+                (labels[mono], c) for mono, c in image.items()
+                if mono in labels))
+        return column
+
+    def _image(self, row, mode) -> dict:
+        """e_mode on a row of masks, with no zero coefficient."""
+        moves = self._moves.get(mode)
+        if moves is None:
+            moves = self._moves[mode] = {}
+        out = {}
+        get = out.get
+        for mono, c in row.items():
+            hops = moves.get(mono)
+            if hops is None:
+                met = self._met
+                if mono not in met:
+                    if len(met) >= self.budget:
+                        raise DimensionCapError(
+                            f"factor basis of F_{self.truncation} met more "
+                            f"than the budget of {self.budget} monomials")
+                    met.add(mono)
+                hops = moves[mono] = _bit_hops(mono, mode, self.truncation)
+            for new, sign in hops:
+                out[new] = get(new, 0) + c * sign
+        return {mono: c for mono, c in out.items() if c}
+
+    def _grow(self):
+        """Build the next layer: its span, then its fully reduced rows."""
+        m = self.truncation
+        layer = (self.grades[-1][0] + m) // 2 + 1
+        if layer > self.depth:
+            raise RuntimeError(f"the basis of F_{m} is built to layer "
+                               f"{self.depth}; a hop needs layer {layer}")
+        # the currents commute, so a row born from e_i meets only e_j for
+        # j >= i, as in the span closure of `fusion`
+        basis = SpanBasis()
+        born, ends = [], []
+        for mode, end in zip(range(m), self._ends or repeat(1)):
+            for row in self._born[:end]:
+                image = self._image(row, mode)
+                if image:
+                    row = basis.insert_reduced(image)
+                    if row is not None:
+                        born.append(row)
+            ends.append(len(born))
+        self._born, self._ends = born, ends
+        # back substitution, highest pivot first: a row holds no entry
+        # below its pivot, and a reduced row is 0 at every other pivot, so
+        # clearing one pivot leaves the row's entries at the others alone
+        pivots = basis.pivots()
+        reduced = {}
+        for p, echelon in zip(reversed(pivots), reversed(basis.row_vectors())):
+            row = dict(echelon)
+            for q, c in echelon.items():
+                if q not in reduced:
+                    continue
+                for mono, rc in reduced[q].items():
+                    value = row.get(mono, 0) - c * rc
+                    if value:
+                        row[mono] = value
+                    else:
+                        del row[mono]
+            lead = row[p]
+            if any(c % lead for c in row.values()):
+                raise ArithmeticError(
+                    f"a reduced row of F_{m} in layer {layer} is not integral")
+            reduced[p] = {mono: c // lead for mono, c in row.items()}
+        for p in pivots:
+            self._labels[p] = len(self.rows)
+            self.rows.append(reduced[p])
+            # u_i at bit m + i, v_i at bit i: weight +-1, degree i each
+            self.grades.append((2 * layer - m, sum(
+                i % m for i in range(2 * m) if p >> i & 1)))
+
+
 class WedgeModel:
     """The interned blocks and memoized moves of one wedge model.
 
-    `blocks[id]` is a block (a sorted tuple of monomial masks), and
-    `grades[id]` its (h-weight, t-degree).  `moves[g][mode]`, made on the
-    first use of e_mode in position g, maps the id of a block in position g
-    (an index into `groups`) to the tuple of (shifted delta, multiplier)
-    pairs of its image under e_mode, one per move, where the shifted delta
-    is (image id - id) moved into position g's field, so it adds to a whole
-    packed index; no two pairs of an entry share a delta.
+    `blocks[id]` is a block (a sorted tuple of monomial masks, or of
+    labels in factor coordinates), and `grades[id]` its (h-weight,
+    t-degree).  `factors[g]` is None in wedge coordinates and the
+    `FactorBasis` of position g's truncation in factor coordinates, one
+    per truncation.  `moves[g][mode]`, made on the first use of e_mode in
+    position g, maps the id of a block in position g (an index into
+    `groups`) to the tuple of (shifted delta, multiplier) pairs of its
+    image under e_mode, one per move, where the shifted delta is (image id
+    - id) moved into position g's field, so it adds to a whole packed
+    index; no two pairs of an entry share a delta.
     `bits` is the width of one id field of a packed index: wide enough for
     every block the model can hold, no wider (see the module docstring).
     """
 
-    __slots__ = ("shapes", "groups", "budget", "bits", "blocks", "grades",
-                 "moves", "_ids", "__weakref__")
+    __slots__ = ("shapes", "groups", "factors", "budget", "bits", "blocks",
+                 "grades", "moves", "_ids", "__weakref__")
 
-    def __init__(self, shapes):
+    def __init__(self, shapes, depth):
+        """Wedge coordinates with no `depth`; factor coordinates with one,
+        each factor basis built to at most `depth` layers past its top."""
         self.shapes = shapes
         self.groups = factor_groups(shapes)
         self.budget = WEDGE_BLOCK_BUDGET
-        self.bits = (_id_limit(self.groups, self.budget) - 1).bit_length()
+        if depth is None:
+            self.factors = (None,) * len(self.groups)
+        else:
+            bases = {}
+            for m, _ in self.groups:
+                if m not in bases:
+                    bases[m] = FactorBasis(m, depth)
+            self.factors = tuple(bases[m] for m, _ in self.groups)
+        self.bits = (_id_limit(self.groups, self.budget, depth is not None)
+                     - 1).bit_length()
         self.blocks = []
         self.grades = []
         self.moves = [{} for _ in self.groups]
-        self._ids = {}
+        # one id dict per position: labels of two truncations may coincide
+        self._ids = [{} for _ in self.groups]
 
-    def intern(self, block, grade) -> int:
-        """The id of a block, given its (h-weight, t-degree) for a new entry."""
-        bid = self._ids.get(block)
+    def intern(self, g, block, grade) -> int:
+        """The id of a block in position g, given its (h-weight, t-degree)
+        for a new entry."""
+        ids = self._ids[g]
+        bid = ids.get(block)
         if bid is None:
             bid = len(self.blocks)
             if bid >= self.budget:
                 raise DimensionCapError(
                     f"wedge model on {self.shapes} interned more than the "
                     f"budget of {self.budget} blocks")
-            self._ids[block] = bid
+            ids[block] = bid
             self.blocks.append(block)
             self.grades.append(grade)
         return bid
@@ -181,45 +394,40 @@ class WedgeModel:
 
         Replacing one copy of a factor monomial gamma by gamma' collects
         the arrangements of the new multiset; the multiplier carries the
-        wedge sign and the multiplicity of gamma' in the new multiset.  A
-        move sets a bit above the one it clears, so gamma' > gamma goes in
-        at some r >= end, the last copy of gamma being at end - 1.  Two
-        moves share an image only if they share gamma and gamma', so
-        nothing is merged; moves and the blocks they intern come in source
-        order, monomials and then bits ascending.
+        hop's coefficient (the wedge sign, or the column entry of a label)
+        and the multiplicity of gamma' in the new multiset.  Every hop
+        goes up, gamma' > gamma, so gamma' goes in at some r >= end, the
+        last copy of gamma being at end - 1.  Two moves share an image
+        only if they share gamma and gamma', so nothing is merged; moves
+        and the blocks they intern come in source order, monomials and
+        then hops ascending.
         """
         block = self.blocks[bid]
         m = self.groups[g][0]
-        up = m + mode  # v_i at bit i goes to u_{i+mode} at bit i + up
-        sources = (1 << (m - mode)) - 1  # v_i with i + mode < m
+        factor = self.factors[g]
         shift = self.bits * (len(self.groups) - 1 - g)
-        ids = self._ids
+        ids = self._ids[g]
         grade = None  # made on the first new block, shared by the rest
         moves = []
         end = 0
         while end < len(block):  # one pass per distinct monomial
             mono = block[end]
             end = bisect_right(block, mono, end)
-            free = mono & sources & ~(mono >> up)  # sources with a free target
-            if not free:
+            hops = (_bit_hops(mono, mode, m) if factor is None
+                    else factor.hops(mono, mode))
+            if not hops:
                 continue
             head = block[:end - 1]  # the block below the last copy of mono
-            while free:
-                low = free & -free
-                free ^= low
-                target = low << up
-                new_mono = mono ^ low ^ target
+            for new_mono, coeff in hops:
                 r = bisect_left(block, new_mono, end)
                 new_block = head + block[end:r] + (new_mono,) + block[r:]
-                mult = bisect_right(block, new_mono, r) - r + 1
-                if (mono & (target - (low << 1))).bit_count() & 1:
-                    mult = -mult
+                mult = coeff * (bisect_right(block, new_mono, r) - r + 1)
                 nbid = ids.get(new_block)
                 if nbid is None:
                     if grade is None:  # one v_i became u_{i+mode}
                         weight, tdeg = self.grades[bid]
                         grade = (weight + 2, tdeg + mode)
-                    nbid = self.intern(new_block, grade)
+                    nbid = self.intern(g, new_block, grade)
                 moves.append(((nbid - bid) << shift, mult))
         moves = moves_of[bid] = tuple(moves)
         return moves
@@ -252,21 +460,38 @@ class WedgeState(namedtuple("WedgeState", "model coeffs")):
         return WedgeState(self.model, out)
 
 
-def top_wedge(shapes) -> WedgeState:
-    """Cyclic vector: product over factors of v_0 ^ v_1 ^ ... ^ v_{m-1}.
-
-    Creates the wedge model that every state derived from it shares.
-    """
+def _top(shapes, depth) -> WedgeState:
     shapes = tuple(shapes)
     for m in shapes:
         check_int(m, "factor truncation", 1)
-    model = WedgeModel(shapes)
+    model = WedgeModel(shapes, depth)
     index = model.pack_index(
-        model.intern(((1 << m) - 1,) * count,
+        model.intern(g, ((1 << m) - 1 if depth is None else 0,) * count,
                      (-m * count, count * m * (m - 1) // 2))
-        for m, count in model.groups
+        for g, (m, count) in enumerate(model.groups)
     )
     return WedgeState(model, {index: 1})
+
+
+def top_wedge(shapes) -> WedgeState:
+    """Cyclic vector: product over factors of v_0 ^ v_1 ^ ... ^ v_{m-1}.
+
+    Creates the wedge model, in wedge coordinates, that every state
+    derived from it shares.
+    """
+    return _top(shapes, None)
+
+
+def cyclic_vector(shapes, depth) -> WedgeState:
+    """The top wedge of `shapes` in the coordinates its closure runs in.
+
+    Two or more factors give factor coordinates, each factor basis built
+    to at most `depth` layers past its top, the deepest layer of one
+    factor that a hop of the closure may need; a lone factor, or none,
+    gives wedge coordinates (see the module docstring).
+    """
+    shapes = tuple(shapes)
+    return _top(shapes, depth if len(shapes) > 1 else None)
 
 
 def apply_current(mode: int, state: WedgeState, blocks=None) -> WedgeState:

@@ -10,6 +10,12 @@ under the raising currents e_0, ..., e_{n-1}.  Its dimension is the product
 of the entries of A, and the basis is bigraded by (h-weight, energy); the
 energy grading is normalized so the cyclic vector sits at 0.
 
+A closure of two or more factors runs in factor coordinates, each factor
+written in an integral basis of its own cyclic module; its cyclic vector
+comes from `fock.cyclic_vector`, with every factor basis built only as
+deep as the closure reaches, and the character it reads is the same (the
+argument is in `fock`).
+
 The closure runs degree by degree.  The currents commute, so the sorted
 words e_{i_1} ... e_{i_k} (i_1 <= ... <= i_k) on the cyclic vector span the
 module: a row admitted to the basis from an image under e_i is hit only with
@@ -63,7 +69,7 @@ from functools import lru_cache
 from itertools import accumulate, chain, combinations_with_replacement, repeat
 from types import MappingProxyType
 
-from .fock import WedgeState, apply_current, top_wedge
+from .fock import WedgeState, apply_current, cyclic_vector, top_wedge
 from .linalg import SpanBasis
 # DimensionCapError lives in `types`; it is re-exported here
 from .types import (DimensionCapError, _check_size, check_int,
@@ -160,14 +166,16 @@ def _mirrored_character(pivots, seed) -> dict:
 
 @lru_cache(maxsize=None)
 def _build_module_cached(weights):
-    cyclic = top_wedge(factor_shapes(weights))
     n = len(weights)
+    # layer k sits at h-weight -N + 2k: the first N // 2 layers past the
+    # cyclic vector reach every row of weight <= 0, and the others mirror
+    # them; no factor gets past layer N // 2 of its own module
+    layers = (sum(weights) - n) // 2
+    cyclic = cyclic_vector(factor_shapes(weights), layers)
     operators = [
         (lambda s, j=j: apply_current(j, s)) for j in range(n)
     ]
-    # layer k sits at h-weight -N + 2k: the first N // 2 layers past the
-    # cyclic vector reach every row of weight <= 0, and the others mirror them
-    pivots = _close_under(cyclic, operators, (sum(weights) - n) // 2)
+    pivots = _close_under(cyclic, operators, layers)
     char = _mirrored_character(pivots, cyclic)
     dimension = sum(char.values())
     _check_size(dimension, "span dimension")
@@ -676,7 +684,12 @@ def build_submodule(weights, index: int) -> SubmoduleS:
                           build_module(aprime).dimension)
     adouble = tuple(a - left + 1 for a in weights[index:])
     shapes = factor_shapes(weights)
-    generator = top_wedge(shapes)
+    # the generator lowers the a_i - 1 factors below level a_i by two each,
+    # so w_gen = -sum(shapes) + 2 (a_i - 1); the generator puts those
+    # factors at layer 1 of their modules, and the closure takes any
+    # factor at most `layers` layers further
+    layers = sum(shapes) // 2 - (left - 1)
+    generator = cyclic_vector(shapes, layers + 1)
     # Factors at levels 1 .. a_i - 1 (positions below a_i - 1) get their
     # extremal charge lowered by two.  Levels below a_i all count at least
     # n - i + 1 weights while level a_i counts exactly n - i, so the split
@@ -698,8 +711,7 @@ def build_submodule(weights, index: int) -> SubmoduleS:
     extra_mode = n - index - 1
     operators.append(
         lambda s: apply_current(extra_mode, s, blocks=high))
-    w_gen = generator.model.bigrade(next(iter(generator.coeffs)))[0]
-    pivots = _close_under(generator, operators, -w_gen // 2)
+    pivots = _close_under(generator, operators, layers)
     dimension = sum(_mirrored_character(pivots, generator).values())
     return SubmoduleS(weights, index, "general", aprime, adouble, dimension)
 

@@ -2,6 +2,7 @@
 
 import ast
 import json
+import math
 import os
 import subprocess
 import sys
@@ -13,6 +14,7 @@ import pytest
 import schubert_fusion
 from schubert_fusion import acceptance, cli
 from schubert_fusion.cli import main
+from schubert_fusion.fusion import character_recursive
 
 SRC = Path(schubert_fusion.__file__).resolve().parents[1]
 
@@ -192,10 +194,11 @@ sys.exit(main(sys.argv[1:]))
 """
 
 
-@pytest.mark.parametrize("weights", ["6,6,6,6", "3,3,3,3,3,3,3"])
+@pytest.mark.parametrize("weights", ["11,11,11,11"])
 def test_over_budget_module_exits_3(run_child, weights):
-    # both are far below the dimension cap (1296 and 2187) and ran for
-    # 85-103 s in 1.4-1.5 GB before the wedge model had a block budget
+    # far below the dimension cap (14 641); its ten factors of truncation 4
+    # make C(25, 10) multisets of their 16 labels, and the closure's factor
+    # model interns 2**18 of them after about 3 s at about 230 MB
     child = run_child(_CLI_CHILD, "dim", weights)
     assert child.returncode == 3
     assert not child.stdout
@@ -204,6 +207,28 @@ def test_over_budget_module_exits_3(run_child, weights):
     assert "budget of 262144 blocks" in message
     assert child.seconds < 30
     assert child.rss_kib < 600 * 1024
+
+
+@pytest.mark.parametrize("weights", ["6,6,6,6", "3,3,3,3,3,3,3"])
+def test_module_past_the_wedge_budget_answers(run_child, weights):
+    # both exited 3 on the block budget after 1.5-2.6 s in wedge
+    # coordinates (and ran for 85-103 s in 1.4-1.5 GB before the budget);
+    # in factor coordinates they answer in 0.1-0.3 s at 20-25 MB, and
+    # the whole character is the span-free recursion's
+    child = run_child(_CLI_CHILD, "char", weights)
+    assert child.returncode == 0, child.stderr
+    assert not child.stderr
+    report = json.loads(child.stdout)
+    assert [c["name"] for c in report["checks"]] == ["total_dimension",
+                                                    "peeling_recursion"]
+    assert all(c["pass"] for c in report["checks"])
+    vector = tuple(int(a) for a in weights.split(","))
+    char = {(e["weight"], e["energy"]): e["mult"]
+            for e in report["result"]["entries"]}
+    assert char == character_recursive(vector)
+    assert report["result"]["dimension"] == math.prod(vector)
+    assert child.seconds < 10
+    assert child.rss_kib < 120 * 1024
 
 
 def test_large_module_builds_in_a_child_process(run_child):

@@ -3,6 +3,7 @@
 import math
 import random
 import time
+from collections import Counter
 from itertools import combinations, combinations_with_replacement, permutations, product
 
 import pytest
@@ -10,8 +11,10 @@ import pytest
 from schubert_fusion import fock
 from schubert_fusion.fock import (
     DimensionCapError,
+    FactorBasis,
     WedgeState,
     apply_current,
+    cyclic_vector,
     factor_groups,
     top_wedge,
 )
@@ -102,10 +105,10 @@ def test_mask_helpers_round_trip():
             assert to_particles(to_mask(mono)) == mono
 
 
-def intern_particles(model, monos) -> int:
-    """Intern a block given as particle tuples, one per factor."""
+def intern_particles(model, g, monos) -> int:
+    """Intern a block of position g given as particle tuples, one per factor."""
     block = tuple(sorted(to_mask(mono) for mono in monos))
-    return model.intern(block, particle_grade(monos))
+    return model.intern(g, block, particle_grade(monos))
 
 
 def random_state(rng, shapes, terms=3):
@@ -116,10 +119,10 @@ def random_state(rng, shapes, terms=3):
     out = WedgeState(model, {})
     for _ in range(terms):
         bids = []
-        for m, count in model.groups:
+        for g, (m, count) in enumerate(model.groups):
             particles = [(V, i) for i in range(m)] + [(U, i) for i in range(m)]
             monos = [tuple(sorted(rng.sample(particles, m))) for _ in range(count)]
-            bids.append(intern_particles(model, monos))
+            bids.append(intern_particles(model, g, monos))
         out = out + WedgeState(model, {model.pack_index(bids): rng.randint(1, 5)})
     return out
 
@@ -284,7 +287,7 @@ def test_block_moves_match_the_particle_oracle(shapes):
     others = model.block_ids(only_term(top)[0])[1:]
     seen = 0
     for monos in every_block(m, count):
-        index = model.pack_index((intern_particles(model, monos),) + others)
+        index = model.pack_index((intern_particles(model, 0, monos),) + others)
         state = WedgeState(model, {index: 1})
         vec = explicit(state)
         for mode in range(m):
@@ -376,32 +379,147 @@ def test_block_id_past_its_field_is_refused(monkeypatch):
     assert len(model.blocks) == len(model.grades) == 4
 
 
-@pytest.mark.parametrize("weights, bits", [
-    ((2,), 1),  # one factor of truncation 1: 2 monomials
-    # groups (3, 1), (2, 7), (1, 5): 20 + C(12, 7) + C(6, 5) = 818 blocks
-    ((2, 9, 14), 10),
-    # groups (5, 2), (4, 1), (2, 1): C(253, 2) + 70 + 6 = 32 207 blocks
-    ((3, 4, 4, 5, 5), 15),
-    # group (4, 4): C(73, 4) = 1 088 430 multisets pass the budget
-    ((5, 5, 5, 5), 18),
+@pytest.mark.parametrize("weights, bits, factor_bits", [
+    # one factor of truncation 1: 2 monomials, and a lone factor keeps
+    # wedge coordinates in its closure
+    ((2,), 1, 1),
+    # groups (3, 1), (2, 7), (1, 5): 20 + C(12, 7) + C(6, 5) = 818 blocks,
+    # and 8 + C(10, 7) + C(6, 5) = 134 of labels
+    ((2, 9, 14), 10, 8),
+    # groups (5, 2), (4, 1), (2, 1): C(253, 2) + 70 + 6 = 32 207 blocks,
+    # and C(33, 2) + 16 + 4 = 548 of labels
+    ((3, 4, 4, 5, 5), 15, 10),
+    # group (4, 4): C(73, 4) = 1 088 430 multisets pass the budget, and
+    # C(19, 4) = 3 876 multisets of labels do not
+    ((5, 5, 5, 5), 18, 12),
 ], ids=["2", "2,9,14", "3,4,4,5,5", "5,5,5,5"])
-def test_id_fields_are_as_wide_as_the_model_can_need(weights, bits):
+def test_id_fields_are_as_wide_as_the_model_can_need(weights, bits,
+                                                     factor_bits):
     # a field holds every multiset of c monomials (C(2m, m) of them) of
-    # each group (m, c), and at most the budget's 2**18 blocks
-    model = top_wedge(factor_shapes(weights)).model
+    # each group (m, c), or of c labels (2^m of them) in factor
+    # coordinates, and at most the budget's 2**18 blocks
+    shapes = factor_shapes(weights)
+    model = top_wedge(shapes).model
     assert model.budget == fock.WEDGE_BLOCK_BUDGET == 2 ** 18
     count = sum(math.comb(math.comb(2 * m, m) + c - 1, c)
                 for m, c in model.groups)
     assert model.bits == bits == (min(count, 2 ** 18) - 1).bit_length()
+    model = cyclic_vector(shapes, 1).model
+    if len(shapes) > 1:
+        assert all(factor is not None for factor in model.factors)
+        count = sum(math.comb(2 ** m + c - 1, c) for m, c in model.groups)
+    assert model.bits == factor_bits == (min(count, 2 ** 18) - 1).bit_length()
 
 
 def test_field_width_of_a_long_factor_is_cheap():
     # C(2m, m) passes the budget at m = 11, and the width rule forms no
-    # binomial past it: math.comb(2m, m) alone takes seconds at m = 200 000
+    # binomial past it: math.comb(2m, m) alone takes seconds at m = 200 000;
+    # nor does a factor basis take room or time in m before it is used
     start = time.perf_counter()
     model = top_wedge((3_000_000,)).model
     assert time.perf_counter() - start < 0.2
     assert model.bits == 18
+    start = time.perf_counter()
+    model = cyclic_vector((3_000_000, 3_000_000), 2).model
+    assert time.perf_counter() - start < 0.2
+    assert model.bits == 18
+
+
+# The factor basis of F_m against its definition: the span of the top
+# wedge of shape (m,) under the currents, in wedge coordinates.
+
+def mask_grade(mask, m):
+    """(h-weight, t-degree) of a truncation-m monomial mask."""
+    particles = to_particles(mask)
+    assert len(particles) == m
+    return particle_grade([particles])
+
+
+def wedge_state(model, row):
+    """A one-factor state of `model` from a {mask: coefficient} row."""
+    m = model.groups[0][0]
+    return WedgeState(model, {
+        model.pack_index((model.intern(0, (mask,), mask_grade(mask, m)),)): c
+        for mask, c in row.items()})
+
+
+def wedge_row(state):
+    """The {mask: coefficient} row of a one-factor state."""
+    return {state.model.blocks[index][0]: c
+            for index, c in state.coeffs.items()}
+
+
+def whole_factor_basis(m):
+    basis = FactorBasis(m, m)
+    for label in range(2 ** m):  # builds every layer the hops need
+        for mode in range(m):
+            basis.hops(label, mode)
+    return basis
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_factor_basis_is_exact(m):
+    basis = whole_factor_basis(m)
+    rows, grades = basis.rows, basis.grades
+    # layer k holds C(m, k) labels, 2^m in all, numbered layer by layer
+    layers = [(w + m) // 2 for w, _ in grades]
+    assert layers == sorted(layers)
+    assert Counter(layers) == {k: math.comb(m, k) for k in range(m + 1)}
+    pivots = [min(row) for row in rows]
+    for label, row in enumerate(rows):
+        # integral, 1 at its pivot and 0 at the other pivots of its layer,
+        # labels of a layer in the order of their pivots, and the grade of
+        # its pivot, shared by every monomial of the row
+        assert all(type(c) is int for c in row.values())
+        assert row[pivots[label]] == 1
+        assert not any(pivots[other] in row for other in range(2 ** m)
+                       if other != label and layers[other] == layers[label])
+        assert {mask_grade(mask, m) for mask in row} == {grades[label]}
+        if label and layers[label - 1] == layers[label]:
+            assert pivots[label - 1] < pivots[label]
+    # every hop goes to a larger label, and the column of e_j on b_s gives
+    # back e_j(b_s) in wedge coordinates, term for term
+    model = top_wedge((m,)).model
+    hops = 0
+    for label, row in enumerate(rows):
+        for mode in range(m + 1):
+            column = basis.hops(label, mode) if mode < m else ()
+            assert all(target > label and c for target, c in column)
+            assert [t for t, _ in column] == sorted({t for t, _ in column})
+            total = WedgeState(model, {})
+            for target, c in column:
+                total = total + wedge_state(model, {
+                    mask: c * rc for mask, rc in rows[target].items()})
+            image = apply_current(mode, wedge_state(model, row))
+            assert wedge_row(total) == wedge_row(image)
+            hops += len(column)
+    assert hops > 0
+
+
+def test_factor_hop_past_its_depth_raises():
+    # F_3 built to layer 1: a hop out of layer 1 with a nonzero image
+    # needs layer 2 and raises, one whose image is 0 has no pairs
+    basis = FactorBasis(3, 1)
+    layer_one = {target for mode in range(3) for target, _ in basis.hops(0, mode)}
+    assert layer_one == {1, 2, 3} and len(basis.rows) == 4
+    with pytest.raises(RuntimeError, match="F_3 is built to layer 1"):
+        basis.hops(1, 0)
+    # e_2 moves v_0 to u_2 only, and nothing further
+    (target, _), = basis.hops(0, 2)
+    assert basis.hops(target, 2) == ()
+    assert len(basis.rows) == 4
+
+
+def test_factor_labels_of_two_truncations_do_not_collide():
+    # the top blocks of (3, 3, 2) and of (3, 2, 2) hold label 0 only: one
+    # id dict per position keeps a block of truncation 3 from standing for
+    # one of truncation 2
+    state = cyclic_vector((3, 3, 2, 2), 3)
+    model = state.model
+    assert [model.blocks[bid] for bid in model.block_ids(only_term(state)[0])] == [(0, 0), (0, 0)]
+    assert model.factors[0] is not model.factors[1]
+    grades = [model.grades[bid] for bid in model.block_ids(only_term(state)[0])]
+    assert grades == [(-6, 6), (-4, 2)]
 
 
 def test_top_wedges_make_distinct_models():

@@ -2,6 +2,7 @@
 
 import gc
 import math
+import random
 import sys
 import time
 import weakref
@@ -114,35 +115,48 @@ def test_dimension_cap(monkeypatch):
 
 
 def test_block_budget_is_read_at_call_time(monkeypatch):
-    # (2, 3, 4) interns 21 blocks: within a budget of 32, past one of 16;
-    # the kernel at the first pair of (2, 4, 5), closed to h-weight 0,
-    # interns 19
+    # every model a closure makes reads the budget when it is made.  The
+    # factor model of (3, 4, 5) interns 38 blocks, and its factor bases
+    # meet 14, 5 and 2 monomials; the kernel at the second pair of
+    # (2, 2, 4), closed to h-weight 0, interns 5 blocks, and its basis of
+    # F_3 meets 7 monomials
+    monkeypatch.setattr(fock, "WEDGE_BLOCK_BUDGET", 40)
+    assert _build_module_cached.__wrapped__((3, 4, 5)).dimension == 60
+    assert build_submodule((2, 2, 4), 2).dimension == 6
     monkeypatch.setattr(fock, "WEDGE_BLOCK_BUDGET", 32)
-    assert _build_module_cached.__wrapped__((2, 3, 4)).dimension == 24
-    monkeypatch.setattr(fock, "WEDGE_BLOCK_BUDGET", 16)
     _build_module_cached.cache_clear()
-    with pytest.raises(DimensionCapError, match="budget of 16 blocks"):
-        build_module((2, 3, 4))
-    with pytest.raises(DimensionCapError, match="budget of 16 blocks"):
-        build_submodule((2, 4, 5), 1)
+    with pytest.raises(DimensionCapError,
+                       match=r"on \(3, 3, 2, 1\) .* budget of 32 blocks"):
+        build_module((3, 4, 5))
+    monkeypatch.setattr(fock, "WEDGE_BLOCK_BUDGET", 6)
+    with pytest.raises(DimensionCapError,
+                       match="F_3 met more than the budget of 6 monomials"):
+        build_submodule((2, 2, 4), 2)
 
 
 def test_closures_drop_their_wedge_models(monkeypatch):
-    # FusionModule and SubmoduleS keep results only: each closure's model
-    # (its interned blocks and moves) is freed when the closure returns
+    # FusionModule and SubmoduleS keep results only: every model a closure
+    # makes (its interned blocks and moves, and in factor coordinates the
+    # factor bases, one per truncation) is freed when it returns
     refs = []
 
-    def recording(shapes):
-        state = fock.top_wedge(shapes)
-        refs.append(weakref.ref(state.model))
-        return state
+    def recording(cls):
+        init = cls.__init__
 
-    monkeypatch.setattr(fusion, "top_wedge", recording)
+        def __init__(self, *args):
+            init(self, *args)
+            refs.append(weakref.ref(self))
+        monkeypatch.setattr(cls, "__init__", __init__)
+
+    recording(fock.WedgeModel)
+    recording(fock.FactorBasis)
     _build_module_cached.cache_clear()
     assert build_module((2, 3, 4)).dimension == 24
     assert build_submodule((2, 3, 5), 1).dimension > 0
     assert _relations_hold(check_relations(3, 2))
-    assert len(refs) == 3
+    # a factor model and a basis per truncation 3, 2 and 1, twice, and
+    # the relation series' wedge model
+    assert len(refs) == 9
     assert all(ref() is None for ref in refs)
 
 
@@ -316,13 +330,25 @@ def _fifo_closure_oracle(seeds, operators) -> SpanBasis:
 
 
 @contextmanager
+def _whole_factor_bases():
+    # build_module and build_submodule build each factor basis only as deep
+    # as their closure reaches; under this, every factor basis may reach
+    # its last layer, so a closure of the whole span may run in the model
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fusion, "cyclic_vector",
+                   lambda shapes, depth:
+                   fock.cyclic_vector(shapes, max(shapes, default=0)))
+        yield
+
+
+@contextmanager
 def _closed_by_fifo_oracle():
     # routes build_module and build_submodule through the oracle closure;
     # call _build_module_cached.__wrapped__ under it, so no oracle result
     # lands in the module cache.  The oracle ignores a layer limit and
     # closes the whole span, so the mirrored half that build_module and
     # build_submodule read meets the full character.
-    with pytest.MonkeyPatch.context() as mp:
+    with pytest.MonkeyPatch.context() as mp, _whole_factor_bases():
         mp.setattr(fusion, "_close_under",
                    lambda seed, operators, layers=None:
                    _fifo_closure_oracle([seed], operators).pivots())
@@ -396,6 +422,12 @@ def test_submodule_closure_stops_at_weight_zero():
         w_gen = bigrade(next(iter(seed.coeffs)))[0]
         assert layers == -w_gen // 2
         assert max(bigrade(p)[0] for p in pivots) <= 0
+        # the same generator and operators, in a model whose factor bases
+        # reach their last layers
+        with _recorded_closures() as closures, _whole_factor_bases():
+            build_submodule(weights, index)
+        ((seed, operators, _, _),) = closures
+        bigrade = seed.model.bigrade
         full = fusion._close_under(seed, operators)
         assert len(full) == sub.dimension == kernel_dimension(weights, index)
         char = Counter(bigrade(p) for p in full)
@@ -419,6 +451,54 @@ def test_submodules_match_fifo_oracle(weights):
         assert sub == expected
         quotient = math.prod(quotient_weights(weights, index))
         assert sub.dimension + quotient == math.prod(weights)
+
+
+def _wedge_character(weights):
+    # the module's closure on the top wedge in wedge coordinates: every
+    # factor of the tensor product spelled out in monomials
+    cyclic = fock.top_wedge(factor_shapes(weights))
+    operators = [(lambda s, j=j: apply_current(j, s))
+                 for j in range(len(weights))]
+    pivots = fusion._close_under(cyclic, operators,
+                                 (sum(weights) - len(weights)) // 2)
+    return fusion._mirrored_character(pivots, cyclic)
+
+
+def test_factor_coordinates_match_wedge_coordinates():
+    # a seeded sample of the criterion-1 corpus, closed in both
+    # coordinates: the same character, module by module
+    corpus = acceptance.weight_corpus(256)
+    sample = random.Random(38).sample(corpus, 80)
+    factored = 0
+    for weights in sample:
+        module = _build_module_cached.__wrapped__(weights)
+        assert dict(module.character) == _wedge_character(weights)
+        factored += len(factor_shapes(weights)) > 1
+    assert factored > 40
+
+
+@pytest.mark.parametrize("weights", [(6, 6, 6, 6), (3,) * 7, (3, 4, 4, 5, 5)],
+                         ids=["6,6,6,6", "3*7", "3,4,4,5,5"])
+def test_large_factor_closures_match_the_recursion(weights):
+    # the first two tripped the block budget in wedge coordinates, and
+    # the third took 3-4 s there; each takes 0.2-0.4 s in factor coordinates
+    module = _build_module_cached.__wrapped__(weights)
+    assert module.dimension == math.prod(weights)
+    assert dict(module.character) == character_recursive(weights)
+
+
+def test_closure_past_its_factor_depth_raises():
+    # the module closure of (2, 2, 2, 3), on factors of truncation 4 and
+    # 1, stops after N // 2 = 2 layers and needs layer 2 of F_4 at most;
+    # closed to the end, past h-weight 0, it needs layer 3
+    weights = (2, 2, 2, 3)
+    cyclic = fock.cyclic_vector(factor_shapes(weights), 2)
+    operators = [(lambda s, j=j: apply_current(j, s)) for j in range(4)]
+    below = sum(m for (w, _), m in character_recursive(weights).items()
+                if w <= 0)
+    assert len(fusion._close_under(cyclic, operators, 2)) == below == 12
+    with pytest.raises(RuntimeError, match="F_4 is built to layer 2"):
+        fusion._close_under(cyclic, operators)
 
 
 def test_closure_skips_unsorted_words(monkeypatch):
