@@ -290,8 +290,6 @@ def stabilize_checks(report) -> list:
     return [
         _check("dims_match", report.dims == expected,
                "section dims follow the closed form"),
-        _check("stabilized", report.stable_from is not None,
-               f"top strata constant from i = {report.stable_from}"),
     ]
 
 

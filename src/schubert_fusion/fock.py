@@ -48,9 +48,9 @@ the currents: the module on (2,) * m, the local Weyl module of dimension
 C(m, k).  The wedge basis spreads F_m over Catalan(m + 1) monomials, and
 the spread multiplies across factors.  A `FactorBasis` closes F_m layer by
 layer on monomial masks, with the bit moves of a wedge model and the
-degree-ordered closure of `fusion`, and reduces each layer fully: its
-basis vector b_s has 1 at its pivot (its smallest mask), 0 at the other
-pivots of its layer and only int entries.  That the entries are ints is
+closure loop of `fusion` (`linalg.closure_layers`), and reduces each
+layer fully: its basis vector b_s has 1 at its pivot (its smallest mask),
+0 at the other pivots of its layer and only int entries.  That the entries are ints is
 measured, not proved: in mask order every row of F_1 .. F_11 is, and
 every row of F_12 .. F_16 up to the budget; in the interning order of a
 wedge model, rows of F_10 would need fractions.  A row that would need
@@ -71,10 +71,10 @@ coordinates are a linear isomorphism, applied factor by factor, which
 commutes with the currents and with orbit sums and keeps the bigrade.  So
 each bigrade's span has the same dimension in both coordinates, and the
 character is the same.  A lone factor keeps wedge coordinates: its
-closure is the construction of F_m itself.  F_m is built only as deep as
-its closure can reach, each layer when a hop first needs it and each
-column on its first use; a hop that needs a layer past that depth raises
-rather than return no moves.
+closure is the construction of F_m itself.  F_m is built when its model
+is made, as deep as the closure can reach, and each column on its first
+use; a hop that needs a layer past that depth raises rather than return
+no moves.
 
 A model belongs to one closure: `top_wedge` or `cyclic_vector` creates
 it, with the factor bases it owns, every state derived from that top
@@ -103,9 +103,9 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from collections import namedtuple
 from collections.abc import Sequence
-from itertools import repeat
+from itertools import islice
 
-from .linalg import SpanBasis
+from .linalg import closure_layers
 from .types import DimensionCapError, check_int
 
 WEDGE_BLOCK_BUDGET = 2 ** 18
@@ -177,8 +177,8 @@ class FactorBasis:
 
     Label s stands for the basis vector b_s: `rows[s]` maps monomial masks
     to its coefficients, and `grades[s]` is the bigrade of its pivot, the
-    smallest mask of the row.  Label 0 is the top wedge.  The later layers
-    are built in order, each when a hop first needs it, up to `depth`
+    smallest mask of the row.  Label 0 is the top wedge.  The layers are
+    built when the basis is made, by `linalg.closure_layers`, up to `depth`
     layers past the top (at most m); a layer's labels follow its pivots in
     increasing order.  `hops(s, mode)` is the column of e_mode on b_s, made
     on its first use.  The bit moves of a monomial are memoized per mode,
@@ -187,25 +187,53 @@ class FactorBasis:
     """
 
     __slots__ = ("truncation", "depth", "budget", "rows", "grades",
-                 "_columns", "_labels", "_moves", "_met", "_born", "_ends",
-                 "__weakref__")
+                 "_columns", "_labels", "_moves", "_met", "__weakref__")
 
     def __init__(self, m, depth):
-        top = (1 << m) - 1
         self.truncation = m
         self.depth = min(m, depth)
         self.budget = WEDGE_BLOCK_BUDGET
-        self.rows = [{top: 1}]
-        self.grades = [(-m, m * (m - 1) // 2)]
+        self.rows = []
+        self.grades = []
         self._columns = {}  # mode -> {label: column}
-        self._labels = {top: 0}  # the mask of a pivot -> its label
+        self._labels = {}  # the mask of a pivot -> its label
         self._moves = {}  # mode -> {mask: its bit moves}
         self._met = set()  # every mask with a move table, charged to the budget
-        # the rows of the last layer built, as its span basis stored them,
-        # and for each mode the number of them born from modes up to it;
-        # every mode meets the top wedge
-        self._born = [{top: 1}]
-        self._ends = None
+        # the generator and the currents are dropped on return: kept, the
+        # currents would tie the basis into a reference cycle
+        currents = [lambda row, mode=mode: self._image(row, mode)
+                    for mode in range(m)]
+        layers = closure_layers({(1 << m) - 1: 1}, currents)
+        for layer, basis in enumerate(islice(layers, self.depth + 1)):
+            # back substitution, highest pivot first: a row holds no entry
+            # below its pivot, and a reduced row is 0 at every other pivot,
+            # so clearing one pivot leaves the row's entries at the others
+            # alone
+            pivots = basis.pivots()
+            reduced = {}
+            for p, echelon in zip(reversed(pivots),
+                                  reversed(basis.row_vectors())):
+                row = dict(echelon)
+                for q, c in echelon.items():
+                    if q not in reduced:
+                        continue
+                    for mono, rc in reduced[q].items():
+                        value = row.get(mono, 0) - c * rc
+                        if value:
+                            row[mono] = value
+                        else:
+                            del row[mono]
+                lead = row[p]
+                if any(c % lead for c in row.values()):
+                    raise ArithmeticError(f"a reduced row of F_{m} in layer "
+                                          f"{layer} is not integral")
+                reduced[p] = {mono: c // lead for mono, c in row.items()}
+            for p in pivots:
+                self._labels[p] = len(self.rows)
+                self.rows.append(reduced[p])
+                # u_i at bit m + i, v_i at bit i: weight +-1, degree i each
+                self.grades.append((2 * layer - m, sum(
+                    i % m for i in range(2 * m) if p >> i & 1)))
 
     def hops(self, label, mode) -> tuple:
         """(label', coefficient) pairs of e_mode(b_label), label' ascending.
@@ -220,11 +248,11 @@ class FactorBasis:
         column = columns.get(label)
         if column is None:
             image = self._image(self.rows[label], mode)
-            if image:  # an image of 0 needs no layer above it
-                m = self.truncation
-                layer = (self.grades[label][0] + m) // 2
-                while (self.grades[-1][0] + m) // 2 <= layer:
-                    self._grow()
+            m = self.truncation
+            layer = (self.grades[label][0] + m) // 2 + 1
+            if image and layer > self.depth:
+                raise RuntimeError(f"the basis of F_{m} is built to layer "
+                                   f"{self.depth}; a hop needs layer {layer}")
             labels = self._labels
             column = columns[label] = tuple(sorted(
                 (labels[mono], c) for mono, c in image.items()
@@ -252,54 +280,6 @@ class FactorBasis:
             for new, sign in hops:
                 out[new] = get(new, 0) + c * sign
         return {mono: c for mono, c in out.items() if c}
-
-    def _grow(self):
-        """Build the next layer: its span, then its fully reduced rows."""
-        m = self.truncation
-        layer = (self.grades[-1][0] + m) // 2 + 1
-        if layer > self.depth:
-            raise RuntimeError(f"the basis of F_{m} is built to layer "
-                               f"{self.depth}; a hop needs layer {layer}")
-        # the currents commute, so a row born from e_i meets only e_j for
-        # j >= i, as in the span closure of `fusion`
-        basis = SpanBasis()
-        born, ends = [], []
-        for mode, end in zip(range(m), self._ends or repeat(1)):
-            for row in self._born[:end]:
-                image = self._image(row, mode)
-                if image:
-                    row = basis.insert_reduced(image)
-                    if row is not None:
-                        born.append(row)
-            ends.append(len(born))
-        self._born, self._ends = born, ends
-        # back substitution, highest pivot first: a row holds no entry
-        # below its pivot, and a reduced row is 0 at every other pivot, so
-        # clearing one pivot leaves the row's entries at the others alone
-        pivots = basis.pivots()
-        reduced = {}
-        for p, echelon in zip(reversed(pivots), reversed(basis.row_vectors())):
-            row = dict(echelon)
-            for q, c in echelon.items():
-                if q not in reduced:
-                    continue
-                for mono, rc in reduced[q].items():
-                    value = row.get(mono, 0) - c * rc
-                    if value:
-                        row[mono] = value
-                    else:
-                        del row[mono]
-            lead = row[p]
-            if any(c % lead for c in row.values()):
-                raise ArithmeticError(
-                    f"a reduced row of F_{m} in layer {layer} is not integral")
-            reduced[p] = {mono: c // lead for mono, c in row.items()}
-        for p in pivots:
-            self._labels[p] = len(self.rows)
-            self.rows.append(reduced[p])
-            # u_i at bit m + i, v_i at bit i: weight +-1, degree i each
-            self.grades.append((2 * layer - m, sum(
-                i % m for i in range(2 * m) if p >> i & 1)))
 
 
 class WedgeModel:

@@ -12,11 +12,12 @@ energy grading is normalized so the cyclic vector sits at 0.
 
 A closure of two or more factors runs in factor coordinates, each factor
 written in an integral basis of its own cyclic module; its cyclic vector
-comes from `fock.cyclic_vector`, with every factor basis built only as
-deep as the closure reaches, and the character it reads is the same (the
-argument is in `fock`).
+comes from `fock.cyclic_vector`, with every factor basis built, when it is
+made, as deep as the closure can reach, and the character it reads is the
+same (the argument is in `fock`).
 
-The closure runs degree by degree.  The currents commute, so the sorted
+The closure runs degree by degree, in `linalg.closure_layers`, the loop
+that also builds the factor bases.  The currents commute, so the sorted
 words e_{i_1} ... e_{i_k} (i_1 <= ... <= i_k) on the cyclic vector span the
 module: a row admitted to the basis from an image under e_i is hit only with
 the e_j for j >= i, one degree after another.  All generated vectors are
@@ -66,11 +67,12 @@ import math
 import sys
 from collections import Counter, namedtuple
 from functools import lru_cache
-from itertools import accumulate, chain, combinations_with_replacement, repeat
+from itertools import (accumulate, chain, combinations_with_replacement,
+                       islice, repeat)
 from types import MappingProxyType
 
 from .fock import WedgeState, apply_current, cyclic_vector, top_wedge
-from .linalg import SpanBasis
+from .linalg import closure_layers
 # DimensionCapError lives in `types`; it is re-exported here
 from .types import (DimensionCapError, _check_size, check_int,
                     weakly_increasing)
@@ -104,52 +106,19 @@ class FusionModule(namedtuple("FusionModule", "weights dimension character")):
     __slots__ = ()
 
 
-def _close_under(seed, operators, layers=None) -> list:
-    # Work with the reduced rows, not the raw operator images: words in the
-    # generators have term counts and coefficients that grow with the word
-    # length, while the residuals stay no bigger than their grade stratum.
-    #
-    # Degree-ordered closure.  It relies on two preconditions: the operators
-    # commute pairwise, and the seed is bigrade-homogeneous.  Commuting
-    # operators span the module with the sorted words op_{i_1} ... op_{i_k}
-    # (i_1 <= ... <= i_k) on the seed.  A layer holds the rows accepted from
-    # images of the layer before, in the order of the operator that made
-    # them; its first ends[j] rows (those born from operators 0 .. j) span
-    # its sorted words whose largest index is at most j, so operator j
-    # needs only them.  Every image lies one h-weight step above its layer,
-    # so its reduction touches no row of another layer: each layer gets a
-    # basis of its own, dropped with the layer once the next is built, and
-    # only the pivots of each layer are kept.  They come back as one list,
-    # layer by layer; the dimension cap is charged their running total.
-    #
-    # With `layers`, the closure stops after that many layers past the seed,
-    # before any operator meets the last of them; `build_module` and
-    # `build_submodule` both stop at h-weight 0, the rest being fixed by sl2
-    # symmetry (see the module docstring and `build_submodule`).  With None
-    # it runs until a layer adds nothing.
-    if not seed.coeffs:
-        return []
-    basis = SpanBasis()
-    layer = [WedgeState(seed.model, basis.insert_reduced(seed.coeffs))]
-    pivots = basis.pivots()
-    ends = [1] * len(operators)
-    depth = 0
-    while layer and depth != layers:
-        depth += 1
-        basis = SpanBasis()
-        born, born_ends = [], []
-        for op, end in zip(operators, ends):
-            for state in layer[:end]:
-                image = op(state)
-                if not image.coeffs:
-                    continue
-                row = basis.insert_reduced(image.coeffs)
-                if row is not None:
-                    _check_size(len(pivots) + basis.dimension, "span dimension")
-                    born.append(WedgeState(image.model, row))
-            born_ends.append(len(born))
+def _close_under(seed, operators, layers) -> list:
+    # The pivots of the seed's layer and of the next `layers` layers, layer
+    # by layer; no operator meets the last of them.  `build_module` and
+    # `build_submodule` stop at h-weight 0, the rest being fixed by sl2
+    # symmetry.  The cap is charged the running total once per layer: each
+    # caller's product preflight already bounds the span.
+    model = seed.model
+    on_rows = [lambda row, op=op: op(WedgeState(model, row)).coeffs
+               for op in operators]
+    pivots = []
+    for basis in islice(closure_layers(seed.coeffs, on_rows), layers + 1):
         pivots += basis.pivots()
-        layer, ends = born, born_ends
+        _check_size(len(pivots), "span dimension")
     return pivots
 
 
@@ -243,6 +212,10 @@ def _peel_packed(targets, depth=None) -> list:
     # and every sum of two, stays within the bound of a target it serves,
     # at most the largest bound < 2**field.
     targets = [tuple(a for a in t if a > 1) for t in targets]
+    if depth is not None:
+        # a target has no energy below 0, so no window needs more rows than
+        # the highest top energy, and a depth past it would only size masks
+        depth = min(depth, max(map(_top_energy, targets)))
     sums = [sum(a - 1 for a in t) for t in targets]
     top = max(sums)
     if any((top - s) % 2 for s in sums):
@@ -572,12 +545,14 @@ def check_relations(truncation: int, max_power: int) -> RelationReport:
     n = check_int(truncation, "truncation", 1)
     check_int(max_power, "max power", 1)
     what = f"relation series on truncation {n}"
-    series = {0: top_wedge((n,))}
+    series = None
     lowest = []
     produced = 0  # particles charged so far: the work done, bounded by the cap
     for i in range(1, max_power + 1):
         produced += n  # the power's entry of `lowest`
         _check_size(produced, what, particles=True)
+        if series is None:  # a 2n-bit mask, made once its first power is charged
+            series = {0: top_wedge((n,))}
         out = {}
         for deg, state in series.items():
             for k in range(n):

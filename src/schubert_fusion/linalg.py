@@ -15,6 +15,9 @@ rewritten once stored.  Elimination cross-multiplies (fraction-free, in the
 style of Bareiss), so all arithmetic is on Python ints; no fractions or
 floats anywhere.
 
+`closure_layers` is the one span closure: the span of a vector under
+commuting operators, built layer by layer, one SpanBasis per layer.
+
 `reduce` is the one elimination loop; `insert_reduced` and `contains` both
 go through it.  Membership never changes the basis.  `contains` first
 looks up the row at the vector's smallest index: a vector equal to that
@@ -181,3 +184,36 @@ class SpanBasis:
 
     def __repr__(self):
         return f"SpanBasis(dimension={self.dimension})"
+
+
+def closure_layers(seed: dict, operators):
+    """The span of int vector `seed` under commuting `operators`, by layers.
+
+    Yields a SpanBasis per layer, the seed's first, each built only when
+    asked for: layer k + 1 is spanned by the images of layer k's rows, and
+    the first layer that adds nothing ends the iteration unyielded.  The
+    operators map int vectors to int vectors and commute, and each raises a
+    grading in which the seed is homogeneous by one step, so the images
+    that make a layer are reduced against that layer's basis alone.  The
+    sorted words op_{i_1} ... op_{i_k} (i_1 <= ... <= i_k) on the seed span
+    the closure, so a row born from operator i meets only operators j >= i:
+    operator j meets the first ends[j] rows of a layer.  Operators meet the
+    stored rows, which stay no bigger than their layer, not the raw images,
+    whose words grow in terms and coefficients with their length.
+    """
+    basis = SpanBasis()
+    layer = [basis.insert_reduced(seed)] if seed else []
+    ends = [len(layer)] * len(operators)
+    while layer:
+        yield basis
+        basis = SpanBasis()
+        born, born_ends = [], []
+        for op, end in zip(operators, ends):
+            for row in layer[:end]:
+                image = op(row)
+                if image:
+                    row = basis.insert_reduced(image)
+                    if row is not None:
+                        born.append(row)
+            born_ends.append(len(born))
+        layer, ends = born, born_ends

@@ -26,8 +26,9 @@ class DimensionCapError(RuntimeError):
     coefficient updates, the entries of closed-form results), the `cap` of a
     peeling route (the product of the weights it peels) and
     RELATION_PARTICLE_CAP (the particles of the relation series).
-    `fock.WEDGE_BLOCK_BUDGET` bounds the blocks a wedge model interns, and
-    the CLI refuses a result with an integer too long to print.
+    `fock.WEDGE_BLOCK_BUDGET` bounds the blocks a wedge model interns and
+    the monomials a factor basis meets, and the CLI refuses a result with
+    an integer too long to print.
     """
 
 

@@ -250,6 +250,11 @@ def test_large_module_builds_in_a_child_process(run_child):
     # report: this ran for 16 s to a 1.5 GB peak before every power was
     # charged
     (("relations", "1", "3000000"), 15, 400),
+    # the top wedge is a 2n-bit mask, made only once the first power is
+    # charged: the first ended in a MemoryError traceback and exit 1, and
+    # the second peaked near 270 MB, when it was made before
+    (("relations", "99999999999", "1"), 5, 40),
+    (("relations", "1000000000", "1"), 5, 40),
     # the chain is built step by step, so the first step over the cap
     # stops it before the later, ever longer steps are built
     (("stabilize", "1", "100000", "3"), 10, 200),
@@ -295,12 +300,12 @@ def test_large_module_builds_in_a_child_process(run_child):
     # ("invalid input") when the euler_value check put 2^15000, with 4516
     # digits, into its detail
     (("poincare", ",".join(["1"] * 15000)), 10, 200),
-], ids=["relations", "stabilize", "verlinde-fuse", "verlinde-limit",
-        "verlinde-limit-long", "coordring-long", "coordring",
-        "poincare", "bundle-split", "poincare-long", "bundle-split-long",
-        "morphism", "flag-check-random", "flag-check", "coordring-wide",
-        "flag-check-parts", "coordring-digits", "sections-digits",
-        "poincare-digits"])
+], ids=["relations", "relations-huge-n", "relations-long-n", "stabilize",
+        "verlinde-fuse", "verlinde-limit", "verlinde-limit-long",
+        "coordring-long", "coordring", "poincare", "bundle-split",
+        "poincare-long", "bundle-split-long", "morphism", "flag-check-random",
+        "flag-check", "coordring-wide", "flag-check-parts", "coordring-digits",
+        "sections-digits", "poincare-digits"])
 def test_long_input_exits_3(run_child, argv, seconds, mib):
     child = run_child(_CLI_CHILD, *argv)
     assert child.returncode == 3
@@ -309,6 +314,59 @@ def test_long_input_exits_3(run_child, argv, seconds, mib):
     assert message.startswith("resource cap: ")
     assert child.seconds < seconds
     assert child.rss_kib < mib * 1024
+
+
+# edge values: 0, negatives, 10**11 and long runs of 1s and 2s
+_EDGE_VECTORS = ["0", "-1", "1", "2", "100000000000", "1,2", "2,1", "0,1",
+                 "-1,2", "1,100000000000", ",".join(["1"] * 300),
+                 ",".join(["2"] * 300)]
+_EDGE_INTS = ["0", "-1", "1", "2", "5", "100000000000"]
+
+
+def _edge_argvs():
+    """Every subcommand but selftest, with one argument (an int option
+    included) at a time at each edge value and the rest at 1 (a vector)
+    or 2 (an integer)."""
+    for name, (_, _, arguments) in cli.COMMANDS.items():
+        if name == "selftest":
+            continue
+        slots = []  # (flag or None, edge values, value at rest)
+        for flag, options in arguments:
+            if options.get("type") is int:
+                slots.append((flag if flag.startswith("--") else None,
+                              _EDGE_INTS, "2"))
+            elif not flag.startswith("--"):
+                slots.append((None, _EDGE_VECTORS, "1"))
+        for k, (_, edges, _) in enumerate(slots):
+            for edge in edges:
+                argv = [name]
+                for j, (flag, _, rest) in enumerate(slots):
+                    argv += [flag] if flag else []
+                    argv.append(edge if j == k else rest)
+                yield argv
+
+
+def test_edge_inputs_exit_0_2_or_3(capsys):
+    # each call answers with every check passing, or is refused (2) or
+    # capped (3): a failed check (1) or an escaping exception is a fault.
+    # `relations 100000000000 2` ended in a MemoryError when the top wedge
+    # was made before the first charge, `stabilize 1 2 5` exited 1 on a
+    # chain too short to stabilize, and `stabilize 1 2 100000000000` ended
+    # in a MemoryError when the depth sized the packing masks
+    start = time.perf_counter()
+    faults, calls = [], 0
+    for argv in _edge_argvs():
+        try:
+            code = main(argv)
+        except Exception as exc:
+            code = exc
+        capsys.readouterr()
+        calls += 1
+        if code not in (0, 2, 3):
+            faults.append((argv, code))
+    assert not faults
+    assert calls > 300
+    assert time.perf_counter() - start < 20
 
 
 def test_poincare_of_two_long_parts():

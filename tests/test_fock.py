@@ -414,15 +414,18 @@ def test_id_fields_are_as_wide_as_the_model_can_need(weights, bits,
 def test_field_width_of_a_long_factor_is_cheap():
     # C(2m, m) passes the budget at m = 11, and the width rule forms no
     # binomial past it: math.comb(2m, m) alone takes seconds at m = 200 000;
-    # nor does a factor basis take room or time in m before it is used
+    # nor does the rule for labels form 2^m.  No factor model of such a
+    # truncation is made here: it would build its factor bases, and the
+    # product preflight keeps every factor of a closure to m <= log2 of
+    # the dimension cap
     start = time.perf_counter()
     model = top_wedge((3_000_000,)).model
     assert time.perf_counter() - start < 0.2
     assert model.bits == 18
     start = time.perf_counter()
-    model = cyclic_vector((3_000_000, 3_000_000), 2).model
+    limit = fock._id_limit(((3_000_000, 2),), 2 ** 18, True)
     assert time.perf_counter() - start < 0.2
-    assert model.bits == 18
+    assert (limit - 1).bit_length() == 18
 
 
 # The factor basis of F_m against its definition: the span of the top

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from schubert_fusion.linalg import SpanBasis, _cross_scale
+from schubert_fusion.linalg import SpanBasis, _cross_scale, closure_layers
 
 
 class _RrefOracle:
@@ -452,3 +452,117 @@ def test_one_term_insert_at_an_occupied_pivot():
     # a one-term vector that is a stored row is refused
     assert basis.insert_reduced({1: 4}) is None
     assert basis.dimension == 2
+
+
+# closure_layers on the truncated polynomial ring in x, y, z: a vector maps
+# exponent triples (a, b, c), a < 2, b < 2, c < 3, to int coefficients, and
+# multiplying by a variable is a shift that commutes with the others and
+# raises the total degree by one.  Layer k of the span of 1 is the degree-k
+# part, of dimension 1, 3, 4, 3, 1 for k = 0 .. 4: the coefficients of
+# (1 + t)(1 + t)(1 + t + t^2).
+
+_BOUNDS = (2, 2, 3)
+_RING_LAYERS = [1, 3, 4, 3, 1]
+
+
+def _times(var, bounds=_BOUNDS):
+    """Multiplication by variable `var` of the ring truncated at `bounds`."""
+    def shift(vec):
+        out = {}
+        for mono, c in vec.items():
+            if mono[var] + 1 < bounds[var]:
+                new = mono[:var] + (mono[var] + 1,) + mono[var + 1:]
+                out[new] = out.get(new, 0) + c
+        return {mono: c for mono, c in out.items() if c}
+    return shift
+
+
+def _sum(*ops):
+    def total(vec):
+        out = {}
+        for op in ops:
+            for mono, c in op(vec).items():
+                out[mono] = out.get(mono, 0) + c
+        return {mono: c for mono, c in out.items() if c}
+    return total
+
+
+def _counted(op, calls):
+    """`op`, appending each vector it is called on to `calls`."""
+    def call(vec):
+        calls.append(vec)
+        return op(vec)
+    return call
+
+
+def test_closure_layers_start_with_the_seed_and_build_lazily():
+    calls = []
+    layers = closure_layers({(0, 0, 0): 6},
+                            [_counted(_times(v), calls) for v in range(3)])
+    seed = next(layers)
+    # the seed's layer holds its primitive form, and no operator ran yet
+    assert seed.row_vectors() == [{(0, 0, 0): 1}]
+    assert not calls
+    first = next(layers)
+    assert first.pivots() == [(0, 0, 1), (0, 1, 0), (1, 0, 0)]
+    assert calls == [{(0, 0, 0): 1}] * 3
+
+
+def test_closure_layers_stop_after_the_first_empty_layer():
+    calls = []
+    ops = [_counted(_times(v), calls) for v in range(3)]
+    layers = list(closure_layers({(0, 0, 0): 1}, ops))
+    assert [basis.dimension for basis in layers] == _RING_LAYERS
+    # the last call takes the top layer, x y z^2, to nothing; the empty
+    # layer is not yielded, and no operator runs after it
+    assert calls[-1] == {(1, 1, 2): 1}
+    # an empty seed yields no layer, and a seed every operator kills yields
+    # its own layer only
+    assert list(closure_layers({}, ops)) == []
+    (only,) = closure_layers({(1, 1, 2): -4}, ops)
+    assert only.row_vectors() == [{(1, 1, 2): 1}]
+
+
+def test_closure_layer_dimensions_match_a_hand_count():
+    # x, x + y and z + 2 y generate what x, y and z do; their images
+    # are not unit vectors, so each layer is a true elimination, with rows
+    # reduced against their own layer only
+    x, y, z = map(_times, range(3))
+    ops = [x, _sum(x, y), _sum(z, y, y)]
+    layers = list(closure_layers({(0, 0, 0): 1}, ops))
+    assert [basis.dimension for basis in layers] == _RING_LAYERS
+    for degree, basis in enumerate(layers):
+        assert all(sum(mono) == degree for row in basis.row_vectors()
+                   for mono in row)
+        assert_integer_echelon(basis)
+    # x and y bounded at 3 and 4, and z killing everything: the
+    # coefficients of (1 + t + t^2)(1 + t + t^2 + t^3)
+    ops = [_times(v, (3, 4, 1)) for v in range(3)]
+    layers = list(closure_layers({(0, 0, 0): 1}, ops))
+    assert [basis.dimension for basis in layers] == [1, 2, 3, 3, 2, 1]
+
+
+def test_closure_layer_operators_meet_only_rows_of_their_own_or_lower():
+    # a row born from operator i meets the operators j >= i only: each row
+    # is one monomial, born from the first operator whose image gave it
+    born = {(0, 0, 0): 0}  # the seed meets every operator
+    met = []
+
+    def recorded(j, op):
+        def call(vec):
+            (mono,) = vec
+            met.append((born[mono], j))
+            image = op(vec)
+            for new in image:
+                born.setdefault(new, j)
+            return image
+        return call
+
+    ops = [recorded(j, _times(j)) for j in range(3)]
+    layers = list(closure_layers({(0, 0, 0): 1}, ops))
+    assert sum(basis.dimension for basis in layers) == 12
+    assert all(i <= j for i, j in met)
+    # every row meets the operators from its own on: one call per pair
+    assert sorted(met) == sorted((born[mono], j) for mono in born
+                                 for j in range(born[mono], 3))
+    assert len(met) < 3 * 12

@@ -239,6 +239,19 @@ def test_stabilization_tables_are_read_only():
         hash(report)
 
 
+def test_stabilization_depth_past_every_top_energy():
+    # the chain (2,), (2, 2, 2), (2,) * 5, (2,) * 7 tops out at energy 12,
+    # so depth 12 reads whole characters and any deeper depth the same; a
+    # depth of 10**11 sized a mask of that many rows and ended in a
+    # MemoryError
+    whole = character_stabilization((1,), 3, 12)
+    deep = character_stabilization((1,), 3, 10 ** 11)
+    assert deep.tables == whole.tables and deep.deg_max == 10 ** 11
+    assert [sum(sum(row.values()) for row in table.values())
+            for table in whole.tables] == list(whole.dims)
+    assert whole.stable_from is None
+
+
 def test_stabilization_needs_two_tables():
     with pytest.raises(ValueError):
         character_stabilization((1,), 0, 2)
