@@ -18,16 +18,37 @@ every v before every u, each kind sorted by mode, which is the order of the
 bits; top wedges are sorted and sign-free.  e_j acts on v_i when bit i is
 set, i + j < m and bit m + i + j is clear, by one XOR, and its sign is the
 parity of the bits set strictly between the two positions.
+`mask_current` applies e_j to a row {mask: coefficient} of one factor.
 
-Equal-truncation factors are interchangeable, and every vector this package
-ever builds (cyclic vectors and their images under currents acting on whole
-blocks of equal factors) is invariant under permuting them.  States are
-therefore stored in the orbit-sum basis: per block of equal truncations, an
-index records the sorted multiset of factor monomials (a block: a sorted
-tuple of masks) and stands for the sum of all distinct arrangements of
-those monomials over the block's tensor slots.  This keeps supports
-polynomial even when a module has a long tail of identical small factors.
-Permuting whole tensor factors never introduces signs.
+Factor coordinates.  A factor of truncation m only ever holds vectors of
+its own cyclic module F_m, the span of the top wedge of shape (m,) under
+the currents: the module on (2,) * m, the local Weyl module of dimension
+2^m (Chari-Loktev), whose layer k (h-weight -m + 2k) has dimension
+C(m, k).  The monomials spread F_m over Catalan(m + 1) masks, and the
+spread multiplies across factors.  A `FactorBasis` closes F_m layer by
+layer on monomial masks, with the bit moves above and the closure loop of
+`fusion` (`linalg.closure_layers`), and reduces each layer fully: its
+basis vector b_s has 1 at its pivot (its smallest mask), 0 at the other
+pivots of its layer and only int entries.  That the entries are ints is
+measured, not proved: in mask order every row of F_1 .. F_11 is, and
+every row of F_12 .. F_16 up to the budget; in the order the moves first
+reach the masks, rows of F_10 would need fractions.  A row that would
+need one raises ArithmeticError.  A vector of the layer has its value at
+s's pivot as its coordinate on s, so e_j acts on labels by the column
+e_j(b_s) read at the next layer's pivots.  Labels are numbered layer by
+layer, so every hop goes to a larger label, and a label's grade is the
+bigrade of its pivot.
+
+A state holds each factor as a label of its F_m.  Equal-truncation factors
+are interchangeable, and every vector this package ever builds (cyclic
+vectors and their images under currents acting on whole blocks of equal
+factors) is invariant under permuting them.  States are therefore stored
+in the orbit-sum basis: per block of equal truncations, an index records
+the sorted multiset of factor labels (a block: a sorted tuple of labels)
+and stands for the sum of all distinct arrangements of those labels over
+the block's tensor slots.  This keeps supports polynomial even when a
+module has a long tail of identical small factors.  Permuting whole
+tensor factors never introduces signs.
 
 Block contents recur across states constantly, so a `WedgeModel` interns
 them, and a state index is one Python int: block g's id sits in a
@@ -37,65 +58,43 @@ is comparing their block-id tuples lexicographically.  The single-current
 images of each block are memoized per block position and mode as
 (shifted delta, multiplier) pairs, the delta being the id difference
 already shifted into that position's field, so a current rewrites one
-field with one add.  Blocks of one factor and of many share one move
-path: a move replaces one copy of a monomial by a larger one, so the new
-block is four slices of the old, and no two moves of a block share an image.
+field with one add; the multiplier is the column entry times the copies
+of the new label in the new block.  Blocks of one factor and of many
+share one move path: a move replaces one copy of a label by a larger one,
+so the new block is four slices of the old, and no two moves of a block
+share an image.
 
-Factor coordinates.  A factor of truncation m only ever holds vectors of
-its own cyclic module F_m, the span of the top wedge of shape (m,) under
-the currents: the module on (2,) * m, the local Weyl module of dimension
-2^m (Chari-Loktev), whose layer k (h-weight -m + 2k) has dimension
-C(m, k).  The wedge basis spreads F_m over Catalan(m + 1) monomials, and
-the spread multiplies across factors.  A `FactorBasis` closes F_m layer by
-layer on monomial masks, with the bit moves of a wedge model and the
-closure loop of `fusion` (`linalg.closure_layers`), and reduces each
-layer fully: its basis vector b_s has 1 at its pivot (its smallest mask),
-0 at the other pivots of its layer and only int entries.  That the entries are ints is
-measured, not proved: in mask order every row of F_1 .. F_11 is, and
-every row of F_12 .. F_16 up to the budget; in the interning order of a
-wedge model, rows of F_10 would need fractions.  A row that would need
-one raises ArithmeticError.  A vector of the layer has its value at s's
-pivot as its coordinate on s, so e_j acts on labels by the column
-e_j(b_s) read at the next layer's pivots.  Labels are numbered layer by
-layer, so every hop goes to a larger label, as every bit move goes to a
-larger monomial, and a label's grade is the bigrade of its pivot.
+These coordinates are exact.  The cyclic vector lies in the tensor
+product of the F_{m_j}, and each F_m is stable under every current, so
+every vector of the closure lies there too; on it the coordinates are a
+linear isomorphism, applied factor by factor, which commutes with the
+currents and with orbit sums and keeps the bigrade.  So each bigrade's
+span has the same dimension in labels as in monomials, and the character
+is the same; a lone factor is no exception, its closure running on the
+labels of the basis that spans it.  F_m is built when its model is made,
+as deep as the closure can reach, and each column on its first use; a hop
+that needs a layer past that depth raises rather than return no moves.
 
-`cyclic_vector` puts a closure of two or more tensor factors in factor
-coordinates: a factor slot holds a label instead of a monomial, and the
-orbit-sum blocks, packed indices and move tables are the same, the
-multiplier of a move being the column entry times the copies of the new
-label in the new block.  This is exact.  The cyclic vector lies in the
-tensor product of the F_{m_j}, and each F_m is stable under every
-current, so every vector of the closure lies there too; on it the
-coordinates are a linear isomorphism, applied factor by factor, which
-commutes with the currents and with orbit sums and keeps the bigrade.  So
-each bigrade's span has the same dimension in both coordinates, and the
-character is the same.  A lone factor keeps wedge coordinates: its
-closure is the construction of F_m itself.  F_m is built when its model
-is made, as deep as the closure can reach, and each column on its first
-use; a hop that needs a layer past that depth raises rather than return
-no moves.
+A model belongs to one closure: `cyclic_vector` creates it, with the
+factor bases it owns, every state derived from that cyclic vector carries
+it, and it is freed with the last of them, so no table is shared across
+the process.  A model interns at most WEDGE_BLOCK_BUDGET blocks, every
+block its moves reach, and a factor basis meets at most that many
+monomials, the top and every monomial of an image it makes, the budget
+read when each is created; going past it raises DimensionCapError.  An
+id field is only as wide as the model can need: a block of c factors of
+truncation m is a multiset of c of the 2^m labels, so the model can
+never intern more than
 
-A model belongs to one closure: `top_wedge` or `cyclic_vector` creates
-it, with the factor bases it owns, every state derived from that top
-wedge carries it, and it is freed with the last of them, so no table is
-shared across the process.  A model interns at most WEDGE_BLOCK_BUDGET
-blocks and a factor basis meets at most that many monomials, the budget
-read when each is created; going past it raises DimensionCapError.
-An id field is only as wide as the model can need: a block of c factors
-of truncation m is a multiset of c of the C(2m, m) monomials, or of the
-2^m labels in factor coordinates, so the model can never intern more than
+    limit = min(budget, sum over groups (m, c) of C(2^m + c - 1, c))
 
-    limit = min(budget, sum over groups (m, c) of C(C(2m, m) + c - 1, c))
-
-distinct blocks (2^m in place of C(2m, m) in factor coordinates), and a
-field is (limit - 1).bit_length() bits wide.  That is 18 bits at the
-default budget of 2**18 only when the sum reaches it (any m >= 11 does in
-wedge coordinates); the wedge models of the fusion modules on
-(3, 4, 4, 5, 5) and (2, 9, 14) need 15 and 10, and the factor model of
-(5, 5, 5, 5) needs 12, so the packed indices of most closures fit in one
-30-bit CPython digit.  Every id fits its field, so the int order of packed
-indices is still the order of their block-id tuples.
+distinct blocks, and a field is (limit - 1).bit_length() bits wide.  That
+is 18 bits at the default budget of 2**18 only when the sum reaches it (a
+lone factor of truncation m >= 18 does); the models of the fusion modules
+on (2, 9, 14), (3, 4, 4, 5, 5) and (5, 5, 5, 5) need 8, 10 and 12, so the
+packed indices of most closures fit in one 30-bit CPython digit.  Every
+id fits its field, so the int order of packed indices is still the order
+of their block-id tuples.
 """
 
 from __future__ import annotations
@@ -122,28 +121,20 @@ def factor_groups(shapes) -> tuple:
     return tuple((m, c) for m, c in groups)
 
 
-def _id_limit(groups, budget, labels) -> int:
-    """min(budget, sum over `groups` of C(C(2m, m) + c - 1, c)), see above;
-    with `labels`, for factor coordinates, 2^m stands for C(2m, m).
+def _id_limit(groups, budget) -> int:
+    """min(budget, sum over `groups` of C(2^m + c - 1, c)), see above.
 
     Every count is taken saturating at the budget, so no binomial wider
-    than the budget is ever formed: C(2k, k) grows by at least 2 per step
-    in k, and C(r + s, r) by at least (r + 1) / r per step in r.
+    than the budget is ever formed: C(r + s, r) grows by at least
+    (r + 1) / r per step in r.
     """
     total = 0
     for m, count in groups:
-        if labels:  # 2^m, saturating
-            monomials = 1 << min(m, budget.bit_length())
-        else:  # C(2k, k) for k = 0 .. m, saturating
-            monomials = 1
-            for k in range(1, m + 1):
-                monomials = monomials * 2 * (2 * k - 1) // k
-                if monomials >= budget:
-                    break
-        if monomials >= budget:
+        labels = 1 << min(m, budget.bit_length())  # 2^m, saturating
+        if labels >= budget:
             return budget
-        # C(monomials + count - 1, count) = C(s + r, r), r the smaller side
-        r, s = sorted((count, monomials - 1))
+        # C(labels + count - 1, count) = C(s + r, r), r the smaller side
+        r, s = sorted((count, labels - 1))
         blocks = 1
         for j in range(1, r + 1):
             blocks = blocks * (s + j) // j
@@ -172,6 +163,32 @@ def _bit_hops(mono, mode, m) -> list:
     return hops
 
 
+def mask_grade(mask, m) -> tuple:
+    """(h-weight, t-degree) of a truncation-m monomial mask.
+
+    u_i (bit m + i) has weight +1 and v_i (bit i) weight -1, each degree i.
+    """
+    return ((mask >> m).bit_count() * 2 - m,
+            sum(i % m for i in range(2 * m) if mask >> i & 1))
+
+
+def mask_current(mode, row, m, moves) -> dict:
+    """e_mode on a row {mask: coefficient} of truncation m, no zero kept.
+
+    `moves` memoizes the bit moves of each mask under e_mode and gets an
+    entry for every mask of the row it lacks.
+    """
+    out = {}
+    get = out.get
+    for mono, c in row.items():
+        hops = moves.get(mono)
+        if hops is None:
+            hops = moves[mono] = _bit_hops(mono, mode, m)
+        for new, sign in hops:
+            out[new] = get(new, 0) + c * sign
+    return {mono: c for mono, c in out.items() if c}
+
+
 class FactorBasis:
     """The row-reduced integral basis of F_m, the cyclic module of one factor.
 
@@ -182,8 +199,9 @@ class FactorBasis:
     layers past the top (at most m); a layer's labels follow its pivots in
     increasing order.  `hops(s, mode)` is the column of e_mode on b_s, made
     on its first use.  The bit moves of a monomial are memoized per mode,
-    and the basis meets at most `budget` monomials, read when it is made,
-    as a wedge model interns at most that many blocks.
+    and the basis meets at most `budget` monomials, the top and every
+    monomial of an image, read when it is made, as a wedge model interns
+    at most that many blocks.
     """
 
     __slots__ = ("truncation", "depth", "budget", "rows", "grades",
@@ -195,15 +213,16 @@ class FactorBasis:
         self.budget = WEDGE_BLOCK_BUDGET
         self.rows = []
         self.grades = []
-        self._columns = {}  # mode -> {label: column}
+        self._columns = [{} for _ in range(m)]  # per mode, {label: column}
         self._labels = {}  # the mask of a pivot -> its label
-        self._moves = {}  # mode -> {mask: its bit moves}
-        self._met = set()  # every mask with a move table, charged to the budget
+        self._moves = [{} for _ in range(m)]  # per mode, {mask: its bit moves}
+        top = (1 << m) - 1
+        self._met = {top}  # the top and every mask of an image, charged
         # the generator and the currents are dropped on return: kept, the
         # currents would tie the basis into a reference cycle
         currents = [lambda row, mode=mode: self._image(row, mode)
                     for mode in range(m)]
-        layers = closure_layers({(1 << m) - 1: 1}, currents)
+        layers = closure_layers({top: 1}, currents)
         for layer, basis in enumerate(islice(layers, self.depth + 1)):
             # back substitution, highest pivot first: a row holds no entry
             # below its pivot, and a reduced row is 0 at every other pivot,
@@ -231,9 +250,7 @@ class FactorBasis:
             for p in pivots:
                 self._labels[p] = len(self.rows)
                 self.rows.append(reduced[p])
-                # u_i at bit m + i, v_i at bit i: weight +-1, degree i each
-                self.grades.append((2 * layer - m, sum(
-                    i % m for i in range(2 * m) if p >> i & 1)))
+                self.grades.append(mask_grade(p, m))
 
     def hops(self, label, mode) -> tuple:
         """(label', coefficient) pairs of e_mode(b_label), label' ascending.
@@ -242,9 +259,7 @@ class FactorBasis:
         pivots.  A nonzero image whose layer lies past `depth` raises
         RuntimeError; an image of 0 gives no pairs at any depth.
         """
-        columns = self._columns.get(mode)
-        if columns is None:
-            columns = self._columns[mode] = {}
+        columns = self._columns[mode]
         column = columns.get(label)
         if column is None:
             image = self._image(self.rows[label], mode)
@@ -260,41 +275,32 @@ class FactorBasis:
         return column
 
     def _image(self, row, mode) -> dict:
-        """e_mode on a row of masks, with no zero coefficient."""
-        moves = self._moves.get(mode)
-        if moves is None:
-            moves = self._moves[mode] = {}
-        out = {}
-        get = out.get
-        for mono, c in row.items():
-            hops = moves.get(mono)
-            if hops is None:
-                met = self._met
-                if mono not in met:
-                    if len(met) >= self.budget:
-                        raise DimensionCapError(
-                            f"factor basis of F_{self.truncation} met more "
-                            f"than the budget of {self.budget} monomials")
-                    met.add(mono)
-                hops = moves[mono] = _bit_hops(mono, mode, self.truncation)
-            for new, sign in hops:
-                out[new] = get(new, 0) + c * sign
-        return {mono: c for mono, c in out.items() if c}
+        """e_mode on a row of masks, charging every mask of the image.
+
+        Every mask of a row is the top or a mask of an earlier image, so
+        the sources of the bit moves are charged with the images.
+        """
+        met = self._met
+        image = mask_current(mode, row, self.truncation, self._moves[mode])
+        met.update(image)
+        if len(met) > self.budget:
+            raise DimensionCapError(
+                f"factor basis of F_{self.truncation} met more than the "
+                f"budget of {self.budget} monomials")
+        return image
 
 
 class WedgeModel:
     """The interned blocks and memoized moves of one wedge model.
 
-    `blocks[id]` is a block (a sorted tuple of monomial masks, or of
-    labels in factor coordinates), and `grades[id]` its (h-weight,
-    t-degree).  `factors[g]` is None in wedge coordinates and the
-    `FactorBasis` of position g's truncation in factor coordinates, one
-    per truncation.  `moves[g][mode]`, made on the first use of e_mode in
-    position g, maps the id of a block in position g (an index into
-    `groups`) to the tuple of (shifted delta, multiplier) pairs of its
-    image under e_mode, one per move, where the shifted delta is (image id
-    - id) moved into position g's field, so it adds to a whole packed
-    index; no two pairs of an entry share a delta.
+    `blocks[id]` is a block (a sorted tuple of labels), and `grades[id]`
+    its (h-weight, t-degree).  `factors[g]` is the `FactorBasis` of
+    position g's truncation, one per truncation.  `moves[g][mode]`, made on
+    the first use of e_mode in position g, maps the id of a block in
+    position g (an index into `groups`) to the tuple of (shifted delta,
+    multiplier) pairs of its image under e_mode, one per move, where the
+    shifted delta is (image id - id) moved into position g's field, so it
+    adds to a whole packed index; no two pairs of an entry share a delta.
     `bits` is the width of one id field of a packed index: wide enough for
     every block the model can hold, no wider (see the module docstring).
     """
@@ -303,21 +309,16 @@ class WedgeModel:
                  "grades", "moves", "_ids", "__weakref__")
 
     def __init__(self, shapes, depth):
-        """Wedge coordinates with no `depth`; factor coordinates with one,
-        each factor basis built to at most `depth` layers past its top."""
+        """Each factor basis built to at most `depth` layers past its top."""
         self.shapes = shapes
         self.groups = factor_groups(shapes)
         self.budget = WEDGE_BLOCK_BUDGET
-        if depth is None:
-            self.factors = (None,) * len(self.groups)
-        else:
-            bases = {}
-            for m, _ in self.groups:
-                if m not in bases:
-                    bases[m] = FactorBasis(m, depth)
-            self.factors = tuple(bases[m] for m, _ in self.groups)
-        self.bits = (_id_limit(self.groups, self.budget, depth is not None)
-                     - 1).bit_length()
+        bases = {}
+        for m, _ in self.groups:
+            if m not in bases:
+                bases[m] = FactorBasis(m, depth)
+        self.factors = tuple(bases[m] for m, _ in self.groups)
+        self.bits = (_id_limit(self.groups, self.budget) - 1).bit_length()
         self.blocks = []
         self.grades = []
         self.moves = [{} for _ in self.groups]
@@ -372,36 +373,33 @@ class WedgeModel:
         Stores the entry in `moves_of`, the table `moves[g][mode]`, which
         `apply_current` reads itself, calling this only on a miss.
 
-        Replacing one copy of a factor monomial gamma by gamma' collects
-        the arrangements of the new multiset; the multiplier carries the
-        hop's coefficient (the wedge sign, or the column entry of a label)
-        and the multiplicity of gamma' in the new multiset.  Every hop
-        goes up, gamma' > gamma, so gamma' goes in at some r >= end, the
-        last copy of gamma being at end - 1.  Two moves share an image
-        only if they share gamma and gamma', so nothing is merged; moves
-        and the blocks they intern come in source order, monomials and
-        then hops ascending.
+        Replacing one copy of a factor label gamma by gamma' collects the
+        arrangements of the new multiset; the multiplier carries the hop's
+        coefficient, the column entry of gamma' in e_mode(b_gamma), and the
+        multiplicity of gamma' in the new multiset.  Every hop goes up,
+        gamma' > gamma, so gamma' goes in at some r >= end, the last copy
+        of gamma being at end - 1.  Two moves share an image only if they
+        share gamma and gamma', so nothing is merged; moves and the blocks
+        they intern come in source order, labels and then hops ascending.
         """
         block = self.blocks[bid]
-        m = self.groups[g][0]
         factor = self.factors[g]
         shift = self.bits * (len(self.groups) - 1 - g)
         ids = self._ids[g]
         grade = None  # made on the first new block, shared by the rest
         moves = []
         end = 0
-        while end < len(block):  # one pass per distinct monomial
-            mono = block[end]
-            end = bisect_right(block, mono, end)
-            hops = (_bit_hops(mono, mode, m) if factor is None
-                    else factor.hops(mono, mode))
+        while end < len(block):  # one pass per distinct label
+            label = block[end]
+            end = bisect_right(block, label, end)
+            hops = factor.hops(label, mode)
             if not hops:
                 continue
-            head = block[:end - 1]  # the block below the last copy of mono
-            for new_mono, coeff in hops:
-                r = bisect_left(block, new_mono, end)
-                new_block = head + block[end:r] + (new_mono,) + block[r:]
-                mult = coeff * (bisect_right(block, new_mono, r) - r + 1)
+            head = block[:end - 1]  # the block below the last copy of label
+            for new_label, coeff in hops:
+                r = bisect_left(block, new_label, end)
+                new_block = head + block[end:r] + (new_label,) + block[r:]
+                mult = coeff * (bisect_right(block, new_label, r) - r + 1)
                 nbid = ids.get(new_block)
                 if nbid is None:
                     if grade is None:  # one v_i became u_{i+mode}
@@ -427,51 +425,23 @@ class WedgeState(namedtuple("WedgeState", "model coeffs")):
 
     __slots__ = ()
 
-    def __add__(self, other: "WedgeState") -> "WedgeState":
-        if self.model is not other.model:
-            raise ValueError("cannot add states of different wedge models")
-        out = dict(self.coeffs)
-        for idx, c in other.coeffs.items():
-            nv = out.get(idx, 0) + c
-            if nv:
-                out[idx] = nv
-            else:
-                del out[idx]
-        return WedgeState(self.model, out)
 
+def cyclic_vector(shapes, depth) -> WedgeState:
+    """The top wedge of `shapes`: label 0, the top of F_m, in every factor.
 
-def _top(shapes, depth) -> WedgeState:
+    Creates the wedge model that every state derived from it shares, each
+    factor basis built to at most `depth` layers past its top, the deepest
+    layer of one factor that a hop of the closure may need.
+    """
     shapes = tuple(shapes)
     for m in shapes:
         check_int(m, "factor truncation", 1)
     model = WedgeModel(shapes, depth)
     index = model.pack_index(
-        model.intern(g, ((1 << m) - 1 if depth is None else 0,) * count,
-                     (-m * count, count * m * (m - 1) // 2))
+        model.intern(g, (0,) * count, (-m * count, count * m * (m - 1) // 2))
         for g, (m, count) in enumerate(model.groups)
     )
     return WedgeState(model, {index: 1})
-
-
-def top_wedge(shapes) -> WedgeState:
-    """Cyclic vector: product over factors of v_0 ^ v_1 ^ ... ^ v_{m-1}.
-
-    Creates the wedge model, in wedge coordinates, that every state
-    derived from it shares.
-    """
-    return _top(shapes, None)
-
-
-def cyclic_vector(shapes, depth) -> WedgeState:
-    """The top wedge of `shapes` in the coordinates its closure runs in.
-
-    Two or more factors give factor coordinates, each factor basis built
-    to at most `depth` layers past its top, the deepest layer of one
-    factor that a hop of the closure may need; a lone factor, or none,
-    gives wedge coordinates (see the module docstring).
-    """
-    shapes = tuple(shapes)
-    return _top(shapes, depth if len(shapes) > 1 else None)
 
 
 def apply_current(mode: int, state: WedgeState, blocks=None) -> WedgeState:

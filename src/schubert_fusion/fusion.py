@@ -10,11 +10,11 @@ under the raising currents e_0, ..., e_{n-1}.  Its dimension is the product
 of the entries of A, and the basis is bigraded by (h-weight, energy); the
 energy grading is normalized so the cyclic vector sits at 0.
 
-A closure of two or more factors runs in factor coordinates, each factor
-written in an integral basis of its own cyclic module; its cyclic vector
-comes from `fock.cyclic_vector`, with every factor basis built, when it is
-made, as deep as the closure can reach, and the character it reads is the
-same (the argument is in `fock`).
+Every closure runs in factor coordinates, each factor written in an
+integral basis of its own cyclic module; its cyclic vector comes from
+`fock.cyclic_vector`, with every factor basis built, when it is made, as
+deep as the closure can reach, and the character it reads is the same
+(the argument is in `fock`).
 
 The closure runs degree by degree, in `linalg.closure_layers`, the loop
 that also builds the factor bases.  The currents commute, so the sorted
@@ -71,7 +71,7 @@ from itertools import (accumulate, chain, combinations_with_replacement,
                        islice, repeat)
 from types import MappingProxyType
 
-from .fock import WedgeState, apply_current, cyclic_vector, top_wedge
+from .fock import WedgeState, apply_current, cyclic_vector, mask_current
 from .linalg import closure_layers
 # DimensionCapError lives in `types`; it is re-exported here
 from .types import (DimensionCapError, _check_size, check_int,
@@ -537,7 +537,8 @@ def check_relations(truncation: int, max_power: int) -> RelationReport:
     The generating series e(z) = e_{n-1} + z e_{n-2} + ... + z^{n-1} e_0 is
     raised to the i-th power on the top wedge of shape (n,), and the lowest
     z-degree of each power is recorded; the defining current relations say
-    that the i-th power is divisible by z^{n (i - 1)}.  Raises
+    that the i-th power is divisible by z^{n (i - 1)}.  Each coefficient of
+    the series is a row {mask: coefficient} of one factor (`fock`).  Raises
     DimensionCapError once more than `types.RELATION_PARTICLE_CAP` particles
     are charged: n for each power, also after the series has vanished, and
     n for each term of every image.
@@ -548,21 +549,22 @@ def check_relations(truncation: int, max_power: int) -> RelationReport:
     series = None
     lowest = []
     produced = 0  # particles charged so far: the work done, bounded by the cap
+    moves = {}  # mode -> the memoized bit moves of e_mode, made on first use
     for i in range(1, max_power + 1):
         produced += n  # the power's entry of `lowest`
         _check_size(produced, what, particles=True)
         if series is None:  # a 2n-bit mask, made once its first power is charged
-            series = {0: top_wedge((n,))}
+            series = {0: {(1 << n) - 1: 1}}
         out = {}
-        for deg, state in series.items():
+        for deg, row in series.items():
             for k in range(n):
-                image = apply_current(n - 1 - k, state)
-                produced += n * len(image.coeffs)
+                mode = n - 1 - k
+                image = mask_current(mode, row, n, moves.setdefault(mode, {}))
+                produced += n * len(image)
                 _check_size(produced, what, particles=True)
-                if image.coeffs:
-                    key = deg + k
-                    out[key] = out[key] + image if key in out else image
-        series = {k: s for k, s in out.items() if s.coeffs}
+                out.setdefault(deg + k, Counter()).update(image)
+        series = {deg: row for deg, total in out.items()
+                  if (row := {mask: c for mask, c in total.items() if c})}
         lowest.append(min(series, default=None))
     return RelationReport(n, max_power, tuple(lowest))
 
@@ -578,12 +580,6 @@ def monomial_basis(truncation: int) -> list:
     for k in range(n + 1):
         words.extend(combinations_with_replacement(range(n - k + 1), k))
     return words
-
-
-def apply_monomial(modes, state: WedgeState) -> WedgeState:
-    for j in modes:
-        state = apply_current(j, state)
-    return state
 
 
 class SubmoduleS(namedtuple(

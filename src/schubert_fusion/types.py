@@ -27,8 +27,9 @@ class DimensionCapError(RuntimeError):
     peeling route (the product of the weights it peels) and
     RELATION_PARTICLE_CAP (the particles of the relation series).
     `fock.WEDGE_BLOCK_BUDGET` bounds the blocks a wedge model interns and
-    the monomials a factor basis meets, and the CLI refuses a result with
-    an integer too long to print.
+    the monomials a factor basis meets, every monomial of its images
+    counted, and the CLI refuses a result with an integer too long to
+    print.
     """
 
 

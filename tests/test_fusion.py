@@ -21,7 +21,6 @@ from schubert_fusion.fusion import (
     DimensionCapError,
     _build_module_cached,
     _top_energy,
-    apply_monomial,
     build_module,
     build_submodule,
     character,
@@ -117,9 +116,11 @@ def test_dimension_cap(monkeypatch):
 def test_block_budget_is_read_at_call_time(monkeypatch):
     # every model a closure makes reads the budget when it is made.  The
     # factor model of (3, 4, 5) interns 38 blocks, and its factor bases
-    # meet 14, 5 and 2 monomials; the kernel at the second pair of
-    # (2, 2, 4), closed to h-weight 0, interns 5 blocks, and its basis of
-    # F_3 meets 7 monomials
+    # meet 14, 5 and 2 monomials, every mask of F_3, F_2 and F_1; the
+    # kernel at the second pair of (2, 2, 4), closed to h-weight 0,
+    # interns 5 blocks, and its basis of F_3 meets 13 monomials, the masks
+    # of its images: 12 trips it, which a charge of the 7 masks it moves
+    # would pass
     monkeypatch.setattr(fock, "WEDGE_BLOCK_BUDGET", 40)
     assert _build_module_cached.__wrapped__((3, 4, 5)).dimension == 60
     assert build_submodule((2, 2, 4), 2).dimension == 6
@@ -128,16 +129,29 @@ def test_block_budget_is_read_at_call_time(monkeypatch):
     with pytest.raises(DimensionCapError,
                        match=r"on \(3, 3, 2, 1\) .* budget of 32 blocks"):
         build_module((3, 4, 5))
-    monkeypatch.setattr(fock, "WEDGE_BLOCK_BUDGET", 6)
+    monkeypatch.setattr(fock, "WEDGE_BLOCK_BUDGET", 12)
     with pytest.raises(DimensionCapError,
-                       match="F_3 met more than the budget of 6 monomials"):
+                       match="F_3 met more than the budget of 12 monomials"):
         build_submodule((2, 2, 4), 2)
+
+
+def test_factor_basis_charges_the_images_it_meets(monkeypatch):
+    # a factor basis charges every mask of the images it makes, as a model
+    # charges every block its moves reach, so a lone factor trips the
+    # budget in its basis: F_5, built to layer 2 for (2,) * 5, meets 66
+    # monomials, the top wedge and every mask of its images
+    monkeypatch.setattr(fock, "WEDGE_BLOCK_BUDGET", 66)
+    assert _build_module_cached.__wrapped__((2,) * 5).dimension == 32
+    monkeypatch.setattr(fock, "WEDGE_BLOCK_BUDGET", 65)
+    with pytest.raises(DimensionCapError,
+                       match="F_5 met more than the budget of 65 monomials"):
+        _build_module_cached.__wrapped__((2,) * 5)
 
 
 def test_closures_drop_their_wedge_models(monkeypatch):
     # FusionModule and SubmoduleS keep results only: every model a closure
-    # makes (its interned blocks and moves, and in factor coordinates the
-    # factor bases, one per truncation) is freed when it returns
+    # makes (its interned blocks and moves, and its factor bases, one per
+    # truncation) is freed when it returns
     refs = []
 
     def recording(cls):
@@ -153,10 +167,12 @@ def test_closures_drop_their_wedge_models(monkeypatch):
     _build_module_cached.cache_clear()
     assert build_module((2, 3, 4)).dimension == 24
     assert build_submodule((2, 3, 5), 1).dimension > 0
+    assert build_module((2, 2)).dimension == 4
     assert _relations_hold(check_relations(3, 2))
     # a factor model and a basis per truncation 3, 2 and 1, twice, and
-    # the relation series' wedge model
-    assert len(refs) == 9
+    # the model and basis of the lone factor of (2, 2); the relation
+    # series runs on rows of masks and makes neither
+    assert len(refs) == 10
     assert all(ref() is None for ref in refs)
 
 
@@ -229,14 +245,14 @@ def test_monomial_basis_counts():
 
 
 def test_monomials_span_the_hypercube():
-    from schubert_fusion.fock import top_wedge
-
     n = 4
-    top = top_wedge((n,))
+    moves = [{} for _ in range(n)]
     basis = SpanBasis()
     for word in monomial_basis(n):
-        image = apply_monomial(word, top)
-        assert basis.insert(image.coeffs)
+        image = {(1 << n) - 1: 1}  # the top wedge, a row of masks
+        for j in word:
+            image = fock.mask_current(j, image, n, moves[j])
+        assert basis.insert(image)
     assert basis.dimension == 2 ** n
 
 
@@ -403,12 +419,17 @@ def _recorded_closures():
 @pytest.mark.parametrize("weights", [
     (2,), (3,), (2, 2), (2, 3), (1, 3, 3), (2, 3, 4), (2,) * 7, (3, 3, 4)])
 def test_module_closure_stops_at_weight_zero(weights):
-    # the closure keeps only rows of h-weight <= 0; the rest are mirrored
+    # the closure keeps only rows of h-weight <= 0; the rest are mirrored.
+    # Lone factors ((2,), (2, 2) and (2,) * 7) run on the labels of their
+    # factor basis too, and every basis is built only as deep as the
+    # closure reaches
     with _recorded_closures() as closures:
         module = _build_module_cached.__wrapped__(weights)
     ((seed, _, layers, pivots),) = closures
     n = sum(a - 1 for a in weights)
     assert layers == n // 2
+    assert ([(basis.truncation, basis.depth) for basis in seed.model.factors]
+            == [(m, min(m, layers)) for m, _ in seed.model.groups])
     assert max(seed.model.bigrade(p)[0] for p in pivots) == -(n % 2)
     assert len(pivots) < module.dimension == math.prod(weights)
     assert module.character == character_recursive(weights)
@@ -462,28 +483,16 @@ def test_submodules_match_fifo_oracle(weights):
         assert sub.dimension + quotient == math.prod(weights)
 
 
-def _wedge_character(weights):
-    # the module's closure on the top wedge in wedge coordinates: every
-    # factor of the tensor product spelled out in monomials
-    cyclic = fock.top_wedge(factor_shapes(weights))
-    operators = [(lambda s, j=j: apply_current(j, s))
-                 for j in range(len(weights))]
-    pivots = fusion._close_under(cyclic, operators,
-                                 (sum(weights) - len(weights)) // 2)
-    return fusion._mirrored_character(pivots, cyclic)
-
-
-def test_factor_coordinates_match_wedge_coordinates():
-    # a seeded sample of the criterion-1 corpus, closed in both
-    # coordinates: the same character, module by module
+def test_sampled_closures_match_the_recursion():
+    # a seeded sample of the criterion-1 corpus, every module of two or
+    # more factors: the closure's character equals the span-free
+    # recursion's, module by module.  Lone factors are compared with the
+    # recursion in test_module_closure_stops_at_weight_zero
     corpus = acceptance.weight_corpus(256)
     sample = random.Random(38).sample(corpus, 80)
-    factored = 0
     for weights in sample:
         module = _build_module_cached.__wrapped__(weights)
-        assert dict(module.character) == _wedge_character(weights)
-        factored += len(factor_shapes(weights)) > 1
-    assert factored > 40
+        assert dict(module.character) == character_recursive(weights)
 
 
 @pytest.mark.parametrize("weights", [(6, 6, 6, 6), (3,) * 7, (3, 4, 4, 5, 5)],
@@ -521,6 +530,7 @@ def test_closure_skips_unsorted_words(monkeypatch):
 
     monkeypatch.setattr(fusion, "apply_current", counting)
     _build_module_cached.cache_clear()
+    # factors in three groups, and a lone factor
     for weights in ((3, 4, 5), (2,) * 8):
         calls.clear()
         dim = build_module(weights).dimension

@@ -13,7 +13,7 @@ def one_of_each():
     return [
         comp,
         types.PoincarePolynomial((1, 1)),
-        fock.top_wedge((2,)),
+        fock.cyclic_vector((2,), 2),
         fusion.build_module((2, 3)),
         fusion.check_relations(2, 2),
         fusion.build_submodule((2, 3), 1),

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from schubert_fusion import acceptance, types
-from schubert_fusion.fock import apply_current, top_wedge
+from schubert_fusion.fock import apply_current, cyclic_vector
 from schubert_fusion.fusion import (DimensionCapError, build_module,
                                     build_submodule, character_recursive,
                                     check_relations, monomial_basis)
@@ -102,9 +102,10 @@ _INTEGER_SITES = {
     "max_n": (lambda v: acceptance.run_all(v), "max_n", 0),
     "count": (lambda v: acceptance.flag_checks(canonical_flag(comp(2, 1)),
                                                comp(2, 1), v), "count", -3),
-    "current mode": (lambda v: apply_current(v, top_wedge((2,))),
+    "current mode": (lambda v: apply_current(v, cyclic_vector((2,), 2)),
                      "current mode", -1),
-    "block index": (lambda v: apply_current(0, top_wedge((2, 3)), (v,)),
+    "block index": (lambda v: apply_current(0, cyclic_vector((2, 3), 3),
+                                            (v,)),
                     "block index", 2),
     "truncation": (lambda v: check_relations(v, 1), "truncation", 0),
     "max power": (lambda v: check_relations(2, v), "max power", 0),
@@ -139,7 +140,8 @@ _INTEGER_SITES = {
                              "coefficient", -1),
     "ring coefficient": (lambda v: FusionRingElement(1, (1, v)),
                          "coefficient", -1),
-    "factor truncation": (lambda v: top_wedge((v,)), "factor truncation", 0),
+    "factor truncation": (lambda v: cyclic_vector((v,), 1),
+                          "factor truncation", 0),
 }
 
 
