@@ -25,9 +25,16 @@ its own cyclic module F_m, the span of the top wedge of shape (m,) under
 the currents: the module on (2,) * m, the local Weyl module of dimension
 2^m (Chari-Loktev), whose layer k (h-weight -m + 2k) has dimension
 C(m, k).  The monomials spread F_m over Catalan(m + 1) masks, and the
-spread multiplies across factors.  A `FactorBasis` closes F_m layer by
-layer on monomial masks, with the bit moves above and the closure loop of
-`fusion` (`linalg.closure_layers`), and reduces each layer fully: its
+spread multiplies across factors.  The sorted words e_{j_1} ... e_{j_k}
+with j_1 <= ... <= j_k <= m - k on the top wedge are a basis of the Weyl
+module (Chari-Pressley 2001; Chari-Loktev 2006), C(m, k) of them in
+layer k.  A `FactorBasis` closes F_m layer by layer on monomial masks,
+with the bit moves above and the closure loop of `fusion`
+(`linalg.closure_layers`), making only those words: a row of layer k, k
+the u-count of its masks, meets e_j only for j <= m - k - 1, so every
+image it makes is accepted.  A layer with fewer than C(m, k) rows raises
+ArithmeticError: the columns below are read at the next layer's pivots
+and would drop moves without a word.  Each layer is reduced fully: its
 basis vector b_s has 1 at its pivot (its smallest mask), 0 at the other
 pivots of its layer and only int entries.  That the entries are ints is
 measured, not proved: in mask order every row of F_1 .. F_11 is, and
@@ -44,11 +51,13 @@ are interchangeable, and every vector this package ever builds (cyclic
 vectors and their images under currents acting on whole blocks of equal
 factors) is invariant under permuting them.  States are therefore stored
 in the orbit-sum basis: per block of equal truncations, an index records
-the sorted multiset of factor labels (a block: a sorted tuple of labels)
-and stands for the sum of all distinct arrangements of those labels over
-the block's tensor slots.  This keeps supports polynomial even when a
-module has a long tail of identical small factors.  Permuting whole
-tensor factors never introduces signs.
+the multiset of factor labels and stands for the sum of all distinct
+arrangements of those labels over the block's tensor slots.  This keeps
+supports polynomial even when a module has a long tail of identical small
+factors.  Permuting whole tensor factors never introduces signs.  A block
+of c factors is one int of packed label counts: label gamma's count is
+the digit at bit w * gamma, w = c.bit_length() bits wide, so no count of
+at most c carries into the next.
 
 Block contents recur across states constantly, so a `WedgeModel` interns
 them, and a state index is one Python int: block g's id sits in a
@@ -58,11 +67,11 @@ is comparing their block-id tuples lexicographically.  The single-current
 images of each block are memoized per block position and mode as
 (shifted delta, multiplier) pairs, the delta being the id difference
 already shifted into that position's field, so a current rewrites one
-field with one add; the multiplier is the column entry times the copies
+field with one add; the multiplier is the column entry times the count
 of the new label in the new block.  Blocks of one factor and of many
-share one move path: a move replaces one copy of a label by a larger one,
-so the new block is four slices of the old, and no two moves of a block
-share an image.
+share one move path: a move replaces one copy of a label gamma by a
+larger gamma', so the new block is block - (1 << w * gamma) +
+(1 << w * gamma'), and no two moves of a block share an image.
 
 These coordinates are exact.  The cyclic vector lies in the tensor
 product of the F_{m_j}, and each F_m is stable under every current, so
@@ -99,10 +108,9 @@ of their block-id tuples.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from collections import namedtuple
 from collections.abc import Sequence
-from itertools import islice
+from math import comb
 
 from .linalg import closure_layers
 from .types import DimensionCapError, check_int
@@ -195,13 +203,15 @@ class FactorBasis:
     Label s stands for the basis vector b_s: `rows[s]` maps monomial masks
     to its coefficients, and `grades[s]` is the bigrade of its pivot, the
     smallest mask of the row.  Label 0 is the top wedge.  The layers are
-    built when the basis is made, by `linalg.closure_layers`, up to `depth`
-    layers past the top (at most m); a layer's labels follow its pivots in
-    increasing order.  `hops(s, mode)` is the column of e_mode on b_s, made
-    on its first use.  The bit moves of a monomial are memoized per mode,
-    and the basis meets at most `budget` monomials, the top and every
-    monomial of an image, read when it is made, as a wedge model interns
-    at most that many blocks.
+    built when the basis is made, by `linalg.closure_layers` on the words
+    of the Weyl module (a row of layer k meets e_j for j <= m - k - 1
+    only), up to `depth` layers past the top (at most m); a layer's labels
+    follow its pivots in increasing order, and a layer short of its C(m, k)
+    rows raises ArithmeticError.  `hops(s, mode)` is the column of e_mode
+    on b_s, made on its first use.  The bit moves of a monomial are
+    memoized per mode, and the basis meets at most `budget` monomials, the
+    top and every monomial of an image, read when it is made, as a wedge
+    model interns at most that many blocks.
     """
 
     __slots__ = ("truncation", "depth", "budget", "rows", "grades",
@@ -218,17 +228,27 @@ class FactorBasis:
         self._moves = [{} for _ in range(m)]  # per mode, {mask: its bit moves}
         top = (1 << m) - 1
         self._met = {top}  # the top and every mask of an image, charged
-        # the generator and the currents are dropped on return: kept, the
+        # only the words of the Weyl module: a row of layer k, k the
+        # u-count of its masks, meets e_mode only for mode <= m - k - 1.
+        # The generator and the currents are dropped on return: kept, the
         # currents would tie the basis into a reference cycle
-        currents = [lambda row, mode=mode: self._image(row, mode)
+        currents = [lambda row, mode=mode: (
+                        self._image(row, mode)
+                        if mode + (next(iter(row)) >> m).bit_count() < m
+                        else {})
                     for mode in range(m)]
         layers = closure_layers({top: 1}, currents)
-        for layer, basis in enumerate(islice(layers, self.depth + 1)):
+        for layer in range(self.depth + 1):
+            basis = next(layers, None)
+            pivots = basis.pivots() if basis is not None else []
+            if len(pivots) != comb(m, layer):
+                raise ArithmeticError(
+                    f"layer {layer} of F_{m} has {len(pivots)} rows, "
+                    f"not C({m}, {layer})")
             # back substitution, highest pivot first: a row holds no entry
             # below its pivot, and a reduced row is 0 at every other pivot,
             # so clearing one pivot leaves the row's entries at the others
             # alone
-            pivots = basis.pivots()
             reduced = {}
             for p, echelon in zip(reversed(pivots),
                                   reversed(basis.row_vectors())):
@@ -293,14 +313,17 @@ class FactorBasis:
 class WedgeModel:
     """The interned blocks and memoized moves of one wedge model.
 
-    `blocks[id]` is a block (a sorted tuple of labels), and `grades[id]`
-    its (h-weight, t-degree).  `factors[g]` is the `FactorBasis` of
-    position g's truncation, one per truncation.  `moves[g][mode]`, made on
-    the first use of e_mode in position g, maps the id of a block in
-    position g (an index into `groups`) to the tuple of (shifted delta,
-    multiplier) pairs of its image under e_mode, one per move, where the
-    shifted delta is (image id - id) moved into position g's field, so it
-    adds to a whole packed index; no two pairs of an entry share a delta.
+    `blocks[id]` is a block, the packed label counts of its factors, and
+    `grades[id]` its (h-weight, t-degree): in position g (an index into
+    `groups`), whose c factors share a truncation, label gamma's count is
+    the digit at bit w * gamma, w = c.bit_length() bits wide, so no count
+    carries into the next.  `factors[g]` is the `FactorBasis` of position
+    g's truncation, one per truncation.  `moves[g][mode]`, made on the
+    first use of e_mode in position g, maps the id of a block in position
+    g to the tuple of (shifted delta, multiplier) pairs of its image under
+    e_mode, one per move, where the shifted delta is (image id - id) moved
+    into position g's field, so it adds to a whole packed index; no two
+    pairs of an entry share a delta.
     `bits` is the width of one id field of a packed index: wide enough for
     every block the model can hold, no wider (see the module docstring).
     """
@@ -326,8 +349,8 @@ class WedgeModel:
         self._ids = [{} for _ in self.groups]
 
     def intern(self, g, block, grade) -> int:
-        """The id of a block in position g, given its (h-weight, t-degree)
-        for a new entry."""
+        """The id of a block (packed label counts) in position g, given its
+        (h-weight, t-degree) for a new entry."""
         ids = self._ids[g]
         bid = ids.get(block)
         if bid is None:
@@ -349,22 +372,17 @@ class WedgeModel:
             index = (index << bits) | bid
         return index
 
-    def block_ids(self, index) -> tuple:
-        """The block ids packed in an index, block 0 first."""
+    def bigrade(self, index) -> tuple:
+        """(h-weight, total t-degree) of a basis index, field by field."""
+        grades = self.grades
         bits = self.bits
         mask = (1 << bits) - 1
-        last = len(self.groups) - 1
-        return tuple((index >> (bits * (last - g))) & mask
-                     for g in range(last + 1))
-
-    def bigrade(self, index) -> tuple:
-        """(h-weight, total t-degree) of a basis index."""
-        weight = 0
-        tdeg = 0
-        for bid in self.block_ids(index):
-            w, t = self.grades[bid]
+        weight = tdeg = 0
+        for _ in self.groups:
+            w, t = grades[index & mask]
             weight += w
             tdeg += t
+            index >>= bits
         return weight, tdeg
 
     def _block_moves(self, g, bid, mode, moves_of) -> tuple:
@@ -374,32 +392,38 @@ class WedgeModel:
         `apply_current` reads itself, calling this only on a miss.
 
         Replacing one copy of a factor label gamma by gamma' collects the
-        arrangements of the new multiset; the multiplier carries the hop's
+        arrangements of the new multiset: one count moves from gamma's
+        digit to gamma''s, and the multiplier carries the hop's
         coefficient, the column entry of gamma' in e_mode(b_gamma), and the
-        multiplicity of gamma' in the new multiset.  Every hop goes up,
-        gamma' > gamma, so gamma' goes in at some r >= end, the last copy
-        of gamma being at end - 1.  Two moves share an image only if they
-        share gamma and gamma', so nothing is merged; moves and the blocks
-        they intern come in source order, labels and then hops ascending.
+        count of gamma' in the new block.  Two moves share an image only
+        if they share gamma and gamma', so nothing is merged; moves and the
+        blocks they intern come in source order, labels and then hops
+        ascending.
         """
         block = self.blocks[bid]
         factor = self.factors[g]
+        columns = factor._columns[mode]
+        width = self.groups[g][1].bit_length()
+        digit = (1 << width) - 1
         shift = self.bits * (len(self.groups) - 1 - g)
         ids = self._ids[g]
         grade = None  # made on the first new block, shared by the rest
         moves = []
-        end = 0
-        while end < len(block):  # one pass per distinct label
-            label = block[end]
-            end = bisect_right(block, label, end)
-            hops = factor.hops(label, mode)
+        rest = block
+        while rest:  # one pass per present label, lowest first
+            label = ((rest & -rest).bit_length() - 1) // width
+            at = label * width
+            rest ^= (rest >> at & digit) << at
+            hops = columns.get(label)
+            if hops is None:
+                hops = factor.hops(label, mode)
             if not hops:
                 continue
-            head = block[:end - 1]  # the block below the last copy of label
-            for new_label, coeff in hops:
-                r = bisect_left(block, new_label, end)
-                new_block = head + block[end:r] + (new_label,) + block[r:]
-                mult = coeff * (bisect_right(block, new_label, r) - r + 1)
+            head = block - (1 << at)
+            for new_label, coeff in hops:  # new_label > label
+                up = new_label * width
+                new_block = head + (1 << up)
+                mult = coeff * ((block >> up & digit) + 1)
                 nbid = ids.get(new_block)
                 if nbid is None:
                     if grade is None:  # one v_i became u_{i+mode}
@@ -438,7 +462,7 @@ def cyclic_vector(shapes, depth) -> WedgeState:
         check_int(m, "factor truncation", 1)
     model = WedgeModel(shapes, depth)
     index = model.pack_index(
-        model.intern(g, (0,) * count, (-m * count, count * m * (m - 1) // 2))
+        model.intern(g, count, (-m * count, count * m * (m - 1) // 2))
         for g, (m, count) in enumerate(model.groups)
     )
     return WedgeState(model, {index: 1})

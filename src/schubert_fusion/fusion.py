@@ -66,7 +66,7 @@ import bisect
 import math
 import sys
 from collections import Counter, namedtuple
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import (accumulate, chain, combinations_with_replacement,
                        islice, repeat)
 from types import MappingProxyType
@@ -127,8 +127,8 @@ def _mirrored_character(pivots, seed) -> dict:
     # energies taken from the seed's, each w < 0 mirrored to -w
     bigrade = seed.model.bigrade
     offset = bigrade(next(iter(seed.coeffs)))[1]
-    grades = (bigrade(pivot) for pivot in pivots)
-    char = dict(Counter((w, t - offset) for w, t in grades))
+    char = {(w, t - offset): count
+            for (w, t), count in Counter(map(bigrade, pivots)).items()}
     char.update({(-w, t): m for (w, t), m in char.items() if w < 0})
     return char
 
@@ -141,9 +141,7 @@ def _build_module_cached(weights):
     # them; no factor gets past layer N // 2 of its own module
     layers = (sum(weights) - n) // 2
     cyclic = cyclic_vector(factor_shapes(weights), layers)
-    operators = [
-        (lambda s, j=j: apply_current(j, s)) for j in range(n)
-    ]
+    operators = [partial(apply_current, j) for j in range(n)]
     pivots = _close_under(cyclic, operators, layers)
     char = _mirrored_character(pivots, cyclic)
     dimension = sum(char.values())
@@ -676,12 +674,9 @@ def build_submodule(weights, index: int) -> SubmoduleS:
         else:
             high.append(g)
         pos += count
-    operators = [
-        (lambda s, j=j: apply_current(j, s)) for j in range(n)
-    ]
+    operators = [partial(apply_current, j) for j in range(n)]
     extra_mode = n - index - 1
-    operators.append(
-        lambda s: apply_current(extra_mode, s, blocks=high))
+    operators.append(partial(apply_current, extra_mode, blocks=high))
     pivots = _close_under(generator, operators, layers)
     dimension = sum(_mirrored_character(pivots, generator).values())
     return SubmoduleS(weights, index, "general", aprime, adouble, dimension)

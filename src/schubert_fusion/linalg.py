@@ -92,6 +92,8 @@ class SpanBasis:
         residual = dict(vec)
         rows = self._rows
         pending = [i for i in residual if i in rows]
+        if not pending:
+            return residual
         heapify(pending)
         while pending:
             p = heappop(pending)

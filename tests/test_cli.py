@@ -198,7 +198,7 @@ sys.exit(main(sys.argv[1:]))
 def test_over_budget_module_exits_3(run_child, weights):
     # far below the dimension cap (14 641); its ten factors of truncation 4
     # make C(25, 10) multisets of their 16 labels, and the closure's factor
-    # model interns 2**18 of them after about 3 s at about 230 MB
+    # model interns 2**18 of them after about 2.7 s at about 210 MB
     child = run_child(_CLI_CHILD, "dim", weights)
     assert child.returncode == 3
     assert not child.stdout

@@ -5,7 +5,10 @@ import math
 import random
 import time
 from collections import Counter
-from itertools import combinations, combinations_with_replacement, permutations, product
+from fractions import Fraction
+from functools import partial
+from itertools import (combinations, combinations_with_replacement, islice,
+                       permutations, product)
 
 import pytest
 
@@ -20,6 +23,7 @@ from schubert_fusion.fock import (
     mask_current,
 )
 from schubert_fusion.fusion import factor_shapes
+from schubert_fusion.linalg import closure_layers
 
 V, U = 0, 1
 
@@ -120,10 +124,38 @@ def test_mask_helpers_round_trip():
             assert to_particles(to_mask(mono)) == mono
 
 
+def block_ids(model, index) -> tuple:
+    """The block ids packed in an index, block 0 (most significant) first."""
+    bits, last = model.bits, len(model.groups) - 1
+    return tuple(index >> (bits * (last - g)) & ((1 << bits) - 1)
+                 for g in range(last + 1))
+
+
+# A block of position g packs the count of each label gamma of its c
+# factors into the digit at bit w * gamma, w = c.bit_length().
+
+def count_width(model, g):
+    return model.groups[g][1].bit_length()
+
+
+def pack_labels(model, g, labels) -> int:
+    """The packed counts of a block of position g given as factor labels."""
+    width = count_width(model, g)
+    return sum(1 << (width * s) for s in labels)
+
+
+def block_labels(model, g, bid) -> tuple:
+    """The sorted factor labels of interned block `bid` of position g."""
+    block, width = model.blocks[bid], count_width(model, g)
+    digit = (1 << width) - 1
+    return tuple(label for label in range(block.bit_length() // width + 1)
+                 for _ in range(block >> (width * label) & digit))
+
+
 def intern_labels(model, g, labels) -> int:
     """Intern a block of position g given as factor labels, one per factor."""
     grades = model.factors[g].grades
-    return model.intern(g, tuple(sorted(labels)),
+    return model.intern(g, pack_labels(model, g, labels),
                         tuple(map(sum, zip(*(grades[s] for s in labels)))))
 
 
@@ -214,7 +246,8 @@ def explicit(state):
              for _ in range(count)]
     out = Counter()
     for index, coeff in state.coeffs.items():
-        blocks = [model.blocks[b] for b in model.block_ids(index)]
+        blocks = [block_labels(model, g, b)
+                  for g, b in enumerate(block_ids(model, index))]
         for parts in product(*(set(permutations(block)) for block in blocks)):
             labels = [label for part in parts for label in part]
             rows = [basis.rows[label].items()
@@ -302,7 +335,7 @@ def test_block_moves_match_the_particle_oracle(shapes):
     m, count = factor_groups(shapes)[0]
     top = whole(shapes)
     model = top.model
-    others = model.block_ids(only_term(top)[0])[1:]
+    others = block_ids(model, only_term(top)[0])[1:]
     seen = 0
     for labels in every_block(m, count):
         index = model.pack_index((intern_labels(model, 0, labels),) + others)
@@ -355,9 +388,10 @@ def test_move_tables_need_no_merging(weights):
             for bid, moves in table.items():
                 deltas = [delta for delta, _ in moves]
                 assert len(set(deltas)) == len(deltas)
-                block = Counter(model.blocks[bid])
+                block = Counter(block_labels(model, g, bid))
                 for delta, mult in moves:
-                    image = Counter(model.blocks[bid + (delta >> shift)])
+                    image = Counter(block_labels(model, g,
+                                                 bid + (delta >> shift)))
                     (old,), (new,) = block - image, image - block
                     copies = image[new]
                     assert 0 < copies <= count
@@ -385,10 +419,10 @@ def test_index_order_is_block_tuple_order():
         bids = [rng.choice((0, 1, top - 1, top, rng.randrange(top + 1)))
                 for _ in model.groups]
         index = model.pack_index(bids)
-        assert model.block_ids(index) == tuple(bids)
+        assert block_ids(model, index) == tuple(bids)
         indices.append(index)
     assert (sorted(indices)
-            == sorted(indices, key=lambda idx: model.block_ids(idx)))
+            == sorted(indices, key=lambda idx: block_ids(model, idx)))
 
 
 def test_block_id_past_its_field_is_refused(monkeypatch):
@@ -526,6 +560,92 @@ def test_factor_basis_is_exact(m):
     assert hops > 0
 
 
+def reference_factor_layers(m):
+    """F_m by `closure_layers` over every mode on every row, layer by layer:
+    (rows, grades, the masks met so far), each layer's rows in reduced
+    echelon form by fractions."""
+    top = (1 << m) - 1
+    met, moves = {top}, [{} for _ in range(m)]
+
+    def current(mode, row):
+        image = mask_current(mode, row, m, moves[mode])
+        met.update(image)
+        return image
+
+    out = []
+    for basis in closure_layers({top: 1}, [partial(current, j) for j in range(m)]):
+        pivots = basis.pivots()
+        reduced = [{mono: Fraction(c, row[p]) for mono, c in row.items()}
+                   for p, row in zip(pivots, basis.row_vectors())]
+        for i, p in enumerate(pivots):  # clear p from every other row
+            for other in reduced[:i] + reduced[i + 1:]:
+                c = other.pop(p, 0)
+                if c:
+                    for mono, rc in reduced[i].items():
+                        if mono != p:
+                            other[mono] = other.get(mono, 0) - c * rc
+        rows = []
+        for row in reduced:
+            assert all(c.denominator == 1 for c in row.values())
+            rows.append({mono: int(c) for mono, c in row.items() if c})
+        out.append((rows, [fock.mask_grade(p, m) for p in pivots], set(met)))
+    return out
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_factor_basis_makes_one_image_per_new_label(m, monkeypatch):
+    # the currents of a row of layer k stop at e_{m-k-1}, so the build makes
+    # one image per label past the top, C(m, k) in layer k, and each one is
+    # accepted (labels past the top == images): the same rows, grades,
+    # columns and masks met as a build over every mode, at every depth
+    images = []
+    image = FactorBasis._image
+
+    def counted(self, row, mode):
+        images.append(mode)
+        return image(self, row, mode)
+
+    reference = reference_factor_layers(m)
+    assert len(reference) == m + 1
+    for depth in range(m + 1):
+        images.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(FactorBasis, "_image", counted)
+            basis = FactorBasis(m, depth)
+        labels = sum(math.comb(m, k) for k in range(1, depth + 1))
+        assert len(images) == len(basis.rows) - 1 == labels
+        rows = [row for layer in reference[:depth + 1] for row in layer[0]]
+        grades = [g for layer in reference[:depth + 1] for g in layer[1]]
+        met = set(reference[depth][2])
+        assert (basis.rows, basis.grades, basis._met) == (rows, grades, met)
+        labels_at = {min(row): label for label, row in enumerate(rows)}
+        moves = [{} for _ in range(m)]
+        # every column out of a layer below the last: a hop out of the last
+        # may need the layer past it
+        for label, row in enumerate(rows[:len(rows) - math.comb(m, depth)]):
+            for mode in range(m):
+                column = mask_current(mode, row, m, moves[mode])
+                met.update(column)
+                assert basis.hops(label, mode) == tuple(sorted(
+                    (labels_at[mono], c) for mono, c in column.items()
+                    if mono in labels_at))
+        assert basis._met == met
+
+
+@pytest.mark.parametrize("m, mode, layer, size", [(4, 1, 1, 3), (1, 0, 1, 0)])
+def test_short_factor_layer_raises(monkeypatch, m, mode, layer, size):
+    # with one mode's bit moves dropped, a layer of F_m falls short of its
+    # C(m, k) rows (or comes up empty), and the build refuses the basis:
+    # `hops` reads the next layer's pivots, so a short layer would drop
+    # moves without a word
+    bit_hops = fock._bit_hops
+    monkeypatch.setattr(fock, "_bit_hops", lambda mono, j, trunc: (
+        [] if j == mode else bit_hops(mono, j, trunc)))
+    with pytest.raises(ArithmeticError, match=(
+            rf"layer {layer} of F_{m} has {size} rows, not C\({m}, {layer}\)")):
+        FactorBasis(m, m)
+
+
 def test_factor_hop_past_its_depth_raises():
     # F_3 built to layer 1: a hop out of layer 1 with a nonzero image
     # needs layer 2 and raises, one whose image is 0 has no pairs
@@ -546,9 +666,11 @@ def test_factor_labels_of_two_truncations_do_not_collide():
     # one of truncation 2
     state = cyclic_vector((3, 3, 2, 2), 3)
     model = state.model
-    assert [model.blocks[bid] for bid in model.block_ids(only_term(state)[0])] == [(0, 0), (0, 0)]
+    bids = block_ids(model, only_term(state)[0])
+    assert [block_labels(model, g, bid)
+            for g, bid in enumerate(bids)] == [(0, 0), (0, 0)]
     assert model.factors[0] is not model.factors[1]
-    grades = [model.grades[bid] for bid in model.block_ids(only_term(state)[0])]
+    grades = [model.grades[bid] for bid in block_ids(model, only_term(state)[0])]
     assert grades == [(-6, 6), (-4, 2)]
 
 
