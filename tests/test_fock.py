@@ -7,7 +7,7 @@ import time
 from collections import Counter
 from fractions import Fraction
 from functools import partial
-from itertools import (combinations, combinations_with_replacement, islice,
+from itertools import (combinations, combinations_with_replacement,
                        permutations, product)
 
 import pytest
@@ -573,7 +573,8 @@ def reference_factor_layers(m):
         return image
 
     out = []
-    for basis in closure_layers({top: 1}, [partial(current, j) for j in range(m)]):
+    currents = [partial(current, j) for j in range(m)]
+    for basis in closure_layers({top: 1}, currents):
         pivots = basis.pivots()
         reduced = [{mono: Fraction(c, row[p]) for mono, c in row.items()}
                    for p, row in zip(pivots, basis.row_vectors())]
